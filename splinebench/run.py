@@ -10,7 +10,8 @@ BLAS pinned to one thread.
 
 With --trace 0 the run sets the workload up several times (setup_s is
 the median), then repeats the timed command sequence until --seconds
-have passed and prints the end-to-end metrics. With --trace 1 it traces
+have passed and prints the end-to-end metrics, with command times scaled
+to the host's current pace (pace.py). With --trace 1 it traces
 one set-up, then alternates untraced and traced passes of the timed
 commands and prints the per-layer metrics. Either way the last stdout
 line is one JSON object: {"correct", "attempted", "failed", "metrics"}.
@@ -46,7 +47,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 WORK_ROOT = ROOT / ".splinebench-work"
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 
 # End-to-end metrics, printed with --trace 0: name -> unit.
 END_TO_END = {
@@ -141,9 +142,10 @@ def convergence_problems(path: Path) -> list:
 class Runner:
     """Runs CLI commands in-process and keeps the run's accounting."""
 
-    def __init__(self, cli_main, tracer):
+    def __init__(self, cli_main, tracer, pace=None):
         self.cli_main = cli_main
         self.tracer = tracer
+        self.pace = pace  # a ReferencePace, to scale command times; None leaves them raw
         self.commands = 0
         self.failed_commands = 0
         self.problems: list[str] = []
@@ -189,20 +191,32 @@ class Runner:
         return attempted, failed
 
     def sequence(self, commands) -> dict:
-        """Run commands in order; return walls and rollout accounting."""
-        walls = {}
-        start = time.perf_counter()
+        """Run commands in order; return walls, scaled walls and rollout accounting.
+
+        With a pace, the reference workload runs before the first command
+        and after each one, and each command's wall time is scaled by the
+        mean of the two reference times around it (see pace.py).
+        """
+        walls, scaled, refs = {}, {}, []
+        if self.pace:
+            refs.append(self.pace.sample())
         for cmd in commands:
             walls[cmd.label] = self.command(cmd)
+            scaled[cmd.label] = walls[cmd.label]
+            if self.pace:
+                refs.append(self.pace.sample())
+                scaled[cmd.label] = self.pace.scale(walls[cmd.label], refs[-2:])
             if cmd.argv[0] == "train":  # the flow model's training, not train-ar
-                self.train_rates.append(cmd.samples / walls[cmd.label])
-        wall = time.perf_counter() - start
+                self.train_rates.append(cmd.samples / scaled[cmd.label])
         study = [c for c in commands if c.rollout_study]
         return {
-            "wall": wall,
+            "wall": sum(walls.values()),
+            "scaled": sum(scaled.values()),
             "walls": walls,
+            "scaled_walls": scaled,
+            "reference_s": refs,
             "study_nfe": sum(c.nfe_expected for c in study),
-            "study_wall": sum(walls[c.label] for c in study),
+            "study_scaled": sum(scaled[c.label] for c in study),
         }
 
     def snapshot(self, commands) -> dict:
@@ -285,13 +299,17 @@ def end_to_end(runner, workload, work: Path, seconds: float) -> tuple:
 
         timed_passes(seconds, step)
     metrics = {
-        "setup_s": statistics.median(s["wall"] for s in setups),
-        "pipeline_s": statistics.median(p["wall"] for p in passes),
+        "setup_s": statistics.median(s["scaled"] for s in setups),
+        "pipeline_s": statistics.median(p["scaled"] for p in passes),
         "train_samples_per_s": statistics.median(runner.train_rates),
-        "rollout_nfe_per_s": statistics.median(p["study_nfe"] / p["study_wall"] for p in passes),
+        "rollout_nfe_per_s": statistics.median(p["study_nfe"] / p["study_scaled"] for p in passes),
         **final_checks(runner, workload),
     }
-    detail = {"setup_walls": [s["walls"] for s in setups], "pass_walls": [p["walls"] for p in passes]}
+    keep = ("walls", "scaled_walls", "reference_s")
+    detail = {
+        "setups": [{k: s[k] for k in keep} for s in setups],
+        "passes": [{k: p[k] for k in keep} for p in passes],
+    }
     return metrics, detail
 
 
@@ -404,6 +422,7 @@ def main(argv=None) -> int:
     if Path(splineflow.__file__).resolve().parent != SRC / "splineflow":
         print(f"splinebench: imported splineflow from {splineflow.__file__}, not {SRC}", file=sys.stderr)
         return 2
+    from pace import ReferencePace
     from spans import Tracer
 
     if args.workload not in workloads.NAMES:
@@ -413,7 +432,8 @@ def main(argv=None) -> int:
     work = WORK_ROOT / f"{workload.name}-seed{args.seed}{'-smoke' if args.smoke else ''}"
     WORK_ROOT.mkdir(exist_ok=True)
     os.environ[cli.OUTPUT_ROOT_ENV] = str(work)
-    runner = Runner(cli.main, Tracer())
+    pace = None if args.trace else ReferencePace()
+    runner = Runner(cli.main, Tracer(), pace)
     cwd = os.getcwd()
     try:
         measure = traced if args.trace else end_to_end

@@ -14,6 +14,7 @@ import pytest
 
 import run
 import workloads
+from pace import NOMINAL_S, ReferencePace
 from spans import Span, Tracer, instrument, partition_error, self_times
 from splineflow import evaluation
 from splineflow.odeint import SolverConfig
@@ -104,6 +105,22 @@ def test_forced_divergence_counts_every_row_as_failed(tmp_path, monkeypatch):
     assert runner.failed_commands == 0
     attempted, failed = runner.tally()
     assert (attempted, failed) == (smoke.n_test + 2, smoke.n_test)
+
+
+def test_each_command_is_scaled_by_the_reference_samples_around_it():
+    class StubPace:
+        samples = iter([0.5 * NOMINAL_S, 1.5 * NOMINAL_S, 3.0 * NOMINAL_S])
+        scale = staticmethod(ReferencePace.scale)
+
+        def sample(self):
+            return next(self.samples)
+
+    runner = run.Runner(lambda argv: 0, Tracer(), StubPace())
+    seq = runner.sequence([workloads.Command("a", ("a",)), workloads.Command("b", ("b",))])
+    walls, scaled = seq["walls"], seq["scaled_walls"]
+    assert scaled["a"] == pytest.approx(walls["a"] / 1.0)  # mean of 0.5 and 1.5 nominal
+    assert scaled["b"] == pytest.approx(walls["b"] / 2.25)  # mean of 1.5 and 3.0 nominal
+    assert seq["scaled"] == pytest.approx(scaled["a"] + scaled["b"])
 
 
 def test_a_failing_command_is_counted(tmp_path, monkeypatch):

@@ -5,9 +5,10 @@ number of vector-field evaluations (NFE) its rollouts should spend,
 computed here from the configuration alone, never read back from the
 program: trajectories x intervals x substeps x solver stages.
 
-Dataset sizes are the CLI's desk-scale defaults, passed explicitly so a
-change to the defaults cannot silently change the benchmark. The smoke
-size exists for the benchmark's own tests.
+Dataset sizes are the CLI's desk-scale defaults, except two larger test
+splits (see FULL), passed explicitly so a change to the defaults cannot
+silently change the benchmark. The smoke size exists for the benchmark's
+own tests.
 
 Training always sees the same inputs: the train and validation splits
 of the default generation seed, and the default training seed. The
@@ -62,12 +63,17 @@ class Dataset:
         ]
 
 
-# The Burgers test split is 200 trajectories, not the CLI's 20: per-row
-# errors spread by about their mean, so 20 rows left the mean test error
-# spreading by 0.3 of its median across seeds.
+# Full sizes per workload. Two test splits are larger than the CLI's:
+# - Burgers: 600 rows, not 20. Per-row errors spread by about their mean,
+#   so the mean test error spread across seeds by 0.3 of its median at 20
+#   rows, 0.12 at 200 and 0.09 at 400.
+# - lorenz-sparse-linear: 400 rows, not 100. Its eval is the only rollout
+#   it times, and at 100 rows that was 0.2 s a pass, too little to time
+#   steadily on a noisy host.
 FULL = {
-    "lorenz": Dataset("lorenz", 1000, 100, 100, 201),
-    "burgers1d": Dataset("burgers1d", 200, 20, 200, 101),
+    "lorenz-sparse-linear": Dataset("lorenz", 1000, 100, 400, 201),
+    "burgers-quintic": Dataset("burgers1d", 200, 20, 600, 101),
+    "lorenz-studies": Dataset("lorenz", 1000, 100, 100, 201),
 }
 SMOKE = {
     "lorenz": Dataset("lorenz", 24, 4, 4, 21),
@@ -260,16 +266,16 @@ def _lorenz_studies(seed, data, training):
 
 
 _WORKLOADS = {
-    "lorenz-sparse-linear": (_lorenz_sparse_linear, "lorenz"),
-    "burgers-quintic": (_burgers_quintic, "burgers1d"),
-    "lorenz-studies": (_lorenz_studies, "lorenz"),
+    "lorenz-sparse-linear": _lorenz_sparse_linear,
+    "burgers-quintic": _burgers_quintic,
+    "lorenz-studies": _lorenz_studies,
 }
 NAMES = tuple(_WORKLOADS)
 
 
 def build(name: str, seed: int, smoke: bool = False) -> Workload:
-    make, system = _WORKLOADS[name]
+    make, data = _WORKLOADS[name], FULL[name]
     if not smoke:
-        return make(seed, FULL[system], FULL_TRAINING)
+        return make(seed, data, FULL_TRAINING)
     # Smoke grids are too coarse for the asymptotic convergence orders.
-    return replace(make(seed, SMOKE[system], SMOKE_TRAINING), convergence_csv="")
+    return replace(make(seed, SMOKE[data.system], SMOKE_TRAINING), convergence_csv="")
