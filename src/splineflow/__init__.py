@@ -17,25 +17,11 @@ from .errors import (
     TrainingAbortedError,
     UndefinedMetricError,
 )
-from .interpolant import InterpolantSample, InterpolantSampler, SampleBatch, sample, sample_batch
-from .metrics import EvalReport, build_report, empirical_order, mean_order, relative_l2
+from .interpolant import InterpolantSampler, SampleBatch
+from .metrics import EvalReport, build_report, empirical_order, relative_l2
 from .odeint import RolloutResult, SolverConfig, ar_rollout, rollout, rollout_reverse, step
-from .spline import (
-    LinearSpline,
-    NoiseSchedule,
-    QuinticSpline,
-    build_linear,
-    build_quintic,
-    gamma,
-)
-from .stencil import (
-    KnotDerivatives,
-    StencilWeights,
-    estimate_knot_derivatives,
-    fd_weights,
-    first_derivative_3pt,
-    second_derivative_3pt,
-)
+from .spline import NoiseSchedule, Spline, build_linear, build_quintic
+from .stencil import KnotDerivatives, estimate_knot_derivatives, fd_weights
 from .systems import (
     BurgersConfig,
     TrajectorySet,
@@ -45,7 +31,7 @@ from .systems import (
     lorenz_rhs,
     sample_grf_initial,
 )
-from .timegrid import TimeGrid, subsample, uniform_grid
+from .timegrid import TimeGrid, uniform_grid
 from .trainer import (
     AdamState,
     TrainConfig,

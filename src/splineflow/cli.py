@@ -430,14 +430,14 @@ def cmd_eval(options: dict) -> int:
             "n_diverged": report.n_diverged,
         },
         ["traj_index", "relative_l2"],
-        [(i, repr(v)) for i, v in enumerate(report.per_traj)],
+        [(i, repr(float(v))) for i, v in enumerate(report.per_traj)],
     )
     per_time_out = Path(str(out)).with_suffix(".pertime.csv")
     _write_csv(
         per_time_out,
         {"fingerprint": fp},
         ["time_index", "mean_relative_error"],
-        [(i, repr(v)) for i, v in enumerate(report.per_time)],
+        [(i, repr(float(v))) for i, v in enumerate(report.per_time)],
     )
     print(
         f"split={options['split']} mean={report.mean:.4e} sd={report.sd:.4e} "

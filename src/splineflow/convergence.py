@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .metrics import empirical_order
-from .spline import LinearSpline, QuinticSpline, build_linear, build_quintic
+from .spline import build_linear, build_quintic, segment_derivatives
 from .systems import TrajectorySet, lorenz_rhs
 from .timegrid import TimeGrid
 
@@ -43,13 +43,12 @@ def segment_endpoint_velocities(spline):
     they equal the knot derivative data by the Hermite endpoint
     conditions.
     """
-    if isinstance(spline, LinearSpline):
-        h = spline.grid.steps[:, None]
-        slope = (spline.values[1:] - spline.values[:-1]) / h
-        return slope, slope
-    if isinstance(spline, QuinticSpline):
-        return spline.derivs.d[:-1], spline.derivs.d[1:]
-    raise InvalidArgumentError(f"unsupported spline type {type(spline).__name__}")
+    n = spline.grid.n_segments
+    left = np.concatenate([np.arange(n)] * 2)
+    h = np.concatenate([spline.grid.steps] * 2)
+    tau = np.repeat([0.0, 1.0], n)  # segment starts, then segment ends
+    (v,) = segment_derivatives(spline.table, left, tau, h, (1,))
+    return v[:n], v[n:]
 
 
 def downsample_regular(grid: TimeGrid, values: np.ndarray, factor: int):

@@ -7,9 +7,11 @@ fresh standard-normal noise vector z, then forms
     v_target = ds/dt(t) + dgamma/dt(t) * z
 
 so that with gamma0 = 0 the pair reduces to plain flow matching against
-the spline velocity. `InterpolantSampler` pre-stacks knot arrays across
-trajectories when their grids have equal length, which makes batched
-sampling a handful of vectorized gathers instead of a Python loop.
+the spline velocity. `InterpolantSampler` concatenates the trajectories'
+knot tables into one flat table with per-trajectory row offsets, and
+finds each draw's segment in a matrix of knot times padded with +inf.
+Ragged and equal-length grids therefore take the same path: one gather
+and one `segment_derivatives` call per batch.
 """
 
 from __future__ import annotations
@@ -19,22 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .spline import (
-    NoiseSchedule,
-    QuinticSpline,
-    gamma as noise_gamma,
-    hermite_basis,
-    hermite_basis_d1,
-)
-
-
-@dataclass(frozen=True)
-class InterpolantSample:
-    """One training triple: time, noisy state, velocity target."""
-
-    t: float
-    x: np.ndarray
-    v_target: np.ndarray
+from .spline import NoiseSchedule, segment_derivatives
 
 
 @dataclass(frozen=True)
@@ -48,113 +35,45 @@ class SampleBatch:
     def __len__(self) -> int:
         return int(self.t.size)
 
-    def __getitem__(self, i: int) -> InterpolantSample:
-        return InterpolantSample(t=float(self.t[i]), x=self.x[i], v_target=self.v_target[i])
-
-
-def sample(spline, schedule: NoiseSchedule, t: float, z: np.ndarray) -> InterpolantSample:
-    """Single training triple from one spline at time t with noise draw z."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (spline.state_dim,):
-        raise InvalidArgumentError(
-            f"noise draw has shape {z.shape}, expected ({spline.state_dim},)"
-        )
-    x = spline.eval(t)
-    v = spline.eval_velocity(t)
-    g, gp = noise_gamma(schedule, spline.grid, t)
-    return InterpolantSample(t=float(t), x=x + g * z, v_target=v + gp * z)
-
 
 class InterpolantSampler:
-    """Batched sampler over a set of per-trajectory splines.
-
-    All splines must share the same kind and state dimension. When every
-    grid has the same knot count the knot data is stacked into dense
-    arrays once; irregular-length collections fall back to per-sample
-    evaluation.
-    """
+    """Batched sampler over per-trajectory splines of one kind and state dimension."""
 
     def __init__(self, splines, schedule: NoiseSchedule):
         if not splines:
             raise InvalidArgumentError("need at least one trajectory spline")
-        kinds = {type(s) for s in splines}
-        if len(kinds) != 1:
-            raise InvalidArgumentError("cannot mix spline kinds in one sampler")
-        dims = {s.state_dim for s in splines}
-        if len(dims) != 1:
-            raise InvalidArgumentError("all trajectories must share a state dimension")
-        self.splines = list(splines)
+        if len({s.table.shape[1:] for s in splines}) != 1:
+            raise InvalidArgumentError(
+                "all trajectories must share a spline kind and a state dimension"
+            )
         self.schedule = schedule
-        self.state_dim = dims.pop()
-        self.quintic = kinds.pop() is QuinticSpline
-
-        lengths = {len(s.grid) for s in self.splines}
-        self._stacked = len(lengths) == 1
-        if self._stacked:
-            self._times = np.stack([s.grid.times for s in self.splines])
-            self._values = np.stack([s.values for s in self.splines])
-            if self.quintic:
-                self._d = np.stack([s.derivs.d for s in self.splines])
-                self._a = np.stack([s.derivs.a for s in self.splines])
+        self.n_trajectories = len(splines)
+        self.state_dim = splines[0].state_dim
+        counts = np.array([len(s.grid) for s in splines])
+        self._offsets = np.cumsum(counts) - counts
+        self._last_segment = counts - 2
+        self._table = np.concatenate([s.table for s in splines])
+        self._times = np.full((len(splines), counts.max()), np.inf)
+        for row, s in zip(self._times, splines):
+            row[: len(s.grid)] = s.grid.times
 
     def sample_batch(self, batch_size: int, rng: np.random.Generator) -> SampleBatch:
         """Draw batch_size independent triples; deterministic under a seeded rng."""
         if batch_size < 1:
             raise InvalidArgumentError("batch_size must be positive")
-        traj = rng.integers(0, len(self.splines), size=batch_size)
+        traj = rng.integers(0, self.n_trajectories, size=batch_size)
         ts = rng.uniform(0.0, 1.0, size=batch_size)
         z = rng.standard_normal((batch_size, self.state_dim))
-        if not self._stacked:
-            samples = [
-                sample(self.splines[j], self.schedule, t, zi)
-                for j, t, zi in zip(traj, ts, z)
-            ]
-            return SampleBatch(
-                t=ts,
-                x=np.stack([s.x for s in samples]),
-                v_target=np.stack([s.v_target for s in samples]),
-            )
-        return self._sample_stacked(traj, ts, z)
 
-    def _sample_stacked(self, traj, ts, z) -> SampleBatch:
-        times = self._times[traj]  # (B, N)
-        # Row-wise half-open segment lookup; t == 1 clips to the last segment.
+        times = self._times[traj]  # (B, max knots), +inf past each grid's end
+        # Half-open segment lookup; t == 1 clips to the last segment.
         seg = np.sum(ts[:, None] >= times, axis=1) - 1
-        seg = np.clip(seg, 0, times.shape[1] - 2)
-        rows = np.arange(traj.size)
+        seg = np.minimum(seg, self._last_segment[traj])
+        rows = np.arange(batch_size)
         t0 = times[rows, seg]
         h = times[rows, seg + 1] - t0
         tau = (ts - t0) / h
-        h_ = h[:, None]
-
-        u0 = self._values[traj, seg]
-        u1 = self._values[traj, seg + 1]
-        if self.quintic:
-            coeffs = (
-                u0,
-                self._d[traj, seg] * h_,
-                self._a[traj, seg] * h_ * h_,
-                u1,
-                self._d[traj, seg + 1] * h_,
-                self._a[traj, seg + 1] * h_ * h_,
-            )
-            bv = hermite_basis(tau)
-            bd = hermite_basis_d1(tau)
-            x = sum(bv[:, j : j + 1] * coeffs[j] for j in range(6))
-            v = sum(bd[:, j : j + 1] * coeffs[j] for j in range(6)) / h_
-        else:
-            tau_ = tau[:, None]
-            x = (1.0 - tau_) * u0 + tau_ * u1
-            v = (u1 - u0) / h_
+        x, v = segment_derivatives(self._table, self._offsets[traj] + seg, tau, h, (0, 1))
 
         g, gp = self.schedule.from_tau(tau, h)
-        x = x + g[:, None] * z
-        v = v + gp[:, None] * z
-        return SampleBatch(t=ts, x=x, v_target=v)
-
-
-def sample_batch(
-    splines, schedule: NoiseSchedule, batch_size: int, rng: np.random.Generator
-) -> SampleBatch:
-    """Convenience wrapper constructing a sampler for a one-off batch."""
-    return InterpolantSampler(splines, schedule).sample_batch(batch_size, rng)
+        return SampleBatch(t=ts, x=x + g[:, None] * z, v_target=v + gp[:, None] * z)

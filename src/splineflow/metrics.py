@@ -93,9 +93,3 @@ def empirical_order(errors, steps) -> list:
             orders.append(float(np.log(e2 / e1) / np.log(h2 / h1)))
     return orders
 
-
-def mean_order(errors, steps) -> float:
-    orders = [p for p in empirical_order(errors, steps) if math.isfinite(p)]
-    if not orders:
-        return math.inf
-    return float(np.mean(orders))

@@ -1,15 +1,24 @@
-"""Piecewise temporal interpolants and the per-segment noise schedule.
+"""One spline representation for both kinds: a per-knot table.
 
-Two spline families over a TimeGrid:
+A spline over a TimeGrid stores its knot data as a table of shape
+(n_knots, m, d):
 
-* LinearSpline: C0, straight segments; the one-sided velocity at a knot is
-  the forward-difference slope of the segment to its right.
-* QuinticSpline: C2 Hermite interpolant matching values plus estimated
-  first/second derivatives at both endpoints of every segment.
+* m = 1 holds [u]: the C0 piecewise-linear interpolant (degree-1
+  Lagrange basis [1 - tau, tau] on each segment);
+* m = 3 holds [u, du/dt, d2u/dt2]: the C2 quintic Hermite interpolant,
+  with knot derivatives estimated by `estimate_knot_derivatives`.
+
+Every evaluation goes through `segment_derivatives`: it gathers the two
+knots of each segment as (B, 2m, d) and contracts them with the basis
+chosen by m, scaled on the basis side by [1, h, h^2][:m] per end (and
+divided by h per time derivative). Splines, the batched interpolant
+sampler and the convergence study all call it. A linear table is a view
+of the snapshot array, not a copy.
 
 Knot convention: segments are half-open [t_i, t_{i+1}) and t = 1 maps to
 the final closed segment, so evaluation at an interior knot uses the
-right-hand segment.
+right-hand segment; a linear spline's velocity at a knot is the slope of
+the segment to its right.
 
 The noise schedule is the per-segment polynomial bump
 gamma(t) = gamma0 * (t - t_k)^m (t_{k+1} - t)^m / (t_{k+1} - t_k)^{2m},
@@ -88,6 +97,45 @@ def hermite_basis_d2(tau: np.ndarray) -> np.ndarray:
     )
 
 
+# Bases on the unit segment per table width m, indexed by the derivative
+# order in tau; column j weights row j of a segment's (2m, d) knot block.
+_BASES = {
+    1: (
+        lambda t: np.stack([1.0 - t, t], axis=-1),
+        lambda t: np.broadcast_to([-1.0, 1.0], t.shape + (2,)),
+        lambda t: np.broadcast_to(0.0, t.shape + (2,)),
+    ),
+    3: (hermite_basis, hermite_basis_d1, hermite_basis_d2),
+}
+
+
+def segment_derivatives(table: np.ndarray, left: np.ndarray, tau, h, orders) -> list:
+    """Time derivatives of the given orders (0, 1 or 2) on a batch of segments.
+
+    Segment i runs from row left[i] of the knot table (n_rows, m, d) to the
+    next row, has width h[i] and is evaluated at the local coordinate
+    tau[i] in [0, 1]. Returns one (B, d) array per order.
+
+    The knot derivatives are scaled to the unit segment on the basis side:
+    basis columns are multiplied by [1, h, h^2][:m] per end and divided by
+    h^order, leaving the table untouched. A basis weight of exactly 1 thus
+    returns the table entry bit for bit (quintic endpoint velocities are
+    the knot d).
+    """
+    m = table.shape[1]
+    knots = table[left[:, None] + (0, 1)].reshape(left.size, 2 * m, -1)
+    h = h[:, None]
+    out = []
+    for k in orders:
+        w = _BASES[m][k](tau)
+        for p in range(1, m):
+            w[:, p::m] *= h**p
+        if k:
+            w = w / h**k
+        out.append(np.einsum("bj,bjd->bd", w, knots))
+    return out
+
+
 def locate_segments(times: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Half-open segment index for each query time; t == 1 uses the last."""
     idx = np.searchsorted(times, t, side="right") - 1
@@ -119,95 +167,49 @@ def _check_values(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LinearSpline:
-    """C0 piecewise-linear interpolant of one trajectory."""
+class Spline:
+    """Linear (m = 1) or quintic Hermite (m = 3) interpolant of one trajectory."""
 
     grid: TimeGrid
-    values: np.ndarray
+    table: np.ndarray  # (n_knots, m, d)
+
+    def __post_init__(self):
+        shape = np.shape(self.table)
+        if len(shape) != 3 or shape[0] != len(self.grid) or shape[1] not in _BASES:
+            raise InvalidArgumentError(
+                f"knot table has shape {shape}, expected ({len(self.grid)}, 1 or 3, d)"
+            )
 
     @property
     def state_dim(self) -> int:
-        return int(self.values.shape[1])
+        return int(self.table.shape[2])
 
     def eval(self, t):
-        ts, scalar = _as_queries(t)
-        seg = locate_segments(self.grid.times, ts)
-        t0 = self.grid.times[seg]
-        h = self.grid.steps[seg]
-        tau = ((ts - t0) / h)[:, None]
-        out = (1.0 - tau) * self.values[seg] + tau * self.values[seg + 1]
-        return out[0] if scalar else out
+        return self._derivative(t, 0)
 
     def eval_velocity(self, t):
-        ts, scalar = _as_queries(t)
-        seg = locate_segments(self.grid.times, ts)
-        h = self.grid.steps[seg][:, None]
-        out = (self.values[seg + 1] - self.values[seg]) / h
-        return out[0] if scalar else out
-
-
-@dataclass(frozen=True)
-class QuinticSpline:
-    """C2 quintic Hermite interpolant with knot derivative data."""
-
-    grid: TimeGrid
-    values: np.ndarray
-    derivs: KnotDerivatives
-
-    @property
-    def state_dim(self) -> int:
-        return int(self.values.shape[1])
-
-    def _segment_data(self, ts: np.ndarray):
-        seg = locate_segments(self.grid.times, ts)
-        t0 = self.grid.times[seg]
-        h = self.grid.steps[seg]
-        tau = (ts - t0) / h
-        h_ = h[:, None]
-        coeffs = (
-            self.values[seg],
-            self.derivs.d[seg] * h_,
-            self.derivs.a[seg] * h_ * h_,
-            self.values[seg + 1],
-            self.derivs.d[seg + 1] * h_,
-            self.derivs.a[seg + 1] * h_ * h_,
-        )
-        return tau, h, coeffs
-
-    @staticmethod
-    def _combine(basis: np.ndarray, coeffs) -> np.ndarray:
-        out = basis[:, 0:1] * coeffs[0]
-        for j in range(1, 6):
-            out += basis[:, j : j + 1] * coeffs[j]
-        return out
-
-    def eval(self, t):
-        ts, scalar = _as_queries(t)
-        tau, _, coeffs = self._segment_data(ts)
-        out = self._combine(hermite_basis(tau), coeffs)
-        return out[0] if scalar else out
-
-    def eval_velocity(self, t):
-        ts, scalar = _as_queries(t)
-        tau, h, coeffs = self._segment_data(ts)
-        out = self._combine(hermite_basis_d1(tau), coeffs) / h[:, None]
-        return out[0] if scalar else out
+        return self._derivative(t, 1)
 
     def eval_accel(self, t):
+        return self._derivative(t, 2)
+
+    def _derivative(self, t, order: int):
         ts, scalar = _as_queries(t)
-        tau, h, coeffs = self._segment_data(ts)
-        out = self._combine(hermite_basis_d2(tau), coeffs) / (h * h)[:, None]
+        seg = locate_segments(self.grid.times, ts)
+        h = self.grid.steps[seg]
+        tau = (ts - self.grid.times[seg]) / h
+        (out,) = segment_derivatives(self.table, seg, tau, h, (order,))
         return out[0] if scalar else out
 
 
-def build_linear(grid: TimeGrid, values: np.ndarray) -> LinearSpline:
-    """Linear interpolant of the snapshots on their grid."""
-    return LinearSpline(grid=grid, values=_check_values(grid, values))
+def build_linear(grid: TimeGrid, values: np.ndarray) -> Spline:
+    """Linear interpolant of the snapshots on their grid (a view, no copy)."""
+    return Spline(grid=grid, table=_check_values(grid, values)[:, None, :])
 
 
 def build_quintic(
     grid: TimeGrid, values: np.ndarray, derivs: KnotDerivatives | None = None
-) -> QuinticSpline:
+) -> Spline:
     """Quintic Hermite interpolant; derivatives estimated via stencils.
 
     Passing explicit `derivs` overrides the finite-difference estimates
@@ -223,7 +225,7 @@ def build_quintic(
         derivs = estimate_knot_derivatives(grid, values)
     if derivs.d.shape != values.shape or derivs.a.shape != values.shape:
         raise InvalidArgumentError("derivative arrays must match the snapshot shape")
-    return QuinticSpline(grid=grid, values=values, derivs=derivs)
+    return Spline(grid=grid, table=np.stack([values, derivs.d, derivs.a], axis=1))
 
 
 @dataclass(frozen=True)
@@ -254,15 +256,3 @@ class NoiseSchedule:
         slope = self.gamma0 * self.m * bump ** (self.m - 1) * (1.0 - 2.0 * tau) / h
         return value, slope
 
-
-def gamma(schedule: NoiseSchedule, grid: TimeGrid, t):
-    """Noise amplitude and its time derivative at t. Scalar in, scalars out."""
-    ts, scalar = _as_queries(t)
-    seg = locate_segments(grid.times, ts)
-    t0 = grid.times[seg]
-    h = grid.steps[seg]
-    tau = (ts - t0) / h
-    value, slope = schedule.from_tau(tau, h)
-    if scalar:
-        return float(value[0]), float(slope[0])
-    return value, slope

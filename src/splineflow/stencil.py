@@ -1,10 +1,21 @@
-"""Finite-difference weights on arbitrary nodes and knot derivative estimates.
+"""Knot derivative estimates in closed form, and general finite-difference weights.
 
-General weights come from solving the (m+1)x(m+1) Vandermonde system
-P w = k! e_k with P[r, j] = (x_j - x_center)^r. Shifting nodes to the
-evaluation point before building P is required for conditioning. The
-interior three-point formulas are also provided in closed form; they agree
-with the Vandermonde solve to roundoff and cost nothing to vectorize.
+`estimate_knot_derivatives` gives each knot the first and second time
+derivatives of a quadratic through three neighbouring knots, vectorized
+over knots and state components:
+
+* at an interior knot, the quadratic through it and its two neighbours,
+  i.e. the three-point formulas (second order for du/dt and first order
+  for d2u/dt2 on irregular grids);
+* at the first and last knot, the quadratic of the adjacent interior
+  knot. Its second derivative is constant and its slope changes linearly,
+  so a[0] = a[1] and d[0] = d[1] - h[0] a[1], and at the other end
+  a[-1] = a[-2] and d[-1] = d[-2] + h[-1] a[-2]. This keeps du/dt second
+  order at the boundary without a linear solve.
+
+`fd_weights` gives the weights of any derivative on any nodes (Fornberg
+1988, *Math. Comp.* 51:699) by solving the Vandermonde system on nodes
+shifted to the evaluation point. The closed forms are tested against it.
 """
 
 from __future__ import annotations
@@ -18,31 +29,13 @@ from .errors import InvalidArgumentError
 from .timegrid import TimeGrid
 
 
-@dataclass(frozen=True)
-class StencilWeights:
-    """Weights approximating the order-k derivative at nodes[center_index]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    order: int
-    center_index: int = 0
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Combine samples f(nodes[j]) along the first axis."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape[0] != self.weights.size:
-            raise InvalidArgumentError(
-                f"expected {self.weights.size} samples, got {values.shape[0]}"
-            )
-        return np.tensordot(self.weights, values, axes=(0, 0))
-
-
-def fd_weights(nodes, center_index: int, k: int) -> StencilWeights:
+def fd_weights(nodes, center_index: int, k: int) -> np.ndarray:
     """Finite-difference weights for the k-th derivative at nodes[center_index].
 
-    Solves P w = k! e_k on the shifted nodes; exact for polynomials of
-    degree <= m and accurate to O(h^{m+1-k}) on smooth functions, where
-    m + 1 is the number of nodes.
+    Solves P w = k! e_k with P[r, j] = (x_j - x_center)^r; exact for
+    polynomials of degree <= m and accurate to O(h^{m+1-k}) on smooth
+    functions, where m + 1 is the number of nodes. Weight j multiplies
+    the sample at nodes[j].
     """
     nodes = np.asarray(nodes, dtype=np.float64)
     m = nodes.size - 1
@@ -61,48 +54,9 @@ def fd_weights(nodes, center_index: int, k: int) -> StencilWeights:
     rhs = np.zeros(m + 1)
     rhs[k] = math.factorial(k)
     try:
-        weights = np.linalg.solve(powers, rhs)
+        return np.linalg.solve(powers, rhs)
     except np.linalg.LinAlgError as exc:  # near-duplicate nodes
         raise InvalidArgumentError(f"singular stencil system: {exc}") from exc
-    return StencilWeights(nodes=nodes, weights=weights, order=k, center_index=center_index)
-
-
-def first_derivative_3pt(h_prev: float, h_next: float) -> StencilWeights:
-    """Second-order first-derivative weights at the middle of three nodes.
-
-    Applied to (u(t-h_prev), u(t), u(t+h_next)).
-    """
-    _check_steps(h_prev, h_next)
-    total = h_prev + h_next
-    weights = np.array(
-        [
-            -h_next / (h_prev * total),
-            (h_next - h_prev) / (h_prev * h_next),
-            h_prev / (h_next * total),
-        ]
-    )
-    nodes = np.array([-h_prev, 0.0, h_next])
-    return StencilWeights(nodes=nodes, weights=weights, order=1, center_index=1)
-
-
-def second_derivative_3pt(h_prev: float, h_next: float) -> StencilWeights:
-    """First-order second-derivative weights at the middle of three nodes.
-
-    The divided-difference form 2/(h_prev+h_next) * (forward - backward
-    slope); exact on quadratics for any step pair.
-    """
-    _check_steps(h_prev, h_next)
-    total = h_prev + h_next
-    weights = (2.0 / total) * np.array(
-        [1.0 / h_prev, -(1.0 / h_prev + 1.0 / h_next), 1.0 / h_next]
-    )
-    nodes = np.array([-h_prev, 0.0, h_next])
-    return StencilWeights(nodes=nodes, weights=weights, order=2, center_index=1)
-
-
-def _check_steps(h_prev: float, h_next: float) -> None:
-    if not (h_prev > 0.0 and h_next > 0.0):
-        raise InvalidArgumentError(f"steps must be positive, got ({h_prev}, {h_next})")
 
 
 @dataclass(frozen=True)
@@ -120,10 +74,9 @@ class KnotDerivatives:
 def estimate_knot_derivatives(grid: TimeGrid, values: np.ndarray) -> KnotDerivatives:
     """Estimate du/dt and d2u/dt2 at the knots of one trajectory.
 
-    Interior knots use the three-point formulas (second order for d,
-    first order for a); the first and last knots use one-sided
-    three-point weights over the nearest three knots, keeping the same
-    accuracy orders at the boundary. Componentwise over the state.
+    Interior knots use the three-point formulas; the first and last knots
+    take the derivatives of the quadratic through the nearest three knots
+    (see the module docstring). Componentwise over the state.
     """
     values = np.asarray(values, dtype=np.float64)
     n = len(grid)
@@ -133,12 +86,10 @@ def estimate_knot_derivatives(grid: TimeGrid, values: np.ndarray) -> KnotDerivat
         raise InvalidArgumentError(
             f"got {values.shape[0]} snapshots for a {n}-point grid"
         )
-    t = grid.times
     h = grid.steps
     d = np.empty_like(values)
     a = np.empty_like(values)
 
-    # Interior: vectorized closed forms over all middle knots at once.
     hp = h[:-1][:, None]  # h_{i-1}
     hn = h[1:][:, None]  # h_i
     tot = hp + hn
@@ -150,9 +101,8 @@ def estimate_knot_derivatives(grid: TimeGrid, values: np.ndarray) -> KnotDerivat
     )
     a[1:-1] = (2.0 / tot) * ((u_next - u_mid) / hn - (u_mid - u_prev) / hp)
 
-    # Endpoints: one-sided stencils on the nearest three knots.
-    for idx, sl in ((0, slice(0, 3)), (n - 1, slice(n - 3, n))):
-        center = 0 if idx == 0 else 2
-        d[idx] = fd_weights(t[sl], center, 1).apply(values[sl])
-        a[idx] = fd_weights(t[sl], center, 2).apply(values[sl])
+    a[0] = a[1]
+    d[0] = d[1] - h[0] * a[1]
+    a[-1] = a[-2]
+    d[-1] = d[-2] + h[-1] * a[-2]
     return KnotDerivatives(d=d, a=a)

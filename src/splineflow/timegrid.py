@@ -82,7 +82,7 @@ def uniform_grid(n_points: int, raw_horizon: float = 1.0) -> TimeGrid:
 
 
 def subsample_indices(grid: TimeGrid, keep_rate: float, seed) -> np.ndarray:
-    """Indices into grid.times kept by `subsample` (endpoints always in).
+    """Indices into grid.times of a random irregular subsample (endpoints always in).
 
     The target count is round-half-up of keep_rate * len(grid); interior
     points are drawn uniformly without replacement. Deterministic for a
@@ -102,10 +102,3 @@ def subsample_indices(grid: TimeGrid, keep_rate: float, seed) -> np.ndarray:
     interior = rng.choice(np.arange(1, n - 1), size=target - 2, replace=False)
     return np.concatenate(([0], np.sort(interior), [n - 1]))
 
-
-def subsample(grid: TimeGrid, keep_rate: float, seed) -> TimeGrid:
-    """Random irregular subsample of a grid; keep_rate == 1.0 is the identity."""
-    if keep_rate == 1.0:
-        return grid
-    keep = subsample_indices(grid, keep_rate, seed)
-    return TimeGrid(times=grid.times[keep], raw_horizon=grid.raw_horizon)

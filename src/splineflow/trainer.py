@@ -125,15 +125,6 @@ class TrainResult:
     best_val_error: float
 
 
-def smoothed_loss(history, window: int = 100) -> np.ndarray:
-    """Rolling-mean training loss; length len(history) - window + 1."""
-    losses = np.array([row.train_loss for row in history])
-    if losses.size < window:
-        raise InvalidArgumentError("history shorter than smoothing window")
-    kernel = np.full(window, 1.0 / window)
-    return np.convolve(losses, kernel, mode="valid")
-
-
 def build_splines(dataset: TrajectorySet, spline_kind: str):
     if spline_kind == "linear":
         return [build_linear(g, u) for g, u in zip(dataset.grids, dataset.states)]
@@ -219,9 +210,8 @@ def train_flow_matching(
     """
     from .evaluation import evaluate_flow_model
 
-    splines = build_splines(train_set, config.spline_kind)
     schedule = NoiseSchedule(gamma0=config.gamma0, m=config.noise_m)
-    sampler = InterpolantSampler(splines, schedule)
+    sampler = InterpolantSampler(build_splines(train_set, config.spline_kind), schedule)
     mlp_config = mlp_config or MlpConfig(state_dim=train_set.state_dim)
     if mlp_config.state_dim != train_set.state_dim:
         raise InvalidArgumentError("mlp state_dim does not match the dataset")

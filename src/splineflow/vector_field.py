@@ -169,15 +169,14 @@ def forward(params: VectorFieldParams, t: float, u: np.ndarray) -> np.ndarray:
 def loss_and_grad(params: VectorFieldParams, batch):
     """Flow-matching loss and its exact gradients on one batch.
 
-    Accepts a SampleBatch or any sequence of InterpolantSample. Returns
-    (loss, grads) where loss = mean_b mean_dim (model - target)^2 and
-    grads mirrors the parameter layout.
+    Takes a SampleBatch. Returns (loss, grads) where
+    loss = mean_b mean_dim (model - target)^2 and grads mirrors the
+    parameter layout.
     """
-    ts, xs, vs = _batch_arrays(batch)
-    if ts.size == 0:
+    if len(batch) == 0:
         raise InvalidArgumentError("batch must be nonempty")
     config = params.config
-    x = _assemble_input(config, ts, xs)
+    x = _assemble_input(config, batch.t, batch.x)
     if not np.isfinite(x).all():
         raise NumericError("non-finite network input in batch")
 
@@ -197,7 +196,7 @@ def loss_and_grad(params: VectorFieldParams, batch):
         acts.append(h)
     out = acts[-1]
 
-    err = out - vs
+    err = out - batch.v_target
     per_sample = np.einsum("ij,ij->i", err, err)
     denom = err.size  # batch * state_dim
     loss = float(per_sample.sum() / denom)
@@ -213,22 +212,6 @@ def loss_and_grad(params: VectorFieldParams, batch):
         if i > 0:
             delta = (delta @ params.weights[i].T) * relu_masks[i - 1]
     return loss, grads
-
-
-def _batch_arrays(batch):
-    if hasattr(batch, "t") and hasattr(batch, "x") and hasattr(batch, "v_target"):
-        t = np.asarray(batch.t, dtype=np.float64)
-        if t.ndim == 0:  # a single InterpolantSample
-            return t[None], np.asarray(batch.x)[None], np.asarray(batch.v_target)[None]
-        return t, np.asarray(batch.x), np.asarray(batch.v_target)
-    samples = list(batch)
-    if not samples:
-        raise InvalidArgumentError("batch must be nonempty")
-    return (
-        np.array([s.t for s in samples], dtype=np.float64),
-        np.stack([np.asarray(s.x, dtype=np.float64) for s in samples]),
-        np.stack([np.asarray(s.v_target, dtype=np.float64) for s in samples]),
-    )
 
 
 def save_checkpoint(path, params: VectorFieldParams, meta: dict | None = None) -> None:

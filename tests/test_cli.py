@@ -31,3 +31,29 @@ def test_exploding_training_exits_3_with_checkpoint_from_last_good_step(tiny_lor
     assert meta["status"].startswith("aborted: training diverged at step 2:")
     assert meta["best_step"] == 0
     assert math.isnan(meta["best_val_error"])
+
+
+def _data_cells(path):
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return [cell for line in lines[1:] for cell in line.split(",")]
+
+
+def test_eval_csv_cells_parse_as_numbers(tiny_lorenz, tmp_path):
+    ckpt = tmp_path / "run.ckpt.npz"
+    code = cli.main([
+        "train", "--dataset", str(tiny_lorenz), "--steps", "20", "--batch-size", "16",
+        "--eval-every", "10", "--hidden", "8", "--embed-bands", "2",
+        "--out-dir", str(tmp_path), "--checkpoint-out", str(ckpt),
+    ])
+    assert code == 0
+    report = tmp_path / "eval.csv"
+    code = cli.main([
+        "eval", "--checkpoint", str(ckpt), "--dataset", str(tiny_lorenz), "--split", "val",
+        "--out", str(report),
+    ])
+    assert code == 0
+    for path in (report, report.with_suffix(".pertime.csv")):
+        cells = _data_cells(path)
+        assert cells
+        for cell in cells:
+            float(cell)  # raises on reprs such as np.float64(0.5)

@@ -8,7 +8,6 @@ from splineflow import (
     UndefinedMetricError,
     build_report,
     empirical_order,
-    mean_order,
     relative_l2,
 )
 
@@ -46,7 +45,6 @@ def test_empirical_order_definition():
 def test_empirical_order_multiple_pairs():
     orders = empirical_order([1e-3, 8e-3, 6.4e-2], [1.0, 2.0, 4.0])
     assert np.allclose(orders, [3.0, 3.0])
-    assert np.isclose(mean_order([1e-3, 8e-3, 6.4e-2], [1.0, 2.0, 4.0]), 3.0)
 
 
 def test_empirical_order_zero_error_sentinel():

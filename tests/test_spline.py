@@ -5,9 +5,9 @@ from splineflow import (
     InvalidArgumentError,
     NoiseSchedule,
     OutOfRangeError,
+    Spline,
     build_linear,
     build_quintic,
-    gamma,
     uniform_grid,
 )
 from splineflow.spline import hermite_basis, hermite_basis_d1, hermite_basis_d2
@@ -56,14 +56,10 @@ def test_linear_velocity_is_secant_slope():
 
 
 def test_quintic_reproduces_identity_map():
-    # single segment with exact knot data for f(t) = t; constructed
-    # directly because build_quintic insists on >= 3 knots for stencils
-    from splineflow.spline import QuinticSpline
-
-    grid = uniform_grid(2)
-    values = np.array([[0.0], [1.0]])
-    derivs = KnotDerivatives(d=np.ones((2, 1)), a=np.zeros((2, 1)))
-    spline = QuinticSpline(grid=grid, values=values, derivs=derivs)
+    # single segment with exact knot data [u, du/dt, d2u/dt2] for f(t) = t;
+    # constructed directly because build_quintic insists on >= 3 knots
+    table = np.array([[[0.0], [1.0], [0.0]], [[1.0], [1.0], [0.0]]])
+    spline = Spline(grid=uniform_grid(2), table=table)
     assert np.allclose(spline.eval(0.5), [0.5], atol=1e-13)
     ts = np.linspace(0, 1, 17)
     assert np.allclose(spline.eval(ts)[:, 0], ts, atol=1e-13)
@@ -107,14 +103,14 @@ def _wiggly_quintic():
 def test_quintic_interpolates_knots():
     spline = _wiggly_quintic()
     got = spline.eval(spline.grid.times)
-    assert np.max(np.abs(got - spline.values)) < 1e-12
+    assert np.max(np.abs(got - spline.table[:, 0])) < 1e-12
 
 
 def test_quintic_velocity_and_accel_match_knot_data():
     spline = _wiggly_quintic()
     interior = spline.grid.times[1:-1]
-    assert np.allclose(spline.eval_velocity(interior), spline.derivs.d[1:-1], atol=1e-10)
-    assert np.allclose(spline.eval_accel(interior), spline.derivs.a[1:-1], atol=1e-8)
+    assert np.allclose(spline.eval_velocity(interior), spline.table[1:-1, 1], atol=1e-10)
+    assert np.allclose(spline.eval_accel(interior), spline.table[1:-1, 2], atol=1e-8)
 
 
 def test_quintic_c2_continuity_at_interior_knots():
@@ -126,16 +122,8 @@ def test_quintic_c2_continuity_at_interior_knots():
     h = spline.grid.steps
     for i in range(len(times) - 2):
         hi = h[i]
-        coeffs = np.stack(
-            [
-                spline.values[i],
-                spline.derivs.d[i] * hi,
-                spline.derivs.a[i] * hi * hi,
-                spline.values[i + 1],
-                spline.derivs.d[i + 1] * hi,
-                spline.derivs.a[i + 1] * hi * hi,
-            ]
-        )
+        scale = np.array([1.0, hi, hi * hi])[:, None]
+        coeffs = np.concatenate([spline.table[i] * scale, spline.table[i + 1] * scale])
         left_val = hermite_basis(np.array([1.0]))[0] @ coeffs
         left_vel = hermite_basis_d1(np.array([1.0]))[0] @ coeffs / hi
         left_acc = hermite_basis_d2(np.array([1.0]))[0] @ coeffs / (hi * hi)
@@ -154,35 +142,40 @@ def test_eval_rejects_out_of_range():
             spline.eval(t)
 
 
+def test_spline_rejects_bad_table_shape():
+    grid = uniform_grid(3)
+    for shape in ((3, 2, 1), (4, 1, 1), (3, 3)):
+        with pytest.raises(InvalidArgumentError):
+            Spline(grid=grid, table=np.zeros(shape))
+
+
 def test_gamma_vanishes_at_knots():
-    grid = uniform_grid(5)
+    h = uniform_grid(5).steps
     schedule = NoiseSchedule(gamma0=0.7, m=3)
-    value, slope = gamma(schedule, grid, grid.times)
-    assert np.allclose(value, 0.0, atol=1e-15)
-    assert np.allclose(slope, 0.0, atol=1e-15)
+    for tau in (0.0, 1.0):
+        value, slope = schedule.from_tau(np.full(h.size, tau), h)
+        assert np.allclose(value, 0.0, atol=1e-15)
+        assert np.allclose(slope, 0.0, atol=1e-15)
 
 
 def test_gamma_midpoint_value():
-    grid = uniform_grid(5)
+    h = uniform_grid(5).steps[1]
     for m in (1, 2, 3):
         schedule = NoiseSchedule(gamma0=2.0, m=m)
-        mid = 0.5 * (grid.times[1] + grid.times[2])
-        value, slope = gamma(schedule, grid, mid)
+        value, slope = schedule.from_tau(0.5, h)
         assert np.isclose(value, 2.0 * 4.0 ** (-m))
         assert abs(slope) < 1e-12
 
 
 def test_gamma_m1_hand_value():
-    grid = uniform_grid(2)  # single segment [0, 1]
-    schedule = NoiseSchedule(gamma0=3.0, m=1)
-    value, slope = gamma(schedule, grid, 0.25)
+    schedule = NoiseSchedule(gamma0=3.0, m=1)  # single segment [0, 1]
+    value, slope = schedule.from_tau(0.25, 1.0)
     assert np.isclose(value, 3.0 * 0.1875)
     assert np.isclose(slope, 3.0 * 0.5)
 
 
 def test_gamma_zero_amplitude_fast_path():
-    grid = uniform_grid(4)
-    value, slope = gamma(NoiseSchedule(gamma0=0.0, m=3), grid, 0.37)
+    value, slope = NoiseSchedule(gamma0=0.0, m=3).from_tau(np.array([0.37]), np.array([1 / 3]))
     assert value == 0.0 and slope == 0.0
 
 

@@ -7,20 +7,18 @@ from splineflow import (
     InvalidArgumentError,
     estimate_knot_derivatives,
     fd_weights,
-    first_derivative_3pt,
-    second_derivative_3pt,
     uniform_grid,
 )
 from splineflow.timegrid import TimeGrid
 
 
-def monomial_defects(weights, k):
+def monomial_defects(nodes, center, weights, k):
     """Max relative defect of sum_j w_j (x_j - x_c)^r against k! delta_rk."""
-    shifted = weights.nodes - weights.nodes[weights.center_index]
+    shifted = nodes - nodes[center]
     m = shifted.size - 1
     worst = 0.0
     for r in range(m + 1):
-        applied = float(weights.weights @ shifted**r)
+        applied = float(weights @ shifted**r)
         target = math.factorial(k) if r == k else 0.0
         scale = max(1.0, math.factorial(k))
         worst = max(worst, abs(applied - target) / scale)
@@ -30,18 +28,18 @@ def monomial_defects(weights, k):
 def test_forward_first_derivative_weights():
     h = 0.05
     w = fd_weights([0.0, h, 2 * h], center_index=0, k=1)
-    assert np.allclose(w.weights, [-3.0 / (2 * h), 2.0 / h, -1.0 / (2 * h)], rtol=1e-12)
+    assert np.allclose(w, [-3.0 / (2 * h), 2.0 / h, -1.0 / (2 * h)], rtol=1e-12)
 
 
 def test_k0_is_identity_evaluation():
     w = fd_weights([-0.3, 0.0, 0.4], center_index=1, k=0)
-    assert np.allclose(w.weights, [0.0, 1.0, 0.0], atol=1e-12)
+    assert np.allclose(w, [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_central_second_derivative_weights():
     h = 0.1
     w = fd_weights([-h, 0.0, h], center_index=1, k=2)
-    assert np.allclose(w.weights, [1 / h**2, -2 / h**2, 1 / h**2], rtol=1e-12)
+    assert np.allclose(w, [1 / h**2, -2 / h**2, 1 / h**2], rtol=1e-12)
 
 
 def test_duplicate_nodes_rejected():
@@ -64,61 +62,93 @@ def test_monomial_exactness_random_nodes():
         center = int(rng.integers(0, m + 1))
         k = int(rng.integers(0, m + 1))
         w = fd_weights(nodes, center, k)
-        assert monomial_defects(w, k) < 1e-10
+        assert monomial_defects(nodes, center, w, k) < 1e-10
+
+
+def knot_weights(times):
+    """Weights of estimate_knot_derivatives as (n, n) matrices (it is linear).
+
+    Row i of d (or a) holds the weight of every knot's value in the
+    estimate at knot i.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    kd = estimate_knot_derivatives(TimeGrid(times=times), np.eye(times.size))
+    return kd.d, kd.a
+
+
+def fd_reference(times, i, k):
+    """fd_weights on the three knots nearest to knot i, as a full row."""
+    n = times.size
+    lo = min(max(i - 1, 0), n - 3)
+    row = np.zeros(n)
+    row[lo : lo + 3] = fd_weights(times[lo : lo + 3], i - lo, k)
+    return row
 
 
 def test_first_derivative_3pt_uniform_collapse():
     h = 0.2
-    w = first_derivative_3pt(h, h)
-    assert np.allclose(w.weights, [-1 / (2 * h), 0.0, 1 / (2 * h)], atol=1e-14)
+    d, _ = knot_weights(np.linspace(0.0, 1.0, 6))
+    for i in range(1, 5):
+        expected = np.zeros(6)
+        expected[[i - 1, i + 1]] = [-1 / (2 * h), 1 / (2 * h)]
+        assert np.allclose(d[i], expected, atol=1e-14)
 
 
 def test_first_derivative_3pt_unequal_steps():
-    w = first_derivative_3pt(0.1, 0.2)
-    expected = [-0.2 / (0.1 * 0.3), 0.1 / (0.1 * 0.2), 0.1 / (0.2 * 0.3)]
-    assert np.allclose(w.weights, expected, rtol=1e-12)
-    assert np.allclose(w.weights, [-6.6667, 5.0, 1.6667], atol=5e-4)
+    # knot 1 of this grid has h_prev = 0.1 and h_next = 0.2
+    d, _ = knot_weights([0.0, 0.1, 0.3, 1.0])
+    expected = [-0.2 / (0.1 * 0.3), 0.1 / (0.1 * 0.2), 0.1 / (0.2 * 0.3), 0.0]
+    assert np.allclose(d[1], expected, rtol=1e-12)
+    assert np.allclose(d[1], [-6.6667, 5.0, 1.6667, 0.0], atol=5e-4)
 
 
 def test_second_derivative_3pt_uniform_collapse():
     h = 0.25
-    w = second_derivative_3pt(h, h)
-    assert np.allclose(w.weights, [1 / h**2, -2 / h**2, 1 / h**2], rtol=1e-12)
+    _, a = knot_weights(np.linspace(0.0, 1.0, 5))
+    for i in range(1, 4):
+        expected = np.zeros(5)
+        expected[i - 1 : i + 2] = [1 / h**2, -2 / h**2, 1 / h**2]
+        assert np.allclose(a[i], expected, rtol=1e-12)
 
 
 def test_second_derivative_3pt_exact_on_quadratics():
     rng = np.random.default_rng(5)
     for _ in range(10):
-        hp, hn = rng.uniform(0.05, 0.5, size=2)
-        w = second_derivative_3pt(hp, hn)
-        t = np.array([-hp, 0.0, hn])
-        assert abs(w.apply(t**2) - 2.0) < 1e-10
+        times = np.concatenate(([0.0], np.sort(rng.uniform(0.05, 0.95, size=3)), [1.0]))
+        _, a = knot_weights(times)
+        assert np.all(np.abs(a @ times**2 - 2.0) < 1e-10)
 
 
 def test_second_derivative_3pt_unequal_steps():
     # 2/(h_prev+h_next) * (1/h_prev, -(1/h_prev + 1/h_next), 1/h_next)
-    w = second_derivative_3pt(0.1, 0.2)
+    _, a = knot_weights([0.0, 0.1, 0.3, 1.0])
     factor = 2.0 / 0.3
-    assert np.allclose(w.weights, [factor * 10, -factor * 15, factor * 5], rtol=1e-12)
+    assert np.allclose(a[1], [factor * 10, -factor * 15, factor * 5, 0.0], rtol=1e-12)
 
 
 def test_closed_forms_match_vandermonde_solve():
+    # every knot, endpoints included, on random irregular 3- to 6-knot grids
     rng = np.random.default_rng(2)
-    for _ in range(10):
-        hp, hn = rng.uniform(0.01, 1.0, size=2)
-        nodes = [-hp, 0.0, hn]
-        d_closed = first_derivative_3pt(hp, hn).weights
-        a_closed = second_derivative_3pt(hp, hn).weights
-        assert np.allclose(d_closed, fd_weights(nodes, 1, 1).weights, rtol=1e-12, atol=1e-12)
-        assert np.allclose(a_closed, fd_weights(nodes, 1, 2).weights, rtol=1e-12, atol=1e-9)
+    for _ in range(50):
+        n = int(rng.integers(3, 7))
+        times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, size=n - 2)), [1.0]))
+        d, a = knot_weights(times)
+        for i in range(n):
+            for k, est in ((1, d), (2, a)):
+                ref = fd_reference(times, i, k)
+                assert np.max(np.abs(est[i] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_nonpositive_steps_rejected():
-    for bad in ((0.0, 0.1), (0.1, -0.2)):
-        with pytest.raises(InvalidArgumentError):
-            first_derivative_3pt(*bad)
-        with pytest.raises(InvalidArgumentError):
-            second_derivative_3pt(*bad)
+def test_endpoint_first_derivative_is_second_order():
+    def endpoint_errors(n):
+        t = np.linspace(0.0, 1.0, n)
+        kd = estimate_knot_derivatives(TimeGrid(times=t), np.sin(3.0 * t)[:, None])
+        return abs(kd.d[0, 0] - 3.0), abs(kd.d[-1, 0] - 3.0 * np.cos(3.0))
+
+    errors = np.array([endpoint_errors(n) for n in (33, 65, 129)])  # (level, end)
+    orders = np.log2(errors[:-1] / errors[1:])
+    assert np.all((1.9 < orders) & (orders < 2.1))
+    assert 5e-3 < errors[0, 0] < 1.2e-2
 
 
 def test_knot_derivatives_constant_trajectory():

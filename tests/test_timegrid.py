@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from splineflow import InvalidArgumentError, TimeGrid, subsample, uniform_grid
+from splineflow import InvalidArgumentError, TimeGrid, uniform_grid
+from splineflow.timegrid import subsample_indices
 
 
 def test_uniform_grid_endpoints_only():
@@ -44,34 +45,34 @@ def test_from_raw_normalizes():
 
 def test_subsample_identity():
     g = uniform_grid(11)
-    assert subsample(g, 1.0, seed=3) is g
+    assert np.array_equal(subsample_indices(g, 1.0, seed=3), np.arange(11))
 
 
 def test_subsample_quarter_of_101():
     g = uniform_grid(101)
-    sub = subsample(g, 0.25, seed=0)
+    keep = subsample_indices(g, 0.25, seed=0)
     # round-half-up of 25.25
-    assert len(sub) == 25
-    assert sub.times[0] == 0.0 and sub.times[-1] == 1.0
+    assert len(keep) == 25
+    assert keep[0] == 0 and keep[-1] == 100
 
 
 def test_subsample_deterministic():
     g = uniform_grid(101)
-    a = subsample(g, 0.5, seed=42)
-    b = subsample(g, 0.5, seed=42)
-    assert np.array_equal(a.times, b.times)
+    a = subsample_indices(g, 0.5, seed=42)
+    b = subsample_indices(g, 0.5, seed=42)
+    assert np.array_equal(a, b)
 
 
 def test_subsample_too_few_points():
     with pytest.raises(InvalidArgumentError):
-        subsample(uniform_grid(5), 0.3, seed=0)  # round(1.5) = 2 < 3
+        subsample_indices(uniform_grid(5), 0.3, seed=0)  # round(1.5) = 2 < 3
 
 
 def test_subsample_bad_rate():
     g = uniform_grid(11)
     for rate in (0.0, -0.5, 1.5):
         with pytest.raises(InvalidArgumentError):
-            subsample(g, rate, seed=0)
+            subsample_indices(g, rate, seed=0)
 
 
 @settings(deadline=None)
@@ -83,7 +84,7 @@ def test_subsample_bad_rate():
 def test_subsample_properties(n, rate, seed):
     assume(int(np.floor(rate * n + 0.5)) >= 3)
     g = uniform_grid(n)
-    sub = subsample(g, rate, seed)
+    sub = TimeGrid(times=g.times[subsample_indices(g, rate, seed)])
     original = set(g.times.tolist())
     assert set(sub.times.tolist()) <= original
     assert np.all(np.diff(sub.times) > 0)

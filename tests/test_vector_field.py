@@ -3,7 +3,6 @@ import pytest
 
 from splineflow import (
     DataFormatError,
-    InterpolantSample,
     InvalidArgumentError,
     MlpConfig,
     NumericError,
@@ -138,24 +137,12 @@ def test_quadratic_scaling_of_loss():
     assert np.isclose(loss2, 4.0 * loss1)
 
 
-def test_loss_accepts_sample_lists():
-    config = MlpConfig(state_dim=2, hidden_dims=(4,), embed_bands=2)
-    params = init_params(config, seed=1)
-    rng = np.random.default_rng(3)
-    batch = _toy_batch(params, rng, n=5)
-    as_list = [InterpolantSample(t=float(batch.t[i]), x=batch.x[i], v_target=batch.v_target[i]) for i in range(5)]
-    loss_a, grads_a = loss_and_grad(params, batch)
-    loss_b, grads_b = loss_and_grad(params, as_list)
-    assert np.isclose(loss_a, loss_b)
-    for ga, gb in zip(grads_a.arrays(), grads_b.arrays()):
-        assert np.allclose(ga, gb)
-
-
 def test_empty_batch_rejected():
     config = MlpConfig(state_dim=2, hidden_dims=(4,))
     params = init_params(config, seed=0)
+    empty = SampleBatch(t=np.zeros(0), x=np.zeros((0, 2)), v_target=np.zeros((0, 2)))
     with pytest.raises(InvalidArgumentError):
-        loss_and_grad(params, [])
+        loss_and_grad(params, empty)
 
 
 def test_nonfinite_input_raises_numeric_error():
