@@ -43,7 +43,6 @@ from .trainer import (
 from .vector_field import (
     MlpConfig,
     VectorFieldParams,
-    forward,
     forward_batch,
     init_params,
     load_checkpoint,

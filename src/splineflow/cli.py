@@ -527,8 +527,8 @@ def cmd_reverse(options: dict) -> int:
     _write_csv(
         out,
         {"fingerprint": fp, "t_star": options["t_star"]},
-        ["noise_level", "backward_horizon", "mean_relative_error"],
-        [(repr(a), repr(b), repr(c)) for a, b, c in rows],
+        ["noise_level", "backward_horizon", "mean_relative_error", "n_diverged"],
+        [(repr(a), repr(b), repr(c), n) for a, b, c, n in rows],
     )
     print(f"{len(rows)} rows -> {out}")
     return 0

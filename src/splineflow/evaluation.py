@@ -111,6 +111,7 @@ def evaluate_one_step_model(
         for col, i in enumerate(ids):
             preds.append(result.states[keep][:, col, :])
             truths.append(dataset.states[i][keep])
+            diverged[i] = result.diverged[col]
     return build_report(preds, truths, nfe=nfe, fingerprint=fingerprint, diverged=diverged)
 
 
@@ -124,7 +125,8 @@ def final_time_error_at_budget(
 
     The budget is spent on equal steps from t = 0 to t = 1 (stages
     included), so budget_nfe = steps * stages up to rounding; returns
-    (mean_error, actual_nfe).
+    (mean_error, actual_nfe). Diverged rows are frozen and scored at their
+    last finite state.
     """
     stages = SolverConfig(method=method).stages
     n_steps = max(1, int(round(budget_nfe / stages)))
@@ -156,7 +158,9 @@ def reverse_time_study(
     Anchors at the grid time closest to t_star, perturbs the anchor state
     with isotropic Gaussian noise per level, integrates backward to
     earlier grid times, and averages the per-time relative error over
-    trajectories. Returns rows (noise_level, backward_horizon, mean_error).
+    trajectories. Returns rows (noise_level, backward_horizon, mean_error,
+    n_diverged), where n_diverged counts the rows of that rollout that blew
+    up and were frozen.
     """
     f = flow_field(params)
     rows = []
@@ -178,9 +182,10 @@ def reverse_time_study(
                 f, perturbed, grid.times[anchor], targets, solver, on_blowup="mask"
             )
             # result.states: (K, B, d); per-horizon mean relative error
+            n_diverged = int(np.count_nonzero(result.diverged))
             for k, s in enumerate(targets):
                 num = np.linalg.norm(result.states[k] - truth[:, k, :], axis=-1)
                 den = np.linalg.norm(truth[:, k, :], axis=-1)
                 err = float(np.mean(num / np.where(den == 0.0, np.inf, den)))
-                rows.append((float(level), float(grid.times[anchor] - s), err))
+                rows.append((float(level), float(grid.times[anchor] - s), err, n_diverged))
     return rows

@@ -10,11 +10,13 @@ States may be a single vector (d,) or a batch (B, d) integrated jointly;
 the right-hand side must then accept and return matching shapes. On
 blow-up (norm above ``norm_bound`` or non-finite entries) the default is
 to raise DivergedError with the partial result; evaluation code can pass
-``on_blowup="mask"`` to freeze offending batch rows and keep going.
+``on_blowup="mask"`` to freeze offending batch rows and keep going. The
+one-step (AR) rollout always masks.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,8 +90,14 @@ def _row_norms(u: np.ndarray) -> np.ndarray:
     return np.linalg.norm(u, axis=-1)
 
 
-def _integrate(f, u0, times_out, solver, norm_bound, on_blowup):
-    """Shared fixed-step driver for forward and reverse rollouts."""
+def _integrate(advance, f, u0, times_out, substeps, stages, norm_bound, on_blowup):
+    """Shared fixed-step integrator for forward, reverse and one-step rollouts.
+
+    Each interval takes `substeps` steps u <- advance(f, t, u, h), each
+    costing `stages` calls of f. The reported nfe is the scheduled cost per
+    trajectory, also when every row has diverged and the remaining steps
+    are skipped.
+    """
     u0 = np.asarray(u0, dtype=np.float64)
     batched = u0.ndim == 2
     if not np.isfinite(u0).all():
@@ -99,20 +107,18 @@ def _integrate(f, u0, times_out, solver, norm_bound, on_blowup):
     states = np.empty((len(times_out),) + u.shape)
     states[0] = u
     alive = np.ones(u.shape[0], dtype=bool)
-    nfe = 0
     for k in range(len(times_out) - 1):
         t0, t1 = times_out[k], times_out[k + 1]
-        h = (t1 - t0) / solver.substeps_per_interval
-        for s in range(solver.substeps_per_interval):
+        h = (t1 - t0) / substeps
+        for s in range(substeps):
             if not alive.any():
                 break
             t = t0 + s * h
             if alive.all():
-                u_new = step(solver.method, fn, t, u, h)
+                u_new = advance(fn, t, u, h)
             else:
                 u_new = u.copy()
-                u_new[alive] = step(solver.method, fn, t, u[alive], h)
-            nfe += solver.stages
+                u_new[alive] = advance(fn, t, u[alive], h)
             bad = (~np.isfinite(u_new).all(axis=-1) | (_row_norms(u_new) > norm_bound)) & alive
             if bad.any():
                 if on_blowup == "raise":
@@ -120,7 +126,7 @@ def _integrate(f, u0, times_out, solver, norm_bound, on_blowup):
                     partial = RolloutResult(
                         times=np.asarray(times_out[: k + 1], dtype=np.float64),
                         states=recorded if batched else recorded[:, 0, :],
-                        nfe=nfe,
+                        nfe=(k * substeps + s + 1) * stages,
                     )
                     raise DivergedError(
                         f"state norm exceeded {norm_bound:g} at t={t + h:.6g}",
@@ -133,7 +139,7 @@ def _integrate(f, u0, times_out, solver, norm_bound, on_blowup):
     return RolloutResult(
         times=np.asarray(times_out, dtype=np.float64),
         states=states if batched else states[:, 0, :],
-        nfe=nfe,
+        nfe=(len(times_out) - 1) * substeps * stages,
         diverged=~alive if batched else bool(not alive[0]),
     )
 
@@ -158,7 +164,10 @@ def rollout(
         raise InvalidArgumentError("evaluation times must be strictly increasing")
     if on_blowup not in ("raise", "mask"):
         raise InvalidArgumentError("on_blowup must be 'raise' or 'mask'")
-    return _integrate(f, u0, times, solver, norm_bound, on_blowup)
+    return _integrate(
+        functools.partial(step, solver.method), f, u0, times,
+        solver.substeps_per_interval, solver.stages, norm_bound, on_blowup,
+    )
 
 
 def rollout_reverse(
@@ -189,7 +198,10 @@ def rollout_reverse(
     if targets[0] >= t_star or targets[-1] < 0.0:
         raise InvalidArgumentError("target times must lie in [0, t_star)")
     path = np.concatenate(([t_star], targets))
-    result = _integrate(f, u_star, path, solver, norm_bound, on_blowup)
+    result = _integrate(
+        functools.partial(step, solver.method), f, u_star, path,
+        solver.substeps_per_interval, solver.stages, norm_bound, on_blowup,
+    )
     return RolloutResult(
         times=result.times[1:],
         states=result.states[1:],
@@ -199,23 +211,19 @@ def rollout_reverse(
 
 
 def ar_rollout(one_step_model, u0: np.ndarray, n_steps: int, times=None) -> RolloutResult:
-    """Recursive one-step rollout: u_{k+1} = F(u_k); nfe equals n_steps."""
+    """Recursive one-step rollout: u_{k+1} = F(u_k); nfe equals n_steps.
+
+    Rows that blow up are frozen at their last finite state and flagged in
+    `diverged`, as `rollout` does with on_blowup="mask".
+    """
     if n_steps < 0:
         raise InvalidArgumentError("n_steps must be >= 0")
-    u = np.array(u0, dtype=np.float64)
     if times is None:
         times = np.linspace(0.0, 1.0, n_steps + 1)
     times = np.asarray(times, dtype=np.float64)
     if times.size != n_steps + 1:
         raise InvalidArgumentError("times must have n_steps + 1 entries")
-    states = np.empty((n_steps + 1,) + u.shape)
-    states[0] = u
-    for k in range(n_steps):
-        u = np.asarray(one_step_model(u), dtype=np.float64)
-        if not np.isfinite(u).all() or np.any(_row_norms(u) > DEFAULT_NORM_BOUND):
-            raise DivergedError(
-                f"one-step rollout blew up at step {k + 1}",
-                partial=RolloutResult(times=times[: k + 1], states=states[: k + 1], nfe=k),
-            )
-        states[k + 1] = u
-    return RolloutResult(times=times, states=states, nfe=n_steps)
+    return _integrate(
+        lambda fn, t, u, h: fn(t, u), lambda t, u: one_step_model(u), u0, times,
+        1, 1, DEFAULT_NORM_BOUND, "mask",
+    )

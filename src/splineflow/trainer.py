@@ -5,6 +5,11 @@ periodically score a full validation rollout, and keep the parameters
 with the best validation error (long trainings on chaotic data
 fluctuate, so last-step weights are a poor pick). Runs are bit-for-bit
 reproducible for a fixed config and seed.
+
+Adam works on the flat parameter vector: the two moment vectors are
+updated in place, in the same operation order as the textbook update,
+and each step writes the new parameters into a fresh vector. Holding a
+reference to the parameters of some step is therefore a snapshot.
 """
 
 from __future__ import annotations
@@ -65,19 +70,15 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators aligned with params.arrays()."""
+    """First/second moment vectors in the flat layout of VectorFieldParams."""
 
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
     step_count: int = 0
 
     @staticmethod
     def zeros_like(params: VectorFieldParams) -> "AdamState":
-        arrays = params.arrays()
-        return AdamState(
-            m=[np.zeros_like(a) for a in arrays],
-            v=[np.zeros_like(a) for a in arrays],
-        )
+        return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def adam_step(
@@ -86,28 +87,34 @@ def adam_step(
     grads: VectorFieldParams,
     config: TrainConfig,
 ):
-    """One bias-corrected Adam update; returns fresh (params, state)."""
+    """One bias-corrected Adam update; returns (fresh params, state).
+
+    The moments in `state` are updated in place. `params` is left as it
+    was, so a caller may keep a reference to it as a snapshot.
+    """
     b1, b2 = config.adam_betas
     t = state.step_count + 1
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
-    new_arrays, new_m, new_v = [], [], []
-    for p, m, v, g in zip(params.arrays(), state.m, state.v, grads.arrays()):
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
-        update = config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
-        p = p - update
-        if not np.isfinite(p).all():
-            raise NumericError("non-finite parameter after Adam update")
-        new_arrays.append(p)
-        new_m.append(m)
-        new_v.append(v)
-    weights = new_arrays[0::2]
-    biases = new_arrays[1::2]
-    return (
-        VectorFieldParams(config=params.config, weights=weights, biases=biases),
-        AdamState(m=new_m, v=new_v, step_count=t),
-    )
+    g = grads.flat
+    buf = (1.0 - b1) * g
+    state.m *= b1
+    state.m += buf
+    np.multiply(g, g, out=buf)
+    buf *= 1.0 - b2
+    state.v *= b2
+    state.v += buf
+    update = state.m / c1
+    update *= config.learning_rate
+    np.divide(state.v, c2, out=buf)
+    np.sqrt(buf, out=buf)
+    buf += config.adam_eps
+    update /= buf
+    flat = np.subtract(params.flat, update, out=update)
+    if not np.isfinite(flat).all():
+        raise NumericError("non-finite parameter after Adam update")
+    state.step_count = t
+    return VectorFieldParams(params.config, flat), state
 
 
 @dataclass
@@ -166,7 +173,7 @@ def _optimize(params, draw_batch, score_validation, config: TrainConfig) -> Trai
                 raise NumericError(
                     f"loss {loss:.3e} exceeds {LOSS_EXPLOSION_FACTOR:g} x the first step's loss"
                 )
-            # adam_step returns fresh arrays, so holding a reference is a snapshot
+            # adam_step returns a fresh vector, so holding a reference is a snapshot
             last_good, last_good_step = params, step_idx - 1
             params, state = adam_step(params, state, grads, config)
         except NumericError as exc:

@@ -4,17 +4,23 @@ The network maps concat(u, time_embedding(t)) -> R^d through ReLU hidden
 layers and a linear output layer. Autoregressive one-step baselines reuse
 the same stack with the time embedding disabled (input is u alone).
 
+All parameters live in one contiguous float64 vector, laid out layer by
+layer as w0, b0, w1, b1, ... (each weight matrix (fan_in, fan_out) in row
+order); `VectorFieldParams.weights[i]` and `.biases[i]` are views into it.
+Gradients use the same layout, so the optimizer works on whole vectors.
+
 Gradients of the flow-matching loss are computed by explicit layer-local
 backward rules rather than an autodiff tape; finite-difference tests pin
 their correctness. The loss is the batch mean of the per-dimension mean
 squared error, which keeps learning rates transferable across state
-dimensions.
+dimensions. A scalar time shared by a whole batch (every rollout call) is
+embedded once and broadcast across the rows.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,119 +88,97 @@ class MlpConfig:
         )
 
 
-@dataclass
 class VectorFieldParams:
-    """Per-layer weight matrices (fan_in, fan_out) and bias vectors.
+    """One flat float64 vector `flat` with per-layer views into it.
 
-    Also used as the container for gradients, which share the layout.
+    `weights[i]` (fan_in, fan_out) and `biases[i]` (fan_out,) are views of
+    `flat` in the order w0, b0, w1, b1, ...; writing to a view writes to
+    `flat`. Without `flat` the parameters start at zero. Also used as the
+    container for gradients, which share the layout.
     """
 
-    config: MlpConfig
-    weights: list = field(default_factory=list)
-    biases: list = field(default_factory=list)
+    def __init__(self, config: MlpConfig, flat: np.ndarray | None = None):
+        dims = config.layer_dims
+        n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+        flat = np.zeros(n_params) if flat is None else np.ascontiguousarray(flat, dtype=np.float64)
+        if flat.shape != (n_params,):
+            raise InvalidArgumentError(f"need {n_params} flat parameters, got shape {flat.shape}")
+        self.config = config
+        self.flat = flat
+        self.weights, self.biases = [], []
+        offset = 0
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            end = offset + fan_in * fan_out
+            self.weights.append(flat[offset:end].reshape(fan_in, fan_out))
+            self.biases.append(flat[end : end + fan_out])
+            offset = end + fan_out
 
     @property
     def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
-    def copy(self) -> "VectorFieldParams":
-        return VectorFieldParams(
-            config=self.config,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
-
-    def arrays(self) -> list:
-        """Flat list of parameter arrays (weights then bias per layer)."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
-
-    def to_flat(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.arrays()])
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        offset = 0
-        for a in self.arrays():
-            a[...] = flat[offset : offset + a.size].reshape(a.shape)
-            offset += a.size
-        if offset != flat.size:
-            raise InvalidArgumentError("flat vector does not match parameter count")
+        return self.flat.size
 
 
 def init_params(config: MlpConfig, seed) -> VectorFieldParams:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
     rng = np.random.default_rng(seed)
-    dims = config.layer_dims
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return VectorFieldParams(config=config, weights=weights, biases=biases)
+    params = VectorFieldParams(config)
+    for w in params.weights:
+        bound = 1.0 / np.sqrt(w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
-def _assemble_input(config: MlpConfig, ts: np.ndarray, states: np.ndarray) -> np.ndarray:
+def _assemble_input(config: MlpConfig, ts, states: np.ndarray) -> np.ndarray:
+    """Network input [states, time_embedding(ts)]; a 0-d ts is embedded once."""
     if states.ndim != 2 or states.shape[1] != config.state_dim:
         raise InvalidArgumentError(
             f"state batch has shape {states.shape}, expected (B, {config.state_dim})"
         )
-    if config.use_time_embedding:
-        return np.concatenate([states, time_embedding(ts, config.embed_bands)], axis=1)
-    return states
+    if not config.use_time_embedding:
+        return states
+    x = np.empty((states.shape[0], config.input_dim))
+    x[:, : config.state_dim] = states
+    x[:, config.state_dim :] = time_embedding(ts, config.embed_bands)
+    return x
+
+
+def _sweep(params: VectorFieldParams, x: np.ndarray, acts: list | None = None) -> np.ndarray:
+    """Forward pass; appends each hidden activation to `acts` when given."""
+    last = len(params.weights) - 1
+    h = x
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = h @ w
+        h += b
+        if i < last:
+            np.maximum(h, 0.0, out=h)
+            if acts is not None:
+                acts.append(h)
+    return h
 
 
 def forward_batch(params: VectorFieldParams, ts, states) -> np.ndarray:
     """Network output for a batch; states (B, d), ts scalar or (B,)."""
     states = np.asarray(states, dtype=np.float64)
-    ts = np.broadcast_to(np.asarray(ts, dtype=np.float64), states.shape[:1])
     x = _assemble_input(params.config, ts, states)
     if not np.isfinite(x).all():
         raise NumericError("non-finite network input")
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        x = x @ w + b
-        if i < last:
-            np.maximum(x, 0.0, out=x)
-    return x
-
-
-def forward(params: VectorFieldParams, t: float, u: np.ndarray) -> np.ndarray:
-    """Single-sample evaluation of the vector field at (t, u)."""
-    u = np.asarray(u, dtype=np.float64)
-    return forward_batch(params, float(t), u[None, :])[0]
+    return _sweep(params, x)
 
 
 def loss_and_grad(params: VectorFieldParams, batch):
     """Flow-matching loss and its exact gradients on one batch.
 
     Takes a SampleBatch. Returns (loss, grads) where
-    loss = mean_b mean_dim (model - target)^2 and grads mirrors the
-    parameter layout.
+    loss = mean_b mean_dim (model - target)^2 and grads is a fresh
+    VectorFieldParams whose flat vector holds the gradient.
     """
     if len(batch) == 0:
         raise InvalidArgumentError("batch must be nonempty")
-    config = params.config
-    x = _assemble_input(config, batch.t, batch.x)
+    x = _assemble_input(params.config, batch.t, batch.x)
     if not np.isfinite(x).all():
         raise NumericError("non-finite network input in batch")
-
-    # Forward pass keeping activations for the backward sweep.
-    last = len(params.weights) - 1
-    acts = [x]
-    relu_masks = []
-    h = x
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w + b
-        if i < last:
-            mask = z > 0.0
-            relu_masks.append(mask)
-            h = z * mask
-        else:
-            h = z
-        acts.append(h)
-    out = acts[-1]
+    acts = [x]  # the input of every layer
+    out = _sweep(params, x, acts)
 
     err = out - batch.v_target
     per_sample = np.einsum("ij,ij->i", err, err)
@@ -204,13 +188,14 @@ def loss_and_grad(params: VectorFieldParams, batch):
         bad = int(np.flatnonzero(~np.isfinite(per_sample))[0])
         raise NumericError(f"non-finite loss contribution at batch sample {bad}")
 
-    grads = VectorFieldParams(config=config, weights=[], biases=[])
+    grads = VectorFieldParams(params.config, np.empty(params.n_params))
     delta = (2.0 / denom) * err
-    for i in range(last, -1, -1):
-        grads.weights.insert(0, acts[i].T @ delta)
-        grads.biases.insert(0, delta.sum(axis=0))
+    for i in range(len(params.weights) - 1, -1, -1):
+        np.matmul(acts[i].T, delta, out=grads.weights[i])
+        np.sum(delta, axis=0, out=grads.biases[i])
         if i > 0:
-            delta = (delta @ params.weights[i].T) * relu_masks[i - 1]
+            delta = delta @ params.weights[i].T
+            delta *= acts[i] > 0.0  # ReLU derivative of the layer below
     return loss, grads
 
 
@@ -241,13 +226,16 @@ def load_checkpoint(path):
             raise DataFormatError(
                 f"unsupported checkpoint version {payload.get('format_version')}"
             )
-        config = MlpConfig.from_dict(payload["mlp"])
-        n_layers = int(payload["n_layers"])
-        weights = [np.array(data[f"w{i}"]) for i in range(n_layers)]
-        biases = [np.array(data[f"b{i}"]) for i in range(n_layers)]
-    params = VectorFieldParams(config=config, weights=weights, biases=biases)
-    dims = config.layer_dims
-    for i, w in enumerate(params.weights):
-        if w.shape != (dims[i], dims[i + 1]):
+        params = VectorFieldParams(MlpConfig.from_dict(payload["mlp"]))
+        if int(payload["n_layers"]) != len(params.weights):
             raise DataFormatError("checkpoint arrays do not match the stored config")
+        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+            try:
+                stored_w, stored_b = data[f"w{i}"], data[f"b{i}"]
+            except KeyError as exc:
+                raise DataFormatError(f"checkpoint lacks layer {i}: {path}") from exc
+            if stored_w.shape != w.shape or stored_b.shape != b.shape:
+                raise DataFormatError("checkpoint arrays do not match the stored config")
+            w[...] = stored_w
+            b[...] = stored_b
     return params, payload["meta"]

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from splineflow import cli
-from splineflow.vector_field import load_checkpoint
+from splineflow.vector_field import MlpConfig, init_params, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture
@@ -57,3 +57,31 @@ def test_eval_csv_cells_parse_as_numbers(tiny_lorenz, tmp_path):
         assert cells
         for cell in cells:
             float(cell)  # raises on reprs such as np.float64(0.5)
+
+
+def _csv_rows(path):
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def test_sweep_csv_reports_scheduled_nfe_and_reverse_csv_counts_diverged_rows(
+    tiny_lorenz, tmp_path
+):
+    params = init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0)
+    params.biases[-1][:] = 1e10  # every row leaves the 1e8 norm bound in its first step
+    ckpt = tmp_path / "huge.ckpt.npz"
+    save_checkpoint(ckpt, params, meta={"kind": "flow"})
+    sweep, reverse = tmp_path / "sweep.csv", tmp_path / "reverse.csv"
+    assert cli.main([
+        "nfe-sweep", "--checkpoint", str(ckpt), "--dataset", str(tiny_lorenz), "--split", "val",
+        "--methods", "rk4", "--budgets", "200", "--out", str(sweep),
+    ]) == 0
+    assert cli.main([
+        "reverse", "--checkpoint", str(ckpt), "--dataset", str(tiny_lorenz), "--split", "val",
+        "--t-star", "0.5", "--out", str(reverse),
+    ]) == 0
+    # 10 intervals at 200%: 20 NFE, spent although both rows died in the first step
+    assert [r["nfe"] for r in _csv_rows(sweep)] == ["20"]
+    rows = _csv_rows(reverse)
+    assert rows and all(r["n_diverged"] == "2" for r in rows)

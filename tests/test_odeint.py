@@ -97,6 +97,18 @@ def test_rollout_divergence_mask_mode():
     assert np.isfinite(res.states).all()
 
 
+def test_nfe_is_the_scheduled_cost_when_every_row_dies():
+    huge = lambda t, u: np.full_like(u, 1e10)
+    times = np.linspace(0.0, 1.0, 11)
+    res = rollout(huge, np.ones((3, 2)), times, SolverConfig("rk4", 1), on_blowup="mask")
+    assert res.diverged.all()
+    assert res.nfe == 10 * 1 * 4
+    back = rollout_reverse(huge, np.ones((3, 2)), 1.0, times[-2::-1], SolverConfig("heun", 2),
+                           on_blowup="mask")
+    assert back.diverged.all()
+    assert back.nfe == 10 * 2 * 2
+
+
 def test_batched_rollout_matches_single():
     u0 = np.array([[1.0, 0.5, -0.3], [0.2, -0.1, 0.4]])
     times = np.linspace(0, 1, 5)
@@ -172,5 +184,18 @@ def test_ar_rollout_perfect_oracle_reproduces_data():
 
 
 def test_ar_rollout_divergence():
-    with pytest.raises(DivergedError):
-        ar_rollout(lambda u: u * 1e3, np.array([1.0]), 10)
+    # 1e3 ** 3 passes the 1e8 bound: the state is flagged and frozen at 1e6
+    res = ar_rollout(lambda u: u * 1e3, np.array([1.0]), 10)
+    assert res.diverged is True
+    assert np.array_equal(res.states[2:], np.full((9, 1), 1e6))
+    assert res.nfe == 10
+
+
+def test_ar_rollout_masks_rows_that_blow_up():
+    u0 = np.array([[1.0], [-2.0], [0.01], [0.001]])
+    res = ar_rollout(lambda u: 1e3 * u, u0, 3)
+    # |u| grows 1e3x a step: the first two rows pass the 1e8 bound at step 3
+    assert res.diverged.tolist() == [True, True, False, False]
+    assert np.array_equal(res.states[3, :2], res.states[2, :2])
+    assert np.array_equal(res.states[3, 2:], 1e9 * u0[2:])
+    assert res.nfe == 3

@@ -14,29 +14,39 @@ from splineflow import (
     TrainingAbortedError,
     TrajectorySet,
     adam_step,
+    generate_burgers,
     generate_lorenz,
     init_params,
     train_flow_matching,
     train_one_step,
     uniform_grid,
 )
-from splineflow.evaluation import evaluate_flow_model, evaluate_one_step_model, flow_field, one_step_map
-from splineflow.interpolant import SampleBatch
+from splineflow.evaluation import (
+    evaluate_flow_model,
+    evaluate_one_step_model,
+    final_time_error_at_budget,
+    flow_field,
+    one_step_map,
+    reverse_time_study,
+)
+from splineflow.interpolant import InterpolantSampler, SampleBatch
 from splineflow.metrics import EvalReport
 from splineflow.odeint import rollout, rollout_reverse
+from splineflow.spline import NoiseSchedule
 from splineflow.systems import lorenz_rhs
-from splineflow.trainer import _optimize, _validation_error
-from splineflow.vector_field import VectorFieldParams, forward_batch
+from splineflow.trainer import _optimize, _validation_error, build_splines
+from splineflow.vector_field import (
+    VectorFieldParams,
+    _assemble_input,
+    forward_batch,
+    loss_and_grad,
+)
 
 
 def _single_param_setup(grad_value):
     config = MlpConfig(state_dim=1, hidden_dims=(1,), use_time_embedding=False)
     params = init_params(config, seed=0)
-    grads = VectorFieldParams(
-        config=config,
-        weights=[np.full_like(w, grad_value) for w in params.weights],
-        biases=[np.full_like(b, grad_value) for b in params.biases],
-    )
+    grads = VectorFieldParams(config, np.full(params.n_params, grad_value))
     return params, grads
 
 
@@ -47,8 +57,7 @@ def test_adam_first_step_is_signed_learning_rate():
     params, grads = _single_param_setup(grad_value=3.7)
     state = AdamState.zeros_like(params)
     new_params, new_state = adam_step(params, state, grads, train_cfg)
-    for old, new in zip(params.arrays(), new_params.arrays()):
-        assert np.allclose(new - old, -0.01, rtol=1e-9)
+    assert np.allclose(new_params.flat - params.flat, -0.01, rtol=1e-9)
     assert new_state.step_count == 1
 
 
@@ -57,19 +66,93 @@ def test_adam_zero_gradient_keeps_params():
     params, grads = _single_param_setup(grad_value=0.0)
     state = AdamState.zeros_like(params)
     new_params, new_state = adam_step(params, state, grads, train_cfg)
-    for old, new in zip(params.arrays(), new_params.arrays()):
-        assert np.array_equal(old, new)
+    assert np.array_equal(params.flat, new_params.flat)
     # moments decay from a nonzero state under zero gradients
-    state_nz = AdamState(
-        m=[np.ones_like(a) for a in params.arrays()],
-        v=[np.ones_like(a) for a in params.arrays()],
-        step_count=5,
-    )
+    state_nz = AdamState(m=np.ones_like(params.flat), v=np.ones_like(params.flat), step_count=5)
     _, decayed = adam_step(params, state_nz, grads, train_cfg)
-    for m in decayed.m:
-        assert np.allclose(m, 0.9)
-    for v in decayed.v:
-        assert np.allclose(v, 0.99)
+    assert np.allclose(decayed.m, 0.9)
+    assert np.allclose(decayed.v, 0.99)
+
+
+def test_adam_step_returns_fresh_params_and_keeps_its_input():
+    # _optimize keeps a reference to earlier parameters as its snapshot
+    train_cfg = TrainConfig(learning_rate=0.01)
+    params, grads = _single_param_setup(grad_value=3.7)
+    before = params.flat.copy()
+    state = AdamState.zeros_like(params)
+    new_params, _ = adam_step(params, state, grads, train_cfg)
+    assert np.array_equal(params.flat, before)
+    assert not np.shares_memory(new_params.flat, params.flat)
+    assert not np.shares_memory(new_params.flat, state.m)
+    assert not np.shares_memory(new_params.flat, state.v)
+    assert not np.shares_memory(new_params.flat, grads.flat)
+
+
+def _reference_loss_and_grad(params, batch):
+    """Per-layer loss and gradients as lists, written without the flat buffer."""
+    x = _assemble_input(params.config, batch.t, batch.x)
+    acts, masks = [x], []
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = acts[-1] @ w + b
+        if i < len(params.weights) - 1:
+            masks.append(z > 0.0)
+            z = z * masks[-1]
+        acts.append(z)
+    err = acts[-1] - batch.v_target
+    loss = float(np.einsum("ij,ij->i", err, err).sum() / err.size)
+    gw, gb = [], []
+    delta = (2.0 / err.size) * err
+    for i in range(len(params.weights) - 1, -1, -1):
+        gw.insert(0, acts[i].T @ delta)
+        gb.insert(0, delta.sum(axis=0))
+        if i > 0:
+            delta = (delta @ params.weights[i].T) * masks[i - 1]
+    return loss, [a for pair in zip(gw, gb) for a in pair]
+
+
+def _reference_adam_step(arrays, m, v, grads, step_count, config):
+    """Textbook Adam on lists of arrays; returns fresh lists."""
+    b1, b2 = config.adam_betas
+    c1, c2 = 1.0 - b1**step_count, 1.0 - b2**step_count
+    m = [b1 * mi + (1.0 - b1) * g for mi, g in zip(m, grads)]
+    v = [b2 * vi + (1.0 - b2) * (g * g) for vi, g in zip(v, grads)]
+    arrays = [
+        p - config.learning_rate * (mi / c1) / (np.sqrt(vi / c2) + config.adam_eps)
+        for p, mi, vi in zip(arrays, m, v)
+    ]
+    return arrays, m, v
+
+
+def _lorenz_linear_sampler():
+    data = generate_lorenz(20, 101, 5.0, 5.0, seed=3).subsampled(0.5, base_seed=0)
+    return InterpolantSampler(build_splines(data, "linear"), NoiseSchedule(1e-5, 3)), 3
+
+
+def _burgers_quintic_sampler():
+    data = generate_burgers(4, 21, seed=0)
+    return InterpolantSampler(build_splines(data, "quintic"), NoiseSchedule(1e-5, 3)), 100
+
+
+@pytest.mark.parametrize("make_sampler", [_lorenz_linear_sampler, _burgers_quintic_sampler])
+def test_fused_step_matches_per_layer_reference(make_sampler):
+    sampler, d = make_sampler()
+    cfg = TrainConfig(learning_rate=1e-3)
+    params = init_params(MlpConfig(state_dim=d), seed=0)
+    state = AdamState.zeros_like(params)
+    ref = [a.copy() for pair in zip(params.weights, params.biases) for a in pair]
+    ref_m = [np.zeros_like(a) for a in ref]
+    ref_v = [np.zeros_like(a) for a in ref]
+    rng = np.random.default_rng(5)
+    for step_count in range(1, 51):
+        batch = sampler.sample_batch(64, rng)
+        ref_params = VectorFieldParams(params.config, np.concatenate([a.ravel() for a in ref]))
+        ref_loss, ref_grads = _reference_loss_and_grad(ref_params, batch)
+        loss, grads = loss_and_grad(params, batch)
+        assert loss == ref_loss
+        assert np.array_equal(grads.flat, np.concatenate([g.ravel() for g in ref_grads]))
+        params, state = adam_step(params, state, grads, cfg)
+        ref, ref_m, ref_v = _reference_adam_step(ref, ref_m, ref_v, ref_grads, step_count, cfg)
+        assert np.array_equal(params.flat, np.concatenate([a.ravel() for a in ref]))
 
 
 def _constant_set(value=3.0, d=2, n=11):
@@ -137,8 +220,7 @@ def test_training_is_bit_reproducible():
     mlp = MlpConfig(state_dim=1, hidden_dims=(8, 8), embed_bands=2)
     a = train_flow_matching(data, cfg, mlp_config=mlp, val_set=data)
     b = train_flow_matching(data, cfg, mlp_config=mlp, val_set=data)
-    for wa, wb in zip(a.params.arrays(), b.params.arrays()):
-        assert np.array_equal(wa, wb)
+    assert np.array_equal(a.params.flat, b.params.flat)
     assert [r.train_loss for r in a.history] == [r.train_loss for r in b.history]
 
 
@@ -177,8 +259,7 @@ def test_loss_explosion_aborts_at_step_two_with_initial_params():
     assert err.value.step == 2
     assert err.value.best_step == 0
     initial = init_params(mlp, cfg.seed)
-    for got, want in zip(err.value.best_params.arrays(), initial.arrays()):
-        assert np.array_equal(got, want)
+    assert np.array_equal(err.value.best_params.flat, initial.flat)
     assert [row.step for row in err.value.history] == [1]
 
 
@@ -212,8 +293,7 @@ def test_non_finite_loss_hands_over_last_params_that_passed(first_bad_step):
     assert err.value.best_step == kept
     replay = _optimize(init_params(AR_MLP, 0), _decay_batches(first_bad_step),
                        None, dataclasses.replace(cfg, steps=kept))
-    for got, want in zip(err.value.best_params.arrays(), replay.params.arrays()):
-        assert np.array_equal(got, want)
+    assert np.array_equal(err.value.best_params.flat, replay.params.flat)
 
 
 def test_validation_with_diverged_rows_is_never_kept():
@@ -253,6 +333,34 @@ def test_ar_learns_identity_on_constant_data():
     assert report.mean < 1e-2
     F = one_step_map(result.params)
     assert abs(F(np.array([1.5]))[0] - 1.5) < 1e-2
+
+
+AR_MLP_PAIR = MlpConfig(state_dim=1, hidden_dims=(2,), use_time_embedding=False)
+
+
+def test_ar_evaluation_masks_rows_that_blow_up():
+    # F(u) = 1e3 * u through the ReLU pair relu(u) - relu(-u): rows with
+    # |u0| >= 1 pass the 1e8 norm bound at step 3, the small rows never do
+    params = VectorFieldParams(AR_MLP_PAIR, np.array([1.0, -1.0, 0.0, 0.0, 1e3, -1e3, 0.0]))
+    grid = uniform_grid(4)
+    u0s = (1.0, -2.0, 0.01, 0.001)
+    data = TrajectorySet(
+        grids=[grid] * 4, states=[np.full((4, 1), u) for u in u0s], state_dim=1,
+        system_tag="toy", raw_horizon=1.0,
+    )
+    report = evaluate_one_step_model(params, data)
+    assert report.n_diverged == 2
+    assert report.nfe == 3
+
+
+def test_budget_nfe_is_scheduled_and_reverse_counts_rows_that_all_died():
+    data = generate_lorenz(3, 21, seed=5)
+    params = init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0)
+    params.biases[-1][:] = 1e10  # leaves the 1e8 norm bound in the first step
+    _, nfe = final_time_error_at_budget(params, data, "rk4", 40)
+    assert nfe == 40
+    rows = reverse_time_study(params, data, 0.5, (0.0, 0.1), SolverConfig("rk4", 1))
+    assert rows and all(n == 3 for *_, n in rows)
 
 
 def test_ar_rejects_irregular_grids():

@@ -7,7 +7,7 @@ from splineflow import (
     MlpConfig,
     NumericError,
     SampleBatch,
-    forward,
+    VectorFieldParams,
     forward_batch,
     init_params,
     load_checkpoint,
@@ -43,25 +43,51 @@ def test_zero_params_give_zero_output():
     params = init_params(config, seed=0)
     for w in params.weights:
         w[...] = 0.0
-    assert np.allclose(forward(params, 0.7, np.array([1.0, -2.0, 3.0])), 0.0)
+    assert np.allclose(forward_batch(params, 0.7, np.array([[1.0, -2.0, 3.0]])), 0.0)
 
 
 def test_forward_matches_hand_computation():
     config = MlpConfig(state_dim=2, hidden_dims=(3,), use_time_embedding=False)
     params = init_params(config, seed=1)
-    u = np.array([0.5, -1.5])
+    u = np.array([[0.5, -1.5]])
     expected = np.maximum(u @ params.weights[0] + params.biases[0], 0.0)
     expected = expected @ params.weights[1] + params.biases[1]
-    assert np.allclose(forward(params, 0.0, u), expected, atol=1e-15)
+    assert np.allclose(forward_batch(params, 0.0, u), expected, atol=1e-15)
 
 
 def test_forward_is_deterministic():
     config = MlpConfig(state_dim=4, hidden_dims=(16, 16), embed_bands=4)
     params = init_params(config, seed=3)
-    u = np.random.default_rng(0).standard_normal(4)
-    a = forward(params, 0.3, u)
-    b = forward(params, 0.3, u)
+    u = np.random.default_rng(0).standard_normal((1, 4))
+    a = forward_batch(params, 0.3, u)
+    b = forward_batch(params, 0.3, u)
     assert np.array_equal(a, b)
+
+
+def test_shared_time_matches_per_row_times():
+    # a scalar time is embedded once and broadcast; per-row embedding of the
+    # same time must give the same bits
+    config = MlpConfig(state_dim=3, hidden_dims=(16, 16), embed_bands=8)
+    params = init_params(config, seed=4)
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((7, 3))
+    for t in np.concatenate([rng.uniform(0.0, 1.0, 200), [0.0, 0.5, 1.0]]):
+        assert np.array_equal(forward_batch(params, t, x), forward_batch(params, np.full(7, t), x))
+
+
+def test_weights_and_biases_are_views_of_flat():
+    config = MlpConfig(state_dim=3, hidden_dims=(5, 4), embed_bands=2)
+    n_params = config.input_dim * 5 + 5 + 5 * 4 + 4 + 4 * 3 + 3
+    params = VectorFieldParams(config, np.arange(float(n_params)))
+    # layout w0, b0, w1, b1, w2, b2 with row-major weights
+    assert params.weights[0][0, 1] == 1.0
+    assert params.biases[0][0] == config.input_dim * 5
+    assert params.weights[1][0, 0] == config.input_dim * 5 + 5
+    assert params.biases[2][-1] == params.n_params - 1
+    params.biases[1][:] = -1.0
+    assert np.count_nonzero(params.flat == -1.0) == 4
+    with pytest.raises(InvalidArgumentError):
+        VectorFieldParams(config, np.zeros(params.n_params + 1))
 
 
 def test_init_deterministic_and_bounded():
@@ -94,8 +120,7 @@ def test_loss_zero_at_oracle_targets():
     oracle = forward_batch(params, batch.t, batch.x)
     loss, grads = loss_and_grad(params, SampleBatch(t=batch.t, x=batch.x, v_target=oracle))
     assert loss == 0.0
-    for g in grads.arrays():
-        assert np.allclose(g, 0.0)
+    assert np.allclose(grads.flat, 0.0)
 
 
 def test_gradients_match_finite_differences():
@@ -105,20 +130,17 @@ def test_gradients_match_finite_differences():
     rng = np.random.default_rng(6)
     batch = _toy_batch(params, rng, n=8)
     _, grads = loss_and_grad(params, batch)
-    flat_g = grads.to_flat()
+    flat_g = grads.flat
 
     eps = 1e-5
-    probe = params.copy()
-    flat0 = params.to_flat()
+    flat0 = params.flat
     fd = np.empty_like(flat0)
     for i in range(flat0.size):
         bumped = flat0.copy()
         bumped[i] += eps
-        probe.set_flat(bumped)
-        lp, _ = loss_and_grad(probe, batch)
+        lp, _ = loss_and_grad(VectorFieldParams(config, bumped), batch)
         bumped[i] -= 2 * eps
-        probe.set_flat(bumped)
-        lm, _ = loss_and_grad(probe, batch)
+        lm, _ = loss_and_grad(VectorFieldParams(config, bumped), batch)
         fd[i] = (lp - lm) / (2 * eps)
     denom = np.maximum(np.abs(fd), 1e-8)
     assert np.max(np.abs(flat_g - fd) / denom) < 1e-4
@@ -173,12 +195,27 @@ def test_checkpoint_round_trip(tmp_path):
     loaded, meta = load_checkpoint(path)
     assert meta["kind"] == "flow"
     assert loaded.config == config
-    for a, b in zip(params.arrays(), loaded.arrays()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(loaded.flat, params.flat)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.npz"
     np.savez(path, foo=np.arange(3))
+    with pytest.raises(DataFormatError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("damage", ["narrow w0", "drop b1"])
+def test_checkpoint_rejects_arrays_that_do_not_match_the_config(tmp_path, damage):
+    params = init_params(MlpConfig(state_dim=3, hidden_dims=(8,), embed_bands=2), seed=0)
+    path = tmp_path / "model.ckpt.npz"
+    save_checkpoint(path, params)
+    with np.load(path) as data:
+        arrays = dict(data)
+    if damage == "narrow w0":
+        arrays["w0"] = arrays["w0"][:, :4]
+    else:
+        del arrays["b1"]
+    np.savez(path, **arrays)
     with pytest.raises(DataFormatError):
         load_checkpoint(path)
