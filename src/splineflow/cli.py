@@ -409,14 +409,10 @@ def cmd_eval(options: dict) -> int:
     params, meta = _load_flow_checkpoint(options["checkpoint"], dataset.state_dim)
     fp = fingerprint("eval", options)
     if meta.get("kind") == "one_step":
-        report = evaluate_one_step_model(
-            params, dataset, eval_stride=options["eval_stride"], fingerprint=fp
-        )
+        report = evaluate_one_step_model(params, dataset, eval_stride=options["eval_stride"])
     else:
         solver = SolverConfig(method=options["method"], substeps_per_interval=options["substeps"])
-        report = evaluate_flow_model(
-            params, dataset, solver, eval_stride=options["eval_stride"], fingerprint=fp
-        )
+        report = evaluate_flow_model(params, dataset, solver, eval_stride=options["eval_stride"])
     out = options["out"] or _out_dir(options) / "eval_report.csv"
     _write_csv(
         out,

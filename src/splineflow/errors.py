@@ -22,15 +22,11 @@ class NumericError(RuntimeError):
 
 
 class DivergedError(NumericError):
-    """A rollout exceeded the state-norm bound.
+    """Rows of a rollout exceeded the state-norm bound where none may.
 
-    Carries the partial result computed up to the failing step in
-    ``partial`` so callers can inspect where the blow-up happened.
+    Rollouts mask and count such rows; a caller that needs every row,
+    such as reference-data generation, raises this after the rollout.
     """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
 
 
 class TrainingAbortedError(NumericError):

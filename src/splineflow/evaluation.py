@@ -2,10 +2,15 @@
 
 Trajectories with identical evaluation grids are integrated as one batch;
 blow-ups are masked (frozen rows) so a single unstable trajectory cannot
-abort a test-set sweep - it simply scores a huge error.
+abort a test-set sweep - it simply scores a huge error. `rollout`,
+`ar_rollout` and `rollout_reverse` are looked up here at call time, so
+wrapping them on this module (as splinebench does to count rows and NFE)
+reaches every study.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -15,28 +20,17 @@ from .odeint import SolverConfig, ar_rollout, rollout, rollout_reverse
 from .systems import TrajectorySet
 from .vector_field import VectorFieldParams, forward_batch
 
+REVERSE_MAX_HORIZONS = 20  # backward horizons per anchor in reverse_time_study
+
 
 def flow_field(params: VectorFieldParams):
-    """The learned right-hand side as f(t, u) for the ODE solvers."""
-
-    def f(t, u):
-        u = np.asarray(u, dtype=np.float64)
-        if u.ndim == 1:
-            return forward_batch(params, t, u[None, :])[0]
-        return forward_batch(params, t, u)
-
-    return f
+    """The learned right-hand side as f(t, u) on (B, d) states."""
+    return lambda t, u: forward_batch(params, t, u)
 
 
 def one_step_map(params: VectorFieldParams):
-    """The learned next-state map as F(u) for recursive rollouts."""
-    def apply(u):
-        u = np.asarray(u, dtype=np.float64)
-        if u.ndim == 1:
-            return forward_batch(params, 0.0, u[None, :])[0]
-        return forward_batch(params, 0.0, u)
-
-    return apply
+    """The learned next-state map as F(u) on (B, d) states."""
+    return lambda u: forward_batch(params, 0.0, u)
 
 
 def strided_indices(n_times: int, stride: int) -> np.ndarray:
@@ -57,12 +51,34 @@ def _grouped_by_grid(dataset: TrajectorySet):
     return [(dataset.grids[ids[0]], ids) for ids in groups.values()]
 
 
+def _roll_out_by_grid(dataset: TrajectorySet, keep_of, roll):
+    """Roll each grid group out once; return (preds, truths, diverged, nfe).
+
+    keep_of(grid) picks the grid indices scored; roll(u0, grid, keep) returns
+    a RolloutResult of the group's rows at grid.times[keep]. Outputs are
+    placed by dataset index; nfe is the cost per trajectory.
+    """
+    preds = [None] * dataset.n_traj
+    truths = [None] * dataset.n_traj
+    diverged = np.zeros(dataset.n_traj, dtype=bool)
+    nfe = 0
+    for grid, ids in _grouped_by_grid(dataset):
+        keep = keep_of(grid)
+        u0 = np.stack([dataset.states[i][0] for i in ids])
+        result = roll(u0, grid, keep)
+        nfe = result.nfe  # per-trajectory cost; identical across groups of one grid
+        diverged[ids] = result.diverged
+        for col, i in enumerate(ids):
+            preds[i] = result.states[:, col, :]
+            truths[i] = dataset.states[i][keep]
+    return preds, truths, diverged, nfe
+
+
 def evaluate_flow_model(
     params: VectorFieldParams,
     dataset: TrajectorySet,
     solver: SolverConfig,
     eval_stride: int = 1,
-    fingerprint: str = "",
 ) -> EvalReport:
     """Roll out every trajectory from its initial state and score it.
 
@@ -71,28 +87,18 @@ def evaluate_flow_model(
     integrated states.
     """
     f = flow_field(params)
-    preds = [None] * dataset.n_traj
-    truths = [None] * dataset.n_traj
-    diverged = np.zeros(dataset.n_traj, dtype=bool)
-    nfe = 0
-    for grid, ids in _grouped_by_grid(dataset):
-        keep = strided_indices(len(grid), eval_stride)
-        eval_times = grid.times[keep]
-        u0 = np.stack([dataset.states[i][0] for i in ids])
-        result = rollout(f, u0, eval_times, solver, on_blowup="mask")
-        nfe = result.nfe  # per-trajectory cost; identical across groups of one grid
-        for col, i in enumerate(ids):
-            preds[i] = result.states[:, col, :]
-            truths[i] = dataset.states[i][keep]
-            diverged[i] = result.diverged[col]
-    return build_report(preds, truths, nfe=nfe, fingerprint=fingerprint, diverged=diverged)
+    preds, truths, diverged, nfe = _roll_out_by_grid(
+        dataset,
+        lambda grid: strided_indices(len(grid), eval_stride),
+        lambda u0, grid, keep: rollout(f, u0, grid.times[keep], solver),
+    )
+    return build_report(preds, truths, nfe=nfe, diverged=diverged)
 
 
 def evaluate_one_step_model(
     params: VectorFieldParams,
     dataset: TrajectorySet,
     eval_stride: int = 1,
-    fingerprint: str = "",
 ) -> EvalReport:
     """Recursive one-step rollout over each full grid, scored on a stride.
 
@@ -100,19 +106,15 @@ def evaluate_one_step_model(
     only thins the comparison times so reports align with flow-model runs.
     """
     step_fn = one_step_map(params)
-    preds, truths = [], []
-    diverged = np.zeros(dataset.n_traj, dtype=bool)
-    nfe = 0
-    for grid, ids in _grouped_by_grid(dataset):
-        keep = strided_indices(len(grid), eval_stride)
-        u0 = np.stack([dataset.states[i][0] for i in ids])
-        result = ar_rollout(step_fn, u0, len(grid) - 1, times=grid.times)
-        nfe = result.nfe
-        for col, i in enumerate(ids):
-            preds.append(result.states[keep][:, col, :])
-            truths.append(dataset.states[i][keep])
-            diverged[i] = result.diverged[col]
-    return build_report(preds, truths, nfe=nfe, fingerprint=fingerprint, diverged=diverged)
+
+    def roll(u0, grid, keep):
+        result = ar_rollout(step_fn, u0, grid.times)
+        return replace(result, times=result.times[keep], states=result.states[keep])
+
+    preds, truths, diverged, nfe = _roll_out_by_grid(
+        dataset, lambda grid: strided_indices(len(grid), eval_stride), roll
+    )
+    return build_report(preds, truths, nfe=nfe, diverged=diverged)
 
 
 def final_time_error_at_budget(
@@ -132,16 +134,13 @@ def final_time_error_at_budget(
     n_steps = max(1, int(round(budget_nfe / stages)))
     solver = SolverConfig(method=method, substeps_per_interval=n_steps)
     f = flow_field(params)
-    errs = []
-    actual_nfe = 0
-    for grid, ids in _grouped_by_grid(dataset):
-        u0 = np.stack([dataset.states[i][0] for i in ids])
-        endpoints = np.array([grid.times[0], grid.times[-1]])
-        result = rollout(f, u0, endpoints, solver, on_blowup="mask")
-        actual_nfe = result.nfe
-        for col, i in enumerate(ids):
-            errs.append(relative_l2(result.states[-1, col], dataset.states[i][-1]))
-    return float(np.mean(errs)), actual_nfe
+    preds, truths, _, nfe = _roll_out_by_grid(
+        dataset,
+        lambda grid: np.array([0, len(grid) - 1]),
+        lambda u0, grid, keep: rollout(f, u0, grid.times[keep], solver),
+    )
+    errs = [relative_l2(p[-1], t[-1]) for p, t in zip(preds, truths)]
+    return float(np.mean(errs)), nfe
 
 
 def reverse_time_study(
@@ -151,7 +150,6 @@ def reverse_time_study(
     noise_levels,
     solver: SolverConfig,
     seed: int = 0,
-    max_horizons: int = 20,
 ):
     """Backward-integration error versus backward horizon and terminal noise.
 
@@ -168,7 +166,7 @@ def reverse_time_study(
         anchor = int(np.argmin(np.abs(grid.times - t_star)))
         if anchor == 0:
             continue  # no backward horizon
-        stride = max(1, anchor // max_horizons)
+        stride = max(1, anchor // REVERSE_MAX_HORIZONS)
         target_idx = np.arange(anchor - stride, -1, -stride)
         if target_idx[-1] != 0:
             target_idx = np.append(target_idx, 0)
@@ -178,9 +176,7 @@ def reverse_time_study(
         for level in noise_levels:
             rng = np.random.default_rng([seed, int(round(level * 1e9))])
             perturbed = u_star + level * rng.standard_normal(u_star.shape)
-            result = rollout_reverse(
-                f, perturbed, grid.times[anchor], targets, solver, on_blowup="mask"
-            )
+            result = rollout_reverse(f, perturbed, grid.times[anchor], targets, solver)
             # result.states: (K, B, d); per-horizon mean relative error
             n_diverged = int(np.count_nonzero(result.diverged))
             for k, s in enumerate(targets):

@@ -39,10 +39,9 @@ class EvalReport:
     final_time_error: float
     nfe: int = 0
     n_diverged: int = 0
-    fingerprint: str = ""
 
 
-def build_report(preds, truths, nfe: int = 0, fingerprint: str = "", diverged=None) -> EvalReport:
+def build_report(preds, truths, nfe: int = 0, diverged=None) -> EvalReport:
     """Per-trajectory and aggregate relative-L2 metrics for matched rollouts.
 
     preds/truths are sequences of (n_times, d) arrays sharing shapes
@@ -70,7 +69,6 @@ def build_report(preds, truths, nfe: int = 0, fingerprint: str = "", diverged=No
         final_time_error=float(per_time[-1]),
         nfe=nfe,
         n_diverged=n_div,
-        fingerprint=fingerprint,
     )
 
 

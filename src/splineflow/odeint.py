@@ -6,22 +6,21 @@ rollout integrates each interval of the evaluation grid with a constant
 number of substeps and records the state at every evaluation time;
 ``nfe`` counts vector-field calls (intervals * substeps * stages).
 
-States may be a single vector (d,) or a batch (B, d) integrated jointly;
-the right-hand side must then accept and return matching shapes. On
-blow-up (norm above ``norm_bound`` or non-finite entries) the default is
-to raise DivergedError with the partial result; evaluation code can pass
-``on_blowup="mask"`` to freeze offending batch rows and keep going. The
-one-step (AR) rollout always masks.
+States are batches (B, d) integrated jointly; the right-hand side takes
+and returns (B, d) arrays. A row that blows up (norm above
+DEFAULT_NORM_BOUND or a non-finite entry) is frozen at its last finite
+state and flagged in ``RolloutResult.diverged``; the other rows keep
+going. Forward, reverse and one-step (AR) rollouts share one driver.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergedError, InvalidArgumentError
+from .errors import InvalidArgumentError
 
 _STAGES = {"euler": 1, "heun": 2, "rk4": 4}
 
@@ -48,21 +47,16 @@ class SolverConfig:
 
 @dataclass
 class RolloutResult:
-    """States recorded at the requested times, plus solver cost metadata.
+    """States (n_times, B, d) recorded at the requested times, plus solver cost.
 
-    diverged flags batch rows that hit the norm bound (all-False for
-    clean rollouts); frozen rows keep their last finite state.
+    diverged (B,) flags rows that hit the norm bound; frozen rows keep
+    their last finite state.
     """
 
     times: np.ndarray
     states: np.ndarray
     nfe: int
-    diverged: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.diverged is None:
-            batch_shape = self.states.shape[1:-1]
-            self.diverged = np.zeros(batch_shape if batch_shape else (), dtype=bool)
+    diverged: np.ndarray
 
 
 def step(method: str, f, t: float, u: np.ndarray, h: float) -> np.ndarray:
@@ -84,13 +78,7 @@ def step(method: str, f, t: float, u: np.ndarray, h: float) -> np.ndarray:
     raise InvalidArgumentError(f"unknown method {method!r}")
 
 
-def _row_norms(u: np.ndarray) -> np.ndarray:
-    if u.ndim == 1:
-        return np.linalg.norm(u)
-    return np.linalg.norm(u, axis=-1)
-
-
-def _integrate(advance, f, u0, times_out, substeps, stages, norm_bound, on_blowup):
+def _integrate(advance, f, u0, times_out, substeps, stages):
     """Shared fixed-step integrator for forward, reverse and one-step rollouts.
 
     Each interval takes `substeps` steps u <- advance(f, t, u, h), each
@@ -99,11 +87,11 @@ def _integrate(advance, f, u0, times_out, substeps, stages, norm_bound, on_blowu
     are skipped.
     """
     u0 = np.asarray(u0, dtype=np.float64)
-    batched = u0.ndim == 2
+    if u0.ndim != 2:
+        raise InvalidArgumentError(f"states must be a (B, d) batch, got shape {u0.shape}")
     if not np.isfinite(u0).all():
         raise InvalidArgumentError("initial state must be finite")
-    u = u0.copy() if batched else u0[None, :].copy()
-    fn = f if batched else (lambda t, x: np.atleast_2d(f(t, x[0])))
+    u = u0.copy()
     states = np.empty((len(times_out),) + u.shape)
     states[0] = u
     alive = np.ones(u.shape[0], dtype=bool)
@@ -115,43 +103,27 @@ def _integrate(advance, f, u0, times_out, substeps, stages, norm_bound, on_blowu
                 break
             t = t0 + s * h
             if alive.all():
-                u_new = advance(fn, t, u, h)
+                u_new = advance(f, t, u, h)
             else:
                 u_new = u.copy()
-                u_new[alive] = advance(fn, t, u[alive], h)
-            bad = (~np.isfinite(u_new).all(axis=-1) | (_row_norms(u_new) > norm_bound)) & alive
+                u_new[alive] = advance(f, t, u[alive], h)
+            bad = ~np.isfinite(u_new).all(axis=-1)
+            bad |= np.linalg.norm(u_new, axis=-1) > DEFAULT_NORM_BOUND
+            bad &= alive
             if bad.any():
-                if on_blowup == "raise":
-                    recorded = states[: k + 1]
-                    partial = RolloutResult(
-                        times=np.asarray(times_out[: k + 1], dtype=np.float64),
-                        states=recorded if batched else recorded[:, 0, :],
-                        nfe=(k * substeps + s + 1) * stages,
-                    )
-                    raise DivergedError(
-                        f"state norm exceeded {norm_bound:g} at t={t + h:.6g}",
-                        partial=partial,
-                    )
                 u_new[bad] = u[bad]  # freeze at last finite state
                 alive &= ~bad
             u = u_new
         states[k + 1] = u
     return RolloutResult(
         times=np.asarray(times_out, dtype=np.float64),
-        states=states if batched else states[:, 0, :],
+        states=states,
         nfe=(len(times_out) - 1) * substeps * stages,
-        diverged=~alive if batched else bool(not alive[0]),
+        diverged=~alive,
     )
 
 
-def rollout(
-    f,
-    u0: np.ndarray,
-    eval_times,
-    solver: SolverConfig,
-    norm_bound: float = DEFAULT_NORM_BOUND,
-    on_blowup: str = "raise",
-) -> RolloutResult:
+def rollout(f, u0: np.ndarray, eval_times, solver: SolverConfig) -> RolloutResult:
     """Integrate du/dt = f(t, u) forward, recording each evaluation time.
 
     eval_times must be increasing; the first entry is the initial time and
@@ -162,22 +134,14 @@ def rollout(
         raise InvalidArgumentError("need at least two evaluation times")
     if not np.all(np.diff(times) > 0.0):
         raise InvalidArgumentError("evaluation times must be strictly increasing")
-    if on_blowup not in ("raise", "mask"):
-        raise InvalidArgumentError("on_blowup must be 'raise' or 'mask'")
     return _integrate(
         functools.partial(step, solver.method), f, u0, times,
-        solver.substeps_per_interval, solver.stages, norm_bound, on_blowup,
+        solver.substeps_per_interval, solver.stages,
     )
 
 
 def rollout_reverse(
-    f,
-    u_star: np.ndarray,
-    t_star: float,
-    target_times,
-    solver: SolverConfig,
-    norm_bound: float = DEFAULT_NORM_BOUND,
-    on_blowup: str = "raise",
+    f, u_star: np.ndarray, t_star: float, target_times, solver: SolverConfig
 ) -> RolloutResult:
     """Integrate backward from (t_star, u_star) to each earlier target time.
 
@@ -185,22 +149,16 @@ def rollout_reverse(
     The returned states exclude the anchor state itself.
     """
     targets = np.asarray(target_times, dtype=np.float64)
-    if targets.size == 0:
-        return RolloutResult(
-            times=targets,
-            states=np.empty((0,) + np.shape(u_star)),
-            nfe=0,
-        )
     if targets.ndim != 1:
         raise InvalidArgumentError("target_times must be one-dimensional")
     if not np.all(np.diff(targets) < 0.0):
         raise InvalidArgumentError("target times must be strictly decreasing")
-    if targets[0] >= t_star or targets[-1] < 0.0:
+    if targets.size and (targets[0] >= t_star or targets[-1] < 0.0):
         raise InvalidArgumentError("target times must lie in [0, t_star)")
     path = np.concatenate(([t_star], targets))
     result = _integrate(
         functools.partial(step, solver.method), f, u_star, path,
-        solver.substeps_per_interval, solver.stages, norm_bound, on_blowup,
+        solver.substeps_per_interval, solver.stages,
     )
     return RolloutResult(
         times=result.times[1:],
@@ -210,20 +168,15 @@ def rollout_reverse(
     )
 
 
-def ar_rollout(one_step_model, u0: np.ndarray, n_steps: int, times=None) -> RolloutResult:
-    """Recursive one-step rollout: u_{k+1} = F(u_k); nfe equals n_steps.
+def ar_rollout(one_step_model, u0: np.ndarray, times) -> RolloutResult:
+    """Recursive one-step rollout u_{k+1} = F(u_k), one step per interval of times.
 
-    Rows that blow up are frozen at their last finite state and flagged in
-    `diverged`, as `rollout` does with on_blowup="mask".
+    nfe equals the number of intervals; rows that blow up are frozen and
+    flagged as in `rollout`.
     """
-    if n_steps < 0:
-        raise InvalidArgumentError("n_steps must be >= 0")
-    if times is None:
-        times = np.linspace(0.0, 1.0, n_steps + 1)
     times = np.asarray(times, dtype=np.float64)
-    if times.size != n_steps + 1:
-        raise InvalidArgumentError("times must have n_steps + 1 entries")
+    if times.ndim != 1 or times.size < 1:
+        raise InvalidArgumentError("need at least one rollout time")
     return _integrate(
-        lambda fn, t, u, h: fn(t, u), lambda t, u: one_step_model(u), u0, times,
-        1, 1, DEFAULT_NORM_BOUND, "mask",
+        lambda fn, t, u, h: fn(t, u), lambda t, u: one_step_model(u), u0, times, 1, 1
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericError
+from .errors import DivergedError, InvalidArgumentError, NumericError
 from .odeint import SolverConfig, rollout
 from .timegrid import TimeGrid, uniform_grid
 
@@ -112,11 +112,11 @@ def generate_lorenz(
     grid = uniform_grid(n_times, raw_horizon=horizon_seconds)
     raw_times = grid.raw_times
     solver = SolverConfig(method="rk4", substeps_per_interval=substeps)
-    result = rollout(lambda t, u: lorenz_rhs(u), u0, raw_times, solver, on_blowup="mask")
+    result = rollout(lambda t, u: lorenz_rhs(u), u0, raw_times, solver)
     states = np.swapaxes(result.states, 0, 1)  # (n_traj, n_times, 3)
 
     retries = 0
-    bad = np.flatnonzero(np.atleast_1d(result.diverged))
+    bad = np.flatnonzero(result.diverged)
     while bad.size:
         retries += 1
         if retries > 100:
@@ -124,11 +124,9 @@ def generate_lorenz(
         for j in bad:
             rng = np.random.default_rng([seed, n_traj * retries + int(j)])
             u0[j] = rng.uniform(-init_box, init_box, size=3)
-        redo = rollout(
-            lambda t, u: lorenz_rhs(u), u0[bad], raw_times, solver, on_blowup="mask"
-        )
+        redo = rollout(lambda t, u: lorenz_rhs(u), u0[bad], raw_times, solver)
         states[bad] = np.swapaxes(redo.states, 0, 1)
-        bad = bad[np.atleast_1d(redo.diverged)]
+        bad = bad[redo.diverged]
 
     return TrajectorySet(
         grids=[grid] * n_traj,
@@ -237,15 +235,12 @@ def generate_burgers(
         substeps = needed
     u0 = np.stack([sample_grf_initial(config.nx, [seed, j]) for j in range(n_traj)])
     solver = SolverConfig(method="rk4", substeps_per_interval=substeps)
-    try:
-        result = rollout(
-            lambda t, u: burgers_rhs(u, config), u0, grid.raw_times, solver
-        )
-    except NumericError as exc:
-        raise NumericError(
+    result = rollout(lambda t, u: burgers_rhs(u, config), u0, grid.raw_times, solver)
+    if result.diverged.any():
+        raise DivergedError(
             f"burgers integration unstable; needs >= {needed} substeps per "
             f"interval (got {substeps})"
-        ) from exc
+        )
     states = np.swapaxes(result.states, 0, 1)
     return TrajectorySet(
         grids=[grid] * n_traj,

@@ -40,6 +40,10 @@ SPLINE_KINDS = ("linear", "quintic")
 # above it, and exact fits reach a loss of 0.
 LOSS_EXPLOSION_FACTOR = 1e3
 
+# Flow-model validation rolls out with RK4, one step per grid interval,
+# so one validation costs 4 NFE per interval and trajectory.
+VALIDATION_SOLVER = SolverConfig(method="rk4", substeps_per_interval=1)
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -206,14 +210,13 @@ def train_flow_matching(
     config: TrainConfig,
     mlp_config: MlpConfig | None = None,
     val_set: TrajectorySet | None = None,
-    val_solver: SolverConfig | None = None,
 ) -> TrainResult:
     """Fit the velocity model to spline-path targets by flow matching.
 
     Splines are constructed once per trajectory up front; each step then
     draws (trajectory, time, noise) triples and regresses the network on
     the analytic path velocity. Validation (when a set is given) scores a
-    full RK4 rollout from each held-out initial condition.
+    VALIDATION_SOLVER rollout from each held-out initial condition.
     """
     from .evaluation import evaluate_flow_model
 
@@ -224,11 +227,10 @@ def train_flow_matching(
         raise InvalidArgumentError("mlp state_dim does not match the dataset")
     params = init_params(mlp_config, config.seed)
     rng = np.random.default_rng([config.seed, 1])
-    solver = val_solver or SolverConfig(method="rk4", substeps_per_interval=1)
 
     score = None
     if val_set is not None:
-        score = lambda p: _validation_error(evaluate_flow_model(p, val_set, solver))
+        score = lambda p: _validation_error(evaluate_flow_model(p, val_set, VALIDATION_SOLVER))
 
     return _optimize(
         params,

@@ -60,14 +60,14 @@ def test_build_report_aggregates():
     rng = np.random.default_rng(1)
     truths = [rng.standard_normal((6, 2)) + 3.0 for _ in range(4)]
     preds = [t + 0.01 * rng.standard_normal(t.shape) for t in truths]
-    report = build_report(preds, truths, nfe=120, fingerprint="abc")
+    report = build_report(preds, truths, nfe=120)
     per = np.array([relative_l2(p, t) for p, t in zip(preds, truths)])
     assert np.allclose(report.per_traj, per)
     assert np.isclose(report.mean, per.mean())
     assert np.isclose(report.sd, per.std(ddof=1))
     assert report.per_time.shape == (6,)
     assert np.isclose(report.final_time_error, report.per_time[-1])
-    assert report.nfe == 120 and report.fingerprint == "abc"
+    assert report.nfe == 120
 
 
 def test_build_report_identical_prediction():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from splineflow import (
-    DivergedError,
     InvalidArgumentError,
     SolverConfig,
     ar_rollout,
@@ -57,42 +56,32 @@ def test_empirical_solver_orders_on_smooth_problem():
     for method, order in expected.items():
         errors, steps = [], []
         for n in (8, 16, 32):
-            res = rollout(f, np.array([1.0]), [0.0, 1.0], SolverConfig(method, n))
-            errors.append(abs(res.states[-1, 0] - truth))
+            res = rollout(f, np.array([[1.0]]), [0.0, 1.0], SolverConfig(method, n))
+            errors.append(abs(res.states[-1, 0, 0] - truth))
             steps.append(1.0 / n)
         assert abs(np.mean(empirical_order(errors, steps)) - order) < 0.2
 
 
 def test_rollout_records_every_eval_time():
     times = np.linspace(0.0, 1.0, 6)
-    res = rollout(decay, np.array([2.0]), times, SolverConfig("rk4", 20))
+    res = rollout(decay, np.array([[2.0]]), times, SolverConfig("rk4", 20))
     assert np.array_equal(res.times, times)
-    assert np.allclose(res.states[:, 0], 2.0 * np.exp(-times), atol=1e-9)
-    assert res.states[0, 0] == 2.0
+    assert np.allclose(res.states[:, 0, 0], 2.0 * np.exp(-times), atol=1e-9)
+    assert res.states[0, 0, 0] == 2.0
 
 
 def test_nfe_accounting_exact():
     times = np.linspace(0.0, 1.0, 11)
     for method, stages in (("euler", 1), ("heun", 2), ("rk4", 4)):
         for substeps in (1, 3):
-            res = rollout(decay, np.array([1.0]), times, SolverConfig(method, substeps))
+            res = rollout(decay, np.array([[1.0]]), times, SolverConfig(method, substeps))
             assert res.nfe == 10 * substeps * stages
-
-
-def test_rollout_divergence_raises_with_partial():
-    blow = lambda t, u: u * u  # finite-time blow-up from u0 = 3
-    with pytest.raises(DivergedError) as err:
-        rollout(blow, np.array([3.0]), np.linspace(0, 1, 21), SolverConfig("euler", 8))
-    partial = err.value.partial
-    assert partial is not None
-    assert partial.states.shape[0] >= 1
-    assert partial.states.shape[0] < 21
 
 
 def test_rollout_divergence_mask_mode():
     blow = lambda t, u: u * u
     u0 = np.array([[3.0], [0.1]])  # first row blows up, second stays tame
-    res = rollout(blow, u0, np.linspace(0, 1, 21), SolverConfig("euler", 8), on_blowup="mask")
+    res = rollout(blow, u0, np.linspace(0, 1, 21), SolverConfig("euler", 8))
     assert res.diverged.tolist() == [True, False]
     assert np.isfinite(res.states).all()
 
@@ -100,11 +89,10 @@ def test_rollout_divergence_mask_mode():
 def test_nfe_is_the_scheduled_cost_when_every_row_dies():
     huge = lambda t, u: np.full_like(u, 1e10)
     times = np.linspace(0.0, 1.0, 11)
-    res = rollout(huge, np.ones((3, 2)), times, SolverConfig("rk4", 1), on_blowup="mask")
+    res = rollout(huge, np.ones((3, 2)), times, SolverConfig("rk4", 1))
     assert res.diverged.all()
     assert res.nfe == 10 * 1 * 4
-    back = rollout_reverse(huge, np.ones((3, 2)), 1.0, times[-2::-1], SolverConfig("heun", 2),
-                           on_blowup="mask")
+    back = rollout_reverse(huge, np.ones((3, 2)), 1.0, times[-2::-1], SolverConfig("heun", 2))
     assert back.diverged.all()
     assert back.nfe == 10 * 2 * 2
 
@@ -116,44 +104,55 @@ def test_batched_rollout_matches_single():
     f = lambda t, u: np.sin(u)
     batch = rollout(f, u0, times, solver)
     for i in range(2):
-        single = rollout(f, u0[i], times, solver)
-        assert np.allclose(batch.states[:, i, :], single.states, atol=1e-14)
+        single = rollout(f, u0[i : i + 1], times, solver)
+        assert np.array_equal(batch.states[:, i : i + 1, :], single.states)
+
+
+def test_rollout_rejects_unbatched_state():
+    solver = SolverConfig("rk4", 1)
+    with pytest.raises(InvalidArgumentError, match="batch"):
+        rollout(decay, np.array([1.0, 2.0]), [0.0, 1.0], solver)
+    with pytest.raises(InvalidArgumentError, match="batch"):
+        rollout_reverse(decay, np.array([1.0]), 1.0, [0.0], solver)
+    with pytest.raises(InvalidArgumentError, match="batch"):
+        ar_rollout(lambda u: u, np.array([1.0]), [0.0, 1.0])
 
 
 def test_reverse_recovers_smooth_flow():
     solver = SolverConfig("rk4", 50)
-    fwd = rollout(decay, np.array([1.5]), [0.0, 1.0], solver)
+    fwd = rollout(decay, np.array([[1.5]]), [0.0, 1.0], solver)
     back = rollout_reverse(decay, fwd.states[-1], 1.0, [0.5, 0.0], solver)
     assert np.array_equal(back.times, [0.5, 0.0])
     # round-trip defect is solver truncation, O(h^4) at h = 1/100
-    assert abs(back.states[-1, 0] - 1.5) < 1e-8
+    assert abs(back.states[-1, 0, 0] - 1.5) < 1e-8
 
 
 def test_reverse_zero_field_constant():
     f = lambda t, u: np.zeros_like(u)
-    res = rollout_reverse(f, np.array([4.0, 1.0]), 0.8, [0.4, 0.1], SolverConfig("rk4", 3))
-    assert np.allclose(res.states, 4.0 * np.array([[1, 0.25], [1, 0.25]]))
+    res = rollout_reverse(f, np.array([[4.0, 1.0]]), 0.8, [0.4, 0.1], SolverConfig("rk4", 3))
+    assert np.allclose(res.states, 4.0 * np.array([[[1, 0.25]], [[1, 0.25]]]))
 
 
 def test_reverse_empty_targets():
-    res = rollout_reverse(decay, np.array([1.0]), 0.0, [], SolverConfig("rk4", 1))
-    assert res.states.shape[0] == 0
+    res = rollout_reverse(decay, np.array([[1.0], [2.0]]), 0.0, [], SolverConfig("rk4", 1))
+    assert res.states.shape == (0, 2, 1)
     assert res.nfe == 0
+    assert res.diverged.tolist() == [False, False]
 
 
 def test_reverse_validates_targets():
     solver = SolverConfig("rk4", 1)
     with pytest.raises(InvalidArgumentError):
-        rollout_reverse(decay, np.array([1.0]), 0.5, [0.1, 0.2], solver)  # increasing
+        rollout_reverse(decay, np.array([[1.0]]), 0.5, [0.1, 0.2], solver)  # increasing
     with pytest.raises(InvalidArgumentError):
-        rollout_reverse(decay, np.array([1.0]), 0.5, [0.6], solver)  # above t_star
+        rollout_reverse(decay, np.array([[1.0]]), 0.5, [0.6], solver)  # above t_star
 
 
 def test_lorenz_roundtrip_quarter_second():
     # forward then backward with the true dynamics over a 0.25 s window
     field = lambda t, u: 0.25 * lorenz_rhs(u)
     solver = SolverConfig("rk4", 400)
-    u0 = np.array([2.0, -1.0, 3.5])
+    u0 = np.array([[2.0, -1.0, 3.5]])
     fwd = rollout(field, u0, [0.0, 1.0], solver)
     back = rollout_reverse(field, fwd.states[-1], 1.0, [0.0], solver)
     rel = np.linalg.norm(back.states[-1] - u0) / np.linalg.norm(u0)
@@ -161,8 +160,8 @@ def test_lorenz_roundtrip_quarter_second():
 
 
 def test_ar_rollout_identity_model():
-    res = ar_rollout(lambda u: u, np.array([1.0, 2.0]), 5)
-    assert np.allclose(res.states, np.tile([1.0, 2.0], (6, 1)))
+    res = ar_rollout(lambda u: u, np.array([[1.0, 2.0]]), np.linspace(0.0, 1.0, 6))
+    assert np.allclose(res.states, np.tile([1.0, 2.0], (6, 1, 1)))
     assert res.nfe == 5
 
 
@@ -170,7 +169,7 @@ def test_ar_rollout_perfect_oracle_reproduces_data():
     # one-step oracle wrapping the true integrator reproduces its own data
     times = np.linspace(0.0, 1.0, 9)
     solver = SolverConfig("rk4", 10)
-    data = rollout(decay, np.array([1.0]), times, solver)
+    data = rollout(decay, np.array([[1.0]]), times, solver)
     h = times[1] - times[0]
 
     def oracle(u):
@@ -179,21 +178,21 @@ def test_ar_rollout_perfect_oracle_reproduces_data():
             out = step("rk4", decay, 0.0, out, h / 10)
         return out
 
-    res = ar_rollout(oracle, np.array([1.0]), 8, times=times)
+    res = ar_rollout(oracle, np.array([[1.0]]), times)
     assert np.allclose(res.states, data.states, atol=1e-14)
 
 
 def test_ar_rollout_divergence():
     # 1e3 ** 3 passes the 1e8 bound: the state is flagged and frozen at 1e6
-    res = ar_rollout(lambda u: u * 1e3, np.array([1.0]), 10)
-    assert res.diverged is True
-    assert np.array_equal(res.states[2:], np.full((9, 1), 1e6))
+    res = ar_rollout(lambda u: u * 1e3, np.array([[1.0]]), np.linspace(0.0, 1.0, 11))
+    assert res.diverged.tolist() == [True]
+    assert np.array_equal(res.states[2:], np.full((9, 1, 1), 1e6))
     assert res.nfe == 10
 
 
 def test_ar_rollout_masks_rows_that_blow_up():
     u0 = np.array([[1.0], [-2.0], [0.01], [0.001]])
-    res = ar_rollout(lambda u: 1e3 * u, u0, 3)
+    res = ar_rollout(lambda u: 1e3 * u, u0, np.linspace(0.0, 1.0, 4))
     # |u| grows 1e3x a step: the first two rows pass the 1e8 bound at step 3
     assert res.diverged.tolist() == [True, True, False, False]
     assert np.array_equal(res.states[3, :2], res.states[2, :2])

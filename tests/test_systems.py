@@ -4,6 +4,7 @@ import pytest
 from splineflow import (
     BurgersConfig,
     InvalidArgumentError,
+    NumericError,
     burgers_rhs,
     generate_burgers,
     generate_lorenz,
@@ -101,6 +102,12 @@ def test_burgers_substep_rule_respects_stability_bound():
     interval = 0.01
     n = burgers_substeps(config, interval)
     assert interval / n <= 0.5 * config.dx**2 / config.nu + 1e-15
+
+
+def test_burgers_too_few_substeps_raises():
+    # 100 intervals of 0.01 s need 2 substeps for h <= 0.5 dx^2 / nu
+    with pytest.raises(NumericError, match="needs >= 2 substeps"):
+        generate_burgers(2, 101, substeps=1)
 
 
 def test_grf_is_real_and_seeded():

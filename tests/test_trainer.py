@@ -11,12 +11,14 @@ from splineflow import (
     MlpConfig,
     SolverConfig,
     TrainConfig,
+    TimeGrid,
     TrainingAbortedError,
     TrajectorySet,
     adam_step,
     generate_burgers,
     generate_lorenz,
     init_params,
+    relative_l2,
     train_flow_matching,
     train_one_step,
     uniform_grid,
@@ -195,7 +197,7 @@ def test_exponential_toy_learns_decay_field():
     # learned field approximates -u on the data tube
     f = flow_field(result.params)
     for t, u in ((0.2, 1.6), (0.7, 1.0)):
-        assert abs(f(t, np.array([u]))[0] + u) < 0.05 * u
+        assert abs(f(t, np.array([[u]]))[0, 0] + u) < 0.05 * u
 
 
 def test_learned_field_round_trip():
@@ -206,7 +208,7 @@ def test_learned_field_round_trip():
     result = train_flow_matching(data, cfg, mlp_config=TOY_MLP, val_set=data)
     f = flow_field(result.params)
     solver = SolverConfig("rk4", 400)
-    u0 = data.states[0][0]
+    u0 = data.states[0][:1]
     fwd = rollout(f, u0, [0.0, 1.0], solver)
     back = rollout_reverse(f, fwd.states[-1], 1.0, [0.0], solver)
     rel = np.linalg.norm(back.states[-1] - u0) / np.linalg.norm(u0)
@@ -332,7 +334,7 @@ def test_ar_learns_identity_on_constant_data():
     report = evaluate_one_step_model(result.params, data)
     assert report.mean < 1e-2
     F = one_step_map(result.params)
-    assert abs(F(np.array([1.5]))[0] - 1.5) < 1e-2
+    assert abs(F(np.array([[1.5]]))[0, 0] - 1.5) < 1e-2
 
 
 AR_MLP_PAIR = MlpConfig(state_dim=1, hidden_dims=(2,), use_time_embedding=False)
@@ -351,6 +353,24 @@ def test_ar_evaluation_masks_rows_that_blow_up():
     report = evaluate_one_step_model(params, data)
     assert report.n_diverged == 2
     assert report.nfe == 3
+
+
+def test_ar_evaluation_scores_each_trajectory_at_its_own_index():
+    # F(u) = 2 u through the ReLU pair; grids A, B, A form two groups, so
+    # trajectory 2 is rolled out before trajectory 1
+    params = VectorFieldParams(AR_MLP_PAIR, np.array([1.0, -1.0, 0.0, 0.0, 2.0, -2.0, 0.0]))
+    grid_a, grid_b = uniform_grid(4), TimeGrid(times=[0.0, 0.2, 0.5, 1.0])
+    u0s, rates = (1.0, 3.0, -0.5), (1.5, 2.5, 1.0)
+    truths = [u0 * rate ** np.arange(4.0)[:, None] for u0, rate in zip(u0s, rates)]
+    data = TrajectorySet(
+        grids=[grid_a, grid_b, grid_a], states=truths, state_dim=1, system_tag="toy",
+        raw_horizon=1.0,
+    )
+    report = evaluate_one_step_model(params, data)
+    own = [relative_l2(u0 * 2.0 ** np.arange(4.0)[:, None], truth)
+           for u0, truth in zip(u0s, truths)]
+    assert len(set(own)) == 3
+    assert report.per_traj.tolist() == own
 
 
 def test_budget_nfe_is_scheduled_and_reverse_counts_rows_that_all_died():
