@@ -13,7 +13,6 @@ from .errors import (
     DivergedError,
     InvalidArgumentError,
     NumericError,
-    OutOfRangeError,
     TrainingAbortedError,
     UndefinedMetricError,
 )

@@ -1,10 +1,13 @@
 """Experiment command line: data generation, training, evaluation, studies.
 
 Subcommands: gen-data, train, train-ar, eval, convergence, nfe-sweep,
-reverse. Every option can also come from a key=value config file
-(--config); explicit flags win over the file, which wins over built-in
-defaults. Outputs land under --out-dir, which defaults to the
-SPLINEFLOW_OUTPUT_ROOT environment variable or ./outputs.
+reverse. gen-data writes one binary dataset file (see `datafile`); every
+other command reads one. Every option can also come from a key=value
+config file (--config), one option per line, with `#` comments and
+option names spelled with dashes or underscores; explicit flags win over
+the file, which wins over built-in defaults. Outputs land under
+--out-dir, which defaults to the SPLINEFLOW_OUTPUT_ROOT environment
+variable or ./outputs.
 
 All commands are deterministic for a fixed configuration: a sha256
 fingerprint of the resolved settings is embedded in every CSV and
@@ -94,9 +97,8 @@ COMMANDS = {
         ("init_box", float, 5.0, "lorenz initial-condition box half-width"),
         ("nu", float, 0.01, "burgers viscosity"),
         ("nx", int, 100, "burgers spatial points"),
-        ("gen_substeps", int, None, "integrator substeps per interval (default: system rule)"),
+        ("gen_substeps", int, None, "integrator substeps per interval (default: lorenz 10, burgers by stability)"),
         ("seed", int, 0, "generation seed"),
-        ("mode", str, "binary", "dataset file mode: binary or json"),
         ("out", str, None, "dataset path (default under out dir)"),
     ],
     "train": _COMMON + _TRAIN_OPTS + [
@@ -251,6 +253,9 @@ def cmd_gen_data(options: dict) -> int:
     n_times = options["n_times"] if options["n_times"] is not None else d_times
     horizon = options["horizon"] if options["horizon"] is not None else d_horizon
     seed = options["seed"]
+    substeps = options["gen_substeps"]
+    if system == "lorenz" and substeps is None:
+        substeps = 10
 
     counts = {"train": n_train, "val": n_val, "test": n_test}
     splits = {}
@@ -259,7 +264,6 @@ def cmd_gen_data(options: dict) -> int:
             continue
         split_seed = 4 * seed + _SPLIT_SALT[name] + 1
         if system == "lorenz":
-            substeps = options["gen_substeps"] or 10
             splits[name] = generate_lorenz(
                 count,
                 n_times,
@@ -276,7 +280,7 @@ def cmd_gen_data(options: dict) -> int:
                 config=config,
                 seed=split_seed,
                 horizon_seconds=horizon,
-                substeps=options["gen_substeps"],
+                substeps=substeps,
             )
     if not splits:
         raise InvalidArgumentError("all split sizes are zero; nothing to generate")
@@ -289,14 +293,15 @@ def cmd_gen_data(options: dict) -> int:
         "horizon_seconds": horizon,
         "n_times": n_times,
         "counts": counts,
+        "substeps": substeps,
     }
     if system == "lorenz":
-        meta.update({"init_box": options["init_box"], "substeps": options["gen_substeps"] or 10})
+        meta["init_box"] = options["init_box"]
     else:
-        meta.update({"nu": options["nu"], "nx": options["nx"], "substeps": options["gen_substeps"]})
+        meta.update({"nu": options["nu"], "nx": options["nx"]})
 
     out = options["out"] or _out_dir(options) / f"{system}_seed{seed}.sftraj"
-    datafile.write_dataset(out, splits, generator_meta=meta, mode=options["mode"])
+    datafile.write_dataset(out, splits, generator_meta=meta)
     print(f"wrote {out} ({', '.join(f'{k}={v.n_traj}' for k, v in splits.items())}) fingerprint={fp}")
     return 0
 

@@ -1,11 +1,13 @@
-"""Self-describing trajectory dataset files.
+"""Self-describing trajectory dataset files (binary, one format).
 
-Binary layout: an 8-byte magic, a little-endian uint32 header length, a
-canonical-JSON header, then raw little-endian float64 arrays. Per split
-and per trajectory the payload holds the normalized times followed by the
-snapshot block in time-major, component-minor order. A JSON-only mode
-(nested lists, same header fields) exists for small datasets and
-debugging; `read_dataset` dispatches on the leading bytes.
+Layout: an 8-byte magic, a little-endian uint32 header length, a
+canonical-JSON header, then raw little-endian float64 arrays. The header
+holds `format_version`, `system`, `state_dim`, `raw_horizon`, the
+generator metadata under `generator`, and per split its `name` and the
+`n_times` of each trajectory. Per split and per trajectory the payload
+holds the normalized times followed by the snapshot block in time-major,
+component-minor order. Header keys the reader does not use (such as the
+`mode` of older files) are ignored.
 
 Writes are canonical (sorted keys, fixed separators), so write -> read ->
 write round-trips byte-identically.
@@ -29,7 +31,7 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _header(splits: dict, generator_meta: dict, mode: str) -> dict:
+def _header(splits: dict, generator_meta: dict) -> dict:
     first = next(iter(splits.values()))
     for name, ts in splits.items():
         if ts.state_dim != first.state_dim or ts.system_tag != first.system_tag:
@@ -38,7 +40,6 @@ def _header(splits: dict, generator_meta: dict, mode: str) -> dict:
             raise InvalidArgumentError(f"split {name!r} disagrees on the horizon")
     return {
         "format_version": FORMAT_VERSION,
-        "mode": mode,
         "system": first.system_tag,
         "state_dim": first.state_dim,
         "raw_horizon": first.raw_horizon,
@@ -50,27 +51,11 @@ def _header(splits: dict, generator_meta: dict, mode: str) -> dict:
     }
 
 
-def write_dataset(path, splits: dict, generator_meta: dict | None = None, mode: str = "binary") -> None:
+def write_dataset(path, splits: dict, generator_meta: dict | None = None) -> None:
     """Write named TrajectorySet splits plus metadata to one file."""
     if not splits:
         raise InvalidArgumentError("need at least one split to write")
-    if mode not in ("binary", "json"):
-        raise InvalidArgumentError("mode must be 'binary' or 'json'")
-    header = _header(splits, generator_meta or {}, mode)
-
-    if mode == "json":
-        payload = dict(header)
-        payload["data"] = {
-            name: [
-                {"times": g.times.tolist(), "states": u.tolist()}
-                for g, u in zip(ts.grids, ts.states)
-            ]
-            for name, ts in splits.items()
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_canonical_json(payload))
-        return
-
+    header = _header(splits, generator_meta or {})
     header_bytes = _canonical_json(header).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -85,88 +70,43 @@ def write_dataset(path, splits: dict, generator_meta: dict | None = None, mode: 
 def read_dataset(path):
     """Read a dataset file; returns (splits dict, header metadata dict)."""
     with open(path, "rb") as fh:
-        head = fh.read(len(MAGIC))
-        if head == MAGIC:
-            return _read_binary(fh, path)
-    with open(path, "r", encoding="utf-8") as fh:
+        if fh.read(len(MAGIC)) != MAGIC:
+            raise DataFormatError(f"{path}: not a dataset file (bad magic)")
+        raw_len = fh.read(4)
+        if len(raw_len) != 4:
+            raise DataFormatError(f"{path}: truncated header length")
+        header_len = int(np.frombuffer(raw_len, dtype="<u4")[0])
         try:
-            payload = json.load(fh)
+            header = json.loads(fh.read(header_len).decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DataFormatError(f"{path}: neither a binary nor a JSON dataset") from exc
-    return _read_json(payload, path)
-
-
-def _check_header(header: dict, path) -> None:
-    if header.get("format_version") != FORMAT_VERSION:
-        raise DataFormatError(
-            f"{path}: unsupported dataset version {header.get('format_version')}"
-        )
-    for key in ("system", "state_dim", "raw_horizon", "splits"):
-        if key not in header:
-            raise DataFormatError(f"{path}: header is missing {key!r}")
-
-
-def _build_split(header: dict, blocks) -> TrajectorySet:
-    grids = [
-        TimeGrid(times=times, raw_horizon=float(header["raw_horizon"]))
-        for times, _ in blocks
-    ]
-    return TrajectorySet(
-        grids=grids,
-        states=[states for _, states in blocks],
-        state_dim=int(header["state_dim"]),
-        system_tag=str(header["system"]),
-        raw_horizon=float(header["raw_horizon"]),
-    )
-
-
-def _read_binary(fh, path):
-    raw_len = fh.read(4)
-    if len(raw_len) != 4:
-        raise DataFormatError(f"{path}: truncated header length")
-    header_len = int(np.frombuffer(raw_len, dtype="<u4")[0])
-    try:
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"{path}: corrupt header") from exc
-    _check_header(header, path)
-    d = int(header["state_dim"])
-    splits = {}
-    for entry in header["splits"]:
-        blocks = []
-        for n in entry["n_times"]:
-            need = n * (1 + d) * 8
-            buf = fh.read(need)
-            if len(buf) != need:
-                raise DataFormatError(f"{path}: truncated payload")
-            times = np.frombuffer(buf[: n * 8], dtype="<f8").copy()
-            states = (
-                np.frombuffer(buf[n * 8 :], dtype="<f8").reshape(n, d).copy()
+            raise DataFormatError(f"{path}: corrupt header") from exc
+        if header.get("format_version") != FORMAT_VERSION:
+            raise DataFormatError(
+                f"{path}: unsupported dataset version {header.get('format_version')}"
             )
-            blocks.append((times, states))
-        splits[entry["name"]] = _build_split(header, blocks)
-    if fh.read(1):
-        raise DataFormatError(f"{path}: trailing bytes after payload")
-    return splits, header
-
-
-def _read_json(payload: dict, path):
-    _check_header(payload, path)
-    if payload.get("mode") != "json":
-        raise DataFormatError(f"{path}: JSON file does not declare json mode")
-    data = payload.get("data", {})
-    splits = {}
-    for entry in payload["splits"]:
-        name = entry["name"]
-        if name not in data:
-            raise DataFormatError(f"{path}: split {name!r} missing from data")
-        blocks = [
-            (
-                np.asarray(traj["times"], dtype=np.float64),
-                np.asarray(traj["states"], dtype=np.float64),
+        for key in ("system", "state_dim", "raw_horizon", "splits"):
+            if key not in header:
+                raise DataFormatError(f"{path}: header is missing {key!r}")
+        d = int(header["state_dim"])
+        horizon = float(header["raw_horizon"])
+        splits = {}
+        for entry in header["splits"]:
+            grids, states = [], []
+            for n in entry["n_times"]:
+                need = n * (1 + d) * 8
+                buf = fh.read(need)
+                if len(buf) != need:
+                    raise DataFormatError(f"{path}: truncated payload")
+                times = np.frombuffer(buf[: n * 8], dtype="<f8").copy()
+                grids.append(TimeGrid(times=times, raw_horizon=horizon))
+                states.append(np.frombuffer(buf[n * 8 :], dtype="<f8").reshape(n, d).copy())
+            splits[entry["name"]] = TrajectorySet(
+                grids=grids,
+                states=states,
+                state_dim=d,
+                system_tag=str(header["system"]),
+                raw_horizon=horizon,
             )
-            for traj in data[name]
-        ]
-        splits[name] = _build_split(payload, blocks)
-    header = {k: v for k, v in payload.items() if k != "data"}
+        if fh.read(1):
+            raise DataFormatError(f"{path}: trailing bytes after payload")
     return splits, header

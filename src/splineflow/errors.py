@@ -9,10 +9,6 @@ class InvalidArgumentError(ValueError):
     """A precondition on an argument or configuration was violated."""
 
 
-class OutOfRangeError(InvalidArgumentError):
-    """A query time fell outside the normalized interval [0, 1]."""
-
-
 class UndefinedMetricError(InvalidArgumentError):
     """A metric is undefined for the given inputs (e.g. zero reference norm)."""
 

@@ -158,8 +158,12 @@ def reverse_time_study(
     earlier grid times, and averages the per-time relative error over
     trajectories. Returns rows (noise_level, backward_horizon, mean_error,
     n_diverged), where n_diverged counts the rows of that rollout that blew
-    up and were frozen.
+    up and were frozen. Noise levels must be finite and >= 0.
     """
+    if not all(np.isfinite(level) and level >= 0.0 for level in noise_levels):
+        raise InvalidArgumentError(
+            f"noise levels must be finite and >= 0, got {list(noise_levels)}"
+        )
     f = flow_field(params)
     rows = []
     for grid, ids in _grouped_by_grid(dataset):

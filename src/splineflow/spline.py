@@ -8,17 +8,18 @@ A spline over a TimeGrid stores its knot data as a table of shape
 * m = 3 holds [u, du/dt, d2u/dt2]: the C2 quintic Hermite interpolant,
   with knot derivatives estimated by `estimate_knot_derivatives`.
 
-Every evaluation goes through `segment_derivatives`: it gathers the two
-knots of each segment as (B, 2m, d) and contracts them with the basis
-chosen by m, scaled on the basis side by [1, h, h^2][:m] per end (and
-divided by h per time derivative). Splines, the batched interpolant
-sampler and the convergence study all call it. A linear table is a view
-of the snapshot array, not a copy.
+`segment_derivatives` is the only way to evaluate a spline: it gathers
+the two knots of each segment as (B, 2m, d) and contracts them with the
+basis chosen by m, scaled on the basis side by [1, h, h^2][:m] per end
+(and divided by h per time derivative). Its callers find the segments
+themselves: the batched interpolant sampler at random times, and the
+convergence study at segment endpoints. A linear table is a view of the
+snapshot array, not a copy.
 
-Knot convention: segments are half-open [t_i, t_{i+1}) and t = 1 maps to
-the final closed segment, so evaluation at an interior knot uses the
-right-hand segment; a linear spline's velocity at a knot is the slope of
-the segment to its right.
+Knot convention of the sampler: segments are half-open [t_i, t_{i+1})
+and t = 1 maps to the final closed segment, so a draw at an interior
+knot uses the right-hand segment; a linear spline's velocity there is
+the slope of the segment to its right.
 
 The noise schedule is the per-segment polynomial bump
 gamma(t) = gamma0 * (t - t_k)^m (t_{k+1} - t)^m / (t_{k+1} - t_k)^{2m},
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, OutOfRangeError
-from .stencil import KnotDerivatives, estimate_knot_derivatives
+from .errors import InvalidArgumentError
+from .stencil import estimate_knot_derivatives
 from .timegrid import TimeGrid
 
 # Quintic Hermite basis on the unit interval, ordered
@@ -136,25 +137,6 @@ def segment_derivatives(table: np.ndarray, left: np.ndarray, tau, h, orders) -> 
     return out
 
 
-def locate_segments(times: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Half-open segment index for each query time; t == 1 uses the last."""
-    idx = np.searchsorted(times, t, side="right") - 1
-    return np.clip(idx, 0, times.size - 2)
-
-
-def _check_range(t: np.ndarray) -> None:
-    if np.any(t < 0.0) or np.any(t > 1.0):
-        raise OutOfRangeError("query times must lie in the normalized interval [0, 1]")
-
-
-def _as_queries(t) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(t, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    _check_range(arr)
-    return arr, scalar
-
-
 def _check_values(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
@@ -184,36 +166,16 @@ class Spline:
     def state_dim(self) -> int:
         return int(self.table.shape[2])
 
-    def eval(self, t):
-        return self._derivative(t, 0)
-
-    def eval_velocity(self, t):
-        return self._derivative(t, 1)
-
-    def eval_accel(self, t):
-        return self._derivative(t, 2)
-
-    def _derivative(self, t, order: int):
-        ts, scalar = _as_queries(t)
-        seg = locate_segments(self.grid.times, ts)
-        h = self.grid.steps[seg]
-        tau = (ts - self.grid.times[seg]) / h
-        (out,) = segment_derivatives(self.table, seg, tau, h, (order,))
-        return out[0] if scalar else out
-
 
 def build_linear(grid: TimeGrid, values: np.ndarray) -> Spline:
     """Linear interpolant of the snapshots on their grid (a view, no copy)."""
     return Spline(grid=grid, table=_check_values(grid, values)[:, None, :])
 
 
-def build_quintic(
-    grid: TimeGrid, values: np.ndarray, derivs: KnotDerivatives | None = None
-) -> Spline:
-    """Quintic Hermite interpolant; derivatives estimated via stencils.
+def build_quintic(grid: TimeGrid, values: np.ndarray) -> Spline:
+    """Quintic Hermite interpolant with stencil-estimated knot derivatives.
 
-    Passing explicit `derivs` overrides the finite-difference estimates
-    (used when exact derivatives are known). Needs at least 3 knots.
+    Needs at least 3 knots.
     """
     values = _check_values(grid, values)
     if len(grid) < 3:
@@ -221,10 +183,7 @@ def build_quintic(
             "quintic splines need at least 3 knots for derivative stencils; "
             "use build_linear for 2-point trajectories"
         )
-    if derivs is None:
-        derivs = estimate_knot_derivatives(grid, values)
-    if derivs.d.shape != values.shape or derivs.a.shape != values.shape:
-        raise InvalidArgumentError("derivative arrays must match the snapshot shape")
+    derivs = estimate_knot_derivatives(grid, values)
     return Spline(grid=grid, table=np.stack([values, derivs.d, derivs.a], axis=1))
 
 

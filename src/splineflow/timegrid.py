@@ -55,23 +55,9 @@ class TimeGrid:
     def raw_times(self) -> np.ndarray:
         return self.times * self.raw_horizon
 
-    def is_uniform(self, rtol: float = 1e-9) -> bool:
+    def is_uniform(self) -> bool:
         h = self.steps
-        return bool(np.allclose(h, h[0], rtol=rtol, atol=1e-14))
-
-    @staticmethod
-    def from_raw(raw_times, raw_horizon: float | None = None) -> "TimeGrid":
-        """Normalize raw times (seconds) so the span becomes [0, 1]."""
-        raw = np.asarray(raw_times, dtype=np.float64)
-        if raw.ndim != 1 or raw.size < 2:
-            raise InvalidArgumentError("a time grid needs at least 2 points")
-        span = raw[-1] - raw[0]
-        if span <= 0.0:
-            raise InvalidArgumentError("raw times must be strictly increasing")
-        horizon = span if raw_horizon is None else float(raw_horizon)
-        times = (raw - raw[0]) / span
-        times[0], times[-1] = 0.0, 1.0
-        return TimeGrid(times=times, raw_horizon=horizon)
+        return bool(np.allclose(h, h[0], rtol=1e-9, atol=1e-14))
 
 
 def uniform_grid(n_points: int, raw_horizon: float = 1.0) -> TimeGrid:

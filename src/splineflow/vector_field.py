@@ -20,6 +20,7 @@ embedded once and broadcast across the rows.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,8 +217,18 @@ def save_checkpoint(path, params: VectorFieldParams, meta: dict | None = None) -
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (params, meta)."""
-    with np.load(path) as data:
+    """Read a checkpoint; returns (params, meta).
+
+    A file that is not an .npz archive (empty, truncated, a bare .npy or
+    any other format) raises DataFormatError.
+    """
+    try:
+        data = np.load(path)
+    except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise DataFormatError(f"not a parameter checkpoint: {path}") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise DataFormatError(f"not a parameter checkpoint: {path}")
+    with data:
         try:
             payload = json.loads(bytes(data["header_json"]).decode())
         except (KeyError, json.JSONDecodeError) as exc:

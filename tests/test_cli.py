@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from splineflow import cli
+from splineflow import DataFormatError, cli, datafile
 from splineflow.vector_field import MlpConfig, init_params, load_checkpoint, save_checkpoint
 
 
@@ -85,3 +86,104 @@ def test_sweep_csv_reports_scheduled_nfe_and_reverse_csv_counts_diverged_rows(
     assert [r["nfe"] for r in _csv_rows(sweep)] == ["20"]
     rows = _csv_rows(reverse)
     assert rows and all(r["n_diverged"] == "2" for r in rows)
+
+
+def test_gen_data_rejects_zero_substeps_for_both_systems(tmp_path):
+    for system in ("lorenz", "burgers1d"):
+        out = tmp_path / f"{system}.sftraj"
+        code = cli.main([
+            "gen-data", "--system", system, "--n-train", "1", "--n-val", "0", "--n-test", "0",
+            "--n-times", "5", "--gen-substeps", "0", "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+
+
+def test_gen_data_records_the_substeps_it_used(tmp_path):
+    out = tmp_path / "lorenz.sftraj"
+    base = ["gen-data", "--n-train", "1", "--n-val", "0", "--n-test", "0", "--n-times", "51"]
+    assert cli.main(base + ["--out", str(out)]) == 0
+    assert datafile.read_dataset(out)[1]["generator"]["substeps"] == 10
+    assert cli.main(base + ["--gen-substeps", "3", "--out", str(out)]) == 0
+    assert datafile.read_dataset(out)[1]["generator"]["substeps"] == 3
+
+
+@pytest.mark.parametrize("level", ["-0.1", "nan", "inf"])
+def test_reverse_rejects_negative_or_non_finite_noise(tiny_lorenz, tmp_path, level):
+    ckpt = tmp_path / "init.ckpt.npz"
+    save_checkpoint(ckpt, init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0))
+    out = tmp_path / "reverse.csv"
+    code = cli.main([
+        "reverse", "--checkpoint", str(ckpt), "--dataset", str(tiny_lorenz), "--split", "val",
+        "--t-star", "0.5", f"--noise-levels=0,{level}", "--out", str(out),
+    ])
+    assert code == 2
+    assert not out.exists()
+
+
+def _not_a_checkpoint(kind, tmp_path, dataset):
+    path = tmp_path / f"bad.{kind}"
+    if kind == "empty":
+        path.write_bytes(b"")
+    elif kind == "truncated":
+        save_checkpoint(path, init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0))
+        path.write_bytes(path.read_bytes()[:100])
+    elif kind == "dataset":
+        path.write_bytes(dataset.read_bytes())
+    else:
+        path = tmp_path / "array.npy"
+        np.save(path, np.zeros(3))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["empty", "truncated", "dataset", "npy"])
+def test_commands_reject_a_file_that_is_not_a_checkpoint(tiny_lorenz, tmp_path, kind):
+    path = _not_a_checkpoint(kind, tmp_path, tiny_lorenz)
+    with pytest.raises(DataFormatError):
+        load_checkpoint(path)
+    for command in ("eval", "nfe-sweep", "reverse"):
+        code = cli.main([
+            command, "--checkpoint", str(path), "--dataset", str(tiny_lorenz), "--split", "val",
+            "--out", str(tmp_path / f"{command}.csv"),
+        ])
+        assert code == 4
+
+
+def test_config_file_sits_between_defaults_and_flags(tiny_lorenz, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "# evaluation settings\n"
+        "\n"
+        "split = val  # dashed and underscored keys both work\n"
+        "eval-stride = 5\n"
+        "substeps = 2\n"
+        "method = euler\n"
+    )
+    args = cli.build_parser().parse_args(
+        ["eval", "--config", str(config), "--method", "heun"]
+    )
+    options = cli.resolve_options("eval", args)
+    assert options["split"] == "val"
+    assert options["eval_stride"] == 5
+    assert options["substeps"] == 2
+    assert options["method"] == "heun"  # the flag wins over the file
+    assert options["out"] is None  # untouched keys keep their defaults
+
+    ckpt = tmp_path / "init.ckpt.npz"
+    save_checkpoint(ckpt, init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0))
+    out = tmp_path / "eval.csv"
+    code = cli.main([
+        "eval", "--config", str(config), "--checkpoint", str(ckpt),
+        "--dataset", str(tiny_lorenz), "--out", str(out),
+    ])
+    assert code == 0
+    # 2 val rows over 10 intervals at stride 5: 2 euler steps of 2 substeps each
+    assert "# nfe=4" in out.read_text().splitlines()
+
+
+def test_config_file_errors(tiny_lorenz, tmp_path):
+    eval_args = ["eval", "--dataset", str(tiny_lorenz), "--checkpoint", "unused"]
+    unknown = tmp_path / "unknown.cfg"
+    unknown.write_text("noise_levels = 0.1\n")  # a reverse option, not an eval one
+    assert cli.main(eval_args + ["--config", str(unknown)]) == 2
+    assert cli.main(eval_args + ["--config", str(tmp_path / "absent.cfg")]) == 4

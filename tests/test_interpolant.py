@@ -9,7 +9,7 @@ from splineflow import (
     build_quintic,
     uniform_grid,
 )
-from splineflow.spline import locate_segments
+from splineflow.spline import segment_derivatives
 from splineflow.timegrid import TimeGrid
 
 
@@ -46,22 +46,58 @@ def _irregular_grid(n, rng):
     return TimeGrid(times=np.concatenate(([0.0], interior, [1.0])))
 
 
+def _quadratic_splines(build, lengths, seed):
+    """Splines through per-trajectory quadratics on irregular grids.
+
+    Trajectory j samples q_j(t) = c[j, 0] + c[j, 1] t + c[j, 2] t^2 in two
+    components; returns the splines and c, shape (n_traj, 3, 2).
+    """
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal((len(lengths), 3, 2))
+    splines = []
+    for n, c in zip(lengths, coeffs):
+        grid = _irregular_grid(n, rng)
+        t = grid.times[:, None]
+        splines.append(build(grid, c[0] + c[1] * t + c[2] * t**2))
+    return splines, coeffs
+
+
+def _exact(spline, c, t):
+    """Path and velocity that a noiseless draw at t must return.
+
+    Quintic: q(t) and q'(t) themselves, since the three-point stencils and
+    the Hermite basis are both exact on quadratics. Linear: np.interp and
+    the slope of the segment holding t (the right one at a knot).
+    """
+    if spline.table.shape[1] == 3:
+        return c[0] + c[1] * t + c[2] * t**2, c[1] + 2.0 * c[2] * t
+    times, u = spline.grid.times, spline.table[:, 0]
+    k = min(np.searchsorted(times, t, side="right") - 1, times.size - 2)
+    x = np.array([np.interp(t, times, col) for col in u.T])
+    return x, (u[k + 1] - u[k]) / (times[k + 1] - times[k])
+
+
+def _assert_on_truth(splines, coeffs, traj, batch):
+    for i, t in enumerate(batch.t):
+        x, v = _exact(splines[traj[i]], coeffs[traj[i]], t)
+        assert np.allclose(batch.x[i], x, rtol=1e-12, atol=1e-12)
+        assert np.allclose(batch.v_target[i], v, rtol=1e-12, atol=1e-12)
+
+
 def test_sample_at_knot_ignores_noise():
     spline = _quintic_set(1)[0]
     sampler = InterpolantSampler([spline], NoiseSchedule(gamma0=0.5, m=3))
     knot = spline.grid.times[3]
     out = sampler.sample_batch(1, FixedDraws([0], [knot], np.full((1, 3), 7.0)))
     assert np.allclose(out.x[0], spline.table[3, 0], atol=1e-12)
-    assert np.allclose(out.v_target[0], spline.eval_velocity(knot), atol=1e-12)
+    assert np.allclose(out.v_target[0], spline.table[3, 1], atol=1e-12)
 
 
 def test_sample_noiseless_reduces_to_flow_matching():
-    spline = _quintic_set(1)[0]
-    sampler = InterpolantSampler([spline], NoiseSchedule(gamma0=0.0, m=3))
+    splines, coeffs = _quadratic_splines(build_quintic, (9,), seed=1)
+    sampler = InterpolantSampler(splines, NoiseSchedule(gamma0=0.0, m=3))
     batch = sampler.sample_batch(16, np.random.default_rng(1))
-    for t, x, v in zip(batch.t, batch.x, batch.v_target):
-        assert np.array_equal(x, spline.eval(t))
-        assert np.array_equal(v, spline.eval_velocity(t))
+    _assert_on_truth(splines, coeffs, np.zeros(16, dtype=int), batch)
 
 
 def test_sample_linear_hand_value():
@@ -72,6 +108,17 @@ def test_sample_linear_hand_value():
     out = sampler.sample_batch(1, FixedDraws([0], [0.25], [[1.0]]))
     assert np.isclose(out.x[0, 0], 0.25 + 0.1875)
     assert np.isclose(out.v_target[0, 0], 1.0 + 0.5)
+
+
+def test_linear_draws_at_knots_take_the_right_segment():
+    # half-open segments: a draw at t = 0 or at an interior knot reads the
+    # segment to its right, and t = 1 the last one
+    grid = TimeGrid(times=np.array([0.0, 0.4, 1.0]))
+    spline = build_linear(grid, np.array([[1.0], [3.0], [0.0]]))
+    sampler = InterpolantSampler([spline], NoiseSchedule(gamma0=0.0, m=3))
+    out = sampler.sample_batch(3, FixedDraws([0, 0, 0], [0.0, 0.4, 1.0], np.zeros((3, 1))))
+    assert np.allclose(out.x[:, 0], [1.0, 3.0, 0.0])
+    assert np.allclose(out.v_target[:, 0], [(3 - 1) / 0.4, (0 - 3) / 0.6, (0 - 3) / 0.6])
 
 
 def test_sample_dimension_mismatch():
@@ -105,18 +152,15 @@ def test_batch_times_are_uniform():
 
 
 def test_batch_noiseless_targets_lie_on_splines():
-    splines = _quintic_set(3)
-    schedule = NoiseSchedule(gamma0=0.0, m=3)
-    sampler = InterpolantSampler(splines, schedule)
-    rng = np.random.default_rng(4)
-    batch = sampler.sample_batch(64, rng)
-    # recover the drawn indices by replaying the rng
-    replay = np.random.default_rng(4)
-    traj = replay.integers(0, 3, size=64)
-    for i in range(64):
-        s = splines[traj[i]]
-        assert np.allclose(batch.x[i], s.eval(batch.t[i]), atol=1e-12)
-        assert np.allclose(batch.v_target[i], s.eval_velocity(batch.t[i]), atol=1e-12)
+    # trajectories of 5, 7 and 9 knots on irregular grids share one batch
+    for build in (build_linear, build_quintic):
+        splines, coeffs = _quadratic_splines(build, (5, 7, 9), seed=4)
+        sampler = InterpolantSampler(splines, NoiseSchedule(gamma0=0.0, m=3))
+        batch = sampler.sample_batch(64, np.random.default_rng(4))
+        # recover the drawn indices by replaying the rng
+        traj = np.random.default_rng(4).integers(0, 3, size=64)
+        assert set(traj.tolist()) == {0, 1, 2}
+        _assert_on_truth(splines, coeffs, traj, batch)
 
 
 def test_stacked_path_matches_scalar_sampling():
@@ -133,8 +177,19 @@ def test_stacked_path_matches_scalar_sampling():
         assert np.array_equal(batch.v_target[i], single.v_target[0])
 
 
+def _on_spline(spline, t):
+    """(segment, tau, h, path, velocity) at t, segment found by searchsorted."""
+    times = spline.grid.times
+    seg = min(np.searchsorted(times, t, side="right") - 1, times.size - 2)
+    h = spline.grid.steps[seg]
+    tau = (t - times[seg]) / h
+    x, v = segment_derivatives(spline.table, np.array([seg]), np.array([tau]), np.array([h]), (0, 1))
+    return tau, h, x[0], v[0]
+
+
 def test_ragged_grids_match_spline_eval_plus_noise():
-    # trajectories of 5, 7 and 9 knots on irregular grids share one batch
+    # trajectories of 5, 7 and 9 knots on irregular grids share one batch;
+    # a searchsorted lookup per draw is the reference for the padded matrix
     schedule = NoiseSchedule(gamma0=0.05, m=3)
     for build in (build_linear, build_quintic):
         rng = np.random.default_rng(5)
@@ -149,17 +204,15 @@ def test_ragged_grids_match_spline_eval_plus_noise():
         zs = replay.standard_normal((200, 2))
         assert set(traj.tolist()) == {0, 1, 2}
         for i, (t, z) in enumerate(zip(batch.t, zs)):
-            s = splines[traj[i]]
-            seg = locate_segments(s.grid.times, np.array([t]))[0]
-            h = s.grid.steps[seg]
-            g, gp = schedule.from_tau((t - s.grid.times[seg]) / h, h)
-            assert np.allclose(batch.x[i], s.eval(t) + g * z, rtol=1e-12, atol=1e-12)
-            assert np.allclose(batch.v_target[i], s.eval_velocity(t) + gp * z, rtol=1e-12, atol=1e-12)
+            tau, h, x, v = _on_spline(splines[traj[i]], t)
+            g, gp = schedule.from_tau(tau, h)
+            assert np.allclose(batch.x[i], x + g * z, rtol=1e-12, atol=1e-12)
+            assert np.allclose(batch.v_target[i], v + gp * z, rtol=1e-12, atol=1e-12)
         # t == 1 falls in each trajectory's own last segment
         end = sampler.sample_batch(3, FixedDraws([0, 1, 2], np.ones(3), np.ones((3, 2))))
         for i, s in enumerate(splines):
             assert np.allclose(end.x[i], s.table[-1, 0], rtol=1e-12, atol=1e-12)
-            assert np.allclose(end.v_target[i], s.eval_velocity(1.0), rtol=1e-12, atol=1e-12)
+            assert np.allclose(end.v_target[i], _on_spline(s, 1.0)[3], rtol=1e-12, atol=1e-12)
 
 
 def test_boundary_continuity_near_knots():
@@ -177,12 +230,8 @@ def test_empty_spline_set_rejected():
 
 def test_irregular_grid_sampling():
     # per-trajectory irregular grids of equal length
-    rng = np.random.default_rng(8)
-    splines = [build_quintic(_irregular_grid(7, rng), rng.standard_normal((7, 2))) for _ in range(3)]
+    splines, coeffs = _quadratic_splines(build_quintic, (7, 7, 7), seed=8)
     sampler = InterpolantSampler(splines, NoiseSchedule(gamma0=0.0, m=3))
     batch = sampler.sample_batch(40, np.random.default_rng(2))
-    replay = np.random.default_rng(2)
-    traj = replay.integers(0, 3, size=40)
-    for i in range(40):
-        s = splines[traj[i]]
-        assert np.allclose(batch.x[i], s.eval(batch.t[i]), atol=1e-12)
+    traj = np.random.default_rng(2).integers(0, 3, size=40)
+    _assert_on_truth(splines, coeffs, traj, batch)

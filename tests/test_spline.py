@@ -4,15 +4,32 @@ import pytest
 from splineflow import (
     InvalidArgumentError,
     NoiseSchedule,
-    OutOfRangeError,
     Spline,
     build_linear,
     build_quintic,
     uniform_grid,
 )
-from splineflow.spline import hermite_basis, hermite_basis_d1, hermite_basis_d2
-from splineflow.stencil import KnotDerivatives
+from splineflow.spline import (
+    hermite_basis,
+    hermite_basis_d1,
+    hermite_basis_d2,
+    segment_derivatives,
+)
 from splineflow.timegrid import TimeGrid
+
+
+def _at(spline, ts, order):
+    """Time derivative of the given order at ts, shape (n, d).
+
+    Segments are half-open with t = 1 in the last one, so a knot is read
+    from the segment to its right.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
+    times = spline.grid.times
+    seg = np.minimum(np.searchsorted(times, ts, side="right") - 1, times.size - 2)
+    h = spline.grid.steps[seg]
+    (out,) = segment_derivatives(spline.table, seg, (ts - times[seg]) / h, h, (order,))
+    return out
 
 
 def test_hermite_endpoint_conditions():
@@ -34,25 +51,27 @@ def test_hermite_endpoint_conditions():
 
 def test_linear_segment_and_velocity():
     spline = build_linear(uniform_grid(2), np.array([[0.0], [1.0]]))
-    assert np.allclose(spline.eval(0.3), [0.3])
-    for t in (0.0, 0.25, 0.99, 1.0):
-        assert np.allclose(spline.eval_velocity(t), [1.0])
+    assert np.allclose(_at(spline, 0.3, 0), [[0.3]])
+    assert np.allclose(_at(spline, [0.0, 0.25, 0.99, 1.0], 1), 1.0)
 
 
 def test_linear_constant_has_zero_velocity():
     spline = build_linear(uniform_grid(7), np.full((7, 2), 2.5))
     ts = np.linspace(0, 1, 23)
-    assert np.allclose(spline.eval_velocity(ts), 0.0)
+    assert np.array_equal(_at(spline, ts, 1), np.zeros((23, 2)))
+    assert np.allclose(_at(spline, ts, 0), 2.5)
 
 
 def test_linear_velocity_is_secant_slope():
     grid = TimeGrid(times=np.array([0.0, 0.4, 1.0]))
     values = np.array([[1.0], [3.0], [0.0]])
     spline = build_linear(grid, values)
-    assert np.allclose(spline.eval_velocity(0.2), [(3 - 1) / 0.4])
-    assert np.allclose(spline.eval_velocity(0.7), [(0 - 3) / 0.6])
+    assert np.allclose(_at(spline, 0.2, 1), [[(3 - 1) / 0.4]])
+    assert np.allclose(_at(spline, 0.7, 1), [[(0 - 3) / 0.6]])
     # knot velocity follows the forward-difference (right-segment) convention
-    assert np.allclose(spline.eval_velocity(0.4), [(0 - 3) / 0.6])
+    assert np.allclose(_at(spline, 0.4, 1), [[(0 - 3) / 0.6]])
+    # a linear spline has no acceleration
+    assert np.array_equal(_at(spline, [0.2, 0.4, 0.7], 2), np.zeros((3, 1)))
 
 
 def test_quintic_reproduces_identity_map():
@@ -60,9 +79,9 @@ def test_quintic_reproduces_identity_map():
     # constructed directly because build_quintic insists on >= 3 knots
     table = np.array([[[0.0], [1.0], [0.0]], [[1.0], [1.0], [0.0]]])
     spline = Spline(grid=uniform_grid(2), table=table)
-    assert np.allclose(spline.eval(0.5), [0.5], atol=1e-13)
+    assert np.allclose(_at(spline, 0.5, 0), [[0.5]], atol=1e-13)
     ts = np.linspace(0, 1, 17)
-    assert np.allclose(spline.eval(ts)[:, 0], ts, atol=1e-13)
+    assert np.allclose(_at(spline, ts, 0)[:, 0], ts, atol=1e-13)
 
 
 def test_quintic_rejects_two_knots():
@@ -71,24 +90,23 @@ def test_quintic_rejects_two_knots():
 
 
 def test_quintic_reproduces_degree_five_polynomial():
-    # exact derivatives injected: the Hermite interpolant is exact for
-    # degree <= 5 regardless of grid spacing
+    # exact knot derivatives in the table: the Hermite interpolant is
+    # exact for degree <= 5 regardless of grid spacing
     coeffs = np.array([0.3, -1.2, 0.5, 2.0, -0.7, 1.1])  # highest power first
     poly = np.polynomial.polynomial.Polynomial(coeffs[::-1])
     dpoly = poly.deriv()
     ddpoly = dpoly.deriv()
     knots = np.array([0.0, 0.37, 1.0])
     grid = TimeGrid(times=knots)
-    values = poly(knots)[:, None]
-    derivs = KnotDerivatives(d=dpoly(knots)[:, None], a=ddpoly(knots)[:, None])
-    spline = build_quintic(grid, values, derivs=derivs)
+    table = np.stack([poly(knots), dpoly(knots), ddpoly(knots)], axis=1)[:, :, None]
+    spline = Spline(grid, table)
     ts = np.linspace(0.0, 1.0, 100)
     scale = np.max(np.abs(poly(ts)))
-    assert np.max(np.abs(spline.eval(ts)[:, 0] - poly(ts))) < 1e-8 * scale
-    assert np.max(np.abs(spline.eval_velocity(ts)[:, 0] - dpoly(ts))) < 1e-8 * max(
+    assert np.max(np.abs(_at(spline, ts, 0)[:, 0] - poly(ts))) < 1e-8 * scale
+    assert np.max(np.abs(_at(spline, ts, 1)[:, 0] - dpoly(ts))) < 1e-8 * max(
         1.0, np.max(np.abs(dpoly(ts)))
     )
-    assert np.max(np.abs(spline.eval_accel(ts)[:, 0] - ddpoly(ts))) < 1e-8 * max(
+    assert np.max(np.abs(_at(spline, ts, 2)[:, 0] - ddpoly(ts))) < 1e-8 * max(
         1.0, np.max(np.abs(ddpoly(ts)))
     )
 
@@ -102,15 +120,15 @@ def _wiggly_quintic():
 
 def test_quintic_interpolates_knots():
     spline = _wiggly_quintic()
-    got = spline.eval(spline.grid.times)
+    got = _at(spline, spline.grid.times, 0)
     assert np.max(np.abs(got - spline.table[:, 0])) < 1e-12
 
 
 def test_quintic_velocity_and_accel_match_knot_data():
     spline = _wiggly_quintic()
     interior = spline.grid.times[1:-1]
-    assert np.allclose(spline.eval_velocity(interior), spline.table[1:-1, 1], atol=1e-10)
-    assert np.allclose(spline.eval_accel(interior), spline.table[1:-1, 2], atol=1e-8)
+    assert np.allclose(_at(spline, interior, 1), spline.table[1:-1, 1], atol=1e-10)
+    assert np.allclose(_at(spline, interior, 2), spline.table[1:-1, 2], atol=1e-8)
 
 
 def test_quintic_c2_continuity_at_interior_knots():
@@ -127,19 +145,10 @@ def test_quintic_c2_continuity_at_interior_knots():
         left_val = hermite_basis(np.array([1.0]))[0] @ coeffs
         left_vel = hermite_basis_d1(np.array([1.0]))[0] @ coeffs / hi
         left_acc = hermite_basis_d2(np.array([1.0]))[0] @ coeffs / (hi * hi)
-        right_val = spline.eval(times[i + 1])
-        right_vel = spline.eval_velocity(times[i + 1])
-        right_acc = spline.eval_accel(times[i + 1])
+        right_val, right_vel, right_acc = (_at(spline, times[i + 1], k)[0] for k in (0, 1, 2))
         assert np.allclose(left_val, right_val, rtol=1e-9, atol=1e-12)
         assert np.allclose(left_vel, right_vel, rtol=1e-9, atol=1e-9)
         assert np.allclose(left_acc, right_acc, rtol=1e-9, atol=1e-7)
-
-
-def test_eval_rejects_out_of_range():
-    spline = _wiggly_quintic()
-    for t in (-0.01, 1.01):
-        with pytest.raises(OutOfRangeError):
-            spline.eval(t)
 
 
 def test_spline_rejects_bad_table_shape():

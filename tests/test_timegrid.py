@@ -36,13 +36,6 @@ def test_grid_must_be_normalized():
         TimeGrid(times=np.array([0.1, 0.5, 1.0]))
 
 
-def test_from_raw_normalizes():
-    g = TimeGrid.from_raw([0.0, 1.0, 2.5, 5.0])
-    assert g.raw_horizon == 5.0
-    assert np.allclose(g.times, [0.0, 0.2, 0.5, 1.0])
-    assert np.allclose(g.raw_times, [0.0, 1.0, 2.5, 5.0])
-
-
 def test_subsample_identity():
     g = uniform_grid(11)
     assert np.array_equal(subsample_indices(g, 1.0, seed=3), np.arange(11))
