@@ -117,9 +117,9 @@ COMMANDS = {
         ("out", str, None, "report CSV path"),
     ],
     "convergence": _COMMON + [
-        ("dataset", str, None, "uniform-grid lorenz dataset"),
+        ("dataset", str, None, "lorenz dataset whose trajectories share one uniform grid"),
         ("split", str, "train", "split to analyze"),
-        ("factors", _comma_ints, (1, 2, 4), "downsampling factors"),
+        ("factors", _comma_ints, (1, 2, 4), "two or more distinct downsampling factors, each dividing the segment count"),
         ("out", str, None, "order table CSV path"),
     ],
     "nfe-sweep": _COMMON + [
@@ -181,16 +181,22 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
     """Merge defaults < config file < explicit flags, with typed parsing."""
     table = {name: (typ, default) for name, typ, default, _ in COMMANDS[command]}
     resolved = {name: default for name, (_, default) in table.items()}
+    raw_values = {}
     config_path = getattr(args, "config", None)
     if config_path:
         for key, raw in _load_config_file(config_path).items():
             if key not in table:
                 raise InvalidArgumentError(f"unknown config key {key!r} for {command}")
-            resolved[key] = table[key][0](raw)
+            raw_values[key] = raw
     for key, raw in vars(args).items():
-        if key in ("command", "config") or raw is None:
-            continue
-        resolved[key] = table[key][0](raw)
+        if key not in ("command", "config") and raw is not None:
+            raw_values[key] = raw
+    for key, raw in raw_values.items():
+        try:
+            resolved[key] = table[key][0](raw)
+        except ValueError as exc:
+            flag = "--" + key.replace("_", "-")
+            raise InvalidArgumentError(f"invalid value {raw!r} for {flag}: {exc}") from exc
     return resolved
 
 

@@ -187,3 +187,31 @@ def test_config_file_errors(tiny_lorenz, tmp_path):
     unknown.write_text("noise_levels = 0.1\n")  # a reverse option, not an eval one
     assert cli.main(eval_args + ["--config", str(unknown)]) == 2
     assert cli.main(eval_args + ["--config", str(tmp_path / "absent.cfg")]) == 4
+
+
+@pytest.mark.parametrize("factors", ["1,1", "1,3"])
+def test_convergence_rejects_repeated_or_non_dividing_factors(tiny_lorenz, tmp_path, factors):
+    # 11 knots: 10 segments, which 3 does not divide; a repeated factor
+    # would report a 0/0 order
+    out = tmp_path / "convergence.csv"
+    code = cli.main([
+        "convergence", "--dataset", str(tiny_lorenz), "--factors", factors, "--out", str(out),
+    ])
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [("eval", "eval-stride", "abc"), ("convergence", "factors", "1,x"), ("train", "lr", "fast")],
+)
+def test_malformed_option_values_exit_2_from_flags_and_config_files(
+    tiny_lorenz, tmp_path, capsys, command, option, value
+):
+    base = [command, "--dataset", str(tiny_lorenz), "--out-dir", str(tmp_path)]
+    assert cli.main(base + [f"--{option}", value]) == 2
+    assert f"--{option}" in capsys.readouterr().err
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"{option} = {value}\n")
+    assert cli.main(base + ["--config", str(config)]) == 2
+    assert f"--{option}" in capsys.readouterr().err

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from splineflow import InvalidArgumentError, generate_burgers, generate_lorenz
+from splineflow import InvalidArgumentError, convergence, generate_burgers, generate_lorenz
 from splineflow.convergence import (
     downsample_regular,
     endpoint_velocity_study,
     segment_endpoint_velocities,
 )
+from splineflow.metrics import empirical_order
 from splineflow.spline import build_linear, build_quintic
 from splineflow.stencil import estimate_knot_derivatives
-from splineflow.systems import BurgersConfig
+from splineflow.systems import BurgersConfig, TrajectorySet, lorenz_rhs
 from splineflow.timegrid import uniform_grid
 
 
@@ -73,3 +74,84 @@ def test_study_rejects_irregular_grids():
     data = generate_lorenz(2, 41, 1.0, 5.0, seed=0).subsampled(0.5, base_seed=0)
     with pytest.raises(InvalidArgumentError):
         endpoint_velocity_study(data)
+
+
+def _per_trajectory_study(dataset, factors):
+    # One spline and one evaluation per trajectory: what the stacked study
+    # must reproduce bit for bit.
+    rows = []
+    for kind, build in (("linear", build_linear), ("quintic", build_quintic)):
+        errs0, errs1, dts, counts = [], [], [], []
+        for factor in factors:
+            acc0, acc1 = [], []
+            for grid, values in zip(dataset.grids, dataset.states):
+                sub_grid, sub_values = downsample_regular(grid, values, factor)
+                v0, v1 = segment_endpoint_velocities(build(sub_grid, sub_values))
+                acc0.append(convergence._relative_rows(v0, dataset.raw_horizon * lorenz_rhs(sub_values[:-1])))
+                acc1.append(convergence._relative_rows(v1, dataset.raw_horizon * lorenz_rhs(sub_values[1:])))
+            errs0.append(float(np.mean(np.concatenate(acc0))))
+            errs1.append(float(np.mean(np.concatenate(acc1))))
+            dts.append(factor * dataset.raw_horizon * float(dataset.grids[0].steps[0]))
+            counts.append(sum(a.size for a in acc0))
+        orders0 = [np.nan] + empirical_order(errs0, dts)
+        orders1 = [np.nan] + empirical_order(errs1, dts)
+        for i, factor in enumerate(factors):
+            rows.append(convergence.ConvergenceRow(
+                kind, factor, dts[i], counts[i], errs0[i], errs1[i],
+                float(orders0[i]), float(orders1[i]),
+            ))
+    return rows
+
+
+def test_stacked_study_matches_a_per_trajectory_reference(monkeypatch):
+    # 7 trajectories in blocks of 3 leave a partial last block
+    monkeypatch.setattr(convergence, "_BLOCK", 3)
+    data = generate_lorenz(7, 41, 1.0, 5.0, seed=2)
+    for factors in ((1, 2, 4), (5, 1)):
+        got = endpoint_velocity_study(data, factors=factors)
+        want = _per_trajectory_study(data, factors)
+        assert [repr(r) for r in got] == [repr(r) for r in want]
+
+
+def test_study_builds_one_spline_per_block_kind_and_factor(monkeypatch):
+    monkeypatch.setattr(convergence, "_BLOCK", 3)
+    calls = []
+    for name in ("build_linear", "build_quintic"):
+        original = getattr(convergence, name)
+
+        def spy(grid, values, _name=name, _original=original):
+            calls.append((_name, len(grid), values.shape[1]))
+            return _original(grid, values)
+
+        monkeypatch.setattr(convergence, name, spy)
+    endpoint_velocity_study(generate_lorenz(7, 41, 1.0, 5.0, seed=2), factors=(1, 2))
+    # ceil(7 / 3) = 3 blocks of 3, 3 and 1 trajectories, 3 components each
+    assert calls == [
+        (name, n_knots, width)
+        for name in ("build_linear", "build_quintic")
+        for n_knots in (41, 21)
+        for width in (9, 9, 3)
+    ]
+
+
+def test_study_rejects_trajectories_on_different_grids():
+    # Both grids are uniform, but pooling them would mix two step sizes
+    # under one dt_seconds label.
+    coarse = generate_lorenz(2, 41, 1.0, 5.0, seed=0)
+    fine = generate_lorenz(2, 161, 1.0, 5.0, seed=1)
+    mixed = TrajectorySet(
+        grids=coarse.grids + fine.grids,
+        states=coarse.states + fine.states,
+        state_dim=3,
+        system_tag="lorenz",
+        raw_horizon=1.0,
+    )
+    with pytest.raises(InvalidArgumentError, match="one uniform grid shared"):
+        endpoint_velocity_study(mixed)
+    assert endpoint_velocity_study(coarse)  # either half alone is fine
+
+
+@pytest.mark.parametrize("factors", [(1, 1), (1,), (0, 2)])
+def test_study_rejects_bad_factor_sets(factors):
+    with pytest.raises(InvalidArgumentError):
+        endpoint_velocity_study(generate_lorenz(2, 41, 1.0, 5.0, seed=0), factors=factors)
