@@ -39,7 +39,7 @@ from .evaluation import (
 )
 from .odeint import SolverConfig
 from .systems import BurgersConfig, generate_burgers, generate_lorenz
-from .trainer import TrainConfig, train_flow_matching, train_one_step
+from .trainer import TrainConfig, _uniform_step_or_raise, train_flow_matching, train_one_step
 from .vector_field import MlpConfig, load_checkpoint, save_checkpoint
 
 OUTPUT_ROOT_ENV = "SPLINEFLOW_OUTPUT_ROOT"
@@ -248,6 +248,18 @@ def _load_flow_checkpoint(path: str, state_dim: int):
     return params, meta
 
 
+def _check_one_step_grid(meta: dict, dataset) -> None:
+    """Reject a dataset whose grid step is not a one-step checkpoint's training step.
+
+    A one-step model maps a state to the state one training step later, so
+    its rollouts mean something only on uniform grids of that step. A
+    checkpoint written before the step was recorded (no "grid_step" key in
+    its meta) loads and runs unchecked, as it always did.
+    """
+    if "grid_step" in meta:
+        _uniform_step_or_raise(dataset, expected=meta["grid_step"])
+
+
 def cmd_gen_data(options: dict) -> int:
     system = options["system"]
     if system not in SYSTEM_DEFAULTS:
@@ -372,6 +384,8 @@ def _train_common(options: dict, autoregressive: bool) -> int:
             "seed": config.seed,
         },
     }
+    if autoregressive:
+        meta["grid_step"] = _uniform_step_or_raise(train_set)
 
     def dump(result, status: str) -> None:
         save_checkpoint(ckpt_path, result.params, meta={**meta, "status": status,
@@ -420,6 +434,7 @@ def cmd_eval(options: dict) -> int:
     params, meta = _load_flow_checkpoint(options["checkpoint"], dataset.state_dim)
     fp = fingerprint("eval", options)
     if meta.get("kind") == "one_step":
+        _check_one_step_grid(meta, dataset)
         report = evaluate_one_step_model(params, dataset, eval_stride=options["eval_stride"])
     else:
         solver = SolverConfig(method=options["method"], substeps_per_interval=options["substeps"])
@@ -431,6 +446,7 @@ def cmd_eval(options: dict) -> int:
             "fingerprint": fp,
             "checkpoint": options["checkpoint"],
             "mean_rel_l2": repr(report.mean),
+            "median_rel_l2": repr(report.median),
             "sd_rel_l2": repr(report.sd),
             "final_time_error": repr(report.final_time_error),
             "nfe": report.nfe,
@@ -494,6 +510,7 @@ def cmd_nfe_sweep(options: dict) -> int:
         ar_params, ar_meta = _load_flow_checkpoint(options["ar_checkpoint"], dataset.state_dim)
         if ar_meta.get("kind") != "one_step":
             raise InvalidArgumentError("--ar-checkpoint must point to a train-ar checkpoint")
+        _check_one_step_grid(ar_meta, dataset)
         ar_report = evaluate_one_step_model(ar_params, dataset)
         rows.append(("ar", 100, ar_report.nfe, repr(ar_report.final_time_error)))
     for method in options["methods"]:

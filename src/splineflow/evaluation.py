@@ -2,10 +2,12 @@
 
 Trajectories with identical evaluation grids are integrated as one batch;
 blow-ups are masked (frozen rows) so a single unstable trajectory cannot
-abort a test-set sweep - it simply scores a huge error. `rollout`,
-`ar_rollout` and `rollout_reverse` are looked up here at call time, so
-wrapping them on this module (as splinebench does to count rows and NFE)
-reaches every study.
+abort a test-set sweep - it simply scores a huge error. The scored times
+are a slice of each grid, so truths and predictions are views of the
+dataset's snapshot arrays and of the rollout's state tensor, not copies.
+`rollout`, `ar_rollout` and `rollout_reverse` are looked up here at call
+time, so wrapping them on this module (as splinebench does to count rows
+and NFE) reaches every study.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .systems import TrajectorySet
 from .vector_field import VectorFieldParams, forward_batch
 
 REVERSE_MAX_HORIZONS = 20  # backward horizons per anchor in reverse_time_study
+NOISE_SEED_SCALE = 1e9  # a noise level's seed key is round(level * NOISE_SEED_SCALE)
 
 
 def flow_field(params: VectorFieldParams):
@@ -33,15 +36,15 @@ def one_step_map(params: VectorFieldParams):
     return lambda u: forward_batch(params, 0.0, u)
 
 
-def strided_indices(n_times: int, stride: int) -> np.ndarray:
-    """Indices 0, stride, ..., n_times-1; stride must divide the span."""
+def strided_indices(n_times: int, stride: int) -> slice:
+    """Slice 0, stride, ..., n_times-1 (selects views); stride must divide the span."""
     if stride < 1:
         raise InvalidArgumentError("eval stride must be >= 1")
     if (n_times - 1) % stride != 0:
         raise InvalidArgumentError(
             f"stride {stride} does not divide the grid span of {n_times - 1} intervals"
         )
-    return np.arange(0, n_times, stride)
+    return slice(0, None, stride)
 
 
 def _grouped_by_grid(dataset: TrajectorySet):
@@ -54,9 +57,9 @@ def _grouped_by_grid(dataset: TrajectorySet):
 def _roll_out_by_grid(dataset: TrajectorySet, keep_of, roll):
     """Roll each grid group out once; return (preds, truths, diverged, nfe).
 
-    keep_of(grid) picks the grid indices scored; roll(u0, grid, keep) returns
-    a RolloutResult of the group's rows at grid.times[keep]. Outputs are
-    placed by dataset index; nfe is the cost per trajectory.
+    keep_of(grid) returns the slice of grid indices scored; roll(u0, grid,
+    keep) returns a RolloutResult of the group's rows at grid.times[keep].
+    Outputs are views placed by dataset index; nfe is the cost per trajectory.
     """
     preds = [None] * dataset.n_traj
     truths = [None] * dataset.n_traj
@@ -136,7 +139,7 @@ def final_time_error_at_budget(
     f = flow_field(params)
     preds, truths, _, nfe = _roll_out_by_grid(
         dataset,
-        lambda grid: np.array([0, len(grid) - 1]),
+        lambda grid: slice(0, None, len(grid) - 1),
         lambda u0, grid, keep: rollout(f, u0, grid.times[keep], solver),
     )
     errs = [relative_l2(p[-1], t[-1]) for p, t in zip(preds, truths)]
@@ -158,11 +161,13 @@ def reverse_time_study(
     earlier grid times, and averages the per-time relative error over
     trajectories. Returns rows (noise_level, backward_horizon, mean_error,
     n_diverged), where n_diverged counts the rows of that rollout that blew
-    up and were frozen. Noise levels must be finite and >= 0.
+    up and were frozen. Noise levels must be >= 0 and small enough that
+    their seed key, level * NOISE_SEED_SCALE, is finite.
     """
-    if not all(np.isfinite(level) and level >= 0.0 for level in noise_levels):
+    if not all(level >= 0.0 and np.isfinite(level * NOISE_SEED_SCALE) for level in noise_levels):
         raise InvalidArgumentError(
-            f"noise levels must be finite and >= 0, got {list(noise_levels)}"
+            f"noise levels must be >= 0 with a finite level * {NOISE_SEED_SCALE:g}, "
+            f"got {list(noise_levels)}"
         )
     f = flow_field(params)
     rows = []
@@ -178,7 +183,7 @@ def reverse_time_study(
         u_star = np.stack([dataset.states[i][anchor] for i in ids])
         truth = np.stack([dataset.states[i][target_idx] for i in ids])  # (B, K, d)
         for level in noise_levels:
-            rng = np.random.default_rng([seed, int(round(level * 1e9))])
+            rng = np.random.default_rng([seed, int(round(level * NOISE_SEED_SCALE))])
             perturbed = u_star + level * rng.standard_normal(u_star.shape)
             result = rollout_reverse(f, perturbed, grid.times[anchor], targets, solver)
             # result.states: (K, B, d); per-horizon mean relative error

@@ -7,11 +7,13 @@ fresh standard-normal noise vector z, then forms
     v_target = ds/dt(t) + dgamma/dt(t) * z
 
 so that with gamma0 = 0 the pair reduces to plain flow matching against
-the spline velocity. `InterpolantSampler` concatenates the trajectories'
-knot tables into one flat table with per-trajectory row offsets, and
-finds each draw's segment in a matrix of knot times padded with +inf.
-Ragged and equal-length grids therefore take the same path: one gather
-and one `segment_derivatives` call per batch.
+the spline velocity. `InterpolantSampler` takes the trajectories' knot
+tables already stacked as one flat table (built in place by
+`trainer.build_splines`) and keeps it without a copy. It reads each
+trajectory's rows through per-trajectory row offsets and finds each
+draw's segment in a matrix of knot times padded with +inf. Ragged and
+equal-length grids therefore take the same path: one gather and one
+`segment_derivatives` call per batch.
 """
 
 from __future__ import annotations
@@ -37,25 +39,29 @@ class SampleBatch:
 
 
 class InterpolantSampler:
-    """Batched sampler over per-trajectory splines of one kind and state dimension."""
+    """Batched sampler over knot tables stacked in the order of `grids`.
 
-    def __init__(self, splines, schedule: NoiseSchedule):
-        if not splines:
-            raise InvalidArgumentError("need at least one trajectory spline")
-        if len({s.table.shape[1:] for s in splines}) != 1:
+    `table` has shape (sum n_knots, m, d) with m = 1 (linear) or 3 (quintic).
+    """
+
+    def __init__(self, grids, table: np.ndarray, schedule: NoiseSchedule):
+        if not grids:
+            raise InvalidArgumentError("need at least one trajectory grid")
+        counts = np.array([len(g) for g in grids])
+        shape = np.shape(table)
+        if len(shape) != 3 or shape[0] != counts.sum() or shape[1] not in (1, 3):
             raise InvalidArgumentError(
-                "all trajectories must share a spline kind and a state dimension"
+                f"knot table has shape {shape}, expected ({counts.sum()}, 1 or 3, d)"
             )
         self.schedule = schedule
-        self.n_trajectories = len(splines)
-        self.state_dim = splines[0].state_dim
-        counts = np.array([len(s.grid) for s in splines])
+        self.n_trajectories = len(grids)
+        self.state_dim = int(shape[2])
         self._offsets = np.cumsum(counts) - counts
         self._last_segment = counts - 2
-        self._table = np.concatenate([s.table for s in splines])
-        self._times = np.full((len(splines), counts.max()), np.inf)
-        for row, s in zip(self._times, splines):
-            row[: len(s.grid)] = s.grid.times
+        self._table = table
+        self._times = np.full((len(grids), counts.max()), np.inf)
+        for row, grid in zip(self._times, grids):
+            row[: len(grid)] = grid.times
 
     def sample_batch(self, batch_size: int, rng: np.random.Generator) -> SampleBatch:
         """Draw batch_size independent triples; deterministic under a seeded rng."""

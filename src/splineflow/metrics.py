@@ -40,6 +40,14 @@ class EvalReport:
     nfe: int = 0
     n_diverged: int = 0
 
+    @property
+    def median(self) -> float:
+        """Median per-trajectory error; unlike the mean, no single diverged row sets it."""
+        # Equals np.median, whose first call imports numpy.ma and so leaves
+        # about 1 MB of module objects amid the freed arrays of a run.
+        ordered = np.sort(self.per_traj)
+        return float((ordered[(ordered.size - 1) // 2] + ordered[ordered.size // 2]) / 2.0)
+
 
 def build_report(preds, truths, nfe: int = 0, diverged=None) -> EvalReport:
     """Per-trajectory and aggregate relative-L2 metrics for matched rollouts.

@@ -162,10 +162,6 @@ class Spline:
                 f"knot table has shape {shape}, expected ({len(self.grid)}, 1 or 3, d)"
             )
 
-    @property
-    def state_dim(self) -> int:
-        return int(self.table.shape[2])
-
 
 def build_linear(grid: TimeGrid, values: np.ndarray) -> Spline:
     """Linear interpolant of the snapshots on their grid (a view, no copy)."""

@@ -136,12 +136,25 @@ class TrainResult:
     best_val_error: float
 
 
-def build_splines(dataset: TrajectorySet, spline_kind: str):
+def build_splines(dataset: TrajectorySet, spline_kind: str) -> np.ndarray:
+    """Knot tables of every trajectory, stacked as one (sum n_knots, m, d) table.
+
+    The table is allocated once and each trajectory's spline is written
+    into its own rows in dataset order, so no per-trajectory table
+    outlives its build and nothing is concatenated afterwards.
+    """
     if spline_kind == "linear":
-        return [build_linear(g, u) for g, u in zip(dataset.grids, dataset.states)]
-    if spline_kind == "quintic":
-        return [build_quintic(g, u) for g, u in zip(dataset.grids, dataset.states)]
-    raise InvalidArgumentError(f"spline_kind must be one of {SPLINE_KINDS}")
+        build, m = build_linear, 1
+    elif spline_kind == "quintic":
+        build, m = build_quintic, 3
+    else:
+        raise InvalidArgumentError(f"spline_kind must be one of {SPLINE_KINDS}")
+    table = np.empty((sum(len(g) for g in dataset.grids), m, dataset.state_dim))
+    row = 0
+    for grid, states in zip(dataset.grids, dataset.states):
+        table[row : row + len(grid)] = build(grid, states).table
+        row += len(grid)
+    return table
 
 
 def _validation_error(report) -> float:
@@ -213,7 +226,7 @@ def train_flow_matching(
 ) -> TrainResult:
     """Fit the velocity model to spline-path targets by flow matching.
 
-    Splines are constructed once per trajectory up front; each step then
+    The stacked knot table is built once up front; each step then
     draws (trajectory, time, noise) triples and regresses the network on
     the analytic path velocity. Validation (when a set is given) scores a
     VALIDATION_SOLVER rollout from each held-out initial condition.
@@ -221,7 +234,8 @@ def train_flow_matching(
     from .evaluation import evaluate_flow_model
 
     schedule = NoiseSchedule(gamma0=config.gamma0, m=config.noise_m)
-    sampler = InterpolantSampler(build_splines(train_set, config.spline_kind), schedule)
+    table = build_splines(train_set, config.spline_kind)
+    sampler = InterpolantSampler(train_set.grids, table, schedule)
     mlp_config = mlp_config or MlpConfig(state_dim=train_set.state_dim)
     if mlp_config.state_dim != train_set.state_dim:
         raise InvalidArgumentError("mlp state_dim does not match the dataset")
@@ -283,19 +297,26 @@ def train_one_step(
 
 
 def _uniform_step_or_raise(dataset: TrajectorySet, expected: float | None = None) -> float:
+    """The normalized step shared by a dataset's uniform grids, rounded to 1e-12.
+
+    Raises InvalidArgumentError if a distinct grid is not uniform, if the
+    grids differ in step, or if the step differs from `expected`.
+    """
     steps = set()
-    for g in dataset.grids:
+    for g in {g.times.tobytes(): g for g in dataset.grids}.values():
         if not g.is_uniform():
             raise InvalidArgumentError(
-                "autoregressive training requires a uniform time grid; "
+                "the one-step model requires a uniform time grid; "
                 "irregularly subsampled trajectories are not supported"
             )
         steps.add(round(float(g.steps[0]), 12))
     if len(steps) != 1:
         raise InvalidArgumentError(
-            "autoregressive training requires one shared step size across trajectories"
+            "the one-step model requires one shared step size across trajectories"
         )
     step_size = steps.pop()
     if expected is not None and abs(step_size - expected) > 1e-12:
-        raise InvalidArgumentError("validation grid step differs from the training step")
+        raise InvalidArgumentError(
+            f"grid step {step_size!r} differs from the one-step model's training step {expected!r}"
+        )
     return step_size

@@ -58,6 +58,10 @@ def test_eval_csv_cells_parse_as_numbers(tiny_lorenz, tmp_path):
         assert cells
         for cell in cells:
             float(cell)  # raises on reprs such as np.float64(0.5)
+    header = dict(line[2:].split("=", 1) for line in report.read_text().splitlines()
+                  if line.startswith("# "))
+    rows = [float(r["relative_l2"]) for r in _csv_rows(report)]
+    assert float(header["median_rel_l2"]) == float(np.median(rows))
 
 
 def _csv_rows(path):
@@ -88,6 +92,45 @@ def test_sweep_csv_reports_scheduled_nfe_and_reverse_csv_counts_diverged_rows(
     assert rows and all(r["n_diverged"] == "2" for r in rows)
 
 
+def test_one_step_checkpoint_runs_only_on_its_training_step(tiny_lorenz, tmp_path):
+    # trained on 11 points (step 0.1); a 21-point file has step 0.05
+    fine = tmp_path / "fine.sftraj"
+    assert cli.main([
+        "gen-data", "--n-train", "0", "--n-val", "2", "--n-test", "0", "--n-times", "21",
+        "--out", str(fine),
+    ]) == 0
+    ar = tmp_path / "ar.ckpt.npz"
+    assert cli.main([
+        "train-ar", "--dataset", str(tiny_lorenz), "--steps", "4", "--batch-size", "8",
+        "--eval-every", "2", "--hidden", "8", "--out-dir", str(tmp_path),
+        "--checkpoint-out", str(ar),
+    ]) == 0
+    params, meta = load_checkpoint(ar)
+    assert meta["grid_step"] == 0.1
+    flow = tmp_path / "flow.ckpt.npz"
+    save_checkpoint(flow, init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0),
+                    meta={"kind": "flow"})
+
+    def run(checkpoint, dataset):
+        out = tmp_path / "out.csv"
+        out.unlink(missing_ok=True)
+        codes = [
+            cli.main(["eval", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+                      "--split", "val", "--out", str(out)]),
+            cli.main(["nfe-sweep", "--checkpoint", str(flow), "--ar-checkpoint", str(checkpoint),
+                      "--dataset", str(dataset), "--split", "val", "--methods", "rk4",
+                      "--budgets", "100", "--out", str(out)]),
+        ]
+        return codes, out.exists()
+
+    assert run(ar, tiny_lorenz) == ([0, 0], True)
+    assert run(ar, fine) == ([2, 2], False)
+    # a checkpoint without the recorded step loads and runs as before
+    legacy = tmp_path / "legacy.ckpt.npz"
+    save_checkpoint(legacy, params, meta={k: v for k, v in meta.items() if k != "grid_step"})
+    assert run(legacy, fine) == ([0, 0], True)
+
+
 def test_gen_data_rejects_zero_substeps_for_both_systems(tmp_path):
     for system in ("lorenz", "burgers1d"):
         out = tmp_path / f"{system}.sftraj"
@@ -108,7 +151,7 @@ def test_gen_data_records_the_substeps_it_used(tmp_path):
     assert datafile.read_dataset(out)[1]["generator"]["substeps"] == 3
 
 
-@pytest.mark.parametrize("level", ["-0.1", "nan", "inf"])
+@pytest.mark.parametrize("level", ["-0.1", "nan", "inf", "1e300"])
 def test_reverse_rejects_negative_or_non_finite_noise(tiny_lorenz, tmp_path, level):
     ckpt = tmp_path / "init.ckpt.npz"
     save_checkpoint(ckpt, init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0))

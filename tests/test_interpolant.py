@@ -31,6 +31,12 @@ class FixedDraws:
         return self.z
 
 
+def _sampler(splines, schedule):
+    """Sampler over the splines' knot tables, stacked in order as the trainer stacks them."""
+    table = np.concatenate([s.table for s in splines])
+    return InterpolantSampler([s.grid for s in splines], table, schedule)
+
+
 def _quintic_set(n_traj=4, n_knots=9, seed=0):
     rng = np.random.default_rng(seed)
     splines = []
@@ -86,7 +92,7 @@ def _assert_on_truth(splines, coeffs, traj, batch):
 
 def test_sample_at_knot_ignores_noise():
     spline = _quintic_set(1)[0]
-    sampler = InterpolantSampler([spline], NoiseSchedule(gamma0=0.5, m=3))
+    sampler = _sampler([spline], NoiseSchedule(gamma0=0.5, m=3))
     knot = spline.grid.times[3]
     out = sampler.sample_batch(1, FixedDraws([0], [knot], np.full((1, 3), 7.0)))
     assert np.allclose(out.x[0], spline.table[3, 0], atol=1e-12)
@@ -95,7 +101,7 @@ def test_sample_at_knot_ignores_noise():
 
 def test_sample_noiseless_reduces_to_flow_matching():
     splines, coeffs = _quadratic_splines(build_quintic, (9,), seed=1)
-    sampler = InterpolantSampler(splines, NoiseSchedule(gamma0=0.0, m=3))
+    sampler = _sampler(splines, NoiseSchedule(gamma0=0.0, m=3))
     batch = sampler.sample_batch(16, np.random.default_rng(1))
     _assert_on_truth(splines, coeffs, np.zeros(16, dtype=int), batch)
 
@@ -104,7 +110,7 @@ def test_sample_linear_hand_value():
     # straight line 0 -> 1 with m=1 bump: x = t + gamma0*t(1-t)*z,
     # v = 1 + gamma0*(1-2t)*z
     spline = build_linear(uniform_grid(2), np.array([[0.0], [1.0]]))
-    sampler = InterpolantSampler([spline], NoiseSchedule(gamma0=1.0, m=1))
+    sampler = _sampler([spline], NoiseSchedule(gamma0=1.0, m=1))
     out = sampler.sample_batch(1, FixedDraws([0], [0.25], [[1.0]]))
     assert np.isclose(out.x[0, 0], 0.25 + 0.1875)
     assert np.isclose(out.v_target[0, 0], 1.0 + 0.5)
@@ -115,24 +121,25 @@ def test_linear_draws_at_knots_take_the_right_segment():
     # segment to its right, and t = 1 the last one
     grid = TimeGrid(times=np.array([0.0, 0.4, 1.0]))
     spline = build_linear(grid, np.array([[1.0], [3.0], [0.0]]))
-    sampler = InterpolantSampler([spline], NoiseSchedule(gamma0=0.0, m=3))
+    sampler = _sampler([spline], NoiseSchedule(gamma0=0.0, m=3))
     out = sampler.sample_batch(3, FixedDraws([0, 0, 0], [0.0, 0.4, 1.0], np.zeros((3, 1))))
     assert np.allclose(out.x[:, 0], [1.0, 3.0, 0.0])
     assert np.allclose(out.v_target[:, 0], [(3 - 1) / 0.4, (0 - 3) / 0.6, (0 - 3) / 0.6])
 
 
 def test_sample_dimension_mismatch():
-    spline = _quintic_set(1)[0]
-    grid = spline.grid
-    other_dim = build_quintic(grid, np.zeros((len(grid), 2)))
-    other_kind = build_linear(grid, np.zeros((len(grid), 3)))
-    for other in (other_dim, other_kind):
+    # the stacked table needs one row per knot of the grids and m = 1 or 3
+    splines = _quintic_set(2)
+    grids = [s.grid for s in splines]
+    table = np.concatenate([s.table for s in splines])
+    for bad in (table[:-1], np.concatenate([table, table[:1]]), table[:, :2], table[:, 0]):
         with pytest.raises(InvalidArgumentError):
-            InterpolantSampler([spline, other], NoiseSchedule())
+            InterpolantSampler(grids, bad, NoiseSchedule())
+    InterpolantSampler(grids, table[:, :1], NoiseSchedule())  # a linear table
 
 
 def test_batch_deterministic_under_seed():
-    sampler = InterpolantSampler(_quintic_set(), NoiseSchedule(gamma0=1e-3, m=3))
+    sampler = _sampler(_quintic_set(), NoiseSchedule(gamma0=1e-3, m=3))
     a = sampler.sample_batch(32, np.random.default_rng(9))
     b = sampler.sample_batch(32, np.random.default_rng(9))
     assert np.array_equal(a.t, b.t)
@@ -141,7 +148,7 @@ def test_batch_deterministic_under_seed():
 
 
 def test_batch_times_are_uniform():
-    sampler = InterpolantSampler(_quintic_set(2), NoiseSchedule())
+    sampler = _sampler(_quintic_set(2), NoiseSchedule())
     batch = sampler.sample_batch(10_000, np.random.default_rng(3))
     ts = np.sort(batch.t)
     n = ts.size
@@ -155,7 +162,7 @@ def test_batch_noiseless_targets_lie_on_splines():
     # trajectories of 5, 7 and 9 knots on irregular grids share one batch
     for build in (build_linear, build_quintic):
         splines, coeffs = _quadratic_splines(build, (5, 7, 9), seed=4)
-        sampler = InterpolantSampler(splines, NoiseSchedule(gamma0=0.0, m=3))
+        sampler = _sampler(splines, NoiseSchedule(gamma0=0.0, m=3))
         batch = sampler.sample_batch(64, np.random.default_rng(4))
         # recover the drawn indices by replaying the rng
         traj = np.random.default_rng(4).integers(0, 3, size=64)
@@ -165,7 +172,7 @@ def test_batch_noiseless_targets_lie_on_splines():
 
 def test_stacked_path_matches_scalar_sampling():
     # each row of a batch equals a one-row batch of the same draws
-    sampler = InterpolantSampler(_quintic_set(3), NoiseSchedule(gamma0=0.05, m=3))
+    sampler = _sampler(_quintic_set(3), NoiseSchedule(gamma0=0.05, m=3))
     batch = sampler.sample_batch(48, np.random.default_rng(12))
     replay = np.random.default_rng(12)
     traj = replay.integers(0, 3, size=48)
@@ -196,7 +203,7 @@ def test_ragged_grids_match_spline_eval_plus_noise():
         splines = []
         for n in (5, 7, 9):
             splines.append(build(_irregular_grid(n, rng), rng.standard_normal((n, 2))))
-        sampler = InterpolantSampler(splines, schedule)
+        sampler = _sampler(splines, schedule)
         batch = sampler.sample_batch(200, np.random.default_rng(0))
         replay = np.random.default_rng(0)
         traj = replay.integers(0, 3, size=200)
@@ -217,7 +224,7 @@ def test_ragged_grids_match_spline_eval_plus_noise():
 
 def test_boundary_continuity_near_knots():
     spline = _quintic_set(1)[0]
-    sampler = InterpolantSampler([spline], NoiseSchedule(gamma0=0.3, m=3))
+    sampler = _sampler([spline], NoiseSchedule(gamma0=0.3, m=3))
     knot = spline.grid.times[4]
     out = sampler.sample_batch(2, FixedDraws([0, 0], [knot + 1e-9, knot - 1e-9], np.ones((2, 3))))
     assert np.allclose(out.x, spline.table[4, 0], atol=1e-6)
@@ -225,13 +232,13 @@ def test_boundary_continuity_near_knots():
 
 def test_empty_spline_set_rejected():
     with pytest.raises(InvalidArgumentError):
-        InterpolantSampler([], NoiseSchedule())
+        InterpolantSampler([], np.empty((0, 3, 3)), NoiseSchedule())
 
 
 def test_irregular_grid_sampling():
     # per-trajectory irregular grids of equal length
     splines, coeffs = _quadratic_splines(build_quintic, (7, 7, 7), seed=8)
-    sampler = InterpolantSampler(splines, NoiseSchedule(gamma0=0.0, m=3))
+    sampler = _sampler(splines, NoiseSchedule(gamma0=0.0, m=3))
     batch = sampler.sample_batch(40, np.random.default_rng(2))
     traj = np.random.default_rng(2).integers(0, 3, size=40)
     _assert_on_truth(splines, coeffs, traj, batch)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -68,6 +69,16 @@ def test_build_report_aggregates():
     assert report.per_time.shape == (6,)
     assert np.isclose(report.final_time_error, report.per_time[-1])
     assert report.nfe == 120
+
+
+def test_median_row_error_is_not_set_by_one_diverged_row():
+    truths = [np.ones((3, 2)) for _ in range(5)]
+    preds = [t * (1.0 + e) for t, e in zip(truths, (0.1, 0.2, 0.3, 0.4, 1e6))]
+    report = build_report(preds, truths)
+    assert np.isclose(report.median, 0.3)
+    assert report.mean > 1e5
+    for rows in (report.per_traj, report.per_traj[:4]):  # odd and even counts
+        assert dataclasses.replace(report, per_traj=rows).median == float(np.median(rows))
 
 
 def test_build_report_identical_prediction():

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,8 +35,9 @@ from splineflow.evaluation import (
 from splineflow.interpolant import InterpolantSampler, SampleBatch
 from splineflow.metrics import EvalReport
 from splineflow.odeint import rollout, rollout_reverse
-from splineflow.spline import NoiseSchedule
+from splineflow.spline import NoiseSchedule, build_linear, build_quintic
 from splineflow.systems import lorenz_rhs
+from splineflow.timegrid import subsample_indices
 from splineflow.trainer import _optimize, _validation_error, build_splines
 from splineflow.vector_field import (
     VectorFieldParams,
@@ -127,12 +129,75 @@ def _reference_adam_step(arrays, m, v, grads, step_count, config):
 
 def _lorenz_linear_sampler():
     data = generate_lorenz(20, 101, 5.0, 5.0, seed=3).subsampled(0.5, base_seed=0)
-    return InterpolantSampler(build_splines(data, "linear"), NoiseSchedule(1e-5, 3)), 3
+    return InterpolantSampler(data.grids, build_splines(data, "linear"), NoiseSchedule(1e-5, 3)), 3
 
 
 def _burgers_quintic_sampler():
     data = generate_burgers(4, 21, seed=0)
-    return InterpolantSampler(build_splines(data, "quintic"), NoiseSchedule(1e-5, 3)), 100
+    return InterpolantSampler(data.grids, build_splines(data, "quintic"), NoiseSchedule(1e-5, 3)), 100
+
+
+def test_build_splines_fills_the_per_trajectory_tables_in_order():
+    # ragged irregular grids: each trajectory's rows are its own spline's table
+    full = generate_lorenz(5, 41, 5.0, 5.0, seed=2)
+    rates = (0.3, 0.5, 0.7, 1.0, 0.4)
+    keeps = [subsample_indices(g, r, j) for j, (g, r) in enumerate(zip(full.grids, rates))]
+    data = TrajectorySet(
+        grids=[TimeGrid(times=g.times[k]) for g, k in zip(full.grids, keeps)],
+        states=[u[k] for u, k in zip(full.states, keeps)],
+        state_dim=3, system_tag="lorenz", raw_horizon=full.raw_horizon,
+    )
+    assert len({len(g) for g in data.grids}) == len(rates)
+    for kind, build in (("linear", build_linear), ("quintic", build_quintic)):
+        table = build_splines(data, kind)
+        expected = np.concatenate([build(g, u).table for g, u in zip(data.grids, data.states)])
+        assert table.shape == expected.shape
+        assert np.array_equal(table, expected)
+    with pytest.raises(InvalidArgumentError):
+        build_splines(data, "cubic")
+
+
+def _traced_peak(fn):
+    """(result of fn(), peak bytes that numpy and Python allocated while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _random_set(n_traj, n_times, d, seed):
+    rng = np.random.default_rng(seed)
+    grid = uniform_grid(n_times)
+    states = [rng.standard_normal((n_times, d)) + 2.0 for _ in range(n_traj)]
+    return TrajectorySet(grids=[grid] * n_traj, states=states, state_dim=d,
+                         system_tag="random", raw_horizon=1.0)
+
+
+def test_training_sampler_holds_one_copy_of_the_knot_table():
+    # the stacked table is filled in place and the sampler keeps it: a
+    # sampler that concatenated per-trajectory tables would peak at 2x
+    data = _random_set(40, 51, 100, seed=0)
+    schedule = NoiseSchedule(1e-5, 3)
+    sampler, peak = _traced_peak(
+        lambda: InterpolantSampler(data.grids, build_splines(data, "quintic"), schedule)
+    )
+    table = sampler._table
+    assert table.shape == (40 * 51, 3, 100)
+    assert peak < 1.25 * table.nbytes
+
+
+def test_evaluation_scores_views_of_the_truths():
+    # truths are views of the snapshot arrays and predictions views of the
+    # rollout tensor, so scoring adds little beyond the (K, B, d) states
+    data = _random_set(30, 101, 50, seed=1)
+    params = init_params(MlpConfig(state_dim=50, hidden_dims=(8,), embed_bands=2), 0)
+    report, peak = _traced_peak(
+        lambda: evaluate_flow_model(params, data, SolverConfig("rk4", 1))
+    )
+    assert report.n_diverged == 0
+    assert peak < 1.5 * (101 * 30 * 50 * 8)
 
 
 @pytest.mark.parametrize("make_sampler", [_lorenz_linear_sampler, _burgers_quintic_sampler])
@@ -397,6 +462,7 @@ def test_ar_rejects_time_embedding_config():
         train_one_step(data, cfg, mlp_config=MlpConfig(state_dim=1, hidden_dims=(4,)))
 
 
+@pytest.mark.slow
 def test_quintic_beats_linear_loss_on_subsampled_lorenz():
     # scaled-down stability comparison: same budget and seeds, 25% keep
     # rate; quintic wins for a majority of seeds. Each spline kind regresses
