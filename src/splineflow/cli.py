@@ -248,6 +248,14 @@ def _load_flow_checkpoint(path: str, state_dim: int):
     return params, meta
 
 
+def _reject_one_step(meta: dict) -> None:
+    """A train-ar checkpoint maps a state to the next one; it is not a velocity field."""
+    if meta.get("kind") == "one_step":
+        raise InvalidArgumentError(
+            "--checkpoint must point to a flow checkpoint (train), not a train-ar checkpoint"
+        )
+
+
 def _check_one_step_grid(meta: dict, dataset) -> None:
     """Reject a dataset whose grid step is not a one-step checkpoint's training step.
 
@@ -502,7 +510,8 @@ def cmd_convergence(options: dict) -> int:
 def cmd_nfe_sweep(options: dict) -> int:
     _require(options, "checkpoint", "dataset")
     dataset, _ = _load_split(options["dataset"], options["split"])
-    params, _meta = _load_flow_checkpoint(options["checkpoint"], dataset.state_dim)
+    params, meta = _load_flow_checkpoint(options["checkpoint"], dataset.state_dim)
+    _reject_one_step(meta)
     intervals = len(dataset.grids[0]) - 1  # AR budget: one evaluation per interval
     fp = fingerprint("nfe-sweep", options)
     rows = []
@@ -534,7 +543,8 @@ def cmd_nfe_sweep(options: dict) -> int:
 def cmd_reverse(options: dict) -> int:
     _require(options, "checkpoint", "dataset")
     dataset, _ = _load_split(options["dataset"], options["split"])
-    params, _meta = _load_flow_checkpoint(options["checkpoint"], dataset.state_dim)
+    params, meta = _load_flow_checkpoint(options["checkpoint"], dataset.state_dim)
+    _reject_one_step(meta)
     if not (0.0 <= options["t_star"] <= 1.0):
         raise InvalidArgumentError("t_star must lie in [0, 1]")
     solver = SolverConfig(method=options["method"], substeps_per_interval=options["substeps"])

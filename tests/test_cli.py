@@ -131,6 +131,22 @@ def test_one_step_checkpoint_runs_only_on_its_training_step(tiny_lorenz, tmp_pat
     assert run(legacy, fine) == ([0, 0], True)
 
 
+def test_flow_studies_reject_a_one_step_checkpoint(tiny_lorenz, tmp_path):
+    # a train-ar checkpoint is a next-state map, not a velocity field to integrate
+    ar = tmp_path / "ar.ckpt.npz"
+    one_step = init_params(MlpConfig(state_dim=3, hidden_dims=(8,), use_time_embedding=False), 0)
+    save_checkpoint(ar, one_step, meta={"kind": "one_step", "grid_step": 0.1})
+    for command, extra in (("nfe-sweep", ["--methods", "rk4", "--budgets", "100"]),
+                           ("reverse", ["--t-star", "0.5"])):
+        out = tmp_path / f"{command}.csv"
+        code = cli.main([
+            command, "--checkpoint", str(ar), "--dataset", str(tiny_lorenz), "--split", "val",
+            "--out", str(out), *extra,
+        ])
+        assert code == 2
+        assert not out.exists()
+
+
 def test_gen_data_rejects_zero_substeps_for_both_systems(tmp_path):
     for system in ("lorenz", "burgers1d"):
         out = tmp_path / f"{system}.sftraj"

@@ -11,6 +11,7 @@ from splineflow import (
     step,
 )
 from splineflow.metrics import empirical_order
+from splineflow.odeint import DEFAULT_NORM_BOUND
 
 
 def decay(t, u):
@@ -34,6 +35,51 @@ def test_zero_field_keeps_state():
     u = np.array([1.0, -2.0, 3.0])
     for method in ("euler", "heun", "rk4"):
         assert np.array_equal(step(method, lambda t, x: np.zeros_like(x), 0.0, u, 0.3), u)
+
+
+# The textbook expressions that `step` evaluates in place, as plain numpy.
+def _heun_reference(f, t, u, h):
+    k1 = f(t, u)
+    k2 = f(t + h, u + h * k1)
+    return u + 0.5 * h * (k1 + k2)
+
+
+def _rk4_reference(f, t, u, h):
+    k1 = f(t, u)
+    k2 = f(t + 0.5 * h, u + 0.5 * h * k1)
+    k3 = f(t + 0.5 * h, u + 0.5 * h * k2)
+    k4 = f(t + h, u + h * k3)
+    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+_REFERENCE_STEPS = {
+    "euler": lambda f, t, u, h: u + h * f(t, u),
+    "heun": _heun_reference,
+    "rk4": _rk4_reference,
+}
+
+
+@pytest.mark.parametrize("method", sorted(_REFERENCE_STEPS))
+def test_step_is_bit_identical_to_the_textbook_expression(method):
+    rng = np.random.default_rng(11)
+    lorenz = lambda t, u: lorenz_rhs(u)
+    wavy = lambda t, u: np.sin(3.0 * u + t) * np.exp(-t)
+    for f, u in ((lorenz, 10.0 * rng.normal(size=(257, 3))), (wavy, rng.normal(size=(40, 7)))):
+        for h in (1e-3, 0.37, -0.05):
+            assert np.array_equal(step(method, f, 0.2, u, h), _REFERENCE_STEPS[method](f, 0.2, u, h))
+
+
+@pytest.mark.parametrize("method", sorted(_REFERENCE_STEPS))
+def test_step_leaves_a_shared_field_output_untouched(method):
+    # a field may hand back one array on every call; writing into any k
+    # would change the k of every later stage and the array itself
+    shared = np.random.default_rng(3).normal(size=(5, 3))
+    kept = shared.copy()
+    u = np.random.default_rng(4).normal(size=(5, 3))
+    out = step(method, lambda t, x: shared, 0.0, u, 0.1)
+    assert np.array_equal(shared, kept)
+    assert np.array_equal(out, step(method, lambda t, x: kept.copy(), 0.0, u, 0.1))
+    assert not np.shares_memory(out, shared)
 
 
 def test_zero_step_rejected():
@@ -198,3 +244,29 @@ def test_ar_rollout_masks_rows_that_blow_up():
     assert np.array_equal(res.states[3, :2], res.states[2, :2])
     assert np.array_equal(res.states[3, 2:], 1e9 * u0[2:])
     assert res.nfe == 3
+
+
+def test_row_check_flags_nan_inf_and_overflowing_rows_in_one_pass():
+    # Keyed on the first entry, so the map acts the same on a full batch
+    # and on the alive rows alone once some rows are frozen.
+    below = np.nextafter(DEFAULT_NORM_BOUND, 0.0)
+
+    def model(u):
+        out = u.copy()
+        key = u[:, 0]
+        out[key == 1.0, 1] = np.nan
+        out[key == 2.0, 1] = np.inf
+        out[key == 3.0] = 1e200  # finite entries whose squares overflow
+        out[key == 4.0, 0] = below
+        out[key == 5.0] = (6e7, 8e7)  # norm exactly at the bound
+        return out
+
+    u0 = np.array([[1.0, 0.5], [2.0, 0.5], [3.0, 0.5], [4.0, 0.5], [5.0, 0.5], [6.0, 0.5]])
+    with np.errstate(over="ignore"):
+        res = ar_rollout(model, u0, np.linspace(0.0, 1.0, 4))
+    assert res.diverged.tolist() == [True, True, True, False, False, False]
+    assert np.array_equal(res.states[1:, :3], np.broadcast_to(u0[:3], (3, 3, 2)))
+    assert np.array_equal(res.states[-1, 3], [below, 0.5])
+    assert np.array_equal(res.states[-1, 4], [6e7, 8e7])
+    assert np.array_equal(res.states[-1, 5], u0[5])
+    assert np.isfinite(res.states).all()

@@ -28,6 +28,40 @@ def test_lorenz_nontrivial_fixed_point():
     assert np.allclose(lorenz_rhs(np.array([c, c, 27.0])), 0.0, atol=1e-12)
 
 
+def _lorenz_rhs_reference(state):
+    x, y, z = state[..., 0], state[..., 1], state[..., 2]
+    return np.stack([10.0 * (y - x), x * (28.0 - z) - y, x * y - (8.0 / 3.0) * z], axis=-1)
+
+
+def _burgers_rhs_reference(u, config):
+    dx = config.dx
+    up = np.roll(u, -1, axis=-1)
+    um = np.roll(u, 1, axis=-1)
+    diffusion = config.nu * (up - 2.0 * u + um) / (dx * dx)
+    flux = 0.5 * u * u
+    advection = (np.roll(flux, -1, axis=-1) - np.roll(flux, 1, axis=-1)) / (2.0 * dx)
+    return diffusion - advection
+
+
+def test_lorenz_rhs_is_bit_identical_to_the_stacked_expression():
+    rng = np.random.default_rng(0)
+    for state in (20.0 * rng.normal(size=(1000, 3)), rng.normal(size=(2, 4, 3)),
+                  np.array([1.5, -7.25, 30.0])):
+        out = lorenz_rhs(state)
+        assert out.shape == state.shape
+        assert np.array_equal(out, _lorenz_rhs_reference(state))
+
+
+def test_burgers_rhs_is_bit_identical_to_the_rolled_expression():
+    rng = np.random.default_rng(1)
+    for nx, shape in ((100, (600,)), (64, (2, 3)), (17, ()), (33, (5,))):
+        config = BurgersConfig(nu=0.013, nx=nx)
+        u = 3.0 * rng.normal(size=shape + (nx,))
+        out = burgers_rhs(u, config)
+        assert out.shape == u.shape
+        assert np.array_equal(out, _burgers_rhs_reference(u, config))
+
+
 def test_lorenz_generation_reproducible():
     a = generate_lorenz(2, 31, 2.0, 5.0, seed=4)
     b = generate_lorenz(2, 31, 2.0, 5.0, seed=4)
