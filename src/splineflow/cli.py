@@ -2,12 +2,8 @@
 
 Subcommands: gen-data, train, train-ar, eval, convergence, nfe-sweep,
 reverse. gen-data writes one binary dataset file (see `datafile`); every
-other command reads one. Every option can also come from a key=value
-config file (--config), one option per line, with `#` comments and
-option names spelled with dashes or underscores; explicit flags win over
-the file, which wins over built-in defaults. Outputs land under
---out-dir, which defaults to the SPLINEFLOW_OUTPUT_ROOT environment
-variable or ./outputs.
+other command reads one. Outputs land under --out-dir, which defaults to
+the SPLINEFLOW_OUTPUT_ROOT environment variable or ./outputs.
 
 All commands are deterministic for a fixed configuration: a sha256
 fingerprint of the resolved settings is embedded in every CSV and
@@ -63,8 +59,8 @@ def _comma_strs(text: str) -> tuple:
     return tuple(x.strip() for x in str(text).split(",") if x.strip())
 
 
-# Option tables: (name, type, default, help). Shared across the parser,
-# the config-file loader, and the fingerprint.
+# Option tables: (name, type, default, help), one --flag each; the parsed
+# values of a command's table are the options it fingerprints.
 _COMMON = [
     ("out_dir", str, None, "output directory (default: $SPLINEFLOW_OUTPUT_ROOT or ./outputs)"),
 ]
@@ -75,9 +71,6 @@ _TRAIN_OPTS = [
     ("steps", int, 20000, "optimizer steps"),
     ("batch_size", int, 256, "samples per step"),
     ("lr", float, 1e-3, "Adam learning rate"),
-    ("beta1", float, 0.9, "Adam beta1"),
-    ("beta2", float, 0.99, "Adam beta2"),
-    ("eps", float, 1e-8, "Adam epsilon"),
     ("eval_every", int, 2000, "validation rollout cadence in steps"),
     ("seed", int, 0, "training seed"),
     ("hidden", _comma_ints, (64, 128, 128, 64), "hidden layer widths"),
@@ -153,51 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, opts in COMMANDS.items():
         p = sub.add_parser(command)
-        p.add_argument("--config", default=None, help="key=value config file")
-        for name, typ, _default, help_text in opts:
-            flag = "--" + name.replace("_", "-")
-            p.add_argument(flag, dest=name, type=str, default=argparse.SUPPRESS, help=help_text)
+        for name, typ, default, help_text in opts:
+            p.add_argument("--" + name.replace("_", "-"), type=typ, default=default, help=help_text)
     return parser
-
-
-def _load_config_file(path: str) -> dict:
-    entries = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataFormatError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InvalidArgumentError(f"{path}:{lineno}: expected key = value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        entries[key.replace("-", "_")] = value
-    return entries
-
-
-def resolve_options(command: str, args: argparse.Namespace) -> dict:
-    """Merge defaults < config file < explicit flags, with typed parsing."""
-    table = {name: (typ, default) for name, typ, default, _ in COMMANDS[command]}
-    resolved = {name: default for name, (_, default) in table.items()}
-    raw_values = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        for key, raw in _load_config_file(config_path).items():
-            if key not in table:
-                raise InvalidArgumentError(f"unknown config key {key!r} for {command}")
-            raw_values[key] = raw
-    for key, raw in vars(args).items():
-        if key not in ("command", "config") and raw is not None:
-            raw_values[key] = raw
-    for key, raw in raw_values.items():
-        try:
-            resolved[key] = table[key][0](raw)
-        except ValueError as exc:
-            flag = "--" + key.replace("_", "-")
-            raise InvalidArgumentError(f"invalid value {raw!r} for {flag}: {exc}") from exc
-    return resolved
 
 
 def fingerprint(command: str, options: dict) -> str:
@@ -238,34 +189,28 @@ def _load_split(path: str, split: str):
     return splits[split], header
 
 
-def _load_flow_checkpoint(path: str, state_dim: int):
+def _load_model(path: str, dataset, flow: bool | None = None):
+    """Load a checkpoint to run on `dataset`; `flow` demands one kind of model.
+
+    The network decides the kind: one with a time input is a velocity field
+    (train), one without maps a state to the state one training step later
+    (train-ar). A one-step model runs only on uniform grids of its recorded
+    training step; one saved before the step was recorded (no "grid_step"
+    in its meta) runs unchecked.
+    """
     params, meta = load_checkpoint(path)
-    if params.config.state_dim != state_dim:
+    if params.config.state_dim != dataset.state_dim:
         raise InvalidArgumentError(
             f"checkpoint state_dim {params.config.state_dim} does not match "
-            f"dataset state_dim {state_dim}"
+            f"dataset state_dim {dataset.state_dim}"
         )
-    return params, meta
-
-
-def _reject_one_step(meta: dict) -> None:
-    """A train-ar checkpoint maps a state to the next one; it is not a velocity field."""
-    if meta.get("kind") == "one_step":
-        raise InvalidArgumentError(
-            "--checkpoint must point to a flow checkpoint (train), not a train-ar checkpoint"
-        )
-
-
-def _check_one_step_grid(meta: dict, dataset) -> None:
-    """Reject a dataset whose grid step is not a one-step checkpoint's training step.
-
-    A one-step model maps a state to the state one training step later, so
-    its rollouts mean something only on uniform grids of that step. A
-    checkpoint written before the step was recorded (no "grid_step" key in
-    its meta) loads and runs unchecked, as it always did.
-    """
-    if "grid_step" in meta:
+    is_flow = params.config.use_time_embedding
+    if flow is not None and flow != is_flow:
+        kind = {True: "a flow (train)", False: "a one-step (train-ar)"}
+        raise InvalidArgumentError(f"{path} holds {kind[is_flow]} model, not {kind[flow]} model")
+    if not is_flow and "grid_step" in meta:
         _uniform_step_or_raise(dataset, expected=meta["grid_step"])
+    return params
 
 
 def cmd_gen_data(options: dict) -> int:
@@ -349,17 +294,16 @@ def _train_common(options: dict, autoregressive: bool) -> int:
     if keep_rate != 1.0:
         train_set = train_set.subsampled(keep_rate, base_seed=options["seed"])
 
+    flow = {} if autoregressive else {
+        "gamma0": options["gamma0"], "noise_m": options["noise_m"], "spline_kind": options["spline"]
+    }
     config = TrainConfig(
         steps=options["steps"],
         batch_size=options["batch_size"],
         learning_rate=options["lr"],
-        adam_betas=(options["beta1"], options["beta2"]),
-        adam_eps=options["eps"],
         eval_every=options["eval_every"],
-        gamma0=options.get("gamma0", 0.0),
-        noise_m=options.get("noise_m", 3),
-        spline_kind=options.get("spline", "quintic"),
         seed=options["seed"],
+        **flow,
     )
     mlp = MlpConfig(
         state_dim=train_set.state_dim,
@@ -386,9 +330,7 @@ def _train_common(options: dict, autoregressive: bool) -> int:
             "batch_size": config.batch_size,
             "learning_rate": config.learning_rate,
             "adam_betas": list(config.adam_betas),
-            "gamma0": config.gamma0,
-            "noise_m": config.noise_m,
-            "spline_kind": config.spline_kind,
+            **flow,
             "seed": config.seed,
         },
     }
@@ -439,14 +381,13 @@ def cmd_train_ar(options: dict) -> int:
 def cmd_eval(options: dict) -> int:
     _require(options, "checkpoint", "dataset")
     dataset, _ = _load_split(options["dataset"], options["split"])
-    params, meta = _load_flow_checkpoint(options["checkpoint"], dataset.state_dim)
+    params = _load_model(options["checkpoint"], dataset)
     fp = fingerprint("eval", options)
-    if meta.get("kind") == "one_step":
-        _check_one_step_grid(meta, dataset)
-        report = evaluate_one_step_model(params, dataset, eval_stride=options["eval_stride"])
-    else:
+    if params.config.use_time_embedding:
         solver = SolverConfig(method=options["method"], substeps_per_interval=options["substeps"])
         report = evaluate_flow_model(params, dataset, solver, eval_stride=options["eval_stride"])
+    else:
+        report = evaluate_one_step_model(params, dataset, eval_stride=options["eval_stride"])
     out = options["out"] or _out_dir(options) / "eval_report.csv"
     _write_csv(
         out,
@@ -510,16 +451,12 @@ def cmd_convergence(options: dict) -> int:
 def cmd_nfe_sweep(options: dict) -> int:
     _require(options, "checkpoint", "dataset")
     dataset, _ = _load_split(options["dataset"], options["split"])
-    params, meta = _load_flow_checkpoint(options["checkpoint"], dataset.state_dim)
-    _reject_one_step(meta)
+    params = _load_model(options["checkpoint"], dataset, flow=True)
     intervals = len(dataset.grids[0]) - 1  # AR budget: one evaluation per interval
     fp = fingerprint("nfe-sweep", options)
     rows = []
     if options["ar_checkpoint"]:
-        ar_params, ar_meta = _load_flow_checkpoint(options["ar_checkpoint"], dataset.state_dim)
-        if ar_meta.get("kind") != "one_step":
-            raise InvalidArgumentError("--ar-checkpoint must point to a train-ar checkpoint")
-        _check_one_step_grid(ar_meta, dataset)
+        ar_params = _load_model(options["ar_checkpoint"], dataset, flow=False)
         ar_report = evaluate_one_step_model(ar_params, dataset)
         rows.append(("ar", 100, ar_report.nfe, repr(ar_report.final_time_error)))
     for method in options["methods"]:
@@ -543,8 +480,7 @@ def cmd_nfe_sweep(options: dict) -> int:
 def cmd_reverse(options: dict) -> int:
     _require(options, "checkpoint", "dataset")
     dataset, _ = _load_split(options["dataset"], options["split"])
-    params, meta = _load_flow_checkpoint(options["checkpoint"], dataset.state_dim)
-    _reject_one_step(meta)
+    params = _load_model(options["checkpoint"], dataset, flow=True)
     if not (0.0 <= options["t_star"] <= 1.0):
         raise InvalidArgumentError("t_star must lie in [0, 1]")
     solver = SolverConfig(method=options["method"], substeps_per_interval=options["substeps"])
@@ -580,11 +516,13 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        options = resolve_options(args.command, args)
-        return _DISPATCH[args.command](options)
+        options = vars(build_parser().parse_args(argv))
+    except SystemExit as exc:  # argparse has printed usage or the error
+        return exc.code
+    command = options.pop("command")
+    try:
+        return _DISPATCH[command](options)
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

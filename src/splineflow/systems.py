@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergedError, InvalidArgumentError, NumericError
+from .errors import DivergedError, InvalidArgumentError
 from .odeint import SolverConfig, rollout
 from .timegrid import TimeGrid, uniform_grid
 
@@ -108,8 +108,8 @@ def generate_lorenz(
     """Lorenz trajectories from uniform initial conditions in a cube.
 
     RK4 with `substeps` per output interval; times are normalized so the
-    horizon maps to [0, 1]. Divergent draws (never observed for Lorenz,
-    which is bounded) are regenerated from a fresh substream.
+    horizon maps to [0, 1]. A step too coarse for the dynamics raises
+    DivergedError; diverged draws are never replaced by others.
     """
     if n_times < 2:
         raise InvalidArgumentError("n_times must be >= 2")
@@ -124,20 +124,12 @@ def generate_lorenz(
     raw_times = grid.raw_times
     solver = SolverConfig(method="rk4", substeps_per_interval=substeps)
     result = rollout(lambda t, u: lorenz_rhs(u), u0, raw_times, solver)
+    if result.diverged.any():
+        raise DivergedError(
+            f"lorenz integration unstable: {int(result.diverged.sum())} of {n_traj} rows "
+            f"diverged with {substeps} substeps per interval"
+        )
     states = np.swapaxes(result.states, 0, 1)  # (n_traj, n_times, 3)
-
-    retries = 0
-    bad = np.flatnonzero(result.diverged)
-    while bad.size:
-        retries += 1
-        if retries > 100:
-            raise NumericError("lorenz generation kept diverging; check parameters")
-        for j in bad:
-            rng = np.random.default_rng([seed, n_traj * retries + int(j)])
-            u0[j] = rng.uniform(-init_box, init_box, size=3)
-        redo = rollout(lambda t, u: lorenz_rhs(u), u0[bad], raw_times, solver)
-        states[bad] = np.swapaxes(redo.states, 0, 1)
-        bad = bad[redo.diverged]
 
     return TrajectorySet(
         grids=[grid] * n_traj,

@@ -233,12 +233,14 @@ def train_flow_matching(
     """
     from .evaluation import evaluate_flow_model
 
+    mlp_config = mlp_config or MlpConfig(state_dim=train_set.state_dim)
+    if not mlp_config.use_time_embedding:
+        raise InvalidArgumentError("the flow model's velocity field takes a time input")
+    if mlp_config.state_dim != train_set.state_dim:
+        raise InvalidArgumentError("mlp state_dim does not match the dataset")
     schedule = NoiseSchedule(gamma0=config.gamma0, m=config.noise_m)
     table = build_splines(train_set, config.spline_kind)
     sampler = InterpolantSampler(train_set.grids, table, schedule)
-    mlp_config = mlp_config or MlpConfig(state_dim=train_set.state_dim)
-    if mlp_config.state_dim != train_set.state_dim:
-        raise InvalidArgumentError("mlp state_dim does not match the dataset")
     params = init_params(mlp_config, config.seed)
     rng = np.random.default_rng([config.seed, 1])
 

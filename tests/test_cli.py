@@ -107,6 +107,8 @@ def test_one_step_checkpoint_runs_only_on_its_training_step(tiny_lorenz, tmp_pat
     ]) == 0
     params, meta = load_checkpoint(ar)
     assert meta["grid_step"] == 0.1
+    # the one-step model has no spline path and no noise schedule
+    assert meta["train"].keys().isdisjoint({"spline_kind", "gamma0", "noise_m"})
     flow = tmp_path / "flow.ckpt.npz"
     save_checkpoint(flow, init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0),
                     meta={"kind": "flow"})
@@ -132,10 +134,16 @@ def test_one_step_checkpoint_runs_only_on_its_training_step(tiny_lorenz, tmp_pat
 
 
 def test_flow_studies_reject_a_one_step_checkpoint(tiny_lorenz, tmp_path):
-    # a train-ar checkpoint is a next-state map, not a velocity field to integrate
+    # a network without a time input is a next-state map, not a velocity
+    # field to integrate, even in a checkpoint saved without meta
     ar = tmp_path / "ar.ckpt.npz"
-    one_step = init_params(MlpConfig(state_dim=3, hidden_dims=(8,), use_time_embedding=False), 0)
-    save_checkpoint(ar, one_step, meta={"kind": "one_step", "grid_step": 0.1})
+    save_checkpoint(ar, init_params(MlpConfig(3, (8,), use_time_embedding=False), 0))
+    report = tmp_path / "eval.csv"
+    assert cli.main([
+        "eval", "--checkpoint", str(ar), "--dataset", str(tiny_lorenz), "--split", "val",
+        "--out", str(report),
+    ]) == 0
+    assert "# nfe=10" in report.read_text().splitlines()  # one step per interval, not RK4
     for command, extra in (("nfe-sweep", ["--methods", "rk4", "--budgets", "100"]),
                            ("reverse", ["--t-star", "0.5"])):
         out = tmp_path / f"{command}.csv"
@@ -208,44 +216,18 @@ def test_commands_reject_a_file_that_is_not_a_checkpoint(tiny_lorenz, tmp_path, 
         assert code == 4
 
 
-def test_config_file_sits_between_defaults_and_flags(tiny_lorenz, tmp_path):
-    config = tmp_path / "run.cfg"
-    config.write_text(
-        "# evaluation settings\n"
-        "\n"
-        "split = val  # dashed and underscored keys both work\n"
-        "eval-stride = 5\n"
-        "substeps = 2\n"
-        "method = euler\n"
-    )
-    args = cli.build_parser().parse_args(
-        ["eval", "--config", str(config), "--method", "heun"]
-    )
-    options = cli.resolve_options("eval", args)
-    assert options["split"] == "val"
-    assert options["eval_stride"] == 5
-    assert options["substeps"] == 2
-    assert options["method"] == "heun"  # the flag wins over the file
-    assert options["out"] is None  # untouched keys keep their defaults
-
+def test_eval_flags_reach_the_solver_typed_and_defaulted(tiny_lorenz, tmp_path):
     ckpt = tmp_path / "init.ckpt.npz"
     save_checkpoint(ckpt, init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0))
     out = tmp_path / "eval.csv"
-    code = cli.main([
-        "eval", "--config", str(config), "--checkpoint", str(ckpt),
-        "--dataset", str(tiny_lorenz), "--out", str(out),
-    ])
-    assert code == 0
-    # 2 val rows over 10 intervals at stride 5: 2 euler steps of 2 substeps each
+    base = ["eval", "--checkpoint", str(ckpt), "--dataset", str(tiny_lorenz), "--split", "val",
+            "--out", str(out)]
+    # defaults: rk4, one substep, every one of the 10 intervals
+    assert cli.main(base) == 0
+    assert "# nfe=40" in out.read_text().splitlines()
+    # stride 5: 2 euler steps of 2 substeps each
+    assert cli.main(base + ["--eval-stride", "5", "--substeps", "2", "--method", "euler"]) == 0
     assert "# nfe=4" in out.read_text().splitlines()
-
-
-def test_config_file_errors(tiny_lorenz, tmp_path):
-    eval_args = ["eval", "--dataset", str(tiny_lorenz), "--checkpoint", "unused"]
-    unknown = tmp_path / "unknown.cfg"
-    unknown.write_text("noise_levels = 0.1\n")  # a reverse option, not an eval one
-    assert cli.main(eval_args + ["--config", str(unknown)]) == 2
-    assert cli.main(eval_args + ["--config", str(tmp_path / "absent.cfg")]) == 4
 
 
 @pytest.mark.parametrize("factors", ["1,1", "1,3"])
@@ -264,13 +246,13 @@ def test_convergence_rejects_repeated_or_non_dividing_factors(tiny_lorenz, tmp_p
     "command, option, value",
     [("eval", "eval-stride", "abc"), ("convergence", "factors", "1,x"), ("train", "lr", "fast")],
 )
-def test_malformed_option_values_exit_2_from_flags_and_config_files(
-    tiny_lorenz, tmp_path, capsys, command, option, value
-):
+def test_malformed_option_values_exit_2(tiny_lorenz, tmp_path, capsys, command, option, value):
     base = [command, "--dataset", str(tiny_lorenz), "--out-dir", str(tmp_path)]
     assert cli.main(base + [f"--{option}", value]) == 2
-    assert f"--{option}" in capsys.readouterr().err
-    config = tmp_path / "bad.cfg"
-    config.write_text(f"{option} = {value}\n")
-    assert cli.main(base + ["--config", str(config)]) == 2
-    assert f"--{option}" in capsys.readouterr().err
+    assert f"argument --{option}: invalid" in capsys.readouterr().err
+
+
+def test_unknown_flags_exit_2_instead_of_raising(capsys):
+    assert cli.main(["eval", "--config", "x"]) == 2
+    assert cli.main(["train", "--beta1", "0.5"]) == 2
+    assert "--beta1" in capsys.readouterr().err

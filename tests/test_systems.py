@@ -3,6 +3,7 @@ import pytest
 
 from splineflow import (
     BurgersConfig,
+    DivergedError,
     InvalidArgumentError,
     NumericError,
     burgers_rhs,
@@ -142,6 +143,13 @@ def test_burgers_too_few_substeps_raises():
     # 100 intervals of 0.01 s need 2 substeps for h <= 0.5 dx^2 / nu
     with pytest.raises(NumericError, match="needs >= 2 substeps"):
         generate_burgers(2, 101, substeps=1)
+
+
+def test_lorenz_too_few_substeps_raises_instead_of_redrawing():
+    # two RK4 substeps per 0.25 s interval blow up some draws from the box;
+    # replacing them would keep only initial conditions that survive the step
+    with pytest.raises(DivergedError, match="with 2 substeps"):
+        generate_lorenz(200, 21, substeps=2)
 
 
 def test_grf_is_real_and_seeded():

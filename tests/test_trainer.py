@@ -390,6 +390,16 @@ def test_quintic_requires_three_knots():
         train_flow_matching(data, cfg, mlp_config=MlpConfig(state_dim=1, hidden_dims=(4,)))
 
 
+def test_each_trainer_rejects_the_other_models_network():
+    # the time input is what tells a velocity field from a next-state map
+    data = _constant_set(value=1.5, d=1)
+    cfg = TrainConfig(steps=2, batch_size=4)
+    with pytest.raises(InvalidArgumentError, match="time input"):
+        train_flow_matching(data, cfg, mlp_config=MlpConfig(1, (4,), use_time_embedding=False))
+    with pytest.raises(InvalidArgumentError, match="time input"):
+        train_one_step(data, cfg, mlp_config=MlpConfig(1, (4,)))
+
+
 def test_ar_learns_identity_on_constant_data():
     data = _constant_set(value=1.5, d=1)
     cfg = TrainConfig(steps=1200, batch_size=32, learning_rate=3e-3, eval_every=400, seed=0)
