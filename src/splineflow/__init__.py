@@ -19,8 +19,8 @@ from .errors import (
 from .interpolant import InterpolantSampler, SampleBatch
 from .metrics import EvalReport, build_report, empirical_order, relative_l2
 from .odeint import RolloutResult, SolverConfig, ar_rollout, rollout, rollout_reverse, step
-from .spline import NoiseSchedule, Spline, build_linear, build_quintic
-from .stencil import KnotDerivatives, estimate_knot_derivatives, fd_weights
+from .spline import NoiseSchedule, build_linear, build_quintic, estimate_knot_derivatives
+from .stencil import fd_weights
 from .systems import (
     BurgersConfig,
     TrajectorySet,

@@ -229,9 +229,11 @@ def cmd_gen_data(options: dict) -> int:
         substeps = 10
 
     counts = {"train": n_train, "val": n_val, "test": n_test}
+    if min(counts.values()) < 0:
+        raise InvalidArgumentError(f"split sizes must be >= 0, got {counts}")
     splits = {}
     for name, count in counts.items():
-        if count <= 0:
+        if count == 0:
             continue
         split_seed = 4 * seed + _SPLIT_SALT[name] + 1
         if system == "lorenz":

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .metrics import empirical_order
+from .metrics import empirical_order, row_errors
 from .spline import build_linear, build_quintic, segment_derivatives
 from .systems import TrajectorySet, lorenz_rhs
 from .timegrid import TimeGrid
@@ -42,8 +42,8 @@ class ConvergenceRow:
     order_tau1: float
 
 
-def segment_endpoint_velocities(spline):
-    """One-sided spline velocities at both endpoints of every segment.
+def segment_endpoint_velocities(grid: TimeGrid, table: np.ndarray):
+    """One-sided spline velocities at both endpoints of every segment of the grid.
 
     Returns (v0, v1) with shape (n_segments, d): the right-limit velocity
     at each segment start and the left-limit velocity at each segment end.
@@ -51,11 +51,11 @@ def segment_endpoint_velocities(spline):
     they equal the knot derivative data by the Hermite endpoint
     conditions.
     """
-    n = spline.grid.n_segments
+    n = grid.n_segments
     left = np.concatenate([np.arange(n)] * 2)
-    h = np.concatenate([spline.grid.steps] * 2)
+    h = np.concatenate([grid.steps] * 2)
     tau = np.repeat([0.0, 1.0], n)  # segment starts, then segment ends
-    (v,) = segment_derivatives(spline.table, left, tau, h, (1,))
+    (v,) = segment_derivatives(table, left, tau, h, (1,))
     return v[:n], v[n:]
 
 
@@ -70,10 +70,7 @@ def downsample_regular(grid: TimeGrid, values: np.ndarray, factor: int):
     """Keep every factor-th knot; the factor must divide the segment count."""
     _check_factor(grid.n_segments, factor)
     keep = np.arange(0, len(grid), factor)
-    return (
-        TimeGrid(times=grid.times[keep], raw_horizon=grid.raw_horizon),
-        values[keep],
-    )
+    return TimeGrid(times=grid.times[keep]), values[keep]
 
 
 def _check_factor(n_segments: int, factor: int) -> None:
@@ -155,15 +152,9 @@ def _block_endpoint_errors(kind, grid, block, factor, raw_horizon):
     """
     sub_grid, knots = downsample_regular(grid, block, factor)  # (n_sub, b, d)
     build = build_linear if kind == "linear" else build_quintic
-    spline = build(sub_grid, knots.reshape(len(sub_grid), -1))
-    v0, v1 = segment_endpoint_velocities(spline)
+    table = build(sub_grid, knots.reshape(len(sub_grid), -1))
+    v0, v1 = segment_endpoint_velocities(sub_grid, table)
     truth = raw_horizon * lorenz_rhs(knots)
-    e0 = _relative_rows(v0.reshape(truth[:-1].shape), truth[:-1])  # (n_seg, b)
-    e1 = _relative_rows(v1.reshape(truth[1:].shape), truth[1:])
+    e0 = row_errors(v0.reshape(truth[:-1].shape), truth[:-1])  # (n_seg, b)
+    e1 = row_errors(v1.reshape(truth[1:].shape), truth[1:])
     return e0.T.ravel(), e1.T.ravel()
-
-
-def _relative_rows(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    num = np.linalg.norm(pred - truth, axis=-1)
-    den = np.linalg.norm(truth, axis=-1)
-    return num / np.where(den == 0.0, np.inf, den)

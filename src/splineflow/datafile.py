@@ -98,7 +98,7 @@ def read_dataset(path):
                 if len(buf) != need:
                     raise DataFormatError(f"{path}: truncated payload")
                 times = np.frombuffer(buf[: n * 8], dtype="<f8").copy()
-                grids.append(TimeGrid(times=times, raw_horizon=horizon))
+                grids.append(TimeGrid(times=times))
                 states.append(np.frombuffer(buf[n * 8 :], dtype="<f8").reshape(n, d).copy())
             splits[entry["name"]] = TrajectorySet(
                 grids=grids,

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .metrics import EvalReport, build_report, relative_l2
+from .metrics import EvalReport, build_report, relative_l2, row_errors
 from .odeint import SolverConfig, ar_rollout, rollout, rollout_reverse
 from .systems import TrajectorySet
 from .vector_field import VectorFieldParams, forward_batch
@@ -189,8 +189,6 @@ def reverse_time_study(
             # result.states: (K, B, d); per-horizon mean relative error
             n_diverged = int(np.count_nonzero(result.diverged))
             for k, s in enumerate(targets):
-                num = np.linalg.norm(result.states[k] - truth[:, k, :], axis=-1)
-                den = np.linalg.norm(truth[:, k, :], axis=-1)
-                err = float(np.mean(num / np.where(den == 0.0, np.inf, den)))
+                err = float(np.mean(row_errors(result.states[k], truth[:, k, :])))
                 rows.append((float(level), float(grid.times[anchor] - s), err, n_diverged))
     return rows

@@ -28,6 +28,18 @@ def relative_l2(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(np.linalg.norm(pred - truth) / denom)
 
 
+def row_errors(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Relative L2 error of every state row: |pred - truth| / |truth| over the last axis.
+
+    Raises UndefinedMetricError if any truth row has zero norm.
+    """
+    num = np.linalg.norm(pred - truth, axis=-1)
+    den = np.linalg.norm(truth, axis=-1)
+    if np.any(den == 0.0):
+        raise UndefinedMetricError("relative error undefined at a zero-norm truth row")
+    return num / den
+
+
 @dataclass
 class EvalReport:
     """Aggregated rollout accuracy over a test set."""
@@ -60,13 +72,7 @@ def build_report(preds, truths, nfe: int = 0, diverged=None) -> EvalReport:
     if len(preds) == 0 or len(preds) != len(truths):
         raise InvalidArgumentError("need matching, nonempty prediction/truth lists")
     per_traj = np.array([relative_l2(p, t) for p, t in zip(preds, truths)])
-    curves = []
-    for p, t in zip(preds, truths):
-        num = np.linalg.norm(np.asarray(p) - np.asarray(t), axis=-1)
-        den = np.linalg.norm(np.asarray(t), axis=-1)
-        if np.any(den == 0.0):
-            raise UndefinedMetricError("per-time relative error undefined at zero state")
-        curves.append(num / den)
+    curves = [row_errors(np.asarray(p), np.asarray(t)) for p, t in zip(preds, truths)]
     per_time = np.mean(curves, axis=0)
     n_div = int(np.sum(diverged)) if diverged is not None else 0
     return EvalReport(

@@ -1,12 +1,25 @@
 """One spline representation for both kinds: a per-knot table.
 
-A spline over a TimeGrid stores its knot data as a table of shape
-(n_knots, m, d):
+A spline over a TimeGrid is its knot table, of shape (n_knots, m, d);
+`build_linear` and `build_quintic` return it, and the caller keeps the grid:
 
 * m = 1 holds [u]: the C0 piecewise-linear interpolant (degree-1
   Lagrange basis [1 - tau, tau] on each segment);
 * m = 3 holds [u, du/dt, d2u/dt2]: the C2 quintic Hermite interpolant,
   with knot derivatives estimated by `estimate_knot_derivatives`.
+
+`estimate_knot_derivatives` gives each knot the first and second time
+derivatives of a quadratic through three neighbouring knots, vectorized
+over knots and state components:
+
+* at an interior knot, the quadratic through it and its two neighbours,
+  i.e. the three-point formulas (second order for du/dt and first order
+  for d2u/dt2 on irregular grids);
+* at the first and last knot, the quadratic of the adjacent interior
+  knot. Its second derivative is constant and its slope changes linearly,
+  so a[0] = a[1] and d[0] = d[1] - h[0] a[1], and at the other end
+  a[-1] = a[-2] and d[-1] = d[-2] + h[-1] a[-2]. This keeps du/dt second
+  order at the boundary without a linear solve.
 
 `segment_derivatives` is the only way to evaluate a spline: it gathers
 the two knots of each segment as (B, 2m, d) and contracts them with the
@@ -33,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .stencil import estimate_knot_derivatives
 from .timegrid import TimeGrid
 
 # Quintic Hermite basis on the unit interval, ordered
@@ -148,29 +160,45 @@ def _check_values(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
-class Spline:
-    """Linear (m = 1) or quintic Hermite (m = 3) interpolant of one trajectory."""
+def estimate_knot_derivatives(grid: TimeGrid, values: np.ndarray):
+    """(d, a): du/dt and d2u/dt2 at the knots of one trajectory, each (n_knots, d).
 
-    grid: TimeGrid
-    table: np.ndarray  # (n_knots, m, d)
+    Closed forms of the module docstring, componentwise over the state.
+    Expects at least 3 knots and one row of values per knot, which
+    `build_quintic` checks.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    h = grid.steps
+    d = np.empty_like(values)
+    a = np.empty_like(values)
 
-    def __post_init__(self):
-        shape = np.shape(self.table)
-        if len(shape) != 3 or shape[0] != len(self.grid) or shape[1] not in _BASES:
-            raise InvalidArgumentError(
-                f"knot table has shape {shape}, expected ({len(self.grid)}, 1 or 3, d)"
-            )
+    hp = h[:-1][:, None]  # h_{i-1}
+    hn = h[1:][:, None]  # h_i
+    tot = hp + hn
+    u_prev, u_mid, u_next = values[:-2], values[1:-1], values[2:]
+    d[1:-1] = (
+        -hn / (hp * tot) * u_prev
+        + (hn - hp) / (hp * hn) * u_mid
+        + hp / (hn * tot) * u_next
+    )
+    a[1:-1] = (2.0 / tot) * ((u_next - u_mid) / hn - (u_mid - u_prev) / hp)
+
+    a[0] = a[1]
+    d[0] = d[1] - h[0] * a[1]
+    a[-1] = a[-2]
+    d[-1] = d[-2] + h[-1] * a[-2]
+    return d, a
 
 
-def build_linear(grid: TimeGrid, values: np.ndarray) -> Spline:
-    """Linear interpolant of the snapshots on their grid (a view, no copy)."""
-    return Spline(grid=grid, table=_check_values(grid, values)[:, None, :])
+def build_linear(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
+    """Knot table (n_knots, 1, d) of the linear interpolant: a view of the snapshots."""
+    return _check_values(grid, values)[:, None, :]
 
 
-def build_quintic(grid: TimeGrid, values: np.ndarray) -> Spline:
-    """Quintic Hermite interpolant with stencil-estimated knot derivatives.
+def build_quintic(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
+    """Knot table (n_knots, 3, d) of the quintic Hermite interpolant.
 
+    The knot derivatives are estimated by `estimate_knot_derivatives`.
     Needs at least 3 knots.
     """
     values = _check_values(grid, values)
@@ -179,8 +207,8 @@ def build_quintic(grid: TimeGrid, values: np.ndarray) -> Spline:
             "quintic splines need at least 3 knots for derivative stencils; "
             "use build_linear for 2-point trajectories"
         )
-    derivs = estimate_knot_derivatives(grid, values)
-    return Spline(grid=grid, table=np.stack([values, derivs.d, derivs.a], axis=1))
+    d, a = estimate_knot_derivatives(grid, values)
+    return np.stack([values, d, a], axis=1)
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,8 @@ class TrajectorySet:
                 )
             if not np.isfinite(u).all():
                 raise InvalidArgumentError("trajectory states must be finite")
+        if not (self.raw_horizon > 0.0):
+            raise InvalidArgumentError("raw_horizon must be positive")
 
     @property
     def n_traj(self) -> int:
@@ -64,7 +66,7 @@ class TrajectorySet:
             # Salted entropy keeps subsampling independent of the training
             # rng streams derived from the same base seed.
             keep = subsample_indices(g, keep_rate, [base_seed, 7919, j])
-            grids.append(TimeGrid(times=g.times[keep], raw_horizon=g.raw_horizon))
+            grids.append(TimeGrid(times=g.times[keep]))
             states.append(u[keep])
         return TrajectorySet(
             grids=grids,
@@ -120,10 +122,9 @@ def generate_lorenz(
         rng = np.random.default_rng([seed, j])
         u0[j] = rng.uniform(-init_box, init_box, size=3)
 
-    grid = uniform_grid(n_times, raw_horizon=horizon_seconds)
-    raw_times = grid.raw_times
+    grid = uniform_grid(n_times)
     solver = SolverConfig(method="rk4", substeps_per_interval=substeps)
-    result = rollout(lambda t, u: lorenz_rhs(u), u0, raw_times, solver)
+    result = rollout(lambda t, u: lorenz_rhs(u), u0, grid.times * horizon_seconds, solver)
     if result.diverged.any():
         raise DivergedError(
             f"lorenz integration unstable: {int(result.diverged.sum())} of {n_traj} rows "
@@ -240,14 +241,14 @@ def generate_burgers(
     if n_traj < 1:
         raise InvalidArgumentError("n_traj must be >= 1")
     config = config or BurgersConfig()
-    grid = uniform_grid(n_times, raw_horizon=horizon_seconds)
+    grid = uniform_grid(n_times)
     interval = horizon_seconds / (n_times - 1)
     needed = burgers_substeps(config, interval)
     if substeps is None:
         substeps = needed
     u0 = np.stack([sample_grf_initial(config.nx, [seed, j]) for j in range(n_traj)])
     solver = SolverConfig(method="rk4", substeps_per_interval=substeps)
-    result = rollout(lambda t, u: burgers_rhs(u, config), u0, grid.raw_times, solver)
+    result = rollout(lambda t, u: burgers_rhs(u, config), u0, grid.times * horizon_seconds, solver)
     if result.diverged.any():
         raise DivergedError(
             f"burgers integration unstable; needs >= {needed} substeps per "

@@ -1,14 +1,15 @@
 """Per-trajectory time grids, normalized to [0, 1].
 
-A grid stores dimensionless sample times (first point 0, last point 1)
-plus the physical horizon in seconds that was divided out at ingestion.
-All downstream code (splines, training, rollouts) works in normalized
-time; only dataset generation and step-size reporting touch seconds.
+A grid stores dimensionless sample times (first point 0, last point 1).
+The physical horizon in seconds that was divided out belongs to the
+trajectory set (`TrajectorySet.raw_horizon`). All downstream code
+(splines, training, rollouts) works in normalized time; only dataset
+generation and step-size reporting touch seconds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,11 +21,9 @@ class TimeGrid:
     """Strictly increasing sample times in [0, 1].
 
     times: normalized sample times, times[0] == 0 and times[-1] == 1.
-    raw_horizon: the physical duration (seconds) the unit interval maps to.
     """
 
     times: np.ndarray
-    raw_horizon: float = 1.0
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.float64)
@@ -34,8 +33,6 @@ class TimeGrid:
             raise InvalidArgumentError("grid times must be strictly increasing")
         if times[0] != 0.0 or times[-1] != 1.0:
             raise InvalidArgumentError("normalized grid must start at 0 and end at 1")
-        if not (self.raw_horizon > 0.0):
-            raise InvalidArgumentError("raw_horizon must be positive")
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
 
@@ -51,20 +48,16 @@ class TimeGrid:
         """Segment widths in normalized time."""
         return np.diff(self.times)
 
-    @property
-    def raw_times(self) -> np.ndarray:
-        return self.times * self.raw_horizon
-
     def is_uniform(self) -> bool:
         h = self.steps
         return bool(np.allclose(h, h[0], rtol=1e-9, atol=1e-14))
 
 
-def uniform_grid(n_points: int, raw_horizon: float = 1.0) -> TimeGrid:
+def uniform_grid(n_points: int) -> TimeGrid:
     """Uniform grid with times[i] = i / (n_points - 1)."""
     if n_points < 2:
         raise InvalidArgumentError(f"n_points must be >= 2, got {n_points}")
-    return TimeGrid(times=np.linspace(0.0, 1.0, n_points), raw_horizon=raw_horizon)
+    return TimeGrid(times=np.linspace(0.0, 1.0, n_points))
 
 
 def subsample_indices(grid: TimeGrid, keep_rate: float, seed) -> np.ndarray:

@@ -152,7 +152,7 @@ def build_splines(dataset: TrajectorySet, spline_kind: str) -> np.ndarray:
     table = np.empty((sum(len(g) for g in dataset.grids), m, dataset.state_dim))
     row = 0
     for grid, states in zip(dataset.grids, dataset.states):
-        table[row : row + len(grid)] = build(grid, states).table
+        table[row : row + len(grid)] = build(grid, states)
         row += len(grid)
     return table
 
@@ -272,8 +272,7 @@ def train_one_step(
 
     step_size = _uniform_step_or_raise(train_set)
     states = np.stack(train_set.states)  # (M, N, d)
-    inputs = states[:, :-1, :].reshape(-1, train_set.state_dim)
-    targets = states[:, 1:, :].reshape(-1, train_set.state_dim)
+    n_steps = states.shape[1] - 1  # pairs (u_k, u_{k+1}) per trajectory
 
     mlp_config = mlp_config or MlpConfig(
         state_dim=train_set.state_dim, use_time_embedding=False
@@ -287,8 +286,9 @@ def train_one_step(
     zeros = np.zeros(config.batch_size)
 
     def draw():
-        idx = rng.integers(0, inputs.shape[0], size=config.batch_size)
-        return SampleBatch(t=zeros, x=inputs[idx], v_target=targets[idx])
+        idx = rng.integers(0, states.shape[0] * n_steps, size=config.batch_size)
+        traj, k = np.divmod(idx, n_steps)
+        return SampleBatch(t=zeros, x=states[traj, k], v_target=states[traj, k + 1])
 
     score = None
     if val_set is not None:

@@ -166,6 +166,16 @@ def test_gen_data_rejects_zero_substeps_for_both_systems(tmp_path):
         assert not out.exists()
 
 
+def test_gen_data_rejects_negative_split_counts(tmp_path):
+    out = tmp_path / "neg.sftraj"
+    code = cli.main([
+        "gen-data", "--n-train", "-3", "--n-val", "2", "--n-test", "0", "--n-times", "11",
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert not out.exists()
+
+
 def test_gen_data_records_the_substeps_it_used(tmp_path):
     out = tmp_path / "lorenz.sftraj"
     base = ["gen-data", "--n-train", "1", "--n-val", "0", "--n-test", "0", "--n-times", "51"]

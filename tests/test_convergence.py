@@ -7,9 +7,8 @@ from splineflow.convergence import (
     endpoint_velocity_study,
     segment_endpoint_velocities,
 )
-from splineflow.metrics import empirical_order
-from splineflow.spline import build_linear, build_quintic
-from splineflow.stencil import estimate_knot_derivatives
+from splineflow.metrics import empirical_order, row_errors
+from splineflow.spline import build_linear, build_quintic, estimate_knot_derivatives
 from splineflow.systems import BurgersConfig, TrajectorySet, lorenz_rhs
 from splineflow.timegrid import uniform_grid
 
@@ -31,7 +30,7 @@ def test_downsample_requires_divisible_factor():
 def test_segment_endpoint_velocities_linear_slopes():
     grid = uniform_grid(3)
     values = np.array([[0.0], [1.0], [3.0]])
-    v0, v1 = segment_endpoint_velocities(build_linear(grid, values))
+    v0, v1 = segment_endpoint_velocities(grid, build_linear(grid, values))
     assert np.allclose(v0[:, 0], [2.0, 4.0])
     assert np.array_equal(v0, v1)
 
@@ -39,8 +38,8 @@ def test_segment_endpoint_velocities_linear_slopes():
 def test_segment_endpoint_velocities_quintic_knot_data():
     grid = uniform_grid(5)
     values = np.sin(3 * grid.times)[:, None]
-    d = estimate_knot_derivatives(grid, values).d
-    v0, v1 = segment_endpoint_velocities(build_quintic(grid, values))
+    d, _ = estimate_knot_derivatives(grid, values)
+    v0, v1 = segment_endpoint_velocities(grid, build_quintic(grid, values))
     assert np.array_equal(v0, d[:-1])
     assert np.array_equal(v1, d[1:])
 
@@ -86,9 +85,9 @@ def _per_trajectory_study(dataset, factors):
             acc0, acc1 = [], []
             for grid, values in zip(dataset.grids, dataset.states):
                 sub_grid, sub_values = downsample_regular(grid, values, factor)
-                v0, v1 = segment_endpoint_velocities(build(sub_grid, sub_values))
-                acc0.append(convergence._relative_rows(v0, dataset.raw_horizon * lorenz_rhs(sub_values[:-1])))
-                acc1.append(convergence._relative_rows(v1, dataset.raw_horizon * lorenz_rhs(sub_values[1:])))
+                v0, v1 = segment_endpoint_velocities(sub_grid, build(sub_grid, sub_values))
+                acc0.append(row_errors(v0, dataset.raw_horizon * lorenz_rhs(sub_values[:-1])))
+                acc1.append(row_errors(v1, dataset.raw_horizon * lorenz_rhs(sub_values[1:])))
             errs0.append(float(np.mean(np.concatenate(acc0))))
             errs1.append(float(np.mean(np.concatenate(acc1))))
             dts.append(factor * dataset.raw_horizon * float(dataset.grids[0].steps[0]))

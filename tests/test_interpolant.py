@@ -32,9 +32,9 @@ class FixedDraws:
 
 
 def _sampler(splines, schedule):
-    """Sampler over the splines' knot tables, stacked in order as the trainer stacks them."""
-    table = np.concatenate([s.table for s in splines])
-    return InterpolantSampler([s.grid for s in splines], table, schedule)
+    """Sampler over (grid, knot table) pairs, tables stacked in order as the trainer stacks them."""
+    table = np.concatenate([table for _, table in splines])
+    return InterpolantSampler([grid for grid, _ in splines], table, schedule)
 
 
 def _quintic_set(n_traj=4, n_knots=9, seed=0):
@@ -43,7 +43,7 @@ def _quintic_set(n_traj=4, n_knots=9, seed=0):
     for _ in range(n_traj):
         t = uniform_grid(n_knots)
         values = rng.standard_normal((n_knots, 3)).cumsum(axis=0)
-        splines.append(build_quintic(t, values))
+        splines.append((t, build_quintic(t, values)))
     return splines
 
 
@@ -53,10 +53,10 @@ def _irregular_grid(n, rng):
 
 
 def _quadratic_splines(build, lengths, seed):
-    """Splines through per-trajectory quadratics on irregular grids.
+    """(grid, knot table) pairs through per-trajectory quadratics on irregular grids.
 
     Trajectory j samples q_j(t) = c[j, 0] + c[j, 1] t + c[j, 2] t^2 in two
-    components; returns the splines and c, shape (n_traj, 3, 2).
+    components; returns the pairs and c, shape (n_traj, 3, 2).
     """
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal((len(lengths), 3, 2))
@@ -64,7 +64,7 @@ def _quadratic_splines(build, lengths, seed):
     for n, c in zip(lengths, coeffs):
         grid = _irregular_grid(n, rng)
         t = grid.times[:, None]
-        splines.append(build(grid, c[0] + c[1] * t + c[2] * t**2))
+        splines.append((grid, build(grid, c[0] + c[1] * t + c[2] * t**2)))
     return splines, coeffs
 
 
@@ -75,9 +75,10 @@ def _exact(spline, c, t):
     the Hermite basis are both exact on quadratics. Linear: np.interp and
     the slope of the segment holding t (the right one at a knot).
     """
-    if spline.table.shape[1] == 3:
+    grid, table = spline
+    if table.shape[1] == 3:
         return c[0] + c[1] * t + c[2] * t**2, c[1] + 2.0 * c[2] * t
-    times, u = spline.grid.times, spline.table[:, 0]
+    times, u = grid.times, table[:, 0]
     k = min(np.searchsorted(times, t, side="right") - 1, times.size - 2)
     x = np.array([np.interp(t, times, col) for col in u.T])
     return x, (u[k + 1] - u[k]) / (times[k + 1] - times[k])
@@ -91,12 +92,12 @@ def _assert_on_truth(splines, coeffs, traj, batch):
 
 
 def test_sample_at_knot_ignores_noise():
-    spline = _quintic_set(1)[0]
+    grid, table = spline = _quintic_set(1)[0]
     sampler = _sampler([spline], NoiseSchedule(gamma0=0.5, m=3))
-    knot = spline.grid.times[3]
+    knot = grid.times[3]
     out = sampler.sample_batch(1, FixedDraws([0], [knot], np.full((1, 3), 7.0)))
-    assert np.allclose(out.x[0], spline.table[3, 0], atol=1e-12)
-    assert np.allclose(out.v_target[0], spline.table[3, 1], atol=1e-12)
+    assert np.allclose(out.x[0], table[3, 0], atol=1e-12)
+    assert np.allclose(out.v_target[0], table[3, 1], atol=1e-12)
 
 
 def test_sample_noiseless_reduces_to_flow_matching():
@@ -109,8 +110,9 @@ def test_sample_noiseless_reduces_to_flow_matching():
 def test_sample_linear_hand_value():
     # straight line 0 -> 1 with m=1 bump: x = t + gamma0*t(1-t)*z,
     # v = 1 + gamma0*(1-2t)*z
-    spline = build_linear(uniform_grid(2), np.array([[0.0], [1.0]]))
-    sampler = _sampler([spline], NoiseSchedule(gamma0=1.0, m=1))
+    grid = uniform_grid(2)
+    table = build_linear(grid, np.array([[0.0], [1.0]]))
+    sampler = _sampler([(grid, table)], NoiseSchedule(gamma0=1.0, m=1))
     out = sampler.sample_batch(1, FixedDraws([0], [0.25], [[1.0]]))
     assert np.isclose(out.x[0, 0], 0.25 + 0.1875)
     assert np.isclose(out.v_target[0, 0], 1.0 + 0.5)
@@ -120,8 +122,8 @@ def test_linear_draws_at_knots_take_the_right_segment():
     # half-open segments: a draw at t = 0 or at an interior knot reads the
     # segment to its right, and t = 1 the last one
     grid = TimeGrid(times=np.array([0.0, 0.4, 1.0]))
-    spline = build_linear(grid, np.array([[1.0], [3.0], [0.0]]))
-    sampler = _sampler([spline], NoiseSchedule(gamma0=0.0, m=3))
+    table = build_linear(grid, np.array([[1.0], [3.0], [0.0]]))
+    sampler = _sampler([(grid, table)], NoiseSchedule(gamma0=0.0, m=3))
     out = sampler.sample_batch(3, FixedDraws([0, 0, 0], [0.0, 0.4, 1.0], np.zeros((3, 1))))
     assert np.allclose(out.x[:, 0], [1.0, 3.0, 0.0])
     assert np.allclose(out.v_target[:, 0], [(3 - 1) / 0.4, (0 - 3) / 0.6, (0 - 3) / 0.6])
@@ -130,8 +132,8 @@ def test_linear_draws_at_knots_take_the_right_segment():
 def test_sample_dimension_mismatch():
     # the stacked table needs one row per knot of the grids and m = 1 or 3
     splines = _quintic_set(2)
-    grids = [s.grid for s in splines]
-    table = np.concatenate([s.table for s in splines])
+    grids = [grid for grid, _ in splines]
+    table = np.concatenate([table for _, table in splines])
     for bad in (table[:-1], np.concatenate([table, table[:1]]), table[:, :2], table[:, 0]):
         with pytest.raises(InvalidArgumentError):
             InterpolantSampler(grids, bad, NoiseSchedule())
@@ -186,11 +188,12 @@ def test_stacked_path_matches_scalar_sampling():
 
 def _on_spline(spline, t):
     """(segment, tau, h, path, velocity) at t, segment found by searchsorted."""
-    times = spline.grid.times
+    grid, table = spline
+    times = grid.times
     seg = min(np.searchsorted(times, t, side="right") - 1, times.size - 2)
-    h = spline.grid.steps[seg]
+    h = grid.steps[seg]
     tau = (t - times[seg]) / h
-    x, v = segment_derivatives(spline.table, np.array([seg]), np.array([tau]), np.array([h]), (0, 1))
+    x, v = segment_derivatives(table, np.array([seg]), np.array([tau]), np.array([h]), (0, 1))
     return tau, h, x[0], v[0]
 
 
@@ -202,7 +205,8 @@ def test_ragged_grids_match_spline_eval_plus_noise():
         rng = np.random.default_rng(5)
         splines = []
         for n in (5, 7, 9):
-            splines.append(build(_irregular_grid(n, rng), rng.standard_normal((n, 2))))
+            grid = _irregular_grid(n, rng)
+            splines.append((grid, build(grid, rng.standard_normal((n, 2)))))
         sampler = _sampler(splines, schedule)
         batch = sampler.sample_batch(200, np.random.default_rng(0))
         replay = np.random.default_rng(0)
@@ -218,16 +222,16 @@ def test_ragged_grids_match_spline_eval_plus_noise():
         # t == 1 falls in each trajectory's own last segment
         end = sampler.sample_batch(3, FixedDraws([0, 1, 2], np.ones(3), np.ones((3, 2))))
         for i, s in enumerate(splines):
-            assert np.allclose(end.x[i], s.table[-1, 0], rtol=1e-12, atol=1e-12)
+            assert np.allclose(end.x[i], s[1][-1, 0], rtol=1e-12, atol=1e-12)
             assert np.allclose(end.v_target[i], _on_spline(s, 1.0)[3], rtol=1e-12, atol=1e-12)
 
 
 def test_boundary_continuity_near_knots():
-    spline = _quintic_set(1)[0]
+    grid, table = spline = _quintic_set(1)[0]
     sampler = _sampler([spline], NoiseSchedule(gamma0=0.3, m=3))
-    knot = spline.grid.times[4]
+    knot = grid.times[4]
     out = sampler.sample_batch(2, FixedDraws([0, 0], [knot + 1e-9, knot - 1e-9], np.ones((2, 3))))
-    assert np.allclose(out.x, spline.table[4, 0], atol=1e-6)
+    assert np.allclose(out.x, table[4, 0], atol=1e-6)
 
 
 def test_empty_spline_set_rejected():

@@ -8,9 +8,17 @@ from splineflow import (
     InvalidArgumentError,
     UndefinedMetricError,
     build_report,
+    MlpConfig,
+    SolverConfig,
+    TrajectorySet,
     empirical_order,
+    generate_lorenz,
+    init_params,
     relative_l2,
 )
+from splineflow.convergence import endpoint_velocity_study
+from splineflow.evaluation import evaluate_flow_model, reverse_time_study
+from splineflow.metrics import row_errors
 
 
 def test_relative_l2_basic_values():
@@ -85,3 +93,23 @@ def test_build_report_identical_prediction():
     truths = [np.ones((3, 2))]
     report = build_report(truths, truths)
     assert report.mean == 0.0 and report.sd == 0.0
+
+
+def test_every_study_raises_on_a_zero_truth_row():
+    # the origin is a fixed point of Lorenz, so its all-zero trajectory is
+    # an exact solution; no study may score its rows 0
+    data = generate_lorenz(3, 21, seed=5)
+    at_origin = TrajectorySet(
+        grids=data.grids, states=[np.zeros((21, 3))] + data.states[1:], state_dim=3,
+        system_tag="lorenz", raw_horizon=data.raw_horizon,
+    )
+    params = init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0)
+    solver = SolverConfig("rk4", 1)
+    with pytest.raises(UndefinedMetricError):
+        row_errors(np.ones((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(UndefinedMetricError):
+        evaluate_flow_model(params, at_origin, solver)
+    with pytest.raises(UndefinedMetricError):
+        reverse_time_study(params, at_origin, 0.5, (0.0,), solver)
+    with pytest.raises(UndefinedMetricError):
+        endpoint_velocity_study(at_origin, factors=(1, 2))

@@ -72,8 +72,7 @@ def knot_weights(times):
     estimate at knot i.
     """
     times = np.asarray(times, dtype=np.float64)
-    kd = estimate_knot_derivatives(TimeGrid(times=times), np.eye(times.size))
-    return kd.d, kd.a
+    return estimate_knot_derivatives(TimeGrid(times=times), np.eye(times.size))
 
 
 def fd_reference(times, i, k):
@@ -142,8 +141,8 @@ def test_closed_forms_match_vandermonde_solve():
 def test_endpoint_first_derivative_is_second_order():
     def endpoint_errors(n):
         t = np.linspace(0.0, 1.0, n)
-        kd = estimate_knot_derivatives(TimeGrid(times=t), np.sin(3.0 * t)[:, None])
-        return abs(kd.d[0, 0] - 3.0), abs(kd.d[-1, 0] - 3.0 * np.cos(3.0))
+        d, _ = estimate_knot_derivatives(TimeGrid(times=t), np.sin(3.0 * t)[:, None])
+        return abs(d[0, 0] - 3.0), abs(d[-1, 0] - 3.0 * np.cos(3.0))
 
     errors = np.array([endpoint_errors(n) for n in (33, 65, 129)])  # (level, end)
     orders = np.log2(errors[:-1] / errors[1:])
@@ -154,9 +153,9 @@ def test_endpoint_first_derivative_is_second_order():
 def test_knot_derivatives_constant_trajectory():
     grid = uniform_grid(9)
     values = np.full((9, 3), 4.2)
-    kd = estimate_knot_derivatives(grid, values)
-    assert np.allclose(kd.d, 0.0, atol=1e-12)
-    assert np.allclose(kd.a, 0.0, atol=1e-10)
+    d, a = estimate_knot_derivatives(grid, values)
+    assert np.allclose(d, 0.0, atol=1e-12)
+    assert np.allclose(a, 0.0, atol=1e-10)
 
 
 def test_knot_derivatives_exact_on_quadratic():
@@ -164,15 +163,9 @@ def test_knot_derivatives_exact_on_quadratic():
     raw = np.array([0.0, 0.13, 0.31, 0.4, 0.77, 1.0])
     grid = TimeGrid(times=raw)
     values = (raw**2)[:, None]
-    kd = estimate_knot_derivatives(grid, values)
-    assert np.allclose(kd.d[:, 0], 2 * raw, atol=1e-10)
-    assert np.allclose(kd.a[:, 0], 2.0, atol=1e-8)
-
-
-def test_knot_derivatives_needs_three_points():
-    grid = uniform_grid(2)
-    with pytest.raises(InvalidArgumentError):
-        estimate_knot_derivatives(grid, np.zeros((2, 1)))
+    d, a = estimate_knot_derivatives(grid, values)
+    assert np.allclose(d[:, 0], 2 * raw, atol=1e-10)
+    assert np.allclose(a[:, 0], 2.0, atol=1e-8)
 
 
 def test_interior_convergence_orders():
@@ -181,9 +174,9 @@ def test_interior_convergence_orders():
         t = np.linspace(0.0, 1.0, n)
         grid = TimeGrid(times=t)
         values = np.sin(3.0 * t)[:, None]
-        kd = estimate_knot_derivatives(grid, values)
-        d_err = np.max(np.abs(kd.d[1:-1, 0] - 3.0 * np.cos(3.0 * t[1:-1])))
-        a_err = np.max(np.abs(kd.a[1:-1, 0] + 9.0 * np.sin(3.0 * t[1:-1])))
+        d, a = estimate_knot_derivatives(grid, values)
+        d_err = np.max(np.abs(d[1:-1, 0] - 3.0 * np.cos(3.0 * t[1:-1])))
+        a_err = np.max(np.abs(a[1:-1, 0] + 9.0 * np.sin(3.0 * t[1:-1])))
         return d_err, a_err
 
     d1, a1 = errors(33)

@@ -6,6 +6,7 @@ from splineflow import (
     DivergedError,
     InvalidArgumentError,
     NumericError,
+    TrajectorySet,
     burgers_rhs,
     generate_burgers,
     generate_lorenz,
@@ -90,7 +91,11 @@ def test_lorenz_grid_normalized():
     data = generate_lorenz(1, 11, 5.0, 5.0, seed=0)
     g = data.grids[0]
     assert g.times[0] == 0.0 and g.times[-1] == 1.0
-    assert g.raw_horizon == 5.0
+    assert data.raw_horizon == 5.0
+    for horizon in (0.0, -5.0, float("nan")):
+        with pytest.raises(InvalidArgumentError):
+            TrajectorySet(grids=data.grids, states=data.states, state_dim=3,
+                          system_tag="lorenz", raw_horizon=horizon)
 
 
 def test_burgers_rhs_constant_field():

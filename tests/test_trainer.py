@@ -38,6 +38,7 @@ from splineflow.odeint import rollout, rollout_reverse
 from splineflow.spline import NoiseSchedule, build_linear, build_quintic
 from splineflow.systems import lorenz_rhs
 from splineflow.timegrid import subsample_indices
+from splineflow import trainer
 from splineflow.trainer import _optimize, _validation_error, build_splines
 from splineflow.vector_field import (
     VectorFieldParams,
@@ -150,7 +151,7 @@ def test_build_splines_fills_the_per_trajectory_tables_in_order():
     assert len({len(g) for g in data.grids}) == len(rates)
     for kind, build in (("linear", build_linear), ("quintic", build_quintic)):
         table = build_splines(data, kind)
-        expected = np.concatenate([build(g, u).table for g, u in zip(data.grids, data.states)])
+        expected = np.concatenate([build(g, u) for g, u in zip(data.grids, data.states)])
         assert table.shape == expected.shape
         assert np.array_equal(table, expected)
     with pytest.raises(InvalidArgumentError):
@@ -186,6 +187,23 @@ def test_training_sampler_holds_one_copy_of_the_knot_table():
     table = sampler._table
     assert table.shape == (40 * 51, 3, 100)
     assert peak < 1.25 * table.nbytes
+
+
+def test_one_step_training_gathers_pairs_from_the_stacked_states(monkeypatch):
+    # each batch reads (u_k, u_{k+1}) from the one (M, N, d) stack; flattened
+    # input and target copies of it would take the peak to about 3x
+    data = _random_set(40, 101, 100, seed=2)
+    mlp = MlpConfig(state_dim=100, hidden_dims=(8,), use_time_embedding=False)
+    cfg = TrainConfig(steps=2, batch_size=16, eval_every=1)
+    _, peak = _traced_peak(lambda: train_one_step(data, cfg, mlp_config=mlp))
+    assert peak < 1.5 * (40 * 101 * 100 * 8)
+    # the pairs are those the flattened copies gave for the same draws
+    monkeypatch.setattr(trainer, "_optimize", lambda params, draw, score, config: draw)
+    batch = train_one_step(data, cfg, mlp_config=mlp)()
+    stacked = np.stack(data.states)
+    idx = np.random.default_rng([cfg.seed, 1]).integers(0, 40 * 100, size=16)
+    assert np.array_equal(batch.x, stacked[:, :-1].reshape(-1, 100)[idx])
+    assert np.array_equal(batch.v_target, stacked[:, 1:].reshape(-1, 100)[idx])
 
 
 def test_evaluation_scores_views_of_the_truths():
