@@ -35,7 +35,7 @@ from .evaluation import (
 )
 from .odeint import SolverConfig
 from .systems import BurgersConfig, generate_burgers, generate_lorenz
-from .trainer import TrainConfig, _uniform_step_or_raise, train_flow_matching, train_one_step
+from .trainer import TrainConfig, train_flow_matching, train_one_step
 from .vector_field import MlpConfig, load_checkpoint, save_checkpoint
 
 OUTPUT_ROOT_ENV = "SPLINEFLOW_OUTPUT_ROOT"
@@ -58,6 +58,12 @@ def _comma_floats(text: str) -> tuple:
 def _comma_strs(text: str) -> tuple:
     return tuple(x.strip() for x in str(text).split(",") if x.strip())
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)  # argparse reports it as an invalid value
+    return value
+
 
 # Option tables: (name, type, default, help), one --flag each; the parsed
 # values of a command's table are the options it fingerprints.
@@ -67,14 +73,12 @@ _COMMON = [
 
 _TRAIN_OPTS = [
     ("dataset", str, None, "dataset file from gen-data"),
-    ("keep_rate", float, 1.0, "fraction of time points kept per trajectory"),
     ("steps", int, 20000, "optimizer steps"),
     ("batch_size", int, 256, "samples per step"),
     ("lr", float, 1e-3, "Adam learning rate"),
     ("eval_every", int, 2000, "validation rollout cadence in steps"),
-    ("seed", int, 0, "training seed"),
+    ("seed", _non_negative_int, 0, "training seed"),
     ("hidden", _comma_ints, (64, 128, 128, 64), "hidden layer widths"),
-    ("embed_bands", int, 8, "sinusoidal time-embedding frequency count"),
     ("checkpoint_out", str, None, "checkpoint path (default under out dir)"),
     ("history_out", str, None, "history CSV path (default under out dir)"),
 ]
@@ -91,10 +95,12 @@ COMMANDS = {
         ("nu", float, 0.01, "burgers viscosity"),
         ("nx", int, 100, "burgers spatial points"),
         ("gen_substeps", int, None, "integrator substeps per interval (default: lorenz 10, burgers by stability)"),
-        ("seed", int, 0, "generation seed"),
+        ("seed", _non_negative_int, 0, "generation seed"),
         ("out", str, None, "dataset path (default under out dir)"),
     ],
     "train": _COMMON + _TRAIN_OPTS + [
+        ("keep_rate", float, 1.0, "fraction of time points kept per trajectory"),
+        ("embed_bands", int, 8, "sinusoidal time-embedding frequency count"),
         ("spline", str, "quintic", "spline kind: linear or quintic"),
         ("gamma0", float, 1e-5, "noise schedule amplitude"),
         ("noise_m", int, 3, "noise schedule smoothness exponent"),
@@ -132,7 +138,7 @@ COMMANDS = {
         ("noise_levels", _comma_floats, (0.0,), "terminal-state noise scales"),
         ("method", str, "rk4", "solver for backward integration"),
         ("substeps", int, 4, "solver substeps per interval"),
-        ("seed", int, 0, "noise seed"),
+        ("seed", _non_negative_int, 0, "noise seed"),
         ("out", str, None, "reverse study CSV path"),
     ],
 }
@@ -209,7 +215,7 @@ def _load_model(path: str, dataset, flow: bool | None = None):
         kind = {True: "a flow (train)", False: "a one-step (train-ar)"}
         raise InvalidArgumentError(f"{path} holds {kind[is_flow]} model, not {kind[flow]} model")
     if not is_flow and "grid_step" in meta:
-        _uniform_step_or_raise(dataset, expected=meta["grid_step"])
+        dataset.uniform_step(expected=meta["grid_step"])
     return params
 
 
@@ -287,18 +293,11 @@ def _train_common(options: dict, autoregressive: bool) -> int:
     train_set = splits["train"]
     val_set = splits.get("val")
 
-    keep_rate = options["keep_rate"]
-    if autoregressive and keep_rate != 1.0:
-        raise InvalidArgumentError(
-            "autoregressive training requires the full uniform grid; "
-            f"keep_rate={keep_rate} subsampling is not supported (use train)"
-        )
-    if keep_rate != 1.0:
-        train_set = train_set.subsampled(keep_rate, base_seed=options["seed"])
-
     flow = {} if autoregressive else {
         "gamma0": options["gamma0"], "noise_m": options["noise_m"], "spline_kind": options["spline"]
     }
+    if not autoregressive and options["keep_rate"] != 1.0:
+        train_set = train_set.subsampled(options["keep_rate"], base_seed=options["seed"])
     config = TrainConfig(
         steps=options["steps"],
         batch_size=options["batch_size"],
@@ -310,7 +309,7 @@ def _train_common(options: dict, autoregressive: bool) -> int:
     mlp = MlpConfig(
         state_dim=train_set.state_dim,
         hidden_dims=options["hidden"],
-        embed_bands=options["embed_bands"],
+        embed_bands=options.get("embed_bands", MlpConfig.embed_bands),
         use_time_embedding=not autoregressive,
     )
 
@@ -326,7 +325,6 @@ def _train_common(options: dict, autoregressive: bool) -> int:
         "fingerprint": fp,
         "dataset": str(options["dataset"]),
         "dataset_fingerprint": header.get("generator", {}).get("fingerprint", ""),
-        "keep_rate": keep_rate,
         "train": {
             "steps": config.steps,
             "batch_size": config.batch_size,
@@ -337,7 +335,9 @@ def _train_common(options: dict, autoregressive: bool) -> int:
         },
     }
     if autoregressive:
-        meta["grid_step"] = _uniform_step_or_raise(train_set)
+        meta["grid_step"] = train_set.uniform_step()
+    else:
+        meta["keep_rate"] = options["keep_rate"]
 
     def dump(result, status: str) -> None:
         save_checkpoint(ckpt_path, result.params, meta={**meta, "status": status,
@@ -452,9 +452,11 @@ def cmd_convergence(options: dict) -> int:
 
 def cmd_nfe_sweep(options: dict) -> int:
     _require(options, "checkpoint", "dataset")
+    if not options["methods"] or min(options["budgets"], default=0) < 1:
+        raise InvalidArgumentError("nfe-sweep needs a method and NFE budgets of >= 1 percent")
     dataset, _ = _load_split(options["dataset"], options["split"])
     params = _load_model(options["checkpoint"], dataset, flow=True)
-    intervals = len(dataset.grids[0]) - 1  # AR budget: one evaluation per interval
+    intervals = dataset.grids[0].n_segments  # AR budget: one evaluation per interval
     fp = fingerprint("nfe-sweep", options)
     rows = []
     if options["ar_checkpoint"]:

@@ -1,12 +1,12 @@
 """Spline-velocity convergence study against the analytic Lorenz dynamics.
 
 Regularly downsamples trajectories on one shared uniform grid by factors
-(1, 2, 4, ...), rebuilds linear and quintic splines, and measures how
-well the spline velocity at segment endpoints matches the true
-right-hand side. Because time is normalized, the spline velocity is
-compared against raw_horizon * rhs(u). Expected behavior: first-order
-accuracy for linear splines, second-order for quintic, with the error
-constant set by the trajectory ensemble.
+(1, 2, 4, ...) with `TimeGrid.stride`, rebuilds linear and quintic
+splines, and measures how well the spline velocity at segment endpoints
+matches the true right-hand side. Because time is normalized, the
+spline velocity is compared against raw_horizon * rhs(u). Expected
+behavior: first-order accuracy for linear splines, second-order for
+quintic, with the error constant set by the trajectory ensemble.
 
 The shared grid lets a block of trajectories be one spline: their
 snapshots stack side by side as an (n_knots, b * d) array, and since the
@@ -66,22 +66,6 @@ def segment_endpoint_velocities(grid: TimeGrid, table: np.ndarray):
 _BLOCK = 100
 
 
-def downsample_regular(grid: TimeGrid, values: np.ndarray, factor: int):
-    """Keep every factor-th knot; the factor must divide the segment count."""
-    _check_factor(grid.n_segments, factor)
-    keep = np.arange(0, len(grid), factor)
-    return TimeGrid(times=grid.times[keep]), values[keep]
-
-
-def _check_factor(n_segments: int, factor: int) -> None:
-    if factor < 1:
-        raise InvalidArgumentError("downsample factor must be >= 1")
-    if n_segments % factor != 0:
-        raise InvalidArgumentError(
-            f"factor {factor} does not divide the {n_segments}-segment grid"
-        )
-
-
 def endpoint_velocity_study(dataset: TrajectorySet, factors=(1, 2, 4)) -> list:
     """Endpoint velocity errors and empirical orders per spline and factor.
 
@@ -95,21 +79,15 @@ def endpoint_velocity_study(dataset: TrajectorySet, factors=(1, 2, 4)) -> list:
             "the convergence study needs the analytic Lorenz dynamics; "
             f"got a {dataset.system_tag!r} dataset"
         )
-    grids = dataset.grids
-    if not grids or not grids[0].is_uniform() or any(
-        not np.array_equal(g.times, grids[0].times) for g in grids
-    ):
-        raise InvalidArgumentError(
-            "the convergence study needs trajectories on one uniform grid shared by all"
-        )
-    grid = grids[0]
+    dataset.uniform_step()  # raises unless one uniform grid is shared by all
+    grid = dataset.grids[0]
     factors = tuple(factors)
     if len(factors) < 2 or len(set(factors)) != len(factors):
         raise InvalidArgumentError(
             f"the convergence study needs at least two distinct factors, got {factors}"
         )
     for factor in factors:
-        _check_factor(grid.n_segments, factor)
+        grid.stride(factor)  # raises unless the factor divides the grid
 
     rows = []
     for kind in ("linear", "quintic"):
@@ -150,7 +128,8 @@ def _block_endpoint_errors(kind, grid, block, factor, raw_horizon):
     order (all segments of the block's first trajectory, then its second,
     ...).
     """
-    sub_grid, knots = downsample_regular(grid, block, factor)  # (n_sub, b, d)
+    keep = grid.stride(factor)
+    sub_grid, knots = TimeGrid(times=grid.times[keep]), block[keep]  # (n_sub, b, d)
     build = build_linear if kind == "linear" else build_quintic
     table = build(sub_grid, knots.reshape(len(sub_grid), -1))
     v0, v1 = segment_endpoint_velocities(sub_grid, table)

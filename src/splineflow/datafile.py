@@ -10,7 +10,11 @@ component-minor order. Header keys the reader does not use (such as the
 `mode` of older files) are ignored.
 
 Writes are canonical (sorted keys, fixed separators), so write -> read ->
-write round-trips byte-identically.
+write round-trips byte-identically. A trajectory whose stored times equal
+the previous one's gets that trajectory's `TimeGrid` object, so one grid
+shared at generation reads back as one object. A header or payload that
+makes no dataset (a missing key, a wrong type, an invalid grid) raises
+DataFormatError.
 """
 
 from __future__ import annotations
@@ -78,35 +82,34 @@ def read_dataset(path):
         header_len = int(np.frombuffer(raw_len, dtype="<u4")[0])
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DataFormatError(f"{path}: corrupt header") from exc
-        if header.get("format_version") != FORMAT_VERSION:
-            raise DataFormatError(
-                f"{path}: unsupported dataset version {header.get('format_version')}"
-            )
-        for key in ("system", "state_dim", "raw_horizon", "splits"):
-            if key not in header:
-                raise DataFormatError(f"{path}: header is missing {key!r}")
-        d = int(header["state_dim"])
-        horizon = float(header["raw_horizon"])
-        splits = {}
-        for entry in header["splits"]:
-            grids, states = [], []
-            for n in entry["n_times"]:
-                need = n * (1 + d) * 8
-                buf = fh.read(need)
-                if len(buf) != need:
-                    raise DataFormatError(f"{path}: truncated payload")
-                times = np.frombuffer(buf[: n * 8], dtype="<f8").copy()
-                grids.append(TimeGrid(times=times))
-                states.append(np.frombuffer(buf[n * 8 :], dtype="<f8").reshape(n, d).copy())
-            splits[entry["name"]] = TrajectorySet(
-                grids=grids,
-                states=states,
-                state_dim=d,
-                system_tag=str(header["system"]),
-                raw_horizon=horizon,
-            )
+            if header.get("format_version") != FORMAT_VERSION:
+                raise DataFormatError(
+                    f"{path}: unsupported dataset version {header.get('format_version')}"
+                )
+            splits = _read_splits(fh, header, path)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"{path}: malformed dataset: {exc!r}") from exc
         if fh.read(1):
             raise DataFormatError(f"{path}: trailing bytes after payload")
     return splits, header
+
+
+def _read_splits(fh, header: dict, path) -> dict:
+    d, horizon = int(header["state_dim"]), float(header["raw_horizon"])
+    system, splits, grid = str(header["system"]), {}, None
+    for entry in header["splits"]:
+        grids, states = [], []
+        for n in entry["n_times"]:
+            need = n * (1 + d) * 8
+            buf = fh.read(need)
+            if len(buf) != need:
+                raise DataFormatError(f"{path}: truncated payload")
+            times = np.frombuffer(buf[: n * 8], dtype="<f8")
+            if grid is None or not np.array_equal(grid.times, times):
+                grid = TimeGrid(times=times.copy())
+            grids.append(grid)
+            states.append(np.frombuffer(buf[n * 8 :], dtype="<f8").reshape(n, d).copy())
+        splits[entry["name"]] = TrajectorySet(
+            grids=grids, states=states, state_dim=d, system_tag=system, raw_horizon=horizon
+        )
+    return splits

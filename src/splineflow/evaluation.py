@@ -1,10 +1,11 @@
 """Rollout-based model evaluation shared by the trainer and the CLI.
 
-Trajectories with identical evaluation grids are integrated as one batch;
-blow-ups are masked (frozen rows) so a single unstable trajectory cannot
-abort a test-set sweep - it simply scores a huge error. The scored times
-are a slice of each grid, so truths and predictions are views of the
-dataset's snapshot arrays and of the rollout's state tensor, not copies.
+Trajectories with identical evaluation grids (`TrajectorySet.grid_groups`)
+are integrated as one batch; blow-ups are masked (frozen rows) so a single
+unstable trajectory cannot abort a test-set sweep - it simply scores a
+huge error. The scored times are a `TimeGrid.stride` slice of each grid,
+so truths and predictions are views of the dataset's snapshot arrays and
+of the rollout's state tensor, not copies.
 `rollout`, `ar_rollout` and `rollout_reverse` are looked up here at call
 time, so wrapping them on this module (as splinebench does to count rows
 and NFE) reaches every study.
@@ -36,24 +37,6 @@ def one_step_map(params: VectorFieldParams):
     return lambda u: forward_batch(params, 0.0, u)
 
 
-def strided_indices(n_times: int, stride: int) -> slice:
-    """Slice 0, stride, ..., n_times-1 (selects views); stride must divide the span."""
-    if stride < 1:
-        raise InvalidArgumentError("eval stride must be >= 1")
-    if (n_times - 1) % stride != 0:
-        raise InvalidArgumentError(
-            f"stride {stride} does not divide the grid span of {n_times - 1} intervals"
-        )
-    return slice(0, None, stride)
-
-
-def _grouped_by_grid(dataset: TrajectorySet):
-    groups = {}
-    for idx, grid in enumerate(dataset.grids):
-        groups.setdefault(grid.times.tobytes(), []).append(idx)
-    return [(dataset.grids[ids[0]], ids) for ids in groups.values()]
-
-
 def _roll_out_by_grid(dataset: TrajectorySet, keep_of, roll):
     """Roll each grid group out once; return (preds, truths, diverged, nfe).
 
@@ -65,7 +48,7 @@ def _roll_out_by_grid(dataset: TrajectorySet, keep_of, roll):
     truths = [None] * dataset.n_traj
     diverged = np.zeros(dataset.n_traj, dtype=bool)
     nfe = 0
-    for grid, ids in _grouped_by_grid(dataset):
+    for grid, ids in dataset.grid_groups():
         keep = keep_of(grid)
         u0 = np.stack([dataset.states[i][0] for i in ids])
         result = roll(u0, grid, keep)
@@ -92,7 +75,7 @@ def evaluate_flow_model(
     f = flow_field(params)
     preds, truths, diverged, nfe = _roll_out_by_grid(
         dataset,
-        lambda grid: strided_indices(len(grid), eval_stride),
+        lambda grid: grid.stride(eval_stride),
         lambda u0, grid, keep: rollout(f, u0, grid.times[keep], solver),
     )
     return build_report(preds, truths, nfe=nfe, diverged=diverged)
@@ -115,7 +98,7 @@ def evaluate_one_step_model(
         return replace(result, times=result.times[keep], states=result.states[keep])
 
     preds, truths, diverged, nfe = _roll_out_by_grid(
-        dataset, lambda grid: strided_indices(len(grid), eval_stride), roll
+        dataset, lambda grid: grid.stride(eval_stride), roll
     )
     return build_report(preds, truths, nfe=nfe, diverged=diverged)
 
@@ -139,7 +122,7 @@ def final_time_error_at_budget(
     f = flow_field(params)
     preds, truths, _, nfe = _roll_out_by_grid(
         dataset,
-        lambda grid: slice(0, None, len(grid) - 1),
+        lambda grid: grid.stride(grid.n_segments),
         lambda u0, grid, keep: rollout(f, u0, grid.times[keep], solver),
     )
     errs = [relative_l2(p[-1], t[-1]) for p, t in zip(preds, truths)]
@@ -162,7 +145,8 @@ def reverse_time_study(
     trajectories. Returns rows (noise_level, backward_horizon, mean_error,
     n_diverged), where n_diverged counts the rows of that rollout that blew
     up and were frozen. Noise levels must be >= 0 and small enough that
-    their seed key, level * NOISE_SEED_SCALE, is finite.
+    their seed key, level * NOISE_SEED_SCALE, is finite. A study with no
+    row to return (every anchor at t = 0, or no noise level) raises.
     """
     if not all(level >= 0.0 and np.isfinite(level * NOISE_SEED_SCALE) for level in noise_levels):
         raise InvalidArgumentError(
@@ -171,7 +155,7 @@ def reverse_time_study(
         )
     f = flow_field(params)
     rows = []
-    for grid, ids in _grouped_by_grid(dataset):
+    for grid, ids in dataset.grid_groups():
         anchor = int(np.argmin(np.abs(grid.times - t_star)))
         if anchor == 0:
             continue  # no backward horizon
@@ -191,4 +175,9 @@ def reverse_time_study(
             for k, s in enumerate(targets):
                 err = float(np.mean(row_errors(result.states[k], truth[:, k, :])))
                 rows.append((float(level), float(grid.times[anchor] - s), err, n_diverged))
+    if not rows:
+        raise InvalidArgumentError(
+            f"nothing to score: t_star {t_star} anchors every grid at its first time, "
+            "or no noise level is given"
+        )
     return rows

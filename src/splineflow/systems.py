@@ -1,4 +1,8 @@
-"""Reference dynamics and dataset generation: Lorenz and 1D viscous Burgers.
+"""Trajectory sets, reference dynamics and dataset generation (Lorenz, 1D Burgers).
+
+`TrajectorySet` answers which trajectories share a grid (`grid_groups`)
+and the step of the one uniform grid they all lie on (`uniform_step`).
+A generated set shares one `TimeGrid` object among its trajectories.
 
 Datasets are solver-converged by construction: Lorenz uses RK4 with a
 fixed substep refinement of the output grid, Burgers derives its substep
@@ -16,7 +20,7 @@ those expressions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,6 +60,27 @@ class TrajectorySet:
     @property
     def n_traj(self) -> int:
         return len(self.grids)
+
+    def grid_groups(self) -> list:
+        """[(grid, trajectory indices)] per distinct grid times, in first-seen order."""
+        groups = {}
+        for idx, grid in enumerate(self.grids):
+            groups.setdefault(grid.times.tobytes(), []).append(idx)
+        return [(self.grids[ids[0]], ids) for ids in groups.values()]
+
+    def uniform_step(self, expected: float | None = None) -> float:
+        """The normalized step of the one uniform grid of every trajectory, rounded to 1e-12.
+
+        Raises InvalidArgumentError unless all trajectories share one
+        uniform grid, or if its step differs from `expected`.
+        """
+        groups = self.grid_groups()
+        if len(groups) != 1 or not groups[0][0].is_uniform():
+            raise InvalidArgumentError("the trajectories must lie on one uniform grid shared by all")
+        step = round(float(groups[0][0].steps[0]), 12)
+        if expected is not None and abs(step - expected) > 1e-12:
+            raise InvalidArgumentError(f"grid step {step!r} differs from the expected step {expected!r}")
+        return step
 
     def subsampled(self, keep_rate: float, base_seed: int) -> "TrajectorySet":
         """Per-trajectory random time subsample (trajectory-specific seeds)."""

@@ -5,6 +5,9 @@ The physical horizon in seconds that was divided out belongs to the
 trajectory set (`TrajectorySet.raw_horizon`). All downstream code
 (splines, training, rollouts) works in normalized time; only dataset
 generation and step-size reporting touch seconds.
+
+`TimeGrid.stride` is the one rule for thinning a grid regularly (eval
+strides, convergence factors): every k-th point, endpoints included.
 """
 
 from __future__ import annotations
@@ -51,6 +54,14 @@ class TimeGrid:
     def is_uniform(self) -> bool:
         h = self.steps
         return bool(np.allclose(h, h[0], rtol=1e-9, atol=1e-14))
+
+    def stride(self, k: int) -> slice:
+        """Slice of every k-th point; k >= 1 must divide the segment count."""
+        if k < 1:
+            raise InvalidArgumentError(f"stride must be >= 1, got {k}")
+        if self.n_segments % k != 0:
+            raise InvalidArgumentError(f"stride {k} does not divide the {self.n_segments}-segment grid")
+        return slice(0, None, k)
 
 
 def uniform_grid(n_points: int) -> TimeGrid:

@@ -15,7 +15,7 @@ reference to the parameters of some step is therefore a snapshot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -270,7 +270,7 @@ def train_one_step(
     """
     from .evaluation import evaluate_one_step_model
 
-    step_size = _uniform_step_or_raise(train_set)
+    step_size = train_set.uniform_step()
     states = np.stack(train_set.states)  # (M, N, d)
     n_steps = states.shape[1] - 1  # pairs (u_k, u_{k+1}) per trajectory
 
@@ -292,33 +292,7 @@ def train_one_step(
 
     score = None
     if val_set is not None:
-        _uniform_step_or_raise(val_set, expected=step_size)
+        val_set.uniform_step(expected=step_size)
         score = lambda p: _validation_error(evaluate_one_step_model(p, val_set))
 
     return _optimize(params, draw, score, config)
-
-
-def _uniform_step_or_raise(dataset: TrajectorySet, expected: float | None = None) -> float:
-    """The normalized step shared by a dataset's uniform grids, rounded to 1e-12.
-
-    Raises InvalidArgumentError if a distinct grid is not uniform, if the
-    grids differ in step, or if the step differs from `expected`.
-    """
-    steps = set()
-    for g in {g.times.tobytes(): g for g in dataset.grids}.values():
-        if not g.is_uniform():
-            raise InvalidArgumentError(
-                "the one-step model requires a uniform time grid; "
-                "irregularly subsampled trajectories are not supported"
-            )
-        steps.add(round(float(g.steps[0]), 12))
-    if len(steps) != 1:
-        raise InvalidArgumentError(
-            "the one-step model requires one shared step size across trajectories"
-        )
-    step_size = steps.pop()
-    if expected is not None and abs(step_size - expected) > 1e-12:
-        raise InvalidArgumentError(
-            f"grid step {step_size!r} differs from the one-step model's training step {expected!r}"
-        )
-    return step_size

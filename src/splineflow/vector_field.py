@@ -15,19 +15,23 @@ their correctness. The loss is the batch mean of the per-dimension mean
 squared error, which keeps learning rates transferable across state
 dimensions. A scalar time shared by a whole batch (every rollout call) is
 embedded once and broadcast across the rows.
+
+A checkpoint (format 2) is an .npz archive of two arrays: `header_json`,
+the UTF-8 JSON of {"format_version": 2, "mlp": the MlpConfig fields,
+"meta": caller metadata}, and `flat`, the parameter vector.
 """
 
 from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DataFormatError, InvalidArgumentError, NumericError
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def time_embedding(t, bands: int) -> np.ndarray:
@@ -70,23 +74,6 @@ class MlpConfig:
     @property
     def layer_dims(self) -> tuple:
         return (self.input_dim, *self.hidden_dims, self.state_dim)
-
-    def to_dict(self) -> dict:
-        return {
-            "state_dim": self.state_dim,
-            "hidden_dims": list(self.hidden_dims),
-            "embed_bands": self.embed_bands,
-            "use_time_embedding": self.use_time_embedding,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "MlpConfig":
-        return MlpConfig(
-            state_dim=int(d["state_dim"]),
-            hidden_dims=tuple(d["hidden_dims"]),
-            embed_bands=int(d["embed_bands"]),
-            use_time_embedding=bool(d["use_time_embedding"]),
-        )
 
 
 class VectorFieldParams:
@@ -201,26 +188,19 @@ def loss_and_grad(params: VectorFieldParams, batch):
 
 
 def save_checkpoint(path, params: VectorFieldParams, meta: dict | None = None) -> None:
-    """Write params + config (and caller metadata) to an .npz container."""
-    payload = {
-        "format_version": CHECKPOINT_VERSION,
-        "mlp": params.config.to_dict(),
-        "n_layers": len(params.weights),
-        "meta": meta or {},
-    }
-    arrays = {"header_json": np.frombuffer(json.dumps(payload).encode(), dtype=np.uint8)}
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        arrays[f"w{i}"] = w
-        arrays[f"b{i}"] = b
+    """Write the config, the flat parameters and caller metadata to an .npz container."""
+    header = {"format_version": CHECKPOINT_VERSION, "mlp": asdict(params.config), "meta": meta or {}}
+    header_json = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
     with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+        np.savez(fh, header_json=header_json, flat=params.flat)
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (params, meta).
 
-    A file that is not an .npz archive (empty, truncated, a bare .npy or
-    any other format) raises DataFormatError.
+    A file that is not a format-2 checkpoint (empty, truncated, a bare
+    .npy, an older format, or a header or vector that does not make a
+    VectorFieldParams) raises DataFormatError.
     """
     try:
         data = np.load(path)
@@ -230,23 +210,11 @@ def load_checkpoint(path):
         raise DataFormatError(f"not a parameter checkpoint: {path}")
     with data:
         try:
-            payload = json.loads(bytes(data["header_json"]).decode())
-        except (KeyError, json.JSONDecodeError) as exc:
+            header = json.loads(bytes(data["header_json"]).decode())
+            if header.get("format_version") != CHECKPOINT_VERSION:
+                raise DataFormatError(
+                    f"unsupported checkpoint version {header.get('format_version')}: {path}"
+                )
+            return VectorFieldParams(MlpConfig(**header["mlp"]), data["flat"]), header["meta"]
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"not a parameter checkpoint: {path}") from exc
-        if payload.get("format_version") != CHECKPOINT_VERSION:
-            raise DataFormatError(
-                f"unsupported checkpoint version {payload.get('format_version')}"
-            )
-        params = VectorFieldParams(MlpConfig.from_dict(payload["mlp"]))
-        if int(payload["n_layers"]) != len(params.weights):
-            raise DataFormatError("checkpoint arrays do not match the stored config")
-        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-            try:
-                stored_w, stored_b = data[f"w{i}"], data[f"b{i}"]
-            except KeyError as exc:
-                raise DataFormatError(f"checkpoint lacks layer {i}: {path}") from exc
-            if stored_w.shape != w.shape or stored_b.shape != b.shape:
-                raise DataFormatError("checkpoint arrays do not match the stored config")
-            w[...] = stored_w
-            b[...] = stored_b
-    return params, payload["meta"]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -207,13 +208,29 @@ def _not_a_checkpoint(kind, tmp_path, dataset):
         path.write_bytes(path.read_bytes()[:100])
     elif kind == "dataset":
         path.write_bytes(dataset.read_bytes())
+    elif kind in ("no config", "version 1"):
+        params = init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0)
+        save_checkpoint(path, params, meta={"kind": "flow"})
+        with np.load(path) as data:
+            header = json.loads(bytes(data["header_json"]).decode())
+            arrays = dict(data)
+        if kind == "no config":
+            del header["mlp"]
+        else:  # format 1 stored the layers one array each
+            header.update(format_version=1, n_layers=len(params.weights))
+            del arrays["flat"]
+            for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+                arrays[f"w{i}"], arrays[f"b{i}"] = w, b
+        arrays["header_json"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
     else:
         path = tmp_path / "array.npy"
         np.save(path, np.zeros(3))
     return path
 
 
-@pytest.mark.parametrize("kind", ["empty", "truncated", "dataset", "npy"])
+@pytest.mark.parametrize("kind", ["empty", "truncated", "dataset", "npy", "no config", "version 1"])
 def test_commands_reject_a_file_that_is_not_a_checkpoint(tiny_lorenz, tmp_path, kind):
     path = _not_a_checkpoint(kind, tmp_path, tiny_lorenz)
     with pytest.raises(DataFormatError):
@@ -254,10 +271,17 @@ def test_convergence_rejects_repeated_or_non_dividing_factors(tiny_lorenz, tmp_p
 
 @pytest.mark.parametrize(
     "command, option, value",
-    [("eval", "eval-stride", "abc"), ("convergence", "factors", "1,x"), ("train", "lr", "fast")],
+    [
+        ("eval", "eval-stride", "abc"), ("convergence", "factors", "1,x"), ("train", "lr", "fast"),
+        # numpy's generators take no negative seed
+        ("gen-data", "seed", "-1"), ("train", "seed", "-1"), ("train-ar", "seed", "-1"),
+        ("reverse", "seed", "-1"),
+    ],
 )
 def test_malformed_option_values_exit_2(tiny_lorenz, tmp_path, capsys, command, option, value):
-    base = [command, "--dataset", str(tiny_lorenz), "--out-dir", str(tmp_path)]
+    base = [command, "--out-dir", str(tmp_path)]
+    if command != "gen-data":
+        base += ["--dataset", str(tiny_lorenz)]
     assert cli.main(base + [f"--{option}", value]) == 2
     assert f"argument --{option}: invalid" in capsys.readouterr().err
 
@@ -266,3 +290,26 @@ def test_unknown_flags_exit_2_instead_of_raising(capsys):
     assert cli.main(["eval", "--config", "x"]) == 2
     assert cli.main(["train", "--beta1", "0.5"]) == 2
     assert "--beta1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("nfe-sweep", ["--methods", "rk4", "--budgets", "0,-50"]),
+        ("nfe-sweep", ["--methods", "rk4", "--budgets", ""]),
+        ("nfe-sweep", ["--methods", "", "--budgets", "100"]),
+        ("reverse", ["--t-star", "0"]),
+    ],
+)
+def test_studies_that_would_write_meaningless_rows_exit_2(tiny_lorenz, tmp_path, command, extra):
+    # a budget below 1% of the AR's NFE, no budget or method at all, or an
+    # anchor at t = 0 that leaves no backward horizon (header-only CSVs)
+    ckpt = tmp_path / "init.ckpt.npz"
+    save_checkpoint(ckpt, init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0))
+    out = tmp_path / f"{command}.csv"
+    code = cli.main([
+        command, "--checkpoint", str(ckpt), "--dataset", str(tiny_lorenz), "--split", "val",
+        "--out", str(out), *extra,
+    ])
+    assert code == 2
+    assert not out.exists()

@@ -2,29 +2,28 @@ import numpy as np
 import pytest
 
 from splineflow import InvalidArgumentError, convergence, generate_burgers, generate_lorenz
-from splineflow.convergence import (
-    downsample_regular,
-    endpoint_velocity_study,
-    segment_endpoint_velocities,
-)
+from splineflow.convergence import endpoint_velocity_study, segment_endpoint_velocities
 from splineflow.metrics import empirical_order, row_errors
 from splineflow.spline import build_linear, build_quintic, estimate_knot_derivatives
 from splineflow.systems import BurgersConfig, TrajectorySet, lorenz_rhs
-from splineflow.timegrid import uniform_grid
+from splineflow.timegrid import TimeGrid, uniform_grid
 
 
 def test_downsample_regular_keeps_endpoints():
     grid = uniform_grid(9)
     values = np.arange(18, dtype=float).reshape(9, 2)
-    sub_grid, sub_values = downsample_regular(grid, values, 2)
+    keep = grid.stride(2)
+    sub_grid = TimeGrid(times=grid.times[keep])
     assert len(sub_grid) == 5
     assert sub_grid.times[0] == 0.0 and sub_grid.times[-1] == 1.0
-    assert np.array_equal(sub_values, values[::2])
+    assert np.array_equal(values[keep], values[[0, 2, 4, 6, 8]])
+    assert grid.stride(8) == slice(0, None, 8)  # the endpoints alone
 
 
 def test_downsample_requires_divisible_factor():
-    with pytest.raises(InvalidArgumentError):
-        downsample_regular(uniform_grid(10), np.zeros((10, 1)), 4)
+    for factor in (4, 0, -1):
+        with pytest.raises(InvalidArgumentError, match="stride"):
+            uniform_grid(10).stride(factor)
 
 
 def test_segment_endpoint_velocities_linear_slopes():
@@ -84,7 +83,8 @@ def _per_trajectory_study(dataset, factors):
         for factor in factors:
             acc0, acc1 = [], []
             for grid, values in zip(dataset.grids, dataset.states):
-                sub_grid, sub_values = downsample_regular(grid, values, factor)
+                keep = grid.stride(factor)
+                sub_grid, sub_values = TimeGrid(times=grid.times[keep]), values[keep]
                 v0, v1 = segment_endpoint_velocities(sub_grid, build(sub_grid, sub_values))
                 acc0.append(row_errors(v0, dataset.raw_horizon * lorenz_rhs(sub_values[:-1])))
                 acc1.append(row_errors(v1, dataset.raw_horizon * lorenz_rhs(sub_values[1:])))

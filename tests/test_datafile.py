@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from splineflow import DataFormatError, generate_lorenz
+from splineflow import DataFormatError, cli, generate_lorenz
 from splineflow.datafile import MAGIC, read_dataset, write_dataset
 
 
@@ -105,3 +105,46 @@ def test_rejects_unknown_version(tmp_path, tiny_splits):
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         read_dataset(tmp_path / "absent.dat")
+
+
+def test_trajectories_on_one_stored_grid_share_one_grid_object(tmp_path, tiny_splits):
+    sub = tiny_splits["train"].subsampled(0.6, base_seed=1)
+    path = tmp_path / "data.sftraj"
+    write_dataset(path, {"train": tiny_splits["train"], "sub": sub})
+    loaded, _ = read_dataset(path)
+    assert len({id(g) for g in loaded["train"].grids}) == 1
+    assert len({id(g) for g in loaded["sub"].grids}) == len(sub.grid_groups())
+
+
+def _rewrite(path, header_change=None, times=None):
+    """Rewrite a one-trajectory file's header, or its stored times."""
+    raw = path.read_bytes()
+    header_len = int(np.frombuffer(raw[8:12], dtype="<u4")[0])
+    header = json.loads(raw[12 : 12 + header_len])
+    payload = bytearray(raw[12 + header_len :])
+    if header_change:
+        header_change(header)
+    if times is not None:
+        payload[: 8 * len(times)] = np.asarray(times, dtype="<f8").tobytes()
+    encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(MAGIC + np.uint32(len(encoded)).tobytes() + encoded + bytes(payload))
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        dict(header_change=lambda h: h["splits"][0].pop("n_times")),
+        dict(header_change=lambda h: h.update(state_dim="x")),
+        dict(header_change=lambda h: h["splits"][0].update(n_times=[0])),
+        dict(times=[0.0, 0.5, 0.5, 1.0]),
+    ],
+    ids=["no n_times", "state_dim x", "n_times 0", "times not increasing"],
+)
+def test_malformed_header_or_times_raise_data_format_error_and_exit_4(tmp_path, damage):
+    path = tmp_path / "data.sftraj"
+    write_dataset(path, {"train": generate_lorenz(1, 4, 2.0, 5.0, seed=0)})
+    _rewrite(path, **damage)
+    with pytest.raises(DataFormatError):
+        read_dataset(path)
+    code = cli.main(["convergence", "--dataset", str(path), "--out", str(tmp_path / "c.csv")])
+    assert code == 4

@@ -6,6 +6,7 @@ from splineflow import (
     DivergedError,
     InvalidArgumentError,
     NumericError,
+    TimeGrid,
     TrajectorySet,
     burgers_rhs,
     generate_burgers,
@@ -193,3 +194,22 @@ def test_trajectory_set_subsampling():
         assert u_new.shape == (len(g_new), 3)
     # trajectory-specific patterns differ
     assert not np.array_equal(sub.grids[0].times, sub.grids[1].times)
+
+
+def test_grid_questions_of_a_trajectory_set():
+    data = generate_lorenz(3, 11, seed=0)
+    assert data.grid_groups() == [(data.grids[0], [0, 1, 2])]
+    assert data.uniform_step() == data.uniform_step(expected=0.1) == 0.1
+    with pytest.raises(InvalidArgumentError, match="differs"):
+        data.uniform_step(expected=0.05)
+    # equal times in distinct objects are one grid; a subsample gives each its own
+    sub = data.subsampled(0.5, base_seed=0)
+    mixed = TrajectorySet(
+        grids=[sub.grids[0], data.grids[0], TimeGrid(times=data.grids[0].times.copy())],
+        states=[sub.states[0], data.states[0], data.states[1]],
+        state_dim=3, system_tag="lorenz", raw_horizon=data.raw_horizon,
+    )
+    assert [ids for _, ids in mixed.grid_groups()] == [[0], [1, 2]]
+    for irregular in (sub, mixed):
+        with pytest.raises(InvalidArgumentError, match="one uniform grid shared"):
+            irregular.uniform_step()

@@ -205,17 +205,17 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("damage", ["narrow w0", "drop b1"])
+@pytest.mark.parametrize("damage", ["truncate flat", "drop flat"])
 def test_checkpoint_rejects_arrays_that_do_not_match_the_config(tmp_path, damage):
     params = init_params(MlpConfig(state_dim=3, hidden_dims=(8,), embed_bands=2), seed=0)
     path = tmp_path / "model.ckpt.npz"
     save_checkpoint(path, params)
     with np.load(path) as data:
         arrays = dict(data)
-    if damage == "narrow w0":
-        arrays["w0"] = arrays["w0"][:, :4]
+    if damage == "truncate flat":
+        arrays["flat"] = arrays["flat"][:-1]
     else:
-        del arrays["b1"]
+        del arrays["flat"]
     np.savez(path, **arrays)
     with pytest.raises(DataFormatError):
         load_checkpoint(path)
