@@ -237,32 +237,29 @@ def cmd_gen_data(options: dict) -> int:
     counts = {"train": n_train, "val": n_val, "test": n_test}
     if min(counts.values()) < 0:
         raise InvalidArgumentError(f"split sizes must be >= 0, got {counts}")
-    splits = {}
-    for name, count in counts.items():
-        if count == 0:
-            continue
-        split_seed = 4 * seed + _SPLIT_SALT[name] + 1
-        if system == "lorenz":
-            splits[name] = generate_lorenz(
-                count,
-                n_times,
-                horizon_seconds=horizon,
-                init_box=options["init_box"],
-                seed=split_seed,
-                substeps=substeps,
-            )
-        else:
-            config = BurgersConfig(nu=options["nu"], nx=options["nx"])
-            splits[name] = generate_burgers(
-                count,
-                n_times,
-                config=config,
-                seed=split_seed,
-                horizon_seconds=horizon,
-                substeps=substeps,
-            )
-    if not splits:
+    table = {
+        name: (count, 4 * seed + _SPLIT_SALT[name] + 1) for name, count in counts.items() if count
+    }
+    if not table:
         raise InvalidArgumentError("all split sizes are zero; nothing to generate")
+    if system == "lorenz":
+        splits = generate_lorenz(
+            None,
+            n_times,
+            horizon_seconds=horizon,
+            init_box=options["init_box"],
+            substeps=substeps,
+            splits=table,
+        )
+    else:
+        splits = generate_burgers(
+            None,
+            n_times,
+            config=BurgersConfig(nu=options["nu"], nx=options["nx"]),
+            horizon_seconds=horizon,
+            substeps=substeps,
+            splits=table,
+        )
 
     fp = fingerprint("gen-data", options)
     meta = {

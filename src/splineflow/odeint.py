@@ -7,10 +7,13 @@ number of substeps and records the state at every evaluation time;
 ``nfe`` counts vector-field calls (intervals * substeps * stages).
 
 States are batches (B, d) integrated jointly; the right-hand side takes
-and returns (B, d) arrays. A row that blows up (norm above
-DEFAULT_NORM_BOUND or a non-finite entry) is frozen at its last finite
-state and flagged in ``RolloutResult.diverged``; the other rows keep
-going. Forward, reverse and one-step (AR) rollouts share one driver.
+and returns (B, d) arrays. `_integrate` keeps the caller's memory layout:
+a Fortran-ordered (component-major) batch stays one through every step,
+so a field of a few components works on contiguous column vectors. A
+row that blows up (norm above DEFAULT_NORM_BOUND or a non-finite entry)
+is frozen at its last finite state and flagged in
+``RolloutResult.diverged``; the other rows keep going. Forward, reverse
+and one-step (AR) rollouts share that one loop.
 """
 
 from __future__ import annotations
@@ -117,7 +120,7 @@ def _integrate(advance, f, u0, times_out, substeps, stages):
         raise InvalidArgumentError(f"states must be a (B, d) batch, got shape {u0.shape}")
     if not np.isfinite(u0).all():
         raise InvalidArgumentError("initial state must be finite")
-    u = u0.copy()
+    u = u0.copy(order="K")
     states = np.empty((len(times_out),) + u.shape)
     states[0] = u
     alive = np.ones(u.shape[0], dtype=bool)
@@ -131,7 +134,7 @@ def _integrate(advance, f, u0, times_out, substeps, stages):
             if alive.all():
                 u_new = advance(f, t, u, h)
             else:
-                u_new = u.copy()
+                u_new = u.copy(order="K")
                 u_new[alive] = advance(f, t, u[alive], h)
             bad = ~(np.linalg.norm(u_new, axis=-1) <= DEFAULT_NORM_BOUND)
             bad &= alive

@@ -11,6 +11,13 @@ conditions come from per-trajectory rng substreams seeded by
 (seed, trajectory index) so generation order and parallelism cannot
 change the data.
 
+A generator call integrates all its splits ({name: (count, seed)}, as
+`gen-data` passes them) as one batch: rows never interact, so each
+split's states are the ones a call of its own would give, and the
+per-step overhead is paid once. The Lorenz batch is component-major (a
+Fortran-ordered (B, 3) array): x, y and z are each a contiguous vector,
+and every operation of a step stays the same element-wise one.
+
 Both right-hand sides run on every RK4 stage of generation, so they
 finish their terms in place in a few arrays allocated per call. Each
 operation keeps the order of the formula it evaluates, so the data are
@@ -20,6 +27,7 @@ those expressions).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,46 +132,105 @@ def lorenz_rhs(state: np.ndarray) -> np.ndarray:
     return out
 
 
+def _split_rows(n_traj, seed, splits) -> dict:
+    """{name: (seed, its slice of the one batch)} of a generator call.
+
+    `splits` is {name: (count, seed)}; a call without it is one split named None.
+    """
+    if splits is None:
+        splits = {None: (n_traj, seed)}
+    elif n_traj is not None:
+        raise InvalidArgumentError("pass n_traj=None when splits are given")
+    rows, start = {}, 0
+    for name, (count, split_seed) in splits.items():
+        if count < 1:
+            raise InvalidArgumentError(f"every split needs n_traj >= 1, got {splits}")
+        rows[name] = (split_seed, slice(start, start + count))
+        start += count
+    if not rows:
+        raise InvalidArgumentError("need at least one split")
+    return rows
+
+
+def _check_times(n_times: int, horizon_seconds: float) -> None:
+    if n_times < 2:
+        raise InvalidArgumentError("n_times must be >= 2")
+    if not (0.0 < horizon_seconds < math.inf):
+        raise InvalidArgumentError(
+            f"horizon_seconds must be positive and finite, got {horizon_seconds!r}"
+        )
+
+
+def _initial_batch(rows: dict, state_dim: int, draw, order: str) -> np.ndarray:
+    """The batch of every split's initial rows; row j of a split is draw([seed, j])."""
+    u0 = np.empty((max(part.stop for _, part in rows.values()), state_dim), order=order)
+    for seed, part in rows.values():
+        for j, row in enumerate(range(part.start, part.stop)):
+            u0[row] = draw([seed, j])
+    return u0
+
+
+def _integrate_splits(rows, u0, rhs, n_times, horizon_seconds, substeps, system_tag, hint=""):
+    """One RK4 rollout of the whole batch, cut back into one TrajectorySet per split.
+
+    Any diverged row raises DivergedError with the count per named split;
+    `hint` ends the message. The one split None returns its set, not a dict.
+    """
+    grid = uniform_grid(n_times)
+    solver = SolverConfig(method="rk4", substeps_per_interval=substeps)
+    result = rollout(lambda t, u: rhs(u), u0, grid.times * horizon_seconds, solver)
+    if result.diverged.any():
+        per_split = ", ".join(
+            f"{name} {int(result.diverged[part].sum())}" for name, (_, part) in rows.items() if name
+        )
+        raise DivergedError(
+            f"{system_tag} integration unstable: {int(result.diverged.sum())} of {len(u0)} rows"
+            f"{f' ({per_split})' if per_split else ''} diverged with {substeps} substeps "
+            f"per interval{hint}"
+        )
+    states = np.swapaxes(result.states, 0, 1)  # (B, n_times, d)
+    sets = {
+        name: TrajectorySet(
+            grids=[grid] * (part.stop - part.start),
+            states=list(states[part]),
+            state_dim=u0.shape[1],
+            system_tag=system_tag,
+            raw_horizon=horizon_seconds,
+        )
+        for name, (_, part) in rows.items()
+    }
+    return sets[None] if None in sets else sets
+
+
 def generate_lorenz(
-    n_traj: int,
+    n_traj: int | None,
     n_times: int,
     horizon_seconds: float = 5.0,
     init_box: float = 5.0,
     seed: int = 0,
     substeps: int = 10,
-) -> TrajectorySet:
+    splits: dict | None = None,
+):
     """Lorenz trajectories from uniform initial conditions in a cube.
 
     RK4 with `substeps` per output interval; times are normalized so the
-    horizon maps to [0, 1]. A step too coarse for the dynamics raises
-    DivergedError; diverged draws are never replaced by others.
+    horizon maps to [0, 1]. Returns the TrajectorySet of `n_traj` rows
+    drawn from substreams [seed, j]; with `splits` ({name: (count, seed)})
+    and n_traj=None, a dict of one set per name, integrated as one batch.
+    A step too coarse for the dynamics raises DivergedError; diverged
+    draws are never replaced by others.
     """
-    if n_times < 2:
-        raise InvalidArgumentError("n_times must be >= 2")
-    if n_traj < 1:
-        raise InvalidArgumentError("n_traj must be >= 1")
-    u0 = np.empty((n_traj, 3))
-    for j in range(n_traj):
-        rng = np.random.default_rng([seed, j])
-        u0[j] = rng.uniform(-init_box, init_box, size=3)
-
-    grid = uniform_grid(n_times)
-    solver = SolverConfig(method="rk4", substeps_per_interval=substeps)
-    result = rollout(lambda t, u: lorenz_rhs(u), u0, grid.times * horizon_seconds, solver)
-    if result.diverged.any():
-        raise DivergedError(
-            f"lorenz integration unstable: {int(result.diverged.sum())} of {n_traj} rows "
-            f"diverged with {substeps} substeps per interval"
+    _check_times(n_times, horizon_seconds)
+    if not (0.0 < 2.0 * init_box < math.inf):
+        raise InvalidArgumentError(
+            f"init_box must be positive with a finite width 2 * init_box, got {init_box!r}"
         )
-    states = np.swapaxes(result.states, 0, 1)  # (n_traj, n_times, 3)
-
-    return TrajectorySet(
-        grids=[grid] * n_traj,
-        states=[states[j] for j in range(n_traj)],
-        state_dim=3,
-        system_tag="lorenz",
-        raw_horizon=horizon_seconds,
+    rows = _split_rows(n_traj, seed, splits)
+    u0 = _initial_batch(
+        rows, 3, lambda entropy: np.random.default_rng(entropy).uniform(-init_box, init_box, size=3),
+        order="F",
     )
+    return _integrate_splits(rows, u0, lorenz_rhs, n_times, horizon_seconds, substeps, "lorenz")
 
 
 @dataclass(frozen=True)
@@ -174,8 +241,8 @@ class BurgersConfig:
     nx: int = 100
 
     def __post_init__(self):
-        if self.nu <= 0.0:
-            raise InvalidArgumentError("viscosity nu must be positive")
+        if not (0.0 < self.nu < math.inf):
+            raise InvalidArgumentError(f"viscosity nu must be positive and finite, got {self.nu!r}")
         if self.nx < 16:
             raise InvalidArgumentError("need at least 16 spatial points")
 
@@ -253,37 +320,28 @@ def burgers_substeps(config: BurgersConfig, interval_seconds: float) -> int:
 
 
 def generate_burgers(
-    n_traj: int,
+    n_traj: int | None,
     n_times: int,
     config: BurgersConfig | None = None,
     seed: int = 0,
     horizon_seconds: float = 1.0,
     substeps: int | None = None,
-) -> TrajectorySet:
-    """Burgers trajectories from Gaussian-random-field initial conditions."""
-    if n_times < 2:
-        raise InvalidArgumentError("n_times must be >= 2")
-    if n_traj < 1:
-        raise InvalidArgumentError("n_traj must be >= 1")
+    splits: dict | None = None,
+):
+    """Burgers trajectories from Gaussian-random-field initial conditions.
+
+    Returns and batches like `generate_lorenz`; the batch is row-major,
+    one contiguous field per row, as the periodic stencil reads it.
+    """
+    _check_times(n_times, horizon_seconds)
     config = config or BurgersConfig()
-    grid = uniform_grid(n_times)
-    interval = horizon_seconds / (n_times - 1)
-    needed = burgers_substeps(config, interval)
-    if substeps is None:
-        substeps = needed
-    u0 = np.stack([sample_grf_initial(config.nx, [seed, j]) for j in range(n_traj)])
-    solver = SolverConfig(method="rk4", substeps_per_interval=substeps)
-    result = rollout(lambda t, u: burgers_rhs(u, config), u0, grid.times * horizon_seconds, solver)
-    if result.diverged.any():
-        raise DivergedError(
-            f"burgers integration unstable; needs >= {needed} substeps per "
-            f"interval (got {substeps})"
-        )
-    states = np.swapaxes(result.states, 0, 1)
-    return TrajectorySet(
-        grids=[grid] * n_traj,
-        states=[states[j] for j in range(n_traj)],
-        state_dim=config.nx,
-        system_tag="burgers1d",
-        raw_horizon=horizon_seconds,
+    rows = _split_rows(n_traj, seed, splits)
+    needed = burgers_substeps(config, horizon_seconds / (n_times - 1))
+    u0 = _initial_batch(
+        rows, config.nx, lambda entropy: sample_grf_initial(config.nx, entropy), order="C"
+    )
+    return _integrate_splits(
+        rows, u0, lambda u: burgers_rhs(u, config), n_times, horizon_seconds,
+        needed if substeps is None else substeps, "burgers1d",
+        hint=f"; needs >= {needed} substeps per interval",
     )

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -184,6 +185,91 @@ def test_gen_data_records_the_substeps_it_used(tmp_path):
     assert datafile.read_dataset(out)[1]["generator"]["substeps"] == 10
     assert cli.main(base + ["--gen-substeps", "3", "--out", str(out)]) == 0
     assert datafile.read_dataset(out)[1]["generator"]["substeps"] == 3
+
+
+@pytest.mark.parametrize(
+    "system, sizes",
+    [
+        ("lorenz", (5, 3, 4)), ("lorenz", (5, 0, 4)),
+        ("burgers1d", (3, 2, 2)), ("burgers1d", (3, 0, 2)),
+    ],
+)
+def test_gen_data_is_one_batch_byte_equal_to_one_call_per_split(
+    tmp_path, monkeypatch, system, sizes
+):
+    generator = {"lorenz": "generate_lorenz", "burgers1d": "generate_burgers"}[system]
+    real = getattr(cli, generator)
+    tables = []
+
+    def spy(*args, **kwargs):
+        tables.append(kwargs["splits"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, generator, spy)
+    counts = dict(zip(("train", "val", "test"), sizes))
+    out = tmp_path / "batch.sftraj"
+    code = cli.main([
+        "gen-data", "--system", system, "--n-times", "21", "--seed", "2", "--out", str(out),
+        *(arg for name, n in counts.items() for arg in (f"--n-{name}", str(n))),
+    ])
+    assert code == 0
+    # one call for every split; split seeds 4 * seed + salt + 1, salts 0, 1, 2
+    table = {name: (n, 9 + salt) for salt, (name, n) in enumerate(counts.items()) if n}
+    assert tables == [table]
+
+    splits = {name: real(n, 21, seed=split_seed) for name, (n, split_seed) in table.items()}
+    reference = tmp_path / "reference.sftraj"
+    meta = datafile.read_dataset(out)[1]["generator"]
+    datafile.write_dataset(reference, splits, generator_meta=meta)
+    assert reference.read_bytes() == out.read_bytes()
+
+
+def test_diverged_gen_data_counts_rows_per_split_and_writes_nothing(tmp_path, capsys):
+    # two RK4 substeps per 0.25 s interval blow up some draws of both splits
+    out = tmp_path / "lorenz.sftraj"
+    code = cli.main([
+        "gen-data", "--n-train", "200", "--n-val", "20", "--n-test", "0", "--n-times", "21",
+        "--gen-substeps", "2", "--out", str(out),
+    ])
+    assert code == 3
+    assert not out.exists()
+    found = re.search(
+        r"(\d+) of 220 rows \(train (\d+), val (\d+)\) diverged with 2 substeps per interval",
+        capsys.readouterr().err,
+    )
+    total, train, val = map(int, found.groups())
+    assert train > 0 and val > 0 and total == train + val
+
+
+_USELESS_GEN_DATA = [
+    # --init-box 0 starts every row at the fixed point 0, which no eval can score
+    (["--init-box", "-1"], "init_box"), (["--init-box", "nan"], "init_box"),
+    (["--init-box", "0"], "init_box"), (["--init-box", "1e308"], "init_box"),
+    (["--horizon", "0"], "horizon"), (["--horizon", "nan"], "horizon"),
+    (["--horizon", "inf"], "horizon"),
+    (["--system", "burgers1d", "--horizon", "0"], "horizon"),
+    (["--system", "burgers1d", "--horizon", "nan"], "horizon"),
+    (["--system", "burgers1d", "--horizon", "inf"], "horizon"),
+    (["--system", "burgers1d", "--nu", "nan"], "viscosity nu"),
+    (["--system", "burgers1d", "--nu", "inf"], "viscosity nu"),
+]
+
+
+@pytest.mark.parametrize(
+    "extra, shown", _USELESS_GEN_DATA, ids=[" ".join(extra) for extra, _ in _USELESS_GEN_DATA]
+)
+def test_gen_data_values_that_crash_or_make_a_useless_dataset_exit_2(
+    tmp_path, capsys, extra, shown
+):
+    out = tmp_path / "bad.sftraj"
+    code = cli.main([
+        "gen-data", "--n-train", "2", "--n-val", "0", "--n-test", "0", "--n-times", "11",
+        *extra, "--out", str(out),
+    ])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert shown in err and f"got {float(extra[-1])!r}" in err
 
 
 @pytest.mark.parametrize("level", ["-0.1", "nan", "inf", "1e300"])

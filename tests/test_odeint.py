@@ -3,13 +3,16 @@ import pytest
 
 from splineflow import (
     InvalidArgumentError,
+    MlpConfig,
     SolverConfig,
     ar_rollout,
+    init_params,
     lorenz_rhs,
     rollout,
     rollout_reverse,
     step,
 )
+from splineflow.evaluation import flow_field
 from splineflow.metrics import empirical_order
 from splineflow.odeint import DEFAULT_NORM_BOUND
 
@@ -152,6 +155,39 @@ def test_batched_rollout_matches_single():
     for i in range(2):
         single = rollout(f, u0[i : i + 1], times, solver)
         assert np.array_equal(batch.states[:, i : i + 1, :], single.states)
+
+
+@pytest.mark.parametrize("field", ["lorenz", "mlp"])
+def test_rollout_is_the_same_for_row_and_component_major_batches(field):
+    if field == "lorenz":
+        # two RK4 substeps per 0.25 s blow up some rows, so frozen rows are compared too
+        f = lambda t, u: lorenz_rhs(u)
+        times, solver = np.linspace(0.0, 5.0, 21), SolverConfig("rk4", 2)
+    else:
+        params = init_params(MlpConfig(state_dim=3, hidden_dims=(16, 16)), 3)
+        f = flow_field(params)
+        times, solver = np.linspace(0.0, 1.0, 11), SolverConfig("heun", 2)
+    u0 = np.random.default_rng(7).uniform(-5.0, 5.0, size=(60, 3))
+    by_rows = rollout(f, u0, times, solver)
+    by_components = rollout(f, np.asfortranarray(u0), times, solver)
+    assert np.array_equal(by_rows.states, by_components.states)
+    assert np.array_equal(by_rows.diverged, by_components.diverged)
+    assert by_rows.diverged.any() == (field == "lorenz")
+
+
+def test_a_component_major_batch_reaches_every_stage_component_major():
+    # the rollout loop and the stage arithmetic keep the caller's layout; a C copy
+    # anywhere would hand the field stride-3 columns again
+    layouts = []
+
+    def spy(t, u):
+        layouts.append(u.flags.f_contiguous and not u.flags.c_contiguous)
+        return lorenz_rhs(u)
+
+    u0 = np.asfortranarray(np.random.default_rng(0).uniform(-5.0, 5.0, size=(40, 3)))
+    result = rollout(spy, u0, np.linspace(0.0, 0.5, 6), SolverConfig("rk4", 3))
+    assert len(layouts) == result.nfe == 60
+    assert all(layouts)
 
 
 def test_rollout_rejects_unbatched_state():

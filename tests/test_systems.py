@@ -14,6 +14,7 @@ from splineflow import (
     lorenz_rhs,
     relative_l2,
     sample_grf_initial,
+    systems,
 )
 from splineflow.systems import burgers_substeps, grf_mode_std
 
@@ -156,6 +157,30 @@ def test_lorenz_too_few_substeps_raises_instead_of_redrawing():
     # replacing them would keep only initial conditions that survive the step
     with pytest.raises(DivergedError, match="with 2 substeps"):
         generate_lorenz(200, 21, substeps=2)
+
+
+def test_lorenz_generation_integrates_component_major(monkeypatch):
+    # x, y and z reach every RK4 stage as contiguous vectors, not stride-3 columns
+    layouts = []
+
+    def spy(state):
+        layouts.append(state.flags.f_contiguous and not state.flags.c_contiguous)
+        return lorenz_rhs(state)
+
+    monkeypatch.setattr(systems, "lorenz_rhs", spy)
+    generate_lorenz(8, 11, seed=0)
+    assert len(layouts) == 10 * 10 * 4
+    assert all(layouts)
+
+
+def test_split_tables_name_every_split_once_with_rows():
+    sets = generate_burgers(None, 11, splits={"a": (2, 7), "b": (1, 9)})
+    assert {name: s.n_traj for name, s in sets.items()} == {"a": 2, "b": 1}
+    with pytest.raises(InvalidArgumentError, match="n_traj=None"):
+        generate_lorenz(3, 21, splits={"a": (3, 7)})
+    for splits in ({}, {"a": (2, 7), "b": (0, 9)}):
+        with pytest.raises(InvalidArgumentError, match="split"):
+            generate_lorenz(None, 21, splits=splits)
 
 
 def test_grf_is_real_and_seeded():
