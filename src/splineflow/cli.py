@@ -5,9 +5,10 @@ reverse. gen-data writes one binary dataset file (see `datafile`); every
 other command reads one. Outputs land under --out-dir, which defaults to
 the SPLINEFLOW_OUTPUT_ROOT environment variable or ./outputs.
 
-All commands are deterministic for a fixed configuration: a sha256
-fingerprint of the resolved settings is embedded in every CSV and
-checkpoint for provenance.
+argparse types every flag, fills its default and refuses a command
+without its required flags. All commands are deterministic for a fixed
+configuration: `main` hands each one a sha256 fingerprint of its parsed
+flags, embedded in every file it writes for provenance.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numeric failure,
 4 I/O or file-format failure.
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -34,16 +35,16 @@ from .evaluation import (
     reverse_time_study,
 )
 from .odeint import SolverConfig
-from .systems import BurgersConfig, generate_burgers, generate_lorenz
+from .systems import BurgersConfig, burgers_substeps, generate_burgers, generate_lorenz
 from .trainer import TrainConfig, train_flow_matching, train_one_step
 from .vector_field import MlpConfig, load_checkpoint, save_checkpoint
 
 OUTPUT_ROOT_ENV = "SPLINEFLOW_OUTPUT_ROOT"
 
-# Desk-scale dataset defaults per system (n_train, n_val, n_test, n_times, horizon_s).
+# Desk-scale dataset defaults per system, for the gen-data flags left unset.
 SYSTEM_DEFAULTS = {
-    "lorenz": (1000, 100, 100, 201, 5.0),
-    "burgers1d": (200, 20, 20, 101, 1.0),
+    "lorenz": {"n_train": 1000, "n_val": 100, "n_test": 100, "n_times": 201, "horizon": 5.0},
+    "burgers1d": {"n_train": 200, "n_val": 20, "n_test": 20, "n_times": 101, "horizon": 1.0},
 }
 
 _SPLIT_SALT = {"train": 0, "val": 1, "test": 2}
@@ -65,6 +66,7 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+REQUIRED = object()  # an option-table default: argparse refuses a command without the flag
 # Option tables: (name, type, default, help), one --flag each; the parsed
 # values of a command's table are the options it fingerprints.
 _COMMON = [
@@ -72,7 +74,7 @@ _COMMON = [
 ]
 
 _TRAIN_OPTS = [
-    ("dataset", str, None, "dataset file from gen-data"),
+    ("dataset", str, REQUIRED, "dataset file from gen-data"),
     ("steps", int, 20000, "optimizer steps"),
     ("batch_size", int, 256, "samples per step"),
     ("lr", float, 1e-3, "Adam learning rate"),
@@ -107,8 +109,8 @@ COMMANDS = {
     ],
     "train-ar": _COMMON + _TRAIN_OPTS,
     "eval": _COMMON + [
-        ("checkpoint", str, None, "trained checkpoint"),
-        ("dataset", str, None, "dataset file"),
+        ("checkpoint", str, REQUIRED, "trained checkpoint"),
+        ("dataset", str, REQUIRED, "dataset file"),
         ("split", str, "test", "dataset split to evaluate"),
         ("method", str, "rk4", "solver: euler, heun, rk4"),
         ("substeps", int, 1, "solver substeps per grid interval"),
@@ -116,23 +118,23 @@ COMMANDS = {
         ("out", str, None, "report CSV path"),
     ],
     "convergence": _COMMON + [
-        ("dataset", str, None, "lorenz dataset whose trajectories share one uniform grid"),
+        ("dataset", str, REQUIRED, "lorenz dataset whose trajectories share one uniform grid"),
         ("split", str, "train", "split to analyze"),
         ("factors", _comma_ints, (1, 2, 4), "two or more distinct downsampling factors, each dividing the segment count"),
         ("out", str, None, "order table CSV path"),
     ],
     "nfe-sweep": _COMMON + [
-        ("checkpoint", str, None, "trained flow checkpoint"),
+        ("checkpoint", str, REQUIRED, "trained flow checkpoint"),
         ("ar_checkpoint", str, "", "optional one-step checkpoint for the baseline row"),
-        ("dataset", str, None, "dataset file"),
+        ("dataset", str, REQUIRED, "dataset file"),
         ("split", str, "test", "split to evaluate"),
         ("budgets", _comma_ints, (50, 100, 200, 400), "NFE budgets as percent of AR"),
         ("methods", _comma_strs, ("rk4", "euler", "heun"), "solvers to sweep"),
         ("out", str, None, "sweep CSV path"),
     ],
     "reverse": _COMMON + [
-        ("checkpoint", str, None, "trained flow checkpoint"),
-        ("dataset", str, None, "dataset file"),
+        ("checkpoint", str, REQUIRED, "trained flow checkpoint"),
+        ("dataset", str, REQUIRED, "dataset file"),
         ("split", str, "test", "split to evaluate"),
         ("t_star", float, 1.0, "anchor time in [0, 1]"),
         ("noise_levels", _comma_floats, (0.0,), "terminal-state noise scales"),
@@ -153,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     for command, opts in COMMANDS.items():
         p = sub.add_parser(command)
         for name, typ, default, help_text in opts:
-            p.add_argument("--" + name.replace("_", "-"), type=typ, default=default, help=help_text)
+            flag = "--" + name.replace("_", "-")
+            p.add_argument(flag, type=typ, default=default, required=default is REQUIRED, help=help_text)
     return parser
 
 
@@ -178,12 +181,6 @@ def _write_csv(path, comments: dict, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _require(options: dict, *names: str) -> None:
-    for name in names:
-        if not options.get(name):
-            raise InvalidArgumentError(f"--{name.replace('_', '-')} is required")
 
 
 def _load_split(path: str, split: str):
@@ -219,22 +216,19 @@ def _load_model(path: str, dataset, flow: bool | None = None):
     return params
 
 
-def cmd_gen_data(options: dict) -> int:
+def cmd_gen_data(options: dict, fp: str) -> int:
     system = options["system"]
     if system not in SYSTEM_DEFAULTS:
         raise InvalidArgumentError(f"unknown system {system!r}")
-    d_train, d_val, d_test, d_times, d_horizon = SYSTEM_DEFAULTS[system]
-    n_train = options["n_train"] if options["n_train"] is not None else d_train
-    n_val = options["n_val"] if options["n_val"] is not None else d_val
-    n_test = options["n_test"] if options["n_test"] is not None else d_test
-    n_times = options["n_times"] if options["n_times"] is not None else d_times
-    horizon = options["horizon"] if options["horizon"] is not None else d_horizon
-    seed = options["seed"]
+    for name, default in SYSTEM_DEFAULTS[system].items():
+        if options[name] is None:
+            options[name] = default
+    n_times, horizon, seed = options["n_times"], options["horizon"], options["seed"]
     substeps = options["gen_substeps"]
     if system == "lorenz" and substeps is None:
         substeps = 10
 
-    counts = {"train": n_train, "val": n_val, "test": n_test}
+    counts = {name: options[f"n_{name}"] for name in _SPLIT_SALT}
     if min(counts.values()) < 0:
         raise InvalidArgumentError(f"split sizes must be >= 0, got {counts}")
     table = {
@@ -252,16 +246,18 @@ def cmd_gen_data(options: dict) -> int:
             splits=table,
         )
     else:
+        config = BurgersConfig(nu=options["nu"], nx=options["nx"])
         splits = generate_burgers(
             None,
             n_times,
-            config=BurgersConfig(nu=options["nu"], nx=options["nx"]),
+            config=config,
             horizon_seconds=horizon,
             substeps=substeps,
             splits=table,
         )
+        if substeps is None:  # the generator has checked the inputs the bound's count reads
+            substeps = burgers_substeps(config, horizon / (n_times - 1))
 
-    fp = fingerprint("gen-data", options)
     meta = {
         "fingerprint": fp,
         "system": system,
@@ -282,8 +278,7 @@ def cmd_gen_data(options: dict) -> int:
     return 0
 
 
-def _train_common(options: dict, autoregressive: bool) -> int:
-    _require(options, "dataset")
+def _train_common(options: dict, fp: str, autoregressive: bool) -> int:
     splits, header = datafile.read_dataset(options["dataset"])
     if "train" not in splits:
         raise InvalidArgumentError(f"dataset {options['dataset']} has no train split")
@@ -310,15 +305,12 @@ def _train_common(options: dict, autoregressive: bool) -> int:
         use_time_embedding=not autoregressive,
     )
 
-    command = "train-ar" if autoregressive else "train"
-    fp = fingerprint(command, options)
     out_dir = _out_dir(options)
     tag = f"{header['system']}_{'ar' if autoregressive else config.spline_kind}_seed{options['seed']}"
     ckpt_path = options["checkpoint_out"] or out_dir / f"{tag}.ckpt.npz"
     hist_path = options["history_out"] or out_dir / f"{tag}_history.csv"
 
     meta = {
-        "kind": "one_step" if autoregressive else "flow",
         "fingerprint": fp,
         "dataset": str(options["dataset"]),
         "dataset_fingerprint": header.get("generator", {}).get("fingerprint", ""),
@@ -326,7 +318,6 @@ def _train_common(options: dict, autoregressive: bool) -> int:
             "steps": config.steps,
             "batch_size": config.batch_size,
             "learning_rate": config.learning_rate,
-            "adam_betas": list(config.adam_betas),
             **flow,
             "seed": config.seed,
         },
@@ -352,13 +343,8 @@ def _train_common(options: dict, autoregressive: bool) -> int:
         else:
             result = train_flow_matching(train_set, config, mlp_config=mlp, val_set=val_set)
     except TrainingAbortedError as exc:
-        if exc.best_params is not None:
-            from .trainer import TrainResult
-
-            dump(
-                TrainResult(exc.best_params, exc.history, exc.best_step, math.nan),
-                status=f"aborted: {exc}",
-            )
+        if exc.result is not None:
+            dump(exc.result, status=f"aborted: {exc}")
             print(f"training aborted; last good checkpoint at {ckpt_path}", file=sys.stderr)
         raise
     dump(result, status="ok")
@@ -369,19 +355,9 @@ def _train_common(options: dict, autoregressive: bool) -> int:
     return 0
 
 
-def cmd_train(options: dict) -> int:
-    return _train_common(options, autoregressive=False)
-
-
-def cmd_train_ar(options: dict) -> int:
-    return _train_common(options, autoregressive=True)
-
-
-def cmd_eval(options: dict) -> int:
-    _require(options, "checkpoint", "dataset")
+def cmd_eval(options: dict, fp: str) -> int:
     dataset, _ = _load_split(options["dataset"], options["split"])
     params = _load_model(options["checkpoint"], dataset)
-    fp = fingerprint("eval", options)
     if params.config.use_time_embedding:
         solver = SolverConfig(method=options["method"], substeps_per_interval=options["substeps"])
         report = evaluate_flow_model(params, dataset, solver, eval_stride=options["eval_stride"])
@@ -417,11 +393,9 @@ def cmd_eval(options: dict) -> int:
     return 0
 
 
-def cmd_convergence(options: dict) -> int:
-    _require(options, "dataset")
+def cmd_convergence(options: dict, fp: str) -> int:
     dataset, _ = _load_split(options["dataset"], options["split"])
     rows = endpoint_velocity_study(dataset, factors=options["factors"])
-    fp = fingerprint("convergence", options)
     out = options["out"] or _out_dir(options) / "convergence.csv"
     _write_csv(
         out,
@@ -447,14 +421,12 @@ def cmd_convergence(options: dict) -> int:
     return 0
 
 
-def cmd_nfe_sweep(options: dict) -> int:
-    _require(options, "checkpoint", "dataset")
+def cmd_nfe_sweep(options: dict, fp: str) -> int:
     if not options["methods"] or min(options["budgets"], default=0) < 1:
         raise InvalidArgumentError("nfe-sweep needs a method and NFE budgets of >= 1 percent")
     dataset, _ = _load_split(options["dataset"], options["split"])
     params = _load_model(options["checkpoint"], dataset, flow=True)
     intervals = dataset.grids[0].n_segments  # AR budget: one evaluation per interval
-    fp = fingerprint("nfe-sweep", options)
     rows = []
     if options["ar_checkpoint"]:
         ar_params = _load_model(options["ar_checkpoint"], dataset, flow=False)
@@ -478,8 +450,7 @@ def cmd_nfe_sweep(options: dict) -> int:
     return 0
 
 
-def cmd_reverse(options: dict) -> int:
-    _require(options, "checkpoint", "dataset")
+def cmd_reverse(options: dict, fp: str) -> int:
     dataset, _ = _load_split(options["dataset"], options["split"])
     params = _load_model(options["checkpoint"], dataset, flow=True)
     if not (0.0 <= options["t_star"] <= 1.0):
@@ -493,7 +464,6 @@ def cmd_reverse(options: dict) -> int:
         solver=solver,
         seed=options["seed"],
     )
-    fp = fingerprint("reverse", options)
     out = options["out"] or _out_dir(options) / "reverse.csv"
     _write_csv(
         out,
@@ -507,8 +477,8 @@ def cmd_reverse(options: dict) -> int:
 
 _DISPATCH = {
     "gen-data": cmd_gen_data,
-    "train": cmd_train,
-    "train-ar": cmd_train_ar,
+    "train": functools.partial(_train_common, autoregressive=False),
+    "train-ar": functools.partial(_train_common, autoregressive=True),
     "eval": cmd_eval,
     "convergence": cmd_convergence,
     "nfe-sweep": cmd_nfe_sweep,
@@ -523,7 +493,7 @@ def main(argv=None) -> int:
         return exc.code
     command = options.pop("command")
     try:
-        return _DISPATCH[command](options)
+        return _DISPATCH[command](options, fingerprint(command, options))
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,16 +28,14 @@ class DivergedError(NumericError):
 class TrainingAbortedError(NumericError):
     """Training hit a numeric failure or an exploding loss.
 
-    ``step`` is the step that failed; ``best_params`` are the last good
-    parameters (or None) and ``best_step`` the step they came from.
+    ``step`` is the step that failed; ``result`` is the TrainResult of the
+    last good parameters and the history so far (None if none passed).
     """
 
-    def __init__(self, message, step, best_params=None, best_step=0, history=None):
+    def __init__(self, message, step, result=None):
         super().__init__(message)
         self.step = step
-        self.best_params = best_params
-        self.best_step = best_step
-        self.history = history or []
+        self.result = result
 
 
 class DataFormatError(RuntimeError):

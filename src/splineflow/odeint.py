@@ -19,7 +19,7 @@ and one-step (AR) rollouts share that one loop.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,7 +56,6 @@ class RolloutResult:
     their last finite state.
     """
 
-    times: np.ndarray
     states: np.ndarray
     nfe: int
     diverged: np.ndarray
@@ -144,7 +143,6 @@ def _integrate(advance, f, u0, times_out, substeps, stages):
             u = u_new
         states[k + 1] = u
     return RolloutResult(
-        times=np.asarray(times_out, dtype=np.float64),
         states=states,
         nfe=(len(times_out) - 1) * substeps * stages,
         diverged=~alive,
@@ -188,12 +186,7 @@ def rollout_reverse(
         functools.partial(step, solver.method), f, u_star, path,
         solver.substeps_per_interval, solver.stages,
     )
-    return RolloutResult(
-        times=result.times[1:],
-        states=result.states[1:],
-        nfe=result.nfe,
-        diverged=result.diverged,
-    )
+    return replace(result, states=result.states[1:])
 
 
 def ar_rollout(one_step_model, u0: np.ndarray, times) -> RolloutResult:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DivergedError, InvalidArgumentError
 from .odeint import SolverConfig, rollout
-from .timegrid import TimeGrid, uniform_grid
+from .timegrid import TimeGrid, subsample_indices, uniform_grid
 
 LORENZ_SIGMA = 10.0
 LORENZ_RHO = 28.0
@@ -92,8 +92,6 @@ class TrajectorySet:
 
     def subsampled(self, keep_rate: float, base_seed: int) -> "TrajectorySet":
         """Per-trajectory random time subsample (trajectory-specific seeds)."""
-        from .timegrid import subsample_indices
-
         grids, states = [], []
         for j, (g, u) in enumerate(zip(self.grids, self.states)):
             # Salted entropy keeps subsampling independent of the training
@@ -314,9 +312,18 @@ def sample_grf_initial(nx: int, seed) -> np.ndarray:
 
 
 def burgers_substeps(config: BurgersConfig, interval_seconds: float) -> int:
-    """Substeps per output interval honoring h <= 0.5 dx^2 / nu."""
+    """Substeps per output interval honoring h <= 0.5 dx^2 / nu.
+
+    Raises InvalidArgumentError when the count is too large for a float.
+    """
     h_max = 0.5 * config.dx**2 / config.nu
-    return max(1, int(np.ceil(interval_seconds / h_max)))
+    count = interval_seconds / h_max if h_max > 0.0 else math.inf
+    if not count < math.inf:
+        raise InvalidArgumentError(
+            f"viscosity nu needs more substeps per interval than a float can count "
+            f"on {config.nx} points, got {config.nu!r}"
+        )
+    return max(1, math.ceil(count))
 
 
 def generate_burgers(

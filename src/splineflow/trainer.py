@@ -6,10 +6,11 @@ with the best validation error (long trainings on chaotic data
 fluctuate, so last-step weights are a poor pick). Runs are bit-for-bit
 reproducible for a fixed config and seed.
 
-Adam works on the flat parameter vector: the two moment vectors are
-updated in place, in the same operation order as the textbook update,
-and each step writes the new parameters into a fresh vector. Holding a
-reference to the parameters of some step is therefore a snapshot.
+Adam works on the flat parameter vector with the fixed settings
+ADAM_BETAS and ADAM_EPS: the two moment vectors are updated in place, in
+the same operation order as the textbook update, and each step writes
+the new parameters into a fresh vector. Holding a reference to the
+parameters of some step is therefore a snapshot.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import evaluation
 from .errors import InvalidArgumentError, NumericError, TrainingAbortedError
 from .interpolant import InterpolantSampler, SampleBatch
 from .odeint import SolverConfig
@@ -32,6 +34,9 @@ from .vector_field import (
 )
 
 SPLINE_KINDS = ("linear", "quintic")
+
+ADAM_BETAS = (0.9, 0.99)  # moment decay rates, the same for every run
+ADAM_EPS = 1e-8  # added to the root of the second moment
 
 # A training step whose loss exceeds this multiple of the first step's loss
 # aborts the run. Healthy runs stay within 2x of their first loss; a run
@@ -50,8 +55,6 @@ class TrainConfig:
     steps: int = 20000
     batch_size: int = 256
     learning_rate: float = 1e-3
-    adam_betas: tuple = (0.9, 0.99)
-    adam_eps: float = 1e-8
     eval_every: int = 2000
     gamma0: float = 1e-5
     noise_m: int = 3
@@ -63,9 +66,6 @@ class TrainConfig:
             raise InvalidArgumentError("steps and batch_size must be positive")
         if self.learning_rate <= 0.0:
             raise InvalidArgumentError("learning_rate must be positive")
-        b1, b2 = self.adam_betas
-        if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
-            raise InvalidArgumentError("adam betas must lie in [0, 1)")
         if self.eval_every <= 0:
             raise InvalidArgumentError("eval_every must be positive")
         if self.spline_kind not in SPLINE_KINDS:
@@ -96,7 +96,7 @@ def adam_step(
     The moments in `state` are updated in place. `params` is left as it
     was, so a caller may keep a reference to it as a snapshot.
     """
-    b1, b2 = config.adam_betas
+    b1, b2 = ADAM_BETAS
     t = state.step_count + 1
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
@@ -112,7 +112,7 @@ def adam_step(
     update *= config.learning_rate
     np.divide(state.v, c2, out=buf)
     np.sqrt(buf, out=buf)
-    buf += config.adam_eps
+    buf += ADAM_EPS
     update /= buf
     flat = np.subtract(params.flat, update, out=update)
     if not np.isfinite(flat).all():
@@ -170,10 +170,10 @@ def _optimize(params, draw_batch, score_validation, config: TrainConfig) -> Trai
     """Shared Adam loop with best-validation checkpointing.
 
     A step whose loss is non-finite or exceeds LOSS_EXPLOSION_FACTOR times
-    the first step's loss aborts the run with TrainingAbortedError. The
-    error carries the best-validation parameters if a validation has kept
-    any, else the last parameters whose loss passed the check (None if the
-    very first loss failed), and the step those parameters came from.
+    the first step's loss aborts the run with TrainingAbortedError. Its
+    result holds the history so far and the best-validation parameters if
+    a validation has kept any, else the last parameters whose loss passed
+    the check with a nan validation error (None if none passed).
     """
     state = AdamState.zeros_like(params)
     history = []
@@ -194,13 +194,12 @@ def _optimize(params, draw_batch, score_validation, config: TrainConfig) -> Trai
             last_good, last_good_step = params, step_idx - 1
             params, state = adam_step(params, state, grads, config)
         except NumericError as exc:
-            kept, kept_step = (best, best_step) if best is not None else (last_good, last_good_step)
+            if best is None:
+                best, best_step, best_val = last_good, last_good_step, math.nan
             raise TrainingAbortedError(
                 f"training diverged at step {step_idx}: {exc}",
                 step=step_idx,
-                best_params=kept,
-                best_step=kept_step,
-                history=history,
+                result=None if best is None else TrainResult(best, history, best_step, best_val),
             ) from exc
         val = math.nan
         if score_validation is not None and (
@@ -231,8 +230,6 @@ def train_flow_matching(
     the analytic path velocity. Validation (when a set is given) scores a
     VALIDATION_SOLVER rollout from each held-out initial condition.
     """
-    from .evaluation import evaluate_flow_model
-
     mlp_config = mlp_config or MlpConfig(state_dim=train_set.state_dim)
     if not mlp_config.use_time_embedding:
         raise InvalidArgumentError("the flow model's velocity field takes a time input")
@@ -246,7 +243,9 @@ def train_flow_matching(
 
     score = None
     if val_set is not None:
-        score = lambda p: _validation_error(evaluate_flow_model(p, val_set, VALIDATION_SOLVER))
+        score = lambda p: _validation_error(
+            evaluation.evaluate_flow_model(p, val_set, VALIDATION_SOLVER)
+        )
 
     return _optimize(
         params,
@@ -268,8 +267,6 @@ def train_one_step(
     makes sense for one fixed step size, which is why irregularly
     subsampled datasets are rejected.
     """
-    from .evaluation import evaluate_one_step_model
-
     step_size = train_set.uniform_step()
     states = np.stack(train_set.states)  # (M, N, d)
     n_steps = states.shape[1] - 1  # pairs (u_k, u_{k+1}) per trajectory
@@ -293,6 +290,6 @@ def train_one_step(
     score = None
     if val_set is not None:
         val_set.uniform_step(expected=step_size)
-        score = lambda p: _validation_error(evaluate_one_step_model(p, val_set))
+        score = lambda p: _validation_error(evaluation.evaluate_one_step_model(p, val_set))
 
     return _optimize(params, draw, score, config)

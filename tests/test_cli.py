@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from splineflow import DataFormatError, cli, datafile
+from splineflow import DataFormatError, cli, datafile, trainer
 from splineflow.vector_field import MlpConfig, init_params, load_checkpoint, save_checkpoint
 
 
@@ -34,6 +34,34 @@ def test_exploding_training_exits_3_with_checkpoint_from_last_good_step(tiny_lor
     assert meta["status"].startswith("aborted: training diverged at step 2:")
     assert meta["best_step"] == 0
     assert math.isnan(meta["best_val_error"])
+
+
+def test_aborted_training_records_its_kept_validation_error(
+    tiny_lorenz, tmp_path, monkeypatch
+):
+    # validations at steps 1 and 2 keep parameters; the loss explodes at step 3
+    real = trainer.loss_and_grad
+    calls = []
+
+    def exploding(params, batch):
+        calls.append(None)
+        loss, grads = real(params, batch)
+        return (loss * 1e6 if len(calls) == 3 else loss), grads
+
+    monkeypatch.setattr(trainer, "loss_and_grad", exploding)
+    ckpt, history = tmp_path / "run.ckpt.npz", tmp_path / "history.csv"
+    code = cli.main([
+        "train", "--dataset", str(tiny_lorenz), "--steps", "10", "--batch-size", "16",
+        "--eval-every", "1", "--hidden", "8", "--embed-bands", "2", "--out-dir", str(tmp_path),
+        "--checkpoint-out", str(ckpt), "--history-out", str(history),
+    ])
+    assert code == 3
+    _, meta = load_checkpoint(ckpt)
+    assert meta["status"].startswith("aborted: training diverged at step 3:")
+    validated = {int(r["step"]): float(r["val_rel_l2"]) for r in _csv_rows(history)}
+    assert list(validated) == [1, 2]
+    assert meta["best_step"] in validated
+    assert meta["best_val_error"] == validated[meta["best_step"]] == min(validated.values())
 
 
 def _data_cells(path):
@@ -179,12 +207,15 @@ def test_gen_data_rejects_negative_split_counts(tmp_path):
 
 
 def test_gen_data_records_the_substeps_it_used(tmp_path):
-    out = tmp_path / "lorenz.sftraj"
-    base = ["gen-data", "--n-train", "1", "--n-val", "0", "--n-test", "0", "--n-times", "51"]
-    assert cli.main(base + ["--out", str(out)]) == 0
-    assert datafile.read_dataset(out)[1]["generator"]["substeps"] == 10
-    assert cli.main(base + ["--gen-substeps", "3", "--out", str(out)]) == 0
-    assert datafile.read_dataset(out)[1]["generator"]["substeps"] == 3
+    # burgers at nu 0.01 on 100 points: 0.02 s intervals / (0.5 dx^2 / nu) = 4
+    for system, default in (("lorenz", 10), ("burgers1d", 4)):
+        out = tmp_path / f"{system}.sftraj"
+        base = ["gen-data", "--system", system, "--n-train", "1", "--n-val", "0",
+                "--n-test", "0", "--n-times", "51"]
+        assert cli.main(base + ["--out", str(out)]) == 0
+        assert datafile.read_dataset(out)[1]["generator"]["substeps"] == default
+        assert cli.main(base + ["--gen-substeps", "3", "--out", str(out)]) == 0
+        assert datafile.read_dataset(out)[1]["generator"]["substeps"] == 3
 
 
 @pytest.mark.parametrize(
@@ -252,6 +283,8 @@ _USELESS_GEN_DATA = [
     (["--system", "burgers1d", "--horizon", "inf"], "horizon"),
     (["--system", "burgers1d", "--nu", "nan"], "viscosity nu"),
     (["--system", "burgers1d", "--nu", "inf"], "viscosity nu"),
+    # finite, but no float counts its substeps per interval
+    (["--system", "burgers1d", "--nu", "1e308"], "viscosity nu"),
 ]
 
 
@@ -374,8 +407,29 @@ def test_malformed_option_values_exit_2(tiny_lorenz, tmp_path, capsys, command, 
 
 def test_unknown_flags_exit_2_instead_of_raising(capsys):
     assert cli.main(["eval", "--config", "x"]) == 2
-    assert cli.main(["train", "--beta1", "0.5"]) == 2
+    # argparse reports a missing required flag before an unknown one
+    assert cli.main(["train", "--dataset", "x", "--beta1", "0.5"]) == 2
     assert "--beta1" in capsys.readouterr().err
+
+
+_REQUIRED_FLAGS = {
+    "train": ["dataset"], "train-ar": ["dataset"], "eval": ["checkpoint", "dataset"],
+    "convergence": ["dataset"], "nfe-sweep": ["checkpoint", "dataset"],
+    "reverse": ["checkpoint", "dataset"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, missing",
+    [(command, flag) for command, flags in _REQUIRED_FLAGS.items() for flag in flags],
+)
+def test_each_command_without_a_required_flag_exits_2_naming_it(
+    tmp_path, capsys, command, missing
+):
+    given = [arg for flag in _REQUIRED_FLAGS[command] if flag != missing
+             for arg in (f"--{flag}", str(tmp_path / "absent"))]
+    assert cli.main([command, *given, "--out-dir", str(tmp_path)]) == 2
+    assert f"required: --{missing}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -58,7 +58,7 @@ def _single_param_setup(grad_value):
 def test_adam_first_step_is_signed_learning_rate():
     # with bias correction, m_hat = g and v_hat = g^2, so the first update
     # is -lr * sign(g) up to the epsilon regularizer
-    train_cfg = TrainConfig(learning_rate=0.01, adam_eps=1e-12)
+    train_cfg = TrainConfig(learning_rate=0.01)
     params, grads = _single_param_setup(grad_value=3.7)
     state = AdamState.zeros_like(params)
     new_params, new_state = adam_step(params, state, grads, train_cfg)
@@ -117,12 +117,12 @@ def _reference_loss_and_grad(params, batch):
 
 def _reference_adam_step(arrays, m, v, grads, step_count, config):
     """Textbook Adam on lists of arrays; returns fresh lists."""
-    b1, b2 = config.adam_betas
+    b1, b2 = trainer.ADAM_BETAS
     c1, c2 = 1.0 - b1**step_count, 1.0 - b2**step_count
     m = [b1 * mi + (1.0 - b1) * g for mi, g in zip(m, grads)]
     v = [b2 * vi + (1.0 - b2) * (g * g) for vi, g in zip(v, grads)]
     arrays = [
-        p - config.learning_rate * (mi / c1) / (np.sqrt(vi / c2) + config.adam_eps)
+        p - config.learning_rate * (mi / c1) / (np.sqrt(vi / c2) + trainer.ADAM_EPS)
         for p, mi, vi in zip(arrays, m, v)
     ]
     return arrays, m, v
@@ -328,7 +328,7 @@ def test_divergent_run_aborts_with_last_good_params():
     mlp = MlpConfig(state_dim=1, hidden_dims=(8,), embed_bands=2)
     with pytest.raises(TrainingAbortedError) as err:
         train_flow_matching(data, cfg, mlp_config=mlp, val_set=data)
-    assert err.value.best_params is not None
+    assert err.value.result is not None
     assert err.value.step >= 1
 
 
@@ -342,10 +342,11 @@ def test_loss_explosion_aborts_at_step_two_with_initial_params():
     # the loss stays finite but explodes at step 2, before any validation:
     # only the initial parameters passed the loss check
     assert err.value.step == 2
-    assert err.value.best_step == 0
+    assert err.value.result.best_step == 0
+    assert math.isnan(err.value.result.best_val_error)
     initial = init_params(mlp, cfg.seed)
-    assert np.array_equal(err.value.best_params.flat, initial.flat)
-    assert [row.step for row in err.value.history] == [1]
+    assert np.array_equal(err.value.result.params.flat, initial.flat)
+    assert [row.step for row in err.value.result.history] == [1]
 
 
 def _decay_batches(first_bad_step):
@@ -371,14 +372,14 @@ def test_non_finite_loss_hands_over_last_params_that_passed(first_bad_step):
         _optimize(init_params(AR_MLP, 0), _decay_batches(first_bad_step), None, cfg)
     assert err.value.step == first_bad_step
     if first_bad_step == 1:
-        assert err.value.best_params is None
+        assert err.value.result is None
         return
     # the loss at step k checks the parameters after k - 1 updates
     kept = first_bad_step - 2
-    assert err.value.best_step == kept
+    assert err.value.result.best_step == kept
     replay = _optimize(init_params(AR_MLP, 0), _decay_batches(first_bad_step),
                        None, dataclasses.replace(cfg, steps=kept))
-    assert np.array_equal(err.value.best_params.flat, replay.params.flat)
+    assert np.array_equal(err.value.result.params.flat, replay.params.flat)
 
 
 def test_validation_with_diverged_rows_is_never_kept():
@@ -435,17 +436,37 @@ AR_MLP_PAIR = MlpConfig(state_dim=1, hidden_dims=(2,), use_time_embedding=False)
 
 def test_ar_evaluation_masks_rows_that_blow_up():
     # F(u) = 1e3 * u through the ReLU pair relu(u) - relu(-u): rows with
-    # |u0| >= 1 pass the 1e8 norm bound at step 3, the small rows never do
+    # |u0| >= 1 pass the 1e8 norm bound at step 3, the small rows never do.
+    # The truths grow like the model, so only the frozen rows count: they
+    # stop at norms 1e6 and 2e6, below the 1e9 and 2e9 their truths reach.
     params = VectorFieldParams(AR_MLP_PAIR, np.array([1.0, -1.0, 0.0, 0.0, 1e3, -1e3, 0.0]))
     grid = uniform_grid(4)
     u0s = (1.0, -2.0, 0.01, 0.001)
     data = TrajectorySet(
-        grids=[grid] * 4, states=[np.full((4, 1), u) for u in u0s], state_dim=1,
-        system_tag="toy", raw_horizon=1.0,
+        grids=[grid] * 4, states=[u * 1e3 ** np.arange(4.0)[:, None] for u in u0s],
+        state_dim=1, system_tag="toy", raw_horizon=1.0,
     )
     report = evaluate_one_step_model(params, data)
     assert report.n_diverged == 2
     assert report.nfe == 3
+
+
+def test_rows_that_outgrow_their_truth_below_the_norm_bound_are_diverged():
+    # du/dt = 11.5 relu(u): RK4 on 10 intervals grows the row from 1 to
+    # about 9.5e4, far below the 1e8 bound but 1e5 times its constant
+    # truth; the row from -1 sits still on its truth
+    config = MlpConfig(state_dim=1, hidden_dims=(1,), embed_bands=1)
+    params = VectorFieldParams(config, np.array([1.0, 0.0, 0.0, 0.0, 11.5, 0.0]))
+    grid = uniform_grid(11)
+    data = TrajectorySet(
+        grids=[grid] * 2, states=[np.full((11, 1), u) for u in (1.0, -1.0)], state_dim=1,
+        system_tag="toy", raw_horizon=1.0,
+    )
+    solver = SolverConfig("rk4", 1)
+    assert 9e4 < rollout(flow_field(params), np.array([[1.0]]), grid.times, solver).states.max() < 1e5
+    report = evaluate_flow_model(params, data, solver)
+    assert report.n_diverged == 1
+    assert report.per_traj[1] == 0.0
 
 
 def test_ar_evaluation_scores_each_trajectory_at_its_own_index():
