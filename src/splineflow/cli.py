@@ -134,7 +134,7 @@ COMMANDS = {
     ],
     "reverse": _COMMON + [
         ("checkpoint", str, REQUIRED, "trained flow checkpoint"),
-        ("dataset", str, REQUIRED, "dataset file"),
+        ("dataset", str, REQUIRED, "dataset file whose split lies on one shared grid"),
         ("split", str, "test", "split to evaluate"),
         ("t_star", float, 1.0, "anchor time in [0, 1]"),
         ("noise_levels", _comma_floats, (0.0,), "terminal-state noise scales"),
@@ -197,9 +197,8 @@ def _load_model(path: str, dataset, flow: bool | None = None):
 
     The network decides the kind: one with a time input is a velocity field
     (train), one without maps a state to the state one training step later
-    (train-ar). A one-step model runs only on uniform grids of its recorded
-    training step; one saved before the step was recorded (no "grid_step"
-    in its meta) runs unchecked.
+    (train-ar). A one-step model runs only on uniform grids of the training
+    step its meta records as "grid_step"; one without it is refused.
     """
     params, meta = load_checkpoint(path)
     if params.config.state_dim != dataset.state_dim:
@@ -211,7 +210,9 @@ def _load_model(path: str, dataset, flow: bool | None = None):
     if flow is not None and flow != is_flow:
         kind = {True: "a flow (train)", False: "a one-step (train-ar)"}
         raise InvalidArgumentError(f"{path} holds {kind[is_flow]} model, not {kind[flow]} model")
-    if not is_flow and "grid_step" in meta:
+    if not is_flow:
+        if "grid_step" not in meta:
+            raise DataFormatError(f"{path} holds a one-step model without its grid_step")
         dataset.uniform_step(expected=meta["grid_step"])
     return params
 

@@ -1,17 +1,19 @@
 """Rollout-based model evaluation shared by the trainer and the CLI.
 
-Trajectories with identical evaluation grids (`TrajectorySet.grid_groups`)
-are integrated as one batch; blow-ups are masked (frozen rows) so a single
-unstable trajectory cannot abort a test-set sweep - it simply scores a
-huge error. A row also counts as diverged when its scored predictions
-outgrow its own truth by DIVERGENCE_FACTOR, because the rollout's
-absolute norm bound lies far above the states of a system such as Lorenz
-(norms below 60). The scored times are a `TimeGrid.stride` slice of each
-grid, so truths and predictions are views of the dataset's snapshot arrays and
-of the rollout's state tensor, not copies.
-`rollout`, `ar_rollout` and `rollout_reverse` are looked up here at call
-time, so wrapping them on this module (as splinebench does to count rows
-and NFE) reaches every study.
+Every study rolls out through `_roll_out_by_grid`: trajectories with identical
+evaluation grids (`TrajectorySet.grid_groups`) are integrated as one batch
+from a start index of their grid, and scored at chosen grid indices, so truths
+and predictions are views of the dataset's snapshot arrays and of the
+rollout's state tensor. Blow-ups are masked (frozen rows) so a single unstable
+trajectory cannot abort a test-set sweep - it simply scores a huge error. A
+row also counts as diverged when its scored predictions outgrow its own truth
+by DIVERGENCE_FACTOR, because the rollout's absolute norm bound lies far above
+the states of a system such as Lorenz (norms below 60). `eval` and `reverse`
+report that verdict; `nfe-sweep` does not yet, because
+`final_time_error_at_budget` keeps the (error, nfe) pair that splinebench's
+tests unpack. `rollout`, `ar_rollout` and `rollout_reverse` are looked up here
+at call time, so wrapping them on this module (as splinebench does to count
+rows and NFE) reaches every study.
 """
 
 from __future__ import annotations
@@ -39,27 +41,22 @@ def flow_field(params: VectorFieldParams):
     return lambda t, u: forward_batch(params, t, u)
 
 
-def one_step_map(params: VectorFieldParams):
-    """The learned next-state map as F(u) on (B, d) states."""
-    return lambda u: forward_batch(params, 0.0, u)
-
-
-def _roll_out_by_grid(dataset: TrajectorySet, keep_of, roll):
+def _roll_out_by_grid(dataset: TrajectorySet, plan, roll):
     """Roll each grid group out once; return (preds, truths, diverged, nfe).
 
-    keep_of(grid) returns the slice of grid indices scored; roll(u0, grid,
-    keep) returns a RolloutResult of the group's rows at grid.times[keep].
+    plan(grid) returns (start, keep): the grid index the rows start from and
+    the grid indices scored; roll(u0, grid, keep) returns a RolloutResult of
+    the group's rows, started from their states at `start`, at grid.times[keep].
     Outputs are views placed by dataset index; nfe is the cost per trajectory.
     A row's verdict compares squared norms, per time and row: a temporary
     of (n_times, B) numbers, not one the size of the rollout buffer.
     """
-    preds = [None] * dataset.n_traj
-    truths = [None] * dataset.n_traj
+    preds, truths = [None] * dataset.n_traj, [None] * dataset.n_traj
     diverged = np.zeros(dataset.n_traj, dtype=bool)
     nfe = 0
     for grid, ids in dataset.grid_groups():
-        keep = keep_of(grid)
-        u0 = np.stack([dataset.states[i][0] for i in ids])
+        start, keep = plan(grid)
+        u0 = np.stack([dataset.states[i][start] for i in ids])
         result = roll(u0, grid, keep)
         nfe = result.nfe  # per-trajectory cost; identical across groups of one grid
         diverged[ids] = result.diverged
@@ -87,7 +84,7 @@ def evaluate_flow_model(
     f = flow_field(params)
     preds, truths, diverged, nfe = _roll_out_by_grid(
         dataset,
-        lambda grid: grid.stride(eval_stride),
+        lambda grid: (0, grid.stride(eval_stride)),
         lambda u0, grid, keep: rollout(f, u0, grid.times[keep], solver),
     )
     return build_report(preds, truths, nfe=nfe, diverged=diverged)
@@ -103,14 +100,12 @@ def evaluate_one_step_model(
     The model always steps at its native (training) resolution; the stride
     only thins the comparison times so reports align with flow-model runs.
     """
-    step_fn = one_step_map(params)
-
     def roll(u0, grid, keep):
-        result = ar_rollout(step_fn, u0, grid.times)
+        result = ar_rollout(lambda u: forward_batch(params, 0.0, u), u0, grid.times)
         return replace(result, states=result.states[keep])
 
     preds, truths, diverged, nfe = _roll_out_by_grid(
-        dataset, lambda grid: grid.stride(eval_stride), roll
+        dataset, lambda grid: (0, grid.stride(eval_stride)), roll
     )
     return build_report(preds, truths, nfe=nfe, diverged=diverged)
 
@@ -134,7 +129,7 @@ def final_time_error_at_budget(
     f = flow_field(params)
     preds, truths, _, nfe = _roll_out_by_grid(
         dataset,
-        lambda grid: grid.stride(grid.n_segments),
+        lambda grid: (0, grid.stride(grid.n_segments)),
         lambda u0, grid, keep: rollout(f, u0, grid.times[keep], solver),
     )
     errs = [relative_l2(p[-1], t[-1]) for p, t in zip(preds, truths)]
@@ -151,45 +146,49 @@ def reverse_time_study(
 ):
     """Backward-integration error versus backward horizon and terminal noise.
 
-    Anchors at the grid time closest to t_star, perturbs the anchor state
-    with isotropic Gaussian noise per level, integrates backward to
-    earlier grid times, and averages the per-time relative error over
-    trajectories. Returns rows (noise_level, backward_horizon, mean_error,
-    n_diverged), where n_diverged counts the rows of that rollout that blew
-    up and were frozen. Noise levels must be >= 0 and small enough that
-    their seed key, level * NOISE_SEED_SCALE, is finite. A study with no
-    row to return (every anchor at t = 0, or no noise level) raises.
+    Every trajectory must lie on one shared grid. Anchors at the grid time
+    closest to t_star, perturbs the anchor states with isotropic Gaussian
+    noise per level, integrates backward to earlier grid times (one
+    `rollout_reverse` per level), and averages the per-time relative error
+    over trajectories. Returns rows (noise_level, backward_horizon,
+    mean_error, n_diverged): n_diverged counts the level's rows that froze
+    or outgrew their truth, the verdict `eval` reports too (`nfe-sweep`
+    lacks it; see the module docstring). Noise levels must be >= 0 with a
+    finite seed key level * NOISE_SEED_SCALE. A study with no row to
+    return (an anchor at t = 0, or no noise level) raises.
     """
     if not all(level >= 0.0 and np.isfinite(level * NOISE_SEED_SCALE) for level in noise_levels):
         raise InvalidArgumentError(
             f"noise levels must be >= 0 with a finite level * {NOISE_SEED_SCALE:g}, "
             f"got {list(noise_levels)}"
         )
-    f = flow_field(params)
-    rows = []
-    for grid, ids in dataset.grid_groups():
-        anchor = int(np.argmin(np.abs(grid.times - t_star)))
-        if anchor == 0:
-            continue  # no backward horizon
-        stride = max(1, anchor // REVERSE_MAX_HORIZONS)
-        target_idx = np.arange(anchor - stride, -1, -stride)
-        if target_idx[-1] != 0:
-            target_idx = np.append(target_idx, 0)
-        targets = grid.times[target_idx]
-        u_star = np.stack([dataset.states[i][anchor] for i in ids])
-        truth = np.stack([dataset.states[i][target_idx] for i in ids])  # (B, K, d)
-        for level in noise_levels:
-            rng = np.random.default_rng([seed, int(round(level * NOISE_SEED_SCALE))])
-            perturbed = u_star + level * rng.standard_normal(u_star.shape)
-            result = rollout_reverse(f, perturbed, grid.times[anchor], targets, solver)
-            # result.states: (K, B, d); per-horizon mean relative error
-            n_diverged = int(np.count_nonzero(result.diverged))
-            for k, s in enumerate(targets):
-                err = float(np.mean(row_errors(result.states[k], truth[:, k, :])))
-                rows.append((float(level), float(grid.times[anchor] - s), err, n_diverged))
-    if not rows:
+    groups = dataset.grid_groups()
+    if len(groups) != 1:
+        raise InvalidArgumentError(f"the reverse study needs one grid shared by all, got {len(groups)}")
+    times = groups[0][0].times
+    anchor = int(np.argmin(np.abs(times - t_star)))
+    if anchor == 0 or len(noise_levels) == 0:
         raise InvalidArgumentError(
-            f"nothing to score: t_star {t_star} anchors every grid at its first time, "
+            f"nothing to score: t_star {t_star} anchors the grid at its first time, "
             "or no noise level is given"
         )
+    stride = max(1, anchor // REVERSE_MAX_HORIZONS)
+    targets = np.append(np.arange(anchor - stride, 0, -stride), 0)
+    f = flow_field(params)
+    rows = []
+    for level in noise_levels:
+        rng = np.random.default_rng([seed, int(round(level * NOISE_SEED_SCALE))])
+        preds, truths, diverged, _ = _roll_out_by_grid(
+            dataset,
+            lambda grid: (anchor, targets),
+            lambda u0, grid, keep: rollout_reverse(
+                f, u0 + level * rng.standard_normal(u0.shape), times[anchor], times[keep], solver
+            ),
+        )
+        errs = np.array([row_errors(p, t) for p, t in zip(preds, truths)])  # (B, K)
+        n_diverged = int(np.count_nonzero(diverged))
+        rows += [
+            (float(level), float(times[anchor] - times[j]), float(np.mean(errs[:, k])), n_diverged)
+            for k, j in enumerate(targets)
+        ]
     return rows

@@ -92,38 +92,19 @@ def hermite_basis_d1(tau: np.ndarray) -> np.ndarray:
     )
 
 
-def hermite_basis_d2(tau: np.ndarray) -> np.ndarray:
-    """d2/dtau2 of the basis; shape (..., 6)."""
-    t = np.asarray(tau, dtype=np.float64)
-    t2 = t * t
-    t3 = t2 * t
-    return np.stack(
-        [
-            -60.0 * t + 180.0 * t2 - 120.0 * t3,
-            -36.0 * t + 96.0 * t2 - 60.0 * t3,
-            0.5 * (2.0 - 18.0 * t + 36.0 * t2 - 20.0 * t3),
-            60.0 * t - 180.0 * t2 + 120.0 * t3,
-            -24.0 * t + 84.0 * t2 - 60.0 * t3,
-            0.5 * (6.0 * t - 24.0 * t2 + 20.0 * t3),
-        ],
-        axis=-1,
-    )
-
-
 # Bases on the unit segment per table width m, indexed by the derivative
 # order in tau; column j weights row j of a segment's (2m, d) knot block.
 _BASES = {
     1: (
         lambda t: np.stack([1.0 - t, t], axis=-1),
         lambda t: np.broadcast_to([-1.0, 1.0], t.shape + (2,)),
-        lambda t: np.broadcast_to(0.0, t.shape + (2,)),
     ),
-    3: (hermite_basis, hermite_basis_d1, hermite_basis_d2),
+    3: (hermite_basis, hermite_basis_d1),
 }
 
 
 def segment_derivatives(table: np.ndarray, left: np.ndarray, tau, h, orders) -> list:
-    """Time derivatives of the given orders (0, 1 or 2) on a batch of segments.
+    """Time derivatives of the given orders (0 or 1) on a batch of segments.
 
     Segment i runs from row left[i] of the knot table (n_rows, m, d) to the
     next row, has width h[i] and is evaluated at the local coordinate

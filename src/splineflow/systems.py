@@ -39,6 +39,9 @@ from .timegrid import TimeGrid, subsample_indices, uniform_grid
 LORENZ_SIGMA = 10.0
 LORENZ_RHO = 28.0
 LORENZ_BETA = 8.0 / 3.0
+# Most RK4 steps per row a generation may take: (n_times - 1) * substeps.
+# The command defaults take at most 2,000 (Lorenz: 200 intervals x 10).
+MAX_GENERATION_STEPS = 10**6
 
 
 @dataclass
@@ -171,9 +174,17 @@ def _initial_batch(rows: dict, state_dim: int, draw, order: str) -> np.ndarray:
 def _integrate_splits(rows, u0, rhs, n_times, horizon_seconds, substeps, system_tag, hint=""):
     """One RK4 rollout of the whole batch, cut back into one TrajectorySet per split.
 
-    Any diverged row raises DivergedError with the count per named split;
-    `hint` ends the message. The one split None returns its set, not a dict.
+    More than MAX_GENERATION_STEPS steps per row raise InvalidArgumentError
+    before any step; any diverged row raises DivergedError with the count
+    per named split. `hint` ends both messages. The one split None returns
+    its set, not a dict.
     """
+    if (n_times - 1) * substeps > MAX_GENERATION_STEPS:
+        raise InvalidArgumentError(
+            f"{system_tag} generation of {n_times - 1} intervals x {substeps} substeps = "
+            f"{(n_times - 1) * substeps} RK4 steps per row exceeds the cap of "
+            f"{MAX_GENERATION_STEPS}{hint}"
+        )
     grid = uniform_grid(n_times)
     solver = SolverConfig(method="rk4", substeps_per_interval=substeps)
     result = rollout(lambda t, u: rhs(u), u0, grid.times * horizon_seconds, solver)

@@ -157,17 +157,18 @@ def test_one_step_checkpoint_runs_only_on_its_training_step(tiny_lorenz, tmp_pat
 
     assert run(ar, tiny_lorenz) == ([0, 0], True)
     assert run(ar, fine) == ([2, 2], False)
-    # a checkpoint without the recorded step loads and runs as before
-    legacy = tmp_path / "legacy.ckpt.npz"
-    save_checkpoint(legacy, params, meta={k: v for k, v in meta.items() if k != "grid_step"})
-    assert run(legacy, fine) == ([0, 0], True)
+    # a one-step checkpoint without its recorded step is refused even on its own grid
+    stepless = tmp_path / "stepless.ckpt.npz"
+    save_checkpoint(stepless, params, meta={k: v for k, v in meta.items() if k != "grid_step"})
+    assert run(stepless, tiny_lorenz) == ([4, 4], False)
 
 
 def test_flow_studies_reject_a_one_step_checkpoint(tiny_lorenz, tmp_path):
     # a network without a time input is a next-state map, not a velocity
-    # field to integrate, even in a checkpoint saved without meta
+    # field to integrate, even in a checkpoint whose meta holds only its step
     ar = tmp_path / "ar.ckpt.npz"
-    save_checkpoint(ar, init_params(MlpConfig(3, (8,), use_time_embedding=False), 0))
+    save_checkpoint(ar, init_params(MlpConfig(3, (8,), use_time_embedding=False), 0),
+                    meta={"grid_step": 0.1})
     report = tmp_path / "eval.csv"
     assert cli.main([
         "eval", "--checkpoint", str(ar), "--dataset", str(tiny_lorenz), "--split", "val",
@@ -183,6 +184,20 @@ def test_flow_studies_reject_a_one_step_checkpoint(tiny_lorenz, tmp_path):
         ])
         assert code == 2
         assert not out.exists()
+
+
+def test_gen_data_caps_its_integration_steps(tmp_path, capsys):
+    # nu = 1e6 needs 2e8 substeps on each of 100 intervals: 2e10 RK4 steps
+    out = tmp_path / "burgers.sftraj"
+    code = cli.main([
+        "gen-data", "--system", "burgers1d", "--nu", "1e6", "--n-train", "1", "--n-val", "0",
+        "--n-test", "0", "--out", str(out),
+    ])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "20000000000 RK4 steps" in err and "cap of 1000000" in err
+    assert "needs >= 200000000 substeps" in err
 
 
 def test_gen_data_rejects_zero_substeps_for_both_systems(tmp_path):

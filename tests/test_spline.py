@@ -8,27 +8,53 @@ from splineflow import (
     build_quintic,
     uniform_grid,
 )
-from splineflow.spline import (
-    hermite_basis,
-    hermite_basis_d1,
-    hermite_basis_d2,
-    segment_derivatives,
-)
+from splineflow.spline import hermite_basis, hermite_basis_d1, segment_derivatives
 from splineflow.timegrid import TimeGrid
+
+
+def hermite_basis_d2(tau: np.ndarray) -> np.ndarray:
+    """d2/dtau2 of the quintic Hermite basis; shape (..., 6)."""
+    t = np.asarray(tau, dtype=np.float64)
+    t2 = t * t
+    t3 = t2 * t
+    return np.stack(
+        [
+            -60.0 * t + 180.0 * t2 - 120.0 * t3,
+            -36.0 * t + 96.0 * t2 - 60.0 * t3,
+            0.5 * (2.0 - 18.0 * t + 36.0 * t2 - 20.0 * t3),
+            60.0 * t - 180.0 * t2 + 120.0 * t3,
+            -24.0 * t + 84.0 * t2 - 60.0 * t3,
+            0.5 * (6.0 * t - 24.0 * t2 + 20.0 * t3),
+        ],
+        axis=-1,
+    )
+
+
+# d2/dtau2 bases per table width m; the library evaluates orders 0 and 1 only
+_D2_BASES = {1: lambda t: np.zeros(t.shape + (2,)), 3: hermite_basis_d2}
 
 
 def _at(grid, table, ts, order):
     """Time derivative of the given order at ts of the (grid, table) spline, shape (n, d).
 
     Segments are half-open with t = 1 in the last one, so a knot is read
-    from the segment to its right.
+    from the segment to its right. Order 2 repeats `segment_derivatives`'
+    contraction with the test-local d2 bases.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
     times = grid.times
     seg = np.minimum(np.searchsorted(times, ts, side="right") - 1, times.size - 2)
     h = grid.steps[seg]
-    (out,) = segment_derivatives(table, seg, (ts - times[seg]) / h, h, (order,))
-    return out
+    tau = (ts - times[seg]) / h
+    if order < 2:
+        (out,) = segment_derivatives(table, seg, tau, h, (order,))
+        return out
+    m = table.shape[1]
+    w = _D2_BASES[m](tau)
+    for p in range(1, m):
+        w[:, p::m] *= h[:, None] ** p
+    knots = table[seg[:, None] + (0, 1)].reshape(seg.size, 2 * m, -1)
+    return np.einsum("bj,bjd->bd", w / h[:, None] ** 2, knots)
 
 
 def test_hermite_endpoint_conditions():

@@ -159,6 +159,13 @@ def test_lorenz_too_few_substeps_raises_instead_of_redrawing():
         generate_lorenz(200, 21, substeps=2)
 
 
+def test_generation_refuses_more_steps_than_the_cap(monkeypatch):
+    # 1000 intervals x 1001 substeps is 1,001,000 RK4 steps per row; no step is taken
+    monkeypatch.setattr(systems, "rollout", lambda *args: pytest.fail("integration started"))
+    with pytest.raises(InvalidArgumentError, match="1001000 RK4 steps .* cap of 1000000"):
+        generate_lorenz(1, 1001, substeps=1001)
+
+
 def test_lorenz_generation_integrates_component_major(monkeypatch):
     # x, y and z reach every RK4 stage as contiguous vectors, not stride-3 columns
     layouts = []

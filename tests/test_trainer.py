@@ -29,7 +29,6 @@ from splineflow.evaluation import (
     evaluate_one_step_model,
     final_time_error_at_budget,
     flow_field,
-    one_step_map,
     reverse_time_study,
 )
 from splineflow.interpolant import InterpolantSampler, SampleBatch
@@ -427,8 +426,7 @@ def test_ar_learns_identity_on_constant_data():
     assert result.history[-1].train_loss < 1e-6
     report = evaluate_one_step_model(result.params, data)
     assert report.mean < 1e-2
-    F = one_step_map(result.params)
-    assert abs(F(np.array([[1.5]]))[0, 0] - 1.5) < 1e-2
+    assert abs(forward_batch(result.params, 0.0, np.array([[1.5]]))[0, 0] - 1.5) < 1e-2
 
 
 AR_MLP_PAIR = MlpConfig(state_dim=1, hidden_dims=(2,), use_time_embedding=False)
@@ -467,6 +465,30 @@ def test_rows_that_outgrow_their_truth_below_the_norm_bound_are_diverged():
     report = evaluate_flow_model(params, data, solver)
     assert report.n_diverged == 1
     assert report.per_traj[1] == 0.0
+
+
+def test_reverse_study_flags_rows_that_outgrow_their_truth():
+    # the mirrored field du/dt = -11.5 relu(u), integrated backward from
+    # t* = 1, grows the row anchored at 1 to about 4.6e4 times its constant
+    # truth, below the 1e8 freeze bound; the row at -1 sits still
+    config = MlpConfig(state_dim=1, hidden_dims=(1,), embed_bands=1)
+    params = VectorFieldParams(config, np.array([1.0, 0.0, 0.0, 0.0, -11.5, 0.0]))
+    data = TrajectorySet(
+        grids=[uniform_grid(11)] * 2, states=[np.full((11, 1), u) for u in (1.0, -1.0)],
+        state_dim=1, system_tag="toy", raw_horizon=1.0,
+    )
+    rows = reverse_time_study(params, data, 1.0, (0.0,), SolverConfig("rk4", 1))
+    level, horizon, error, n_diverged = rows[-1]
+    assert (level, horizon) == (0.0, 1.0)
+    assert 4e4 < error < 5e4
+    assert n_diverged == 1
+
+
+def test_reverse_study_needs_one_shared_grid():
+    data = generate_lorenz(3, 21, seed=5).subsampled(0.5, base_seed=0)
+    params = init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0)
+    with pytest.raises(InvalidArgumentError, match="one grid"):
+        reverse_time_study(params, data, 0.5, (0.0,), SolverConfig("rk4", 1))
 
 
 def test_ar_evaluation_scores_each_trajectory_at_its_own_index():
