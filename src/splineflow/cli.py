@@ -35,7 +35,9 @@ from .evaluation import (
     reverse_time_study,
 )
 from .odeint import SolverConfig
-from .systems import BurgersConfig, burgers_substeps, generate_burgers, generate_lorenz
+from .systems import (
+    LORENZ_SUBSTEPS, BurgersConfig, burgers_substeps, generate_burgers, generate_lorenz,
+)
 from .trainer import TrainConfig, train_flow_matching, train_one_step
 from .vector_field import MlpConfig, load_checkpoint, save_checkpoint
 
@@ -96,7 +98,7 @@ COMMANDS = {
         ("init_box", float, 5.0, "lorenz initial-condition box half-width"),
         ("nu", float, 0.01, "burgers viscosity"),
         ("nx", int, 100, "burgers spatial points"),
-        ("gen_substeps", int, None, "integrator substeps per interval (default: lorenz 10, burgers by stability)"),
+        ("gen_substeps", int, None, f"integrator substeps per interval (default: lorenz {LORENZ_SUBSTEPS}, burgers by stability)"),
         ("seed", _non_negative_int, 0, "generation seed"),
         ("out", str, None, "dataset path (default under out dir)"),
     ],
@@ -110,7 +112,7 @@ COMMANDS = {
     "train-ar": _COMMON + _TRAIN_OPTS,
     "eval": _COMMON + [
         ("checkpoint", str, REQUIRED, "trained checkpoint"),
-        ("dataset", str, REQUIRED, "dataset file"),
+        ("dataset", str, REQUIRED, "dataset file whose split lies on one shared grid"),
         ("split", str, "test", "dataset split to evaluate"),
         ("method", str, "rk4", "solver: euler, heun, rk4"),
         ("substeps", int, 1, "solver substeps per grid interval"),
@@ -126,7 +128,7 @@ COMMANDS = {
     "nfe-sweep": _COMMON + [
         ("checkpoint", str, REQUIRED, "trained flow checkpoint"),
         ("ar_checkpoint", str, "", "optional one-step checkpoint for the baseline row"),
-        ("dataset", str, REQUIRED, "dataset file"),
+        ("dataset", str, REQUIRED, "dataset file whose split lies on one shared grid"),
         ("split", str, "test", "split to evaluate"),
         ("budgets", _comma_ints, (50, 100, 200, 400), "NFE budgets as percent of AR"),
         ("methods", _comma_strs, ("rk4", "euler", "heun"), "solvers to sweep"),
@@ -227,7 +229,7 @@ def cmd_gen_data(options: dict, fp: str) -> int:
     n_times, horizon, seed = options["n_times"], options["horizon"], options["seed"]
     substeps = options["gen_substeps"]
     if system == "lorenz" and substeps is None:
-        substeps = 10
+        substeps = LORENZ_SUBSTEPS
 
     counts = {name: options[f"n_{name}"] for name in _SPLIT_SALT}
     if min(counts.values()) < 0:
@@ -427,7 +429,7 @@ def cmd_nfe_sweep(options: dict, fp: str) -> int:
         raise InvalidArgumentError("nfe-sweep needs a method and NFE budgets of >= 1 percent")
     dataset, _ = _load_split(options["dataset"], options["split"])
     params = _load_model(options["checkpoint"], dataset, flow=True)
-    intervals = dataset.grids[0].n_segments  # AR budget: one evaluation per interval
+    intervals = dataset.shared_grid().n_segments  # AR budget: one evaluation per interval
     rows = []
     if options["ar_checkpoint"]:
         ar_params = _load_model(options["ar_checkpoint"], dataset, flow=False)

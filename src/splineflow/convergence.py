@@ -69,18 +69,21 @@ _BLOCK = 100
 def endpoint_velocity_study(dataset: TrajectorySet, factors=(1, 2, 4)) -> list:
     """Endpoint velocity errors and empirical orders per spline and factor.
 
-    Requires a Lorenz dataset (the study needs the analytic right-hand
-    side) whose trajectories share one uniform grid, and at least two
-    distinct factors that each divide its segment count. Errors average
-    the per-endpoint relative L2 over all segments of all trajectories.
+    Requires a Lorenz dataset of 3-component states (the study needs the
+    analytic right-hand side) whose trajectories share one uniform grid,
+    and at least two distinct factors that each divide its segment count.
+    Errors average the per-endpoint relative L2 over all segments of all
+    trajectories.
     """
     if dataset.system_tag != "lorenz":
         raise InvalidArgumentError(
             "the convergence study needs the analytic Lorenz dynamics; "
             f"got a {dataset.system_tag!r} dataset"
         )
+    if dataset.state_dim != 3:
+        raise InvalidArgumentError(f"a Lorenz state has 3 components, not {dataset.state_dim}")
     dataset.uniform_step()  # raises unless one uniform grid is shared by all
-    grid = dataset.grids[0]
+    grid = dataset.shared_grid()
     factors = tuple(factors)
     if len(factors) < 2 or len(set(factors)) != len(factors):
         raise InvalidArgumentError(

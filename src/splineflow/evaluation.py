@@ -1,24 +1,22 @@
 """Rollout-based model evaluation shared by the trainer and the CLI.
 
-Every study rolls out through `_roll_out_by_grid`: trajectories with identical
-evaluation grids (`TrajectorySet.grid_groups`) are integrated as one batch
-from a start index of their grid, and scored at chosen grid indices, so truths
-and predictions are views of the dataset's snapshot arrays and of the
-rollout's state tensor. Blow-ups are masked (frozen rows) so a single unstable
-trajectory cannot abort a test-set sweep - it simply scores a huge error. A
-row also counts as diverged when its scored predictions outgrow its own truth
-by DIVERGENCE_FACTOR, because the rollout's absolute norm bound lies far above
-the states of a system such as Lorenz (norms below 60). `eval` and `reverse`
-report that verdict; `nfe-sweep` does not yet, because
-`final_time_error_at_budget` keeps the (error, nfe) pair that splinebench's
-tests unpack. `rollout`, `ar_rollout` and `rollout_reverse` are looked up here
-at call time, so wrapping them on this module (as splinebench does to count
-rows and NFE) reaches every study.
+Every trajectory of an evaluated set lies on its one shared grid
+(`TrajectorySet.shared_grid`). Each study makes one rollout call for the
+stacked start states and scores it at chosen grid indices (`_score`), so
+truths and predictions are views of the dataset's snapshot arrays and of
+the rollout's state tensor. Blow-ups are masked (frozen rows) so a single
+unstable trajectory cannot abort a test-set sweep - it simply scores a
+huge error. A row also counts as diverged when its scored predictions
+outgrow its own truth by DIVERGENCE_FACTOR, because the rollout's absolute
+norm bound lies far above the states of a system such as Lorenz (norms
+below 60). `eval` and `reverse` report that verdict; `nfe-sweep` does not
+yet, because `final_time_error_at_budget` keeps the (error, nfe) pair that
+splinebench's tests unpack. `rollout`, `ar_rollout` and `rollout_reverse`
+are looked up here at call time, so wrapping them on this module (as
+splinebench does to count rows and NFE) reaches every study.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -41,32 +39,19 @@ def flow_field(params: VectorFieldParams):
     return lambda t, u: forward_batch(params, t, u)
 
 
-def _roll_out_by_grid(dataset: TrajectorySet, plan, roll):
-    """Roll each grid group out once; return (preds, truths, diverged, nfe).
+def _score(dataset: TrajectorySet, keep, states: np.ndarray, frozen: np.ndarray):
+    """(preds, truths, diverged) of a rollout of every row, scored at grid indices keep.
 
-    plan(grid) returns (start, keep): the grid index the rows start from and
-    the grid indices scored; roll(u0, grid, keep) returns a RolloutResult of
-    the group's rows, started from their states at `start`, at grid.times[keep].
-    Outputs are views placed by dataset index; nfe is the cost per trajectory.
-    A row's verdict compares squared norms, per time and row: a temporary
-    of (n_times, B) numbers, not one the size of the rollout buffer.
+    `states` is the (K, B, d) rollout at the shared grid's times[keep] and
+    `frozen` its (B,) diverged flags; preds and truths are per-row views in
+    dataset order. A row's verdict compares squared norms, per time and
+    row: a temporary of (K, B) numbers, not one the size of the rollout.
     """
-    preds, truths = [None] * dataset.n_traj, [None] * dataset.n_traj
-    diverged = np.zeros(dataset.n_traj, dtype=bool)
-    nfe = 0
-    for grid, ids in dataset.grid_groups():
-        start, keep = plan(grid)
-        u0 = np.stack([dataset.states[i][start] for i in ids])
-        result = roll(u0, grid, keep)
-        nfe = result.nfe  # per-trajectory cost; identical across groups of one grid
-        diverged[ids] = result.diverged
-        peaks = np.einsum("tbd,tbd->tb", result.states, result.states).max(axis=0)
-        for col, i in enumerate(ids):
-            preds[i] = result.states[:, col, :]
-            truths[i] = dataset.states[i][keep]
-            if peaks[col] > DIVERGENCE_FACTOR**2 * np.einsum("td,td->t", truths[i], truths[i]).max():
-                diverged[i] = True
-    return preds, truths, diverged, nfe
+    truths = [u[keep] for u in dataset.states]
+    peaks = np.einsum("tbd,tbd->tb", states, states).max(axis=0)
+    limits = [DIVERGENCE_FACTOR**2 * np.einsum("td,td->t", t, t).max() for t in truths]
+    diverged = frozen | (peaks > np.array(limits))
+    return [states[:, i, :] for i in range(dataset.n_traj)], truths, diverged
 
 
 def evaluate_flow_model(
@@ -77,17 +62,16 @@ def evaluate_flow_model(
 ) -> EvalReport:
     """Roll out every trajectory from its initial state and score it.
 
-    The evaluation grid is each trajectory's own grid thinned by
-    eval_stride; truth snapshots at those times are compared against the
-    integrated states.
+    The evaluation grid is the set's shared grid thinned by eval_stride;
+    truth snapshots at those times are compared against the integrated
+    states.
     """
-    f = flow_field(params)
-    preds, truths, diverged, nfe = _roll_out_by_grid(
-        dataset,
-        lambda grid: (0, grid.stride(eval_stride)),
-        lambda u0, grid, keep: rollout(f, u0, grid.times[keep], solver),
-    )
-    return build_report(preds, truths, nfe=nfe, diverged=diverged)
+    grid = dataset.shared_grid()
+    keep = grid.stride(eval_stride)
+    u0 = np.stack([u[0] for u in dataset.states])
+    result = rollout(flow_field(params), u0, grid.times[keep], solver)
+    preds, truths, diverged = _score(dataset, keep, result.states, result.diverged)
+    return build_report(preds, truths, nfe=result.nfe, diverged=diverged)
 
 
 def evaluate_one_step_model(
@@ -95,19 +79,17 @@ def evaluate_one_step_model(
     dataset: TrajectorySet,
     eval_stride: int = 1,
 ) -> EvalReport:
-    """Recursive one-step rollout over each full grid, scored on a stride.
+    """Recursive one-step rollout over the full shared grid, scored on a stride.
 
     The model always steps at its native (training) resolution; the stride
     only thins the comparison times so reports align with flow-model runs.
     """
-    def roll(u0, grid, keep):
-        result = ar_rollout(lambda u: forward_batch(params, 0.0, u), u0, grid.times)
-        return replace(result, states=result.states[keep])
-
-    preds, truths, diverged, nfe = _roll_out_by_grid(
-        dataset, lambda grid: (0, grid.stride(eval_stride)), roll
-    )
-    return build_report(preds, truths, nfe=nfe, diverged=diverged)
+    grid = dataset.shared_grid()
+    keep = grid.stride(eval_stride)
+    u0 = np.stack([u[0] for u in dataset.states])
+    result = ar_rollout(lambda u: forward_batch(params, 0.0, u), u0, grid.times)
+    preds, truths, diverged = _score(dataset, keep, result.states[keep], result.diverged)
+    return build_report(preds, truths, nfe=result.nfe, diverged=diverged)
 
 
 def final_time_error_at_budget(
@@ -126,14 +108,13 @@ def final_time_error_at_budget(
     stages = SolverConfig(method=method).stages
     n_steps = max(1, int(round(budget_nfe / stages)))
     solver = SolverConfig(method=method, substeps_per_interval=n_steps)
-    f = flow_field(params)
-    preds, truths, _, nfe = _roll_out_by_grid(
-        dataset,
-        lambda grid: (0, grid.stride(grid.n_segments)),
-        lambda u0, grid, keep: rollout(f, u0, grid.times[keep], solver),
-    )
+    grid = dataset.shared_grid()
+    keep = grid.stride(grid.n_segments)
+    u0 = np.stack([u[0] for u in dataset.states])
+    result = rollout(flow_field(params), u0, grid.times[keep], solver)
+    preds, truths, _ = _score(dataset, keep, result.states, result.diverged)
     errs = [relative_l2(p[-1], t[-1]) for p, t in zip(preds, truths)]
-    return float(np.mean(errs)), nfe
+    return float(np.mean(errs)), result.nfe
 
 
 def reverse_time_study(
@@ -162,10 +143,7 @@ def reverse_time_study(
             f"noise levels must be >= 0 with a finite level * {NOISE_SEED_SCALE:g}, "
             f"got {list(noise_levels)}"
         )
-    groups = dataset.grid_groups()
-    if len(groups) != 1:
-        raise InvalidArgumentError(f"the reverse study needs one grid shared by all, got {len(groups)}")
-    times = groups[0][0].times
+    times = dataset.shared_grid().times
     anchor = int(np.argmin(np.abs(times - t_star)))
     if anchor == 0 or len(noise_levels) == 0:
         raise InvalidArgumentError(
@@ -175,16 +153,14 @@ def reverse_time_study(
     stride = max(1, anchor // REVERSE_MAX_HORIZONS)
     targets = np.append(np.arange(anchor - stride, 0, -stride), 0)
     f = flow_field(params)
+    u0 = np.stack([u[anchor] for u in dataset.states])
     rows = []
     for level in noise_levels:
         rng = np.random.default_rng([seed, int(round(level * NOISE_SEED_SCALE))])
-        preds, truths, diverged, _ = _roll_out_by_grid(
-            dataset,
-            lambda grid: (anchor, targets),
-            lambda u0, grid, keep: rollout_reverse(
-                f, u0 + level * rng.standard_normal(u0.shape), times[anchor], times[keep], solver
-            ),
+        result = rollout_reverse(
+            f, u0 + level * rng.standard_normal(u0.shape), times[anchor], times[targets], solver
         )
+        preds, truths, diverged = _score(dataset, targets, result.states, result.diverged)
         errs = np.array([row_errors(p, t) for p, t in zip(preds, truths)])  # (B, K)
         n_diverged = int(np.count_nonzero(diverged))
         rows += [

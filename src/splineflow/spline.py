@@ -41,6 +41,7 @@ which vanishes at every knot together with its first m - 1 derivatives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,8 +205,8 @@ class NoiseSchedule:
     m: int = 3
 
     def __post_init__(self):
-        if self.gamma0 < 0.0:
-            raise InvalidArgumentError("gamma0 must be >= 0")
+        if not (0.0 <= self.gamma0 < math.inf):
+            raise InvalidArgumentError(f"gamma0 must be >= 0 and finite, got {self.gamma0!r}")
         if self.m < 1:
             raise InvalidArgumentError("smoothness exponent m must be >= 1")
 

@@ -1,8 +1,11 @@
 """Trajectory sets, reference dynamics and dataset generation (Lorenz, 1D Burgers).
 
-`TrajectorySet` answers which trajectories share a grid (`grid_groups`)
-and the step of the one uniform grid they all lie on (`uniform_step`).
-A generated set shares one `TimeGrid` object among its trajectories.
+`TrajectorySet` answers which one grid all its trajectories lie on
+(`shared_grid`) and the step of that grid when it is uniform
+(`uniform_step`); evaluation needs the first, the one-step baseline and
+the convergence study the second. Only a subsampled training set has a
+grid per trajectory. A generated set shares one `TimeGrid` object among
+its trajectories.
 
 Datasets are solver-converged by construction: Lorenz uses RK4 with a
 fixed substep refinement of the output grid, Burgers derives its substep
@@ -39,6 +42,7 @@ from .timegrid import TimeGrid, subsample_indices, uniform_grid
 LORENZ_SIGMA = 10.0
 LORENZ_RHO = 28.0
 LORENZ_BETA = 8.0 / 3.0
+LORENZ_SUBSTEPS = 10  # RK4 substeps per output interval of a Lorenz generation
 # Most RK4 steps per row a generation may take: (n_times - 1) * substeps.
 # The command defaults take at most 2,000 (Lorenz: 200 intervals x 10).
 MAX_GENERATION_STEPS = 10**6
@@ -55,6 +59,8 @@ class TrajectorySet:
     raw_horizon: float
 
     def __post_init__(self):
+        if self.state_dim < 1:
+            raise InvalidArgumentError(f"state_dim must be >= 1, got {self.state_dim}")
         if len(self.grids) != len(self.states):
             raise InvalidArgumentError("grids and states must pair up")
         for g, u in zip(self.grids, self.states):
@@ -72,23 +78,30 @@ class TrajectorySet:
     def n_traj(self) -> int:
         return len(self.grids)
 
-    def grid_groups(self) -> list:
-        """[(grid, trajectory indices)] per distinct grid times, in first-seen order."""
-        groups = {}
-        for idx, grid in enumerate(self.grids):
-            groups.setdefault(grid.times.tobytes(), []).append(idx)
-        return [(self.grids[ids[0]], ids) for ids in groups.values()]
+    def shared_grid(self) -> TimeGrid:
+        """The one grid every trajectory lies on: the same object or equal times.
+
+        Raises InvalidArgumentError for an empty set or trajectories on
+        different grids.
+        """
+        grid = self.grids[0] if self.grids else None
+        if grid is None or not all(g is grid or np.array_equal(g.times, grid.times) for g in self.grids):
+            raise InvalidArgumentError(f"the {self.n_traj} trajectories must lie on one grid shared by all")
+        return grid
 
     def uniform_step(self, expected: float | None = None) -> float:
-        """The normalized step of the one uniform grid of every trajectory, rounded to 1e-12.
+        """The normalized step of the shared grid, rounded to 1e-12.
 
-        Raises InvalidArgumentError unless all trajectories share one
-        uniform grid, or if its step differs from `expected`.
+        Raises InvalidArgumentError unless the shared grid exists and is
+        uniform, or if its step differs from `expected`.
         """
-        groups = self.grid_groups()
-        if len(groups) != 1 or not groups[0][0].is_uniform():
+        try:
+            grid = self.shared_grid()
+        except InvalidArgumentError:
+            grid = None
+        if grid is None or not grid.is_uniform():
             raise InvalidArgumentError("the trajectories must lie on one uniform grid shared by all")
-        step = round(float(groups[0][0].steps[0]), 12)
+        step = round(float(grid.steps[0]), 12)
         if expected is not None and abs(step - expected) > 1e-12:
             raise InvalidArgumentError(f"grid step {step!r} differs from the expected step {expected!r}")
         return step
@@ -217,7 +230,7 @@ def generate_lorenz(
     horizon_seconds: float = 5.0,
     init_box: float = 5.0,
     seed: int = 0,
-    substeps: int = 10,
+    substeps: int = LORENZ_SUBSTEPS,
     splits: dict | None = None,
 ):
     """Lorenz trajectories from uniform initial conditions in a cube.

@@ -64,8 +64,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps <= 0 or self.batch_size <= 0:
             raise InvalidArgumentError("steps and batch_size must be positive")
-        if self.learning_rate <= 0.0:
-            raise InvalidArgumentError("learning_rate must be positive")
+        if not (0.0 < self.learning_rate < math.inf):
+            raise InvalidArgumentError(
+                f"learning_rate must be positive and finite, got {self.learning_rate!r}"
+            )
         if self.eval_every <= 0:
             raise InvalidArgumentError("eval_every must be positive")
         if self.spline_kind not in SPLINE_KINDS:
@@ -243,6 +245,7 @@ def train_flow_matching(
 
     score = None
     if val_set is not None:
+        val_set.shared_grid()  # raises before the first step, not at the first validation
         score = lambda p: _validation_error(
             evaluation.evaluate_flow_model(p, val_set, VALIDATION_SOLVER)
         )

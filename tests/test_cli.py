@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from splineflow import DataFormatError, cli, datafile, trainer
+from splineflow import DataFormatError, TrajectorySet, cli, datafile, generate_lorenz, trainer
 from splineflow.vector_field import MlpConfig, init_params, load_checkpoint, save_checkpoint
 
 
@@ -468,3 +468,52 @@ def test_studies_that_would_write_meaningless_rows_exit_2(tiny_lorenz, tmp_path,
     ])
     assert code == 2
     assert not out.exists()
+
+
+def _lorenz_file(tmp_path, ragged):
+    """A test split on per-row subsamples (ragged) or on one subsample shared by all."""
+    full = generate_lorenz(4, 21, 2.0, 5.0, seed=3)
+    sub = full.subsampled(0.5, base_seed=0)
+    if not ragged:
+        keep = np.searchsorted(full.grids[0].times, sub.grids[0].times)
+        sub = TrajectorySet(
+            grids=[sub.grids[0]] * 4, states=[u[keep] for u in full.states], state_dim=3,
+            system_tag="lorenz", raw_horizon=full.raw_horizon,
+        )
+    path = tmp_path / "data.sftraj"
+    datafile.write_dataset(path, {"train": full, "test": sub})
+    return path
+
+
+@pytest.mark.parametrize("ragged, expected", [(True, 2), (False, 0)], ids=["ragged", "shared"])
+def test_studies_need_one_grid_shared_by_the_split(tmp_path, ragged, expected):
+    dataset = _lorenz_file(tmp_path, ragged)
+    ckpt = tmp_path / "init.ckpt.npz"
+    save_checkpoint(ckpt, init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0))
+    for command in ("eval", "nfe-sweep", "reverse"):
+        out = tmp_path / f"{command}.csv"
+        code = cli.main(
+            [command, "--checkpoint", str(ckpt), "--dataset", str(dataset), "--out", str(out)]
+        )
+        assert code == expected
+        assert out.exists() == (not ragged)
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("train", "lr", "nan"), ("train", "lr", "inf"), ("train-ar", "lr", "nan"),
+        ("train", "gamma0", "nan"), ("train", "gamma0", "inf"),
+    ],
+)
+def test_non_finite_training_settings_exit_2_without_a_checkpoint(
+    tiny_lorenz, tmp_path, command, flag, value
+):
+    ckpt = tmp_path / "run.ckpt.npz"
+    code = cli.main([
+        command, "--dataset", str(tiny_lorenz), "--steps", "5", "--batch-size", "8",
+        "--hidden", "8", f"--{flag}", value, "--out-dir", str(tmp_path),
+        "--checkpoint-out", str(ckpt),
+    ])
+    assert code == 2
+    assert not ckpt.exists()

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from splineflow import InvalidArgumentError, convergence, generate_burgers, generate_lorenz
+from splineflow import InvalidArgumentError, cli, convergence, generate_burgers, generate_lorenz
 from splineflow.convergence import endpoint_velocity_study, segment_endpoint_velocities
+from splineflow.datafile import write_dataset
 from splineflow.metrics import empirical_order, row_errors
 from splineflow.spline import build_linear, build_quintic, estimate_knot_derivatives
 from splineflow.systems import BurgersConfig, TrajectorySet, lorenz_rhs
@@ -148,6 +149,22 @@ def test_study_rejects_trajectories_on_different_grids():
     with pytest.raises(InvalidArgumentError, match="one uniform grid shared"):
         endpoint_velocity_study(mixed)
     assert endpoint_velocity_study(coarse)  # either half alone is fine
+
+
+def test_study_refuses_lorenz_states_of_other_than_three_components(tmp_path):
+    # lorenz_rhs fills three columns; a 4th would be scored against an
+    # uninitialized truth column
+    data = generate_lorenz(2, 11, 1.0, 5.0, seed=0)
+    wide = TrajectorySet(
+        grids=data.grids, states=[np.hstack([u, u[:, :1]]) for u in data.states],
+        state_dim=4, system_tag="lorenz", raw_horizon=data.raw_horizon,
+    )
+    with pytest.raises(InvalidArgumentError, match="3 components"):
+        endpoint_velocity_study(wide)
+    path, out = tmp_path / "wide.sftraj", tmp_path / "convergence.csv"
+    write_dataset(path, {"train": wide})
+    assert cli.main(["convergence", "--dataset", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("factors", [(1, 1), (1,), (0, 2)])

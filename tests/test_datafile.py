@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from splineflow import DataFormatError, cli, generate_lorenz
+from splineflow import DataFormatError, InvalidArgumentError, cli, generate_lorenz
 from splineflow.datafile import MAGIC, read_dataset, write_dataset
 
 
@@ -112,16 +112,19 @@ def test_trajectories_on_one_stored_grid_share_one_grid_object(tmp_path, tiny_sp
     path = tmp_path / "data.sftraj"
     write_dataset(path, {"train": tiny_splits["train"], "sub": sub})
     loaded, _ = read_dataset(path)
-    assert len({id(g) for g in loaded["train"].grids}) == 1
-    assert len({id(g) for g in loaded["sub"].grids}) == len(sub.grid_groups())
+    shared = loaded["train"].shared_grid()
+    assert all(g is shared for g in loaded["train"].grids)
+    assert len({id(g) for g in loaded["sub"].grids}) == len({g.times.tobytes() for g in sub.grids})
+    with pytest.raises(InvalidArgumentError, match="one grid shared by all"):
+        loaded["sub"].shared_grid()
 
 
-def _rewrite(path, header_change=None, times=None):
-    """Rewrite a one-trajectory file's header, or its stored times."""
+def _rewrite(path, header_change=None, times=None, payload_bytes=None):
+    """Rewrite a one-trajectory file's header, its stored times, or its payload's length."""
     raw = path.read_bytes()
     header_len = int(np.frombuffer(raw[8:12], dtype="<u4")[0])
     header = json.loads(raw[12 : 12 + header_len])
-    payload = bytearray(raw[12 + header_len :])
+    payload = bytearray(raw[12 + header_len :][:payload_bytes])
     if header_change:
         header_change(header)
     if times is not None:
@@ -137,8 +140,10 @@ def _rewrite(path, header_change=None, times=None):
         dict(header_change=lambda h: h.update(state_dim="x")),
         dict(header_change=lambda h: h["splits"][0].update(n_times=[0])),
         dict(times=[0.0, 0.5, 0.5, 1.0]),
+        # a payload of the 4 times alone: every block reads as (4, 0) states
+        dict(header_change=lambda h: h.update(state_dim=0), payload_bytes=32),
     ],
-    ids=["no n_times", "state_dim x", "n_times 0", "times not increasing"],
+    ids=["no n_times", "state_dim x", "n_times 0", "times not increasing", "state_dim 0"],
 )
 def test_malformed_header_or_times_raise_data_format_error_and_exit_4(tmp_path, damage):
     path = tmp_path / "data.sftraj"

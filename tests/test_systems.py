@@ -230,18 +230,29 @@ def test_trajectory_set_subsampling():
 
 def test_grid_questions_of_a_trajectory_set():
     data = generate_lorenz(3, 11, seed=0)
-    assert data.grid_groups() == [(data.grids[0], [0, 1, 2])]
+    assert data.shared_grid() is data.grids[0]
     assert data.uniform_step() == data.uniform_step(expected=0.1) == 0.1
     with pytest.raises(InvalidArgumentError, match="differs"):
         data.uniform_step(expected=0.05)
+
+    def on(grids, states):
+        return TrajectorySet(
+            grids=grids, states=states, state_dim=3, system_tag="lorenz",
+            raw_horizon=data.raw_horizon,
+        )
+
     # equal times in distinct objects are one grid; a subsample gives each its own
+    copy = TimeGrid(times=data.grids[0].times.copy())
+    assert on([data.grids[0], copy], data.states[:2]).shared_grid() is data.grids[0]
     sub = data.subsampled(0.5, base_seed=0)
-    mixed = TrajectorySet(
-        grids=[sub.grids[0], data.grids[0], TimeGrid(times=data.grids[0].times.copy())],
-        states=[sub.states[0], data.states[0], data.states[1]],
-        state_dim=3, system_tag="lorenz", raw_horizon=data.raw_horizon,
-    )
-    assert [ids for _, ids in mixed.grid_groups()] == [[0], [1, 2]]
-    for irregular in (sub, mixed):
+    mixed = on([data.grids[0], copy, sub.grids[0]], data.states[:2] + sub.states[:1])
+    for split in (sub, mixed, on([], [])):
+        with pytest.raises(InvalidArgumentError, match="on one grid shared by all"):
+            split.shared_grid()
         with pytest.raises(InvalidArgumentError, match="one uniform grid shared"):
-            irregular.uniform_step()
+            split.uniform_step()
+    # one irregular grid shared by all is shared, but not uniform
+    irregular = on([sub.grids[0]] * 2, [sub.states[0]] * 2)
+    assert irregular.shared_grid() is sub.grids[0]
+    with pytest.raises(InvalidArgumentError, match="one uniform grid shared"):
+        irregular.uniform_step()
