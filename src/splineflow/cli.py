@@ -197,10 +197,11 @@ def _load_split(path: str, split: str):
 def _load_model(path: str, dataset, flow: bool | None = None):
     """Load a checkpoint to run on `dataset`; `flow` demands one kind of model.
 
-    The network decides the kind: one with a time input is a velocity field
-    (train), one without maps a state to the state one training step later
-    (train-ar). A one-step model runs only on uniform grids of the training
-    step its meta records as "grid_step"; one without it is refused.
+    Returns (params, grid_step). The network decides the kind: one with a
+    time input is a velocity field (train), one without maps a state to the
+    state one training step later (train-ar). A one-step model's grid_step
+    is the training step its meta records, which its evaluation demands of
+    the grid; one without it is refused. A flow model's grid_step is None.
     """
     params, meta = load_checkpoint(path)
     if params.config.state_dim != dataset.state_dim:
@@ -212,11 +213,11 @@ def _load_model(path: str, dataset, flow: bool | None = None):
     if flow is not None and flow != is_flow:
         kind = {True: "a flow (train)", False: "a one-step (train-ar)"}
         raise InvalidArgumentError(f"{path} holds {kind[is_flow]} model, not {kind[flow]} model")
-    if not is_flow:
-        if "grid_step" not in meta:
-            raise DataFormatError(f"{path} holds a one-step model without its grid_step")
-        dataset.uniform_step(expected=meta["grid_step"])
-    return params
+    if is_flow:
+        return params, None
+    if "grid_step" not in meta:
+        raise DataFormatError(f"{path} holds a one-step model without its grid_step")
+    return params, meta["grid_step"]
 
 
 def cmd_gen_data(options: dict, fp: str) -> int:
@@ -360,12 +361,14 @@ def _train_common(options: dict, fp: str, autoregressive: bool) -> int:
 
 def cmd_eval(options: dict, fp: str) -> int:
     dataset, _ = _load_split(options["dataset"], options["split"])
-    params = _load_model(options["checkpoint"], dataset)
-    if params.config.use_time_embedding:
+    params, grid_step = _load_model(options["checkpoint"], dataset)
+    if grid_step is None:
         solver = SolverConfig(method=options["method"], substeps_per_interval=options["substeps"])
         report = evaluate_flow_model(params, dataset, solver, eval_stride=options["eval_stride"])
     else:
-        report = evaluate_one_step_model(params, dataset, eval_stride=options["eval_stride"])
+        report = evaluate_one_step_model(
+            params, dataset, grid_step, eval_stride=options["eval_stride"]
+        )
     out = options["out"] or _out_dir(options) / "eval_report.csv"
     _write_csv(
         out,
@@ -428,12 +431,12 @@ def cmd_nfe_sweep(options: dict, fp: str) -> int:
     if not options["methods"] or min(options["budgets"], default=0) < 1:
         raise InvalidArgumentError("nfe-sweep needs a method and NFE budgets of >= 1 percent")
     dataset, _ = _load_split(options["dataset"], options["split"])
-    params = _load_model(options["checkpoint"], dataset, flow=True)
+    params, _ = _load_model(options["checkpoint"], dataset, flow=True)
     intervals = dataset.shared_grid().n_segments  # AR budget: one evaluation per interval
     rows = []
     if options["ar_checkpoint"]:
-        ar_params = _load_model(options["ar_checkpoint"], dataset, flow=False)
-        ar_report = evaluate_one_step_model(ar_params, dataset)
+        ar_params, grid_step = _load_model(options["ar_checkpoint"], dataset, flow=False)
+        ar_report = evaluate_one_step_model(ar_params, dataset, grid_step)
         rows.append(("ar", 100, ar_report.nfe, repr(ar_report.final_time_error)))
     for method in options["methods"]:
         for pct in options["budgets"]:
@@ -455,7 +458,7 @@ def cmd_nfe_sweep(options: dict, fp: str) -> int:
 
 def cmd_reverse(options: dict, fp: str) -> int:
     dataset, _ = _load_split(options["dataset"], options["split"])
-    params = _load_model(options["checkpoint"], dataset, flow=True)
+    params, _ = _load_model(options["checkpoint"], dataset, flow=True)
     if not (0.0 <= options["t_star"] <= 1.0):
         raise InvalidArgumentError("t_star must lie in [0, 1]")
     solver = SolverConfig(method=options["method"], substeps_per_interval=options["substeps"])

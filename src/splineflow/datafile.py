@@ -10,11 +10,15 @@ component-minor order. Header keys the reader does not use (such as the
 `mode` of older files) are ignored.
 
 Writes are canonical (sorted keys, fixed separators), so write -> read ->
-write round-trips byte-identically. A trajectory whose stored times equal
-the previous one's gets that trajectory's `TimeGrid` object, so one grid
-shared at generation reads back as one object. A header or payload that
-makes no dataset (a missing key, a wrong type, an invalid grid) raises
-DataFormatError.
+write round-trips byte-identically; rows go to the file through the
+buffer protocol, with no bytes copy. A split's payload is read with one
+`readinto` into one float64 array, and every trajectory's states are a
+view of it, so a split is one buffer that goes back to the operating
+system as a whole when the split is freed. A trajectory whose stored
+times equal the previous one's gets that trajectory's `TimeGrid` object,
+so one grid shared at generation reads back as one object. A header or
+payload that makes no dataset (a missing key, a wrong type, an invalid
+grid, more data than the file holds) raises DataFormatError.
 """
 
 from __future__ import annotations
@@ -67,8 +71,8 @@ def write_dataset(path, splits: dict, generator_meta: dict | None = None) -> Non
         fh.write(header_bytes)
         for ts in splits.values():
             for g, u in zip(ts.grids, ts.states):
-                fh.write(np.ascontiguousarray(g.times, dtype="<f8").tobytes())
-                fh.write(np.ascontiguousarray(u, dtype="<f8").tobytes())
+                fh.write(np.ascontiguousarray(g.times, dtype="<f8"))
+                fh.write(np.ascontiguousarray(u, dtype="<f8"))
 
 
 def read_dataset(path):
@@ -98,17 +102,22 @@ def _read_splits(fh, header: dict, path) -> dict:
     d, horizon = int(header["state_dim"]), float(header["raw_horizon"])
     system, splits, grid = str(header["system"]), {}, None
     for entry in header["splits"]:
-        grids, states = [], []
+        count = sum(n * (1 + d) for n in entry["n_times"])
+        try:
+            payload = np.empty(count, dtype="<f8")
+        except MemoryError as exc:  # a header can claim any size
+            raise DataFormatError(f"{path}: header claims {count} payload values") from exc
+        if fh.readinto(payload) != payload.nbytes:
+            raise DataFormatError(f"{path}: truncated payload")
+        grids, states, at = [], [], 0
         for n in entry["n_times"]:
-            need = n * (1 + d) * 8
-            buf = fh.read(need)
-            if len(buf) != need:
-                raise DataFormatError(f"{path}: truncated payload")
-            times = np.frombuffer(buf[: n * 8], dtype="<f8")
+            times = payload[at : at + n]
             if grid is None or not np.array_equal(grid.times, times):
+                # a copy, so a grid shared with a later split keeps no payload alive
                 grid = TimeGrid(times=times.copy())
             grids.append(grid)
-            states.append(np.frombuffer(buf[n * 8 :], dtype="<f8").reshape(n, d).copy())
+            states.append(payload[at + n : at + n * (1 + d)].reshape(n, d))
+            at += n * (1 + d)
         splits[entry["name"]] = TrajectorySet(
             grids=grids, states=states, state_dim=d, system_tag=system, raw_horizon=horizon
         )

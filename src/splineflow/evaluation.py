@@ -1,27 +1,41 @@
 """Rollout-based model evaluation shared by the trainer and the CLI.
 
 Every trajectory of an evaluated set lies on its one shared grid
-(`TrajectorySet.shared_grid`). Each study makes one rollout call for the
-stacked start states and scores it at chosen grid indices (`_score`), so
-truths and predictions are views of the dataset's snapshot arrays and of
-the rollout's state tensor. Blow-ups are masked (frozen rows) so a single
-unstable trajectory cannot abort a test-set sweep - it simply scores a
-huge error. A row also counts as diverged when its scored predictions
-outgrow its own truth by DIVERGENCE_FACTOR, because the rollout's absolute
-norm bound lies far above the states of a system such as Lorenz (norms
-below 60). `eval` and `reverse` report that verdict; `nfe-sweep` does not
-yet, because `final_time_error_at_budget` keeps the (error, nfe) pair that
-splinebench's tests unpack. `rollout`, `ar_rollout` and `rollout_reverse`
-are looked up here at call time, so wrapping them on this module (as
-splinebench does to count rows and NFE) reaches every study.
+(`TrajectorySet.shared_grid`). Each study rolls the stacked start states
+out in blocks of rows (`_roll_in_blocks`) and scores a block at chosen
+grid indices before rolling out the next, so truths and predictions are
+views of the dataset's snapshot arrays and of one block's state tensor.
+A rollout recording K states of d components takes
+max(1, _BLOCK_BYTES // (K * d * 8)) rows a block: 207 on a Burgers test
+set (K = 101, d = 100), every row of a benchmark Lorenz set. A smaller
+remainder block goes first, so no block is smaller than the one freed
+before it: with the remainder last, glibc's heap fragmented more across
+a process's commands, and `burgers-quintic`'s peak RSS read 3 to 8 MB
+higher. Per-row scores are aggregated once, in dataset order, so the
+sums run as for one block. Rows equal the whole batch's bit for bit while a block's matmuls
+take the same BLAS kernel; OpenBLAS rounds few-row products in another
+order (on the benchmark's Burgers network, blocks under 157 rows).
+Blow-ups are masked (frozen rows) so a single unstable trajectory cannot
+abort a test-set sweep - it simply scores a huge error. A row also
+counts as diverged when its scored predictions outgrow its own truth by
+DIVERGENCE_FACTOR, because the rollout's absolute norm bound lies far
+above the states of a system such as Lorenz (norms below 60). `eval`
+and `reverse` report that verdict; `nfe-sweep` does not yet, because
+`final_time_error_at_budget` keeps the (error, nfe) pair that
+splinebench's tests unpack. `rollout`, `ar_rollout` and
+`rollout_reverse` are looked up here at call time, so wrapping them on
+this module (as splinebench does to count rows and NFE) reaches every
+block of every study.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .metrics import EvalReport, build_report, relative_l2, row_errors
+from .metrics import EvalReport, build_report, relative_l2, row_errors, trajectory_errors
 from .odeint import SolverConfig, ar_rollout, rollout, rollout_reverse
 from .systems import TrajectorySet
 from .vector_field import VectorFieldParams, forward_batch
@@ -32,6 +46,7 @@ NOISE_SEED_SCALE = 1e9  # a noise level's seed key is round(level * NOISE_SEED_S
 # largest norm of its scored truth has diverged. Models trained at the
 # benchmark's settings peaked below 10x their truth on validation.
 DIVERGENCE_FACTOR = 1e3
+_BLOCK_BYTES = 16 * 2**20  # rollout states of one block of rows
 
 
 def flow_field(params: VectorFieldParams):
@@ -39,19 +54,32 @@ def flow_field(params: VectorFieldParams):
     return lambda t, u: forward_batch(params, t, u)
 
 
-def _score(dataset: TrajectorySet, keep, states: np.ndarray, frozen: np.ndarray):
-    """(preds, truths, diverged) of a rollout of every row, scored at grid indices keep.
+def _roll_in_blocks(dataset: TrajectorySet, keep, starts: np.ndarray, n_times: int, roll, per_row):
+    """Roll the (B, d) start states out block by block and score every row.
 
-    `states` is the (K, B, d) rollout at the shared grid's times[keep] and
-    `frozen` its (B,) diverged flags; preds and truths are per-row views in
-    dataset order. A row's verdict compares squared norms, per time and
-    row: a temporary of (K, B) numbers, not one the size of the rollout.
+    roll(u0) rolls out one block of start states through a module global
+    (`rollout`, `ar_rollout` or `rollout_reverse`); its result holds the
+    block's (K, b, d) states at the shared grid's indices keep, in a buffer
+    of n_times states per row, which sizes the blocks. per_row(pred, truth)
+    scores one row on views of the states and of its snapshot array. A
+    row's verdict compares squared norms, per time and row: a temporary of
+    (K, b) numbers, not one the size of the rollout. Returns (the per_row
+    scores in dataset order, the nfe per row, the (B,) diverged flags).
     """
-    truths = [u[keep] for u in dataset.states]
-    peaks = np.einsum("tbd,tbd->tb", states, states).max(axis=0)
-    limits = [DIVERGENCE_FACTOR**2 * np.einsum("td,td->t", t, t).max() for t in truths]
-    diverged = frozen | (peaks > np.array(limits))
-    return [states[:, i, :] for i in range(dataset.n_traj)], truths, diverged
+    size = max(1, _BLOCK_BYTES // (n_times * dataset.state_dim * 8))
+    first = len(starts) % size or size  # the remainder block leads (module docstring)
+    ends = [0, *range(first, len(starts) + 1, size)]
+    scores, diverged = [], []
+    for rows in map(slice, ends, ends[1:]):
+        result = roll(starts[rows])
+        states, truths = result.states, [u[keep] for u in dataset.states[rows]]
+        peaks = np.einsum("tbd,tbd->tb", states, states).max(axis=0)
+        limits = [DIVERGENCE_FACTOR**2 * np.einsum("td,td->t", t, t).max() for t in truths]
+        diverged.append(result.diverged | (peaks > np.array(limits)))
+        scores += [per_row(states[:, i, :], t) for i, t in enumerate(truths)]
+        nfe = result.nfe
+        del result, states  # freed before the next block is rolled out
+    return scores, nfe, np.concatenate(diverged)
 
 
 def evaluate_flow_model(
@@ -68,28 +96,39 @@ def evaluate_flow_model(
     """
     grid = dataset.shared_grid()
     keep = grid.stride(eval_stride)
+    times = grid.times[keep]
+    f = flow_field(params)
     u0 = np.stack([u[0] for u in dataset.states])
-    result = rollout(flow_field(params), u0, grid.times[keep], solver)
-    preds, truths, diverged = _score(dataset, keep, result.states, result.diverged)
-    return build_report(preds, truths, nfe=result.nfe, diverged=diverged)
+    errors, nfe, diverged = _roll_in_blocks(
+        dataset, keep, u0, len(times), lambda u: rollout(f, u, times, solver), trajectory_errors
+    )
+    return build_report(errors, nfe=nfe, diverged=diverged)
 
 
 def evaluate_one_step_model(
     params: VectorFieldParams,
     dataset: TrajectorySet,
+    grid_step: float,
     eval_stride: int = 1,
 ) -> EvalReport:
     """Recursive one-step rollout over the full shared grid, scored on a stride.
 
-    The model always steps at its native (training) resolution; the stride
-    only thins the comparison times so reports align with flow-model runs.
+    The model maps a state to the state one training step later, so the
+    shared grid must be uniform with the model's training step grid_step
+    (`TrajectorySet.uniform_step`); the stride only thins the comparison
+    times so reports align with flow-model runs.
     """
     grid = dataset.shared_grid()
+    dataset.uniform_step(expected=grid_step)
     keep = grid.stride(eval_stride)
     u0 = np.stack([u[0] for u in dataset.states])
-    result = ar_rollout(lambda u: forward_batch(params, 0.0, u), u0, grid.times)
-    preds, truths, diverged = _score(dataset, keep, result.states[keep], result.diverged)
-    return build_report(preds, truths, nfe=result.nfe, diverged=diverged)
+
+    def roll(u):
+        result = ar_rollout(lambda x: forward_batch(params, 0.0, x), u, grid.times)
+        return replace(result, states=result.states[keep])
+
+    errors, nfe, diverged = _roll_in_blocks(dataset, keep, u0, len(grid), roll, trajectory_errors)
+    return build_report(errors, nfe=nfe, diverged=diverged)
 
 
 def final_time_error_at_budget(
@@ -110,11 +149,14 @@ def final_time_error_at_budget(
     solver = SolverConfig(method=method, substeps_per_interval=n_steps)
     grid = dataset.shared_grid()
     keep = grid.stride(grid.n_segments)
+    times = grid.times[keep]
+    f = flow_field(params)
     u0 = np.stack([u[0] for u in dataset.states])
-    result = rollout(flow_field(params), u0, grid.times[keep], solver)
-    preds, truths, _ = _score(dataset, keep, result.states, result.diverged)
-    errs = [relative_l2(p[-1], t[-1]) for p, t in zip(preds, truths)]
-    return float(np.mean(errs)), result.nfe
+    errs, nfe, _ = _roll_in_blocks(
+        dataset, keep, u0, len(times), lambda u: rollout(f, u, times, solver),
+        lambda p, t: relative_l2(p[-1], t[-1]),
+    )
+    return float(np.mean(errs)), nfe
 
 
 def reverse_time_study(
@@ -130,13 +172,14 @@ def reverse_time_study(
     Every trajectory must lie on one shared grid. Anchors at the grid time
     closest to t_star, perturbs the anchor states with isotropic Gaussian
     noise per level, integrates backward to earlier grid times (one
-    `rollout_reverse` per level), and averages the per-time relative error
-    over trajectories. Returns rows (noise_level, backward_horizon,
-    mean_error, n_diverged): n_diverged counts the level's rows that froze
-    or outgrew their truth, the verdict `eval` reports too (`nfe-sweep`
-    lacks it; see the module docstring). Noise levels must be >= 0 with a
-    finite seed key level * NOISE_SEED_SCALE. A study with no row to
-    return (an anchor at t = 0, or no noise level) raises.
+    blocked `rollout_reverse` pass per level), and averages the per-time
+    relative error over trajectories. Returns rows (noise_level,
+    backward_horizon, mean_error, n_diverged): n_diverged counts the
+    level's rows that froze or outgrew their truth, the verdict `eval`
+    reports too (`nfe-sweep` lacks it; see the module docstring). Noise
+    levels must be >= 0 with a finite seed key level * NOISE_SEED_SCALE.
+    A study with no row to return (an anchor at t = 0, or no noise level)
+    raises.
     """
     if not all(level >= 0.0 and np.isfinite(level * NOISE_SEED_SCALE) for level in noise_levels):
         raise InvalidArgumentError(
@@ -153,15 +196,15 @@ def reverse_time_study(
     stride = max(1, anchor // REVERSE_MAX_HORIZONS)
     targets = np.append(np.arange(anchor - stride, 0, -stride), 0)
     f = flow_field(params)
+    roll = lambda u: rollout_reverse(f, u, times[anchor], times[targets], solver)
     u0 = np.stack([u[anchor] for u in dataset.states])
     rows = []
     for level in noise_levels:
         rng = np.random.default_rng([seed, int(round(level * NOISE_SEED_SCALE))])
-        result = rollout_reverse(
-            f, u0 + level * rng.standard_normal(u0.shape), times[anchor], times[targets], solver
-        )
-        preds, truths, diverged = _score(dataset, targets, result.states, result.diverged)
-        errs = np.array([row_errors(p, t) for p, t in zip(preds, truths)])  # (B, K)
+        starts = u0 + level * rng.standard_normal(u0.shape)
+        # the anchor state is recorded too: one more than the targets
+        errs, _, diverged = _roll_in_blocks(dataset, targets, starts, len(targets) + 1, roll, row_errors)
+        errs = np.array(errs)  # (B, K)
         n_diverged = int(np.count_nonzero(diverged))
         rows += [
             (float(level), float(times[anchor] - times[j]), float(np.mean(errs[:, k])), n_diverged)

@@ -61,19 +61,23 @@ class EvalReport:
         return float((ordered[(ordered.size - 1) // 2] + ordered[ordered.size // 2]) / 2.0)
 
 
-def build_report(preds, truths, nfe: int = 0, diverged=None) -> EvalReport:
-    """Per-trajectory and aggregate relative-L2 metrics for matched rollouts.
+def trajectory_errors(pred: np.ndarray, truth: np.ndarray) -> tuple:
+    """One trajectory's part of a report: (relative_l2, row_errors) of pred against truth."""
+    return relative_l2(pred, truth), row_errors(pred, truth)
 
-    preds/truths are sequences of (n_times, d) arrays sharing shapes
-    pairwise; the per-time curve averages the instantaneous relative error
-    across trajectories (requires equal n_times, which evaluation grids
+
+def build_report(errors, nfe: int = 0, diverged=None) -> EvalReport:
+    """Per-trajectory and aggregate relative-L2 metrics from per-trajectory errors.
+
+    errors holds each trajectory's `trajectory_errors`, in dataset order;
+    the per-time curve averages the instantaneous relative error across
+    trajectories (requires equal n_times, which evaluation grids
     guarantee).
     """
-    if len(preds) == 0 or len(preds) != len(truths):
-        raise InvalidArgumentError("need matching, nonempty prediction/truth lists")
-    per_traj = np.array([relative_l2(p, t) for p, t in zip(preds, truths)])
-    curves = [row_errors(np.asarray(p), np.asarray(t)) for p, t in zip(preds, truths)]
-    per_time = np.mean(curves, axis=0)
+    if len(errors) == 0:
+        raise InvalidArgumentError("need the errors of at least one trajectory")
+    per_traj = np.array([e for e, _ in errors])
+    per_time = np.mean([curve for _, curve in errors], axis=0)
     n_div = int(np.sum(diverged)) if diverged is not None else 0
     return EvalReport(
         per_traj=per_traj,

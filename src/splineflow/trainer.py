@@ -292,7 +292,9 @@ def train_one_step(
 
     score = None
     if val_set is not None:
-        val_set.uniform_step(expected=step_size)
-        score = lambda p: _validation_error(evaluation.evaluate_one_step_model(p, val_set))
+        val_set.uniform_step(expected=step_size)  # raises before the first step
+        score = lambda p: _validation_error(
+            evaluation.evaluate_one_step_model(p, val_set, step_size)
+        )
 
     return _optimize(params, draw, score, config)

@@ -37,11 +37,8 @@ def test_every_span_site_resolves():
     assert not missing
 
 
-def test_every_study_reaches_its_rollout_through_the_rollout_sites(monkeypatch):
-    # The benchmark counts rollout rows, NFE and diverged rows only in the
-    # wrappers it installs at ROLLOUT_SITES; a study that bound a rollout
-    # function at import time would bypass them and read zero.
-    spans = _load_spans()
+def _spy_on_rollout_sites(monkeypatch, spans):
+    """Record (site, rows) of every call the rollout sites see, as the benchmark counts rows."""
     calls = []
     for path, attr, _ in spans.ROLLOUT_SITES:
         owner = spans._resolve(path)
@@ -52,21 +49,46 @@ def test_every_study_reaches_its_rollout_through_the_rollout_sites(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, attr, spy)
+    return calls
+
+
+def _studies():
+    """(data, [(study, the rollout site of each of its passes)])."""
     data = generate_lorenz(3, 21, seed=5)
     flow = init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0)
     one_step = init_params(MlpConfig(state_dim=3, hidden_dims=(8,), use_time_embedding=False), 0)
     solver = SolverConfig("rk4", 1)
-    # The benchmark's reverse NFE count assumes one rollout_reverse per noise level.
-    studies = [
+    # The benchmark's reverse NFE count assumes one rollout_reverse pass per noise level.
+    return data, [
         (lambda: evaluation.evaluate_flow_model(flow, data, solver), ["rollout"]),
-        (lambda: evaluation.evaluate_one_step_model(one_step, data), ["ar_rollout"]),
+        (lambda: evaluation.evaluate_one_step_model(one_step, data, 0.05), ["ar_rollout"]),
         (lambda: evaluation.final_time_error_at_budget(flow, data, "rk4", 8), ["rollout"]),
         (lambda: evaluation.reverse_time_study(flow, data, 0.5, (0.0,), solver),
          ["rollout_reverse"]),
         (lambda: evaluation.reverse_time_study(flow, data, 0.5, (0.0, 0.1), solver),
          ["rollout_reverse"] * 2),
     ]
+
+
+def test_every_study_reaches_its_rollout_through_the_rollout_sites(monkeypatch):
+    # The benchmark counts rollout rows, NFE and diverged rows only in the
+    # wrappers it installs at ROLLOUT_SITES; a study that bound a rollout
+    # function at import time would bypass them and read zero.
+    calls = _spy_on_rollout_sites(monkeypatch, _load_spans())
+    data, studies = _studies()
     for study, sites in studies:
         calls.clear()
         study()
         assert calls == [(site, data.n_traj) for site in sites]
+
+
+def test_every_block_of_a_split_study_goes_through_the_rollout_sites(monkeypatch):
+    # A set too large for one block rolls out in several calls; the
+    # benchmark must see each of them, and their rows must add up to the set.
+    calls = _spy_on_rollout_sites(monkeypatch, _load_spans())
+    monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 1)  # one row per block
+    data, studies = _studies()
+    for study, sites in studies:
+        calls.clear()
+        study()
+        assert calls == [(site, 1) for site in sites for _ in range(data.n_traj)]

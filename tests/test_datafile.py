@@ -82,12 +82,42 @@ def test_rejects_non_dataset_file(tmp_path):
         read_dataset(path)
 
 
+def test_each_split_reads_into_one_buffer(tmp_path, tiny_splits):
+    # one allocation per split, so a freed split returns to the system whole
+    path = tmp_path / "data.sftraj"
+    write_dataset(path, tiny_splits)
+    loaded, _ = read_dataset(path)
+    train, test = loaded["train"].states, loaded["test"].states
+    for rows in (train, test):
+        assert rows[0].base is not None
+        assert all(u.base is rows[0].base for u in rows)
+    assert train[0].base is not test[0].base
+    assert not any(np.shares_memory(u, v) for u in train for v in test)
+
+
 def test_rejects_truncated_binary(tmp_path, tiny_splits):
     path = tmp_path / "data.bin"
     write_dataset(path, tiny_splits)
     clipped = path.read_bytes()[:-16]
     path.write_bytes(clipped)
     with pytest.raises(DataFormatError):
+        read_dataset(path)
+
+
+def test_rejects_a_file_that_ends_inside_its_first_split(tmp_path, tiny_splits):
+    path = tmp_path / "data.bin"
+    write_dataset(path, tiny_splits)
+    test_split_bytes = 2 * 11 * (1 + 3) * 8
+    path.write_bytes(path.read_bytes()[: -test_split_bytes - 8])
+    with pytest.raises(DataFormatError, match="truncated"):
+        read_dataset(path)
+
+
+def test_rejects_trailing_bytes(tmp_path, tiny_splits):
+    path = tmp_path / "data.bin"
+    write_dataset(path, tiny_splits)
+    path.write_bytes(path.read_bytes() + b"\0" * 8)
+    with pytest.raises(DataFormatError, match="trailing"):
         read_dataset(path)
 
 
@@ -139,11 +169,13 @@ def _rewrite(path, header_change=None, times=None, payload_bytes=None):
         dict(header_change=lambda h: h["splits"][0].pop("n_times")),
         dict(header_change=lambda h: h.update(state_dim="x")),
         dict(header_change=lambda h: h["splits"][0].update(n_times=[0])),
+        dict(header_change=lambda h: h["splits"][0].update(n_times=[10**15])),
         dict(times=[0.0, 0.5, 0.5, 1.0]),
         # a payload of the 4 times alone: every block reads as (4, 0) states
         dict(header_change=lambda h: h.update(state_dim=0), payload_bytes=32),
     ],
-    ids=["no n_times", "state_dim x", "n_times 0", "times not increasing", "state_dim 0"],
+    ids=["no n_times", "state_dim x", "n_times 0", "n_times 1e15", "times not increasing",
+         "state_dim 0"],
 )
 def test_malformed_header_or_times_raise_data_format_error_and_exit_4(tmp_path, damage):
     path = tmp_path / "data.sftraj"

@@ -18,7 +18,11 @@ from splineflow import (
 )
 from splineflow.convergence import endpoint_velocity_study
 from splineflow.evaluation import evaluate_flow_model, reverse_time_study
-from splineflow.metrics import row_errors
+from splineflow.metrics import row_errors, trajectory_errors
+
+
+def _report(preds, truths, **kwargs):
+    return build_report([trajectory_errors(p, t) for p, t in zip(preds, truths)], **kwargs)
 
 
 def test_relative_l2_basic_values():
@@ -69,7 +73,7 @@ def test_build_report_aggregates():
     rng = np.random.default_rng(1)
     truths = [rng.standard_normal((6, 2)) + 3.0 for _ in range(4)]
     preds = [t + 0.01 * rng.standard_normal(t.shape) for t in truths]
-    report = build_report(preds, truths, nfe=120)
+    report = _report(preds, truths, nfe=120)
     per = np.array([relative_l2(p, t) for p, t in zip(preds, truths)])
     assert np.allclose(report.per_traj, per)
     assert np.isclose(report.mean, per.mean())
@@ -82,7 +86,7 @@ def test_build_report_aggregates():
 def test_median_row_error_is_not_set_by_one_diverged_row():
     truths = [np.ones((3, 2)) for _ in range(5)]
     preds = [t * (1.0 + e) for t, e in zip(truths, (0.1, 0.2, 0.3, 0.4, 1e6))]
-    report = build_report(preds, truths)
+    report = _report(preds, truths)
     assert np.isclose(report.median, 0.3)
     assert report.mean > 1e5
     for rows in (report.per_traj, report.per_traj[:4]):  # odd and even counts
@@ -91,7 +95,7 @@ def test_median_row_error_is_not_set_by_one_diverged_row():
 
 def test_build_report_identical_prediction():
     truths = [np.ones((3, 2))]
-    report = build_report(truths, truths)
+    report = _report(truths, truths)
     assert report.mean == 0.0 and report.sd == 0.0
 
 

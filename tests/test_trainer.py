@@ -37,7 +37,7 @@ from splineflow.odeint import rollout, rollout_reverse
 from splineflow.spline import NoiseSchedule, build_linear, build_quintic
 from splineflow.systems import lorenz_rhs
 from splineflow.timegrid import subsample_indices
-from splineflow import trainer
+from splineflow import evaluation, trainer
 from splineflow.trainer import _optimize, _validation_error, build_splines
 from splineflow.vector_field import (
     VectorFieldParams,
@@ -215,6 +215,18 @@ def test_evaluation_scores_views_of_the_truths():
     )
     assert report.n_diverged == 0
     assert peak < 1.5 * (101 * 30 * 50 * 8)
+
+
+def test_evaluation_holds_one_block_of_rows(monkeypatch):
+    # blocks of 6 rows: the peak is a block's states, not the set's
+    data = _random_set(30, 101, 50, seed=1)
+    params = init_params(MlpConfig(state_dim=50, hidden_dims=(8,), embed_bands=2), 0)
+    monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 6 * 101 * 50 * 8)
+    report, peak = _traced_peak(
+        lambda: evaluate_flow_model(params, data, SolverConfig("rk4", 1))
+    )
+    assert report.per_traj.shape == (30,)
+    assert peak < 0.5 * (101 * 30 * 50 * 8)  # a block is 0.2 of it
 
 
 @pytest.mark.parametrize("make_sampler", [_lorenz_linear_sampler, _burgers_quintic_sampler])
@@ -424,7 +436,7 @@ def test_ar_learns_identity_on_constant_data():
     mlp = MlpConfig(state_dim=1, hidden_dims=(16, 16), use_time_embedding=False)
     result = train_one_step(data, cfg, mlp_config=mlp, val_set=data)
     assert result.history[-1].train_loss < 1e-6
-    report = evaluate_one_step_model(result.params, data)
+    report = evaluate_one_step_model(result.params, data, data.uniform_step())
     assert report.mean < 1e-2
     assert abs(forward_batch(result.params, 0.0, np.array([[1.5]]))[0, 0] - 1.5) < 1e-2
 
@@ -444,7 +456,7 @@ def test_ar_evaluation_masks_rows_that_blow_up():
         grids=[grid] * 4, states=[u * 1e3 ** np.arange(4.0)[:, None] for u in u0s],
         state_dim=1, system_tag="toy", raw_horizon=1.0,
     )
-    report = evaluate_one_step_model(params, data)
+    report = evaluate_one_step_model(params, data, data.uniform_step())
     assert report.n_diverged == 2
     assert report.nfe == 3
 
@@ -484,6 +496,60 @@ def test_reverse_study_flags_rows_that_outgrow_their_truth():
     assert n_diverged == 1
 
 
+def _eight_rows_last_outgrowing():
+    """(data, [(study, states per row its rollouts record)]) on 8 constant rows."""
+    grid = uniform_grid(11)
+    data = TrajectorySet(
+        grids=[grid] * 8,
+        states=[np.full((11, 1), u) for u in (-1.0, -0.5, -2.0, -1.5, -0.8, -1.2, -0.3, 1.0)],
+        state_dim=1, system_tag="toy", raw_horizon=1.0,
+    )
+    config = MlpConfig(state_dim=1, hidden_dims=(1,), embed_bands=1)
+    # du/dt = 11.5 relu(u) - 0.5 grows the last row about 1e5-fold and
+    # moves the others off their truth; its mirror does so backward in time
+    flow = VectorFieldParams(config, np.array([1.0, 0.0, 0.0, 0.0, 11.5, -0.5]))
+    back = VectorFieldParams(config, np.array([1.0, 0.0, 0.0, 0.0, -11.5, 0.5]))
+    # F(u) = 2.5 relu(u) - 0.9 relu(-u): the last row grows 2.5-fold a step
+    one_step = VectorFieldParams(AR_MLP_PAIR, np.array([1.0, -1.0, 0.0, 0.0, 2.5, -0.9, 0.0]))
+    solver = SolverConfig("rk4", 1)
+    return data, [
+        (lambda: evaluate_flow_model(flow, data, solver), 11),
+        (lambda: evaluate_one_step_model(one_step, data, data.uniform_step()), 11),
+        (lambda: final_time_error_at_budget(flow, data, "rk4", 40), 2),
+        (lambda: reverse_time_study(back, data, 1.0, (0.0, 0.1), solver), 11),
+    ]
+
+
+def test_blocked_evaluation_equals_one_block(monkeypatch):
+    data, studies = _eight_rows_last_outgrowing()
+    one_block = evaluation._BLOCK_BYTES
+    rows = []
+    for name in ("rollout", "ar_rollout", "rollout_reverse"):
+        def spy(*args, _original=getattr(evaluation, name), **kwargs):
+            rows.append(len(args[1]))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, name, spy)
+    for study, n_times in studies:
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", one_block)
+        rows.clear()
+        whole = study()
+        passes = len(rows)  # the reverse study rolls out once per noise level
+        assert rows == [8] * passes
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 3 * n_times * data.state_dim * 8)
+        rows.clear()
+        blocked = study()
+        assert rows == [2, 3, 3] * passes  # the remainder block first
+        if isinstance(whole, EvalReport):
+            assert whole.n_diverged == 1
+            for field in ("per_traj", "per_time"):
+                assert np.array_equal(getattr(blocked, field), getattr(whole, field))
+            assert (blocked.nfe, blocked.n_diverged) == (whole.nfe, whole.n_diverged)
+        else:
+            assert blocked == whole
+    assert [n for *_, n in blocked] == [1] * len(blocked)  # the reverse rows
+
+
 def test_reverse_study_needs_one_shared_grid():
     data = generate_lorenz(3, 21, seed=5).subsampled(0.5, base_seed=0)
     params = init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0)
@@ -500,7 +566,7 @@ def test_ar_evaluation_scores_each_trajectory_at_its_own_index():
     data = TrajectorySet(
         grids=[grid] * 3, states=truths, state_dim=1, system_tag="toy", raw_horizon=1.0,
     )
-    report = evaluate_one_step_model(params, data)
+    report = evaluate_one_step_model(params, data, data.uniform_step())
     own = [relative_l2(u0 * 2.0 ** np.arange(4.0)[:, None], truth)
            for u0, truth in zip(u0s, truths)]
     assert len(set(own)) == 3
@@ -523,7 +589,7 @@ def test_every_study_refuses_trajectories_on_different_grids():
     solver = SolverConfig("rk4", 1)
     studies = [
         lambda: evaluate_flow_model(flow, data, solver),
-        lambda: evaluate_one_step_model(one_step, data),
+        lambda: evaluate_one_step_model(one_step, data, 0.25),
         lambda: final_time_error_at_budget(flow, data, "rk4", 8),
         lambda: reverse_time_study(flow, data, 0.5, (0.0,), solver),
     ]
@@ -551,6 +617,22 @@ def test_budget_nfe_is_scheduled_and_reverse_counts_rows_that_all_died():
     assert nfe == 40
     rows = reverse_time_study(params, data, 0.5, (0.0, 0.1), SolverConfig("rk4", 1))
     assert rows and all(n == 3 for *_, n in rows)
+
+
+def test_one_step_evaluation_runs_only_on_its_training_step():
+    params = VectorFieldParams(AR_MLP_PAIR, np.array([1.0, -1.0, 0.0, 0.0, 2.0, -2.0, 0.0]))
+
+    def on(grid):
+        return TrajectorySet(
+            grids=[grid] * 2, states=[np.full((len(grid), 1), u) for u in (1.0, 2.0)],
+            state_dim=1, system_tag="toy", raw_horizon=1.0,
+        )
+
+    with pytest.raises(InvalidArgumentError, match="uniform"):
+        evaluate_one_step_model(params, on(TimeGrid(times=[0.0, 0.05, 0.5, 1.0])), 0.05)
+    with pytest.raises(InvalidArgumentError, match="differs"):
+        evaluate_one_step_model(params, on(uniform_grid(21)), 0.1)
+    assert evaluate_one_step_model(params, on(uniform_grid(11)), 0.1).nfe == 10
 
 
 def test_ar_rejects_irregular_grids():
@@ -625,7 +707,8 @@ def test_cfo_on_a_quarter_of_the_points_beats_full_data_ar_at_half_its_nfe(subsa
     intervals = held_out.shared_grid().n_segments
     for seed in (0, 1, 2):
         ar = evaluate_one_step_model(
-            train_one_step(train, _subsampled_lorenz_config(seed)).params, held_out
+            train_one_step(train, _subsampled_lorenz_config(seed)).params, held_out,
+            train.uniform_step(),
         )
         cfo, nfe = final_time_error_at_budget(quintic[seed], held_out, "rk4", intervals // 2)
         assert nfe <= ar.nfe // 2
