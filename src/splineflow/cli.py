@@ -77,12 +77,12 @@ _COMMON = [
 
 _TRAIN_OPTS = [
     ("dataset", str, REQUIRED, "dataset file from gen-data"),
-    ("steps", int, 20000, "optimizer steps"),
-    ("batch_size", int, 256, "samples per step"),
-    ("lr", float, 1e-3, "Adam learning rate"),
-    ("eval_every", int, 2000, "validation rollout cadence in steps"),
-    ("seed", _non_negative_int, 0, "training seed"),
-    ("hidden", _comma_ints, (64, 128, 128, 64), "hidden layer widths"),
+    ("steps", int, TrainConfig.steps, "optimizer steps"),
+    ("batch_size", int, TrainConfig.batch_size, "samples per step"),
+    ("lr", float, TrainConfig.learning_rate, "Adam learning rate"),
+    ("eval_every", int, TrainConfig.eval_every, "validation rollout cadence in steps"),
+    ("seed", _non_negative_int, TrainConfig.seed, "training seed"),
+    ("hidden", _comma_ints, MlpConfig.hidden_dims, "hidden layer widths"),
     ("checkpoint_out", str, None, "checkpoint path (default under out dir)"),
     ("history_out", str, None, "history CSV path (default under out dir)"),
 ]
@@ -96,26 +96,26 @@ COMMANDS = {
         ("n_times", int, None, "time points per trajectory"),
         ("horizon", float, None, "physical horizon in seconds"),
         ("init_box", float, 5.0, "lorenz initial-condition box half-width"),
-        ("nu", float, 0.01, "burgers viscosity"),
-        ("nx", int, 100, "burgers spatial points"),
+        ("nu", float, BurgersConfig.nu, "burgers viscosity"),
+        ("nx", int, BurgersConfig.nx, "burgers spatial points"),
         ("gen_substeps", int, None, f"integrator substeps per interval (default: lorenz {LORENZ_SUBSTEPS}, burgers by stability)"),
         ("seed", _non_negative_int, 0, "generation seed"),
         ("out", str, None, "dataset path (default under out dir)"),
     ],
     "train": _COMMON + _TRAIN_OPTS + [
         ("keep_rate", float, 1.0, "fraction of time points kept per trajectory"),
-        ("embed_bands", int, 8, "sinusoidal time-embedding frequency count"),
-        ("spline", str, "quintic", "spline kind: linear or quintic"),
-        ("gamma0", float, 1e-5, "noise schedule amplitude"),
-        ("noise_m", int, 3, "noise schedule smoothness exponent"),
+        ("embed_bands", int, MlpConfig.embed_bands, "sinusoidal time-embedding frequency count"),
+        ("spline", str, TrainConfig.spline_kind, "spline kind: linear or quintic"),
+        ("gamma0", float, TrainConfig.gamma0, "noise schedule amplitude"),
+        ("noise_m", int, TrainConfig.noise_m, "noise schedule smoothness exponent"),
     ],
     "train-ar": _COMMON + _TRAIN_OPTS,
     "eval": _COMMON + [
         ("checkpoint", str, REQUIRED, "trained checkpoint"),
         ("dataset", str, REQUIRED, "dataset file whose split lies on one shared grid"),
         ("split", str, "test", "dataset split to evaluate"),
-        ("method", str, "rk4", "solver: euler, heun, rk4"),
-        ("substeps", int, 1, "solver substeps per grid interval"),
+        ("method", str, SolverConfig.method, "solver: euler, heun, rk4"),
+        ("substeps", int, SolverConfig.substeps_per_interval, "solver substeps per grid interval"),
         ("eval_stride", int, 1, "evaluate every k-th grid time"),
         ("out", str, None, "report CSV path"),
     ],

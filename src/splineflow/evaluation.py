@@ -11,21 +11,24 @@ set (K = 101, d = 100), every row of a benchmark Lorenz set. A smaller
 remainder block goes first, so no block is smaller than the one freed
 before it: with the remainder last, glibc's heap fragmented more across
 a process's commands, and `burgers-quintic`'s peak RSS read 3 to 8 MB
-higher. Per-row scores are aggregated once, in dataset order, so the
-sums run as for one block. Rows equal the whole batch's bit for bit while a block's matmuls
+higher. Per-row scores go into one `EvalReport` per rollout pass
+(`build_report`), in dataset order, so the sums run as for one block,
+and every study reads that report: the flow and one-step rows of
+`nfe-sweep` share its final-time error, and `reverse` its per-time
+curve. Rows equal the whole batch's bit for bit while a block's matmuls
 take the same BLAS kernel; OpenBLAS rounds few-row products in another
 order (on the benchmark's Burgers network, blocks under 157 rows).
 Blow-ups are masked (frozen rows) so a single unstable trajectory cannot
 abort a test-set sweep - it simply scores a huge error. A row also
 counts as diverged when its scored predictions outgrow its own truth by
 DIVERGENCE_FACTOR, because the rollout's absolute norm bound lies far
-above the states of a system such as Lorenz (norms below 60). `eval`
-and `reverse` report that verdict; `nfe-sweep` does not yet, because
-`final_time_error_at_budget` keeps the (error, nfe) pair that
-splinebench's tests unpack. `rollout`, `ar_rollout` and
-`rollout_reverse` are looked up here at call time, so wrapping them on
-this module (as splinebench does to count rows and NFE) reaches every
-block of every study.
+above the states of a system such as Lorenz (norms below 60). Every
+report holds that verdict; `eval` and `reverse` write it, while
+`final_time_error_at_budget` still returns only the (error, nfe) pair
+that splinebench's tests unpack (ROADMAP item 1). `rollout`,
+`ar_rollout`, `rollout_reverse` and `build_report` are looked up here at
+call time, so wrapping them on this module (as splinebench does to count
+rows and NFE) reaches every block of every study.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .metrics import EvalReport, build_report, relative_l2, row_errors, trajectory_errors
+from .metrics import EvalReport, build_report, trajectory_errors
 from .odeint import SolverConfig, ar_rollout, rollout, rollout_reverse
 from .systems import TrajectorySet
 from .vector_field import VectorFieldParams, forward_batch
@@ -54,32 +57,33 @@ def flow_field(params: VectorFieldParams):
     return lambda t, u: forward_batch(params, t, u)
 
 
-def _roll_in_blocks(dataset: TrajectorySet, keep, starts: np.ndarray, n_times: int, roll, per_row):
-    """Roll the (B, d) start states out block by block and score every row.
+def _roll_in_blocks(
+    dataset: TrajectorySet, keep, starts: np.ndarray, n_times: int, roll
+) -> EvalReport:
+    """Roll the (B, d) start states out block by block and report on every row.
 
     roll(u0) rolls out one block of start states through a module global
     (`rollout`, `ar_rollout` or `rollout_reverse`); its result holds the
     block's (K, b, d) states at the shared grid's indices keep, in a buffer
-    of n_times states per row, which sizes the blocks. per_row(pred, truth)
-    scores one row on views of the states and of its snapshot array. A
-    row's verdict compares squared norms, per time and row: a temporary of
-    (K, b) numbers, not one the size of the rollout. Returns (the per_row
-    scores in dataset order, the nfe per row, the (B,) diverged flags).
+    of n_times states per row, which sizes the blocks. Each row is scored
+    by `trajectory_errors` on views of the states and of its snapshot
+    array. A row's verdict compares squared norms, per time and row: a
+    temporary of (K, b) numbers, not one the size of the rollout.
     """
     size = max(1, _BLOCK_BYTES // (n_times * dataset.state_dim * 8))
     first = len(starts) % size or size  # the remainder block leads (module docstring)
     ends = [0, *range(first, len(starts) + 1, size)]
-    scores, diverged = [], []
+    errors, diverged = [], []
     for rows in map(slice, ends, ends[1:]):
         result = roll(starts[rows])
         states, truths = result.states, [u[keep] for u in dataset.states[rows]]
         peaks = np.einsum("tbd,tbd->tb", states, states).max(axis=0)
         limits = [DIVERGENCE_FACTOR**2 * np.einsum("td,td->t", t, t).max() for t in truths]
         diverged.append(result.diverged | (peaks > np.array(limits)))
-        scores += [per_row(states[:, i, :], t) for i, t in enumerate(truths)]
+        errors += [trajectory_errors(states[:, i, :], t) for i, t in enumerate(truths)]
         nfe = result.nfe
         del result, states  # freed before the next block is rolled out
-    return scores, nfe, np.concatenate(diverged)
+    return build_report(errors, nfe, np.concatenate(diverged))
 
 
 def evaluate_flow_model(
@@ -99,10 +103,7 @@ def evaluate_flow_model(
     times = grid.times[keep]
     f = flow_field(params)
     u0 = np.stack([u[0] for u in dataset.states])
-    errors, nfe, diverged = _roll_in_blocks(
-        dataset, keep, u0, len(times), lambda u: rollout(f, u, times, solver), trajectory_errors
-    )
-    return build_report(errors, nfe=nfe, diverged=diverged)
+    return _roll_in_blocks(dataset, keep, u0, len(times), lambda u: rollout(f, u, times, solver))
 
 
 def evaluate_one_step_model(
@@ -127,8 +128,7 @@ def evaluate_one_step_model(
         result = ar_rollout(lambda x: forward_batch(params, 0.0, x), u, grid.times)
         return replace(result, states=result.states[keep])
 
-    errors, nfe, diverged = _roll_in_blocks(dataset, keep, u0, len(grid), roll, trajectory_errors)
-    return build_report(errors, nfe=nfe, diverged=diverged)
+    return _roll_in_blocks(dataset, keep, u0, len(grid), roll)
 
 
 def final_time_error_at_budget(
@@ -140,23 +140,19 @@ def final_time_error_at_budget(
     """Mean final-time relative error using a fixed total NFE budget.
 
     The budget is spent on equal steps from t = 0 to t = 1 (stages
-    included), so budget_nfe = steps * stages up to rounding; returns
-    (mean_error, actual_nfe). Diverged rows are frozen and scored at their
-    last finite state.
+    included), so budget_nfe = steps * stages up to rounding. The error is
+    the `final_time_error` of the flow report at stride n_segments, the
+    figure `evaluate_one_step_model` gives the AR row of `nfe-sweep`.
+    Returns (final_time_error, actual_nfe): the report's divergence
+    verdict is dropped until splinebench reads the NFE another way
+    (ROADMAP item 1). Diverged rows are frozen and scored at their last
+    finite state.
     """
     stages = SolverConfig(method=method).stages
     n_steps = max(1, int(round(budget_nfe / stages)))
     solver = SolverConfig(method=method, substeps_per_interval=n_steps)
-    grid = dataset.shared_grid()
-    keep = grid.stride(grid.n_segments)
-    times = grid.times[keep]
-    f = flow_field(params)
-    u0 = np.stack([u[0] for u in dataset.states])
-    errs, nfe, _ = _roll_in_blocks(
-        dataset, keep, u0, len(times), lambda u: rollout(f, u, times, solver),
-        lambda p, t: relative_l2(p[-1], t[-1]),
-    )
-    return float(np.mean(errs)), nfe
+    report = evaluate_flow_model(params, dataset, solver, dataset.shared_grid().n_segments)
+    return report.final_time_error, report.nfe
 
 
 def reverse_time_study(
@@ -172,12 +168,12 @@ def reverse_time_study(
     Every trajectory must lie on one shared grid. Anchors at the grid time
     closest to t_star, perturbs the anchor states with isotropic Gaussian
     noise per level, integrates backward to earlier grid times (one
-    blocked `rollout_reverse` pass per level), and averages the per-time
-    relative error over trajectories. Returns rows (noise_level,
-    backward_horizon, mean_error, n_diverged): n_diverged counts the
-    level's rows that froze or outgrew their truth, the verdict `eval`
-    reports too (`nfe-sweep` lacks it; see the module docstring). Noise
-    levels must be >= 0 with a finite seed key level * NOISE_SEED_SCALE.
+    blocked `rollout_reverse` pass per level), and reads each level's
+    report. Returns rows (noise_level, backward_horizon, mean_error,
+    n_diverged): mean_error is the report's per-time error at that
+    horizon, and n_diverged its count of rows that froze or outgrew their
+    truth, the verdict `eval` reports too. Noise levels must be >= 0 with
+    a finite seed key level * NOISE_SEED_SCALE.
     A study with no row to return (an anchor at t = 0, or no noise level)
     raises.
     """
@@ -203,11 +199,9 @@ def reverse_time_study(
         rng = np.random.default_rng([seed, int(round(level * NOISE_SEED_SCALE))])
         starts = u0 + level * rng.standard_normal(u0.shape)
         # the anchor state is recorded too: one more than the targets
-        errs, _, diverged = _roll_in_blocks(dataset, targets, starts, len(targets) + 1, roll, row_errors)
-        errs = np.array(errs)  # (B, K)
-        n_diverged = int(np.count_nonzero(diverged))
+        report = _roll_in_blocks(dataset, targets, starts, len(targets) + 1, roll)
         rows += [
-            (float(level), float(times[anchor] - times[j]), float(np.mean(errs[:, k])), n_diverged)
-            for k, j in enumerate(targets)
+            (float(level), float(times[anchor] - times[j]), float(error), report.n_diverged)
+            for error, j in zip(report.per_time, targets)
         ]
     return rows

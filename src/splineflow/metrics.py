@@ -66,19 +66,18 @@ def trajectory_errors(pred: np.ndarray, truth: np.ndarray) -> tuple:
     return relative_l2(pred, truth), row_errors(pred, truth)
 
 
-def build_report(errors, nfe: int = 0, diverged=None) -> EvalReport:
+def build_report(errors, nfe: int, diverged) -> EvalReport:
     """Per-trajectory and aggregate relative-L2 metrics from per-trajectory errors.
 
-    errors holds each trajectory's `trajectory_errors`, in dataset order;
-    the per-time curve averages the instantaneous relative error across
-    trajectories (requires equal n_times, which evaluation grids
-    guarantee).
+    errors holds each trajectory's `trajectory_errors`, in dataset order,
+    and diverged each trajectory's divergence flag; the per-time curve
+    averages the instantaneous relative error across trajectories
+    (requires equal n_times, which evaluation grids guarantee).
     """
     if len(errors) == 0:
         raise InvalidArgumentError("need the errors of at least one trajectory")
     per_traj = np.array([e for e, _ in errors])
     per_time = np.mean([curve for _, curve in errors], axis=0)
-    n_div = int(np.sum(diverged)) if diverged is not None else 0
     return EvalReport(
         per_traj=per_traj,
         mean=float(per_traj.mean()),
@@ -86,7 +85,7 @@ def build_report(errors, nfe: int = 0, diverged=None) -> EvalReport:
         per_time=per_time,
         final_time_error=float(per_time[-1]),
         nfe=nfe,
-        n_diverged=n_div,
+        n_diverged=int(np.count_nonzero(diverged)),
     )
 
 

@@ -212,9 +212,6 @@ class NoiseSchedule:
 
     def from_tau(self, tau: np.ndarray, h: np.ndarray):
         """(gamma, dgamma/dt) from the local segment coordinate and width."""
-        if self.gamma0 == 0.0:
-            zeros = np.zeros_like(np.asarray(tau, dtype=np.float64))
-            return zeros, zeros
         tau = np.asarray(tau, dtype=np.float64)
         bump = tau * (1.0 - tau)
         value = self.gamma0 * bump**self.m

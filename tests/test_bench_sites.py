@@ -4,7 +4,8 @@ splinebench wraps public functions at the module attributes listed in
 its SPAN_SITES and ROLLOUT_SITES, and a traced run fails on a name that
 is gone. Checking them here makes a rename fail the unit tests, not only
 the benchmark's slower smoke runs. The rollout sites must also be the
-path every evaluation study takes to its rollout.
+path every evaluation study takes to its rollout, and each rollout pass
+must end in one `build_report`, the span site of report building.
 """
 
 import importlib.util
@@ -37,18 +38,26 @@ def test_every_span_site_resolves():
     assert not missing
 
 
-def _spy_on_rollout_sites(monkeypatch, spans):
-    """Record (site, rows) of every call the rollout sites see, as the benchmark counts rows."""
+def _spy(monkeypatch, owner, attr, calls, rows_arg):
+    original = vars(owner)[attr]
+
+    def spy(*args, **kwargs):
+        calls.append((attr, len(args[rows_arg])))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, spy)
+
+
+def _spy_on_study_sites(monkeypatch, spans):
+    """Record (site, rows) of every call the rollout sites and `build_report` see.
+
+    The benchmark counts rollout rows from a rollout's args[1]; a report's
+    rows are its per-row errors, args[0].
+    """
     calls = []
     for path, attr, _ in spans.ROLLOUT_SITES:
-        owner = spans._resolve(path)
-        original = vars(owner)[attr]
-
-        def spy(*args, _attr=attr, _original=original, **kwargs):
-            calls.append((_attr, len(args[1])))  # the benchmark counts rows from args[1]
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, attr, spy)
+        _spy(monkeypatch, spans._resolve(path), attr, calls, 1)
+    _spy(monkeypatch, evaluation, "build_report", calls, 0)
     return calls
 
 
@@ -73,22 +82,29 @@ def _studies():
 def test_every_study_reaches_its_rollout_through_the_rollout_sites(monkeypatch):
     # The benchmark counts rollout rows, NFE and diverged rows only in the
     # wrappers it installs at ROLLOUT_SITES; a study that bound a rollout
-    # function at import time would bypass them and read zero.
-    calls = _spy_on_rollout_sites(monkeypatch, _load_spans())
+    # function at import time would bypass them and read zero. Every pass
+    # is then scored by one report of all its rows.
+    calls = _spy_on_study_sites(monkeypatch, _load_spans())
     data, studies = _studies()
     for study, sites in studies:
         calls.clear()
         study()
-        assert calls == [(site, data.n_traj) for site in sites]
+        assert calls == [
+            call for site in sites for call in [(site, data.n_traj), ("build_report", data.n_traj)]
+        ]
 
 
 def test_every_block_of_a_split_study_goes_through_the_rollout_sites(monkeypatch):
     # A set too large for one block rolls out in several calls; the
-    # benchmark must see each of them, and their rows must add up to the set.
-    calls = _spy_on_rollout_sites(monkeypatch, _load_spans())
+    # benchmark must see each of them, and their rows must add up to the
+    # set, which the pass's one report covers.
+    calls = _spy_on_study_sites(monkeypatch, _load_spans())
     monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 1)  # one row per block
     data, studies = _studies()
     for study, sites in studies:
         calls.clear()
         study()
-        assert calls == [(site, 1) for site in sites for _ in range(data.n_traj)]
+        assert calls == [
+            call for site in sites
+            for call in [(site, 1)] * data.n_traj + [("build_report", data.n_traj)]
+        ]

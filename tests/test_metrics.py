@@ -21,8 +21,9 @@ from splineflow.evaluation import evaluate_flow_model, reverse_time_study
 from splineflow.metrics import row_errors, trajectory_errors
 
 
-def _report(preds, truths, **kwargs):
-    return build_report([trajectory_errors(p, t) for p, t in zip(preds, truths)], **kwargs)
+def _report(preds, truths, nfe=0):
+    errors = [trajectory_errors(p, t) for p, t in zip(preds, truths)]
+    return build_report(errors, nfe, np.zeros(len(errors), dtype=bool))
 
 
 def test_relative_l2_basic_values():

@@ -202,7 +202,7 @@ def test_gamma_m1_hand_value():
     assert np.isclose(slope, 3.0 * 0.5)
 
 
-def test_gamma_zero_amplitude_fast_path():
+def test_gamma_zero_amplitude_gives_zero_noise():
     value, slope = NoiseSchedule(gamma0=0.0, m=3).from_tau(np.array([0.37]), np.array([1 / 3]))
     assert value == 0.0 and slope == 0.0
 

@@ -619,6 +619,18 @@ def test_budget_nfe_is_scheduled_and_reverse_counts_rows_that_all_died():
     assert rows and all(n == 3 for *_, n in rows)
 
 
+def test_budget_error_is_the_final_time_error_of_the_flow_report():
+    # nfe-sweep's flow rows read the report field its AR row reads; a mean
+    # of the 8 rows' own final errors rounds differently on this set
+    data = generate_lorenz(8, 21, seed=5)
+    params = init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0)
+    for method, budget in (("rk4", 40), ("euler", 10), ("heun", 16)):
+        solver = SolverConfig(method, budget // SolverConfig(method).stages)
+        report = evaluate_flow_model(params, data, solver, eval_stride=data.shared_grid().n_segments)
+        pair = final_time_error_at_budget(params, data, method, budget)
+        assert pair == (report.final_time_error, report.nfe)
+
+
 def test_one_step_evaluation_runs_only_on_its_training_step():
     params = VectorFieldParams(AR_MLP_PAIR, np.array([1.0, -1.0, 0.0, 0.0, 2.0, -2.0, 0.0]))
 
