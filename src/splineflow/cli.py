@@ -286,7 +286,7 @@ def _train_common(options: dict, fp: str, autoregressive: bool) -> int:
     splits, header = datafile.read_dataset(options["dataset"])
     if "train" not in splits:
         raise InvalidArgumentError(f"dataset {options['dataset']} has no train split")
-    train_set = splits["train"]
+    train_set = splits.pop("train")  # a subsample below then frees the full split
     val_set = splits.get("val")
 
     flow = {} if autoregressive else {
@@ -309,10 +309,9 @@ def _train_common(options: dict, fp: str, autoregressive: bool) -> int:
         use_time_embedding=not autoregressive,
     )
 
-    out_dir = _out_dir(options)
     tag = f"{header['system']}_{'ar' if autoregressive else config.spline_kind}_seed{options['seed']}"
-    ckpt_path = options["checkpoint_out"] or out_dir / f"{tag}.ckpt.npz"
-    hist_path = options["history_out"] or out_dir / f"{tag}_history.csv"
+    ckpt_path = options["checkpoint_out"] or _out_dir(options) / f"{tag}.ckpt.npz"
+    hist_path = options["history_out"] or _out_dir(options) / f"{tag}_history.csv"
 
     meta = {
         "fingerprint": fp,

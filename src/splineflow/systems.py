@@ -107,14 +107,25 @@ class TrajectorySet:
         return step
 
     def subsampled(self, keep_rate: float, base_seed: int) -> "TrajectorySet":
-        """Per-trajectory random time subsample (trajectory-specific seeds)."""
-        grids, states = [], []
-        for j, (g, u) in enumerate(zip(self.grids, self.states)):
-            # Salted entropy keeps subsampling independent of the training
-            # rng streams derived from the same base seed.
-            keep = subsample_indices(g, keep_rate, [base_seed, 7919, j])
+        """Per-trajectory random time subsample (trajectory-specific seeds).
+
+        The kept rows of all trajectories are gathered into one (sum kept, d)
+        buffer, and each trajectory's states are a slice of it: the layout
+        of a split read from a dataset file.
+        """
+        # Salted entropy keeps subsampling independent of the training
+        # rng streams derived from the same base seed.
+        keeps = [
+            subsample_indices(g, keep_rate, [base_seed, 7919, j]) for j, g in enumerate(self.grids)
+        ]
+        kept = np.empty((sum(len(keep) for keep in keeps), self.state_dim))
+        grids, states, at = [], [], 0
+        for g, u, keep in zip(self.grids, self.states, keeps):
+            rows = kept[at : at + len(keep)]
+            rows[...] = u[keep]
             grids.append(TimeGrid(times=g.times[keep]))
-            states.append(u[keep])
+            states.append(rows)
+            at += len(keep)
         return TrajectorySet(
             grids=grids,
             states=states,

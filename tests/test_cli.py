@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,51 @@ def test_exploding_training_exits_3_with_checkpoint_from_last_good_step(tiny_lor
     assert meta["status"].startswith("aborted: training diverged at step 2:")
     assert meta["best_step"] == 0
     assert math.isnan(meta["best_val_error"])
+
+
+@pytest.mark.parametrize("command", ["train", "train-ar"])
+def test_training_with_both_outputs_named_creates_no_default_directory(
+    tiny_lorenz, tmp_path, monkeypatch, command
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path / "root"))
+    ckpt, history = tmp_path / "run.ckpt.npz", tmp_path / "history.csv"
+    code = cli.main([
+        command, "--dataset", str(tiny_lorenz), "--steps", "2", "--batch-size", "8",
+        "--eval-every", "1", "--hidden", "8", "--checkpoint-out", str(ckpt),
+        "--history-out", str(history),
+    ])
+    assert code == 0
+    assert ckpt.exists() and history.exists()
+    assert not (tmp_path / "root").exists() and not (tmp_path / "outputs").exists()
+
+
+def test_subsampled_training_holds_no_copy_of_the_full_split(tmp_path, monkeypatch):
+    path = tmp_path / "lorenz.sftraj"
+    code = cli.main([
+        "gen-data", "--system", "lorenz", "--n-train", "200", "--n-val", "2",
+        "--n-test", "0", "--n-times", "201", "--out", str(path),
+    ])
+    assert code == 0
+    real, traced = cli.train_flow_matching, []
+
+    def spy(*args, **kwargs):
+        traced.append(tracemalloc.get_traced_memory()[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_flow_matching", spy)
+    tracemalloc.start()
+    try:
+        code = cli.main([
+            "train", "--dataset", str(path), "--keep-rate", "0.25", "--spline", "linear",
+            "--steps", "1", "--batch-size", "8", "--hidden", "8", "--out-dir", str(tmp_path),
+        ])
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # the subsample (about a quarter of the rows) may be alive, the full
+    # train split's times and states must not be
+    assert traced[0] < 200 * 201 * 4 * 8
 
 
 def test_aborted_training_records_its_kept_validation_error(

@@ -1,0 +1,42 @@
+"""Every name a module of splineflow imports is used in that module.
+
+The package has no linter to run; this parses each module with `ast`.
+`__init__.py` is exempt: its imports are the package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "splineflow"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by the module's imports that no expression of it reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_the_scan_finds_an_unused_import_and_has_modules_to_scan():
+    source = (
+        "from dataclasses import dataclass, field\nimport numpy as np\n\n"
+        "@dataclass\nclass A:\n    x: np.ndarray\n"
+    )
+    assert unused_imports(source) == [(1, "field")]
+    assert "cli.py" in {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(module):
+    assert unused_imports(module.read_text(encoding="utf-8")) == []

@@ -17,6 +17,7 @@ from splineflow import (
     systems,
 )
 from splineflow.systems import burgers_substeps, grf_mode_std
+from splineflow.timegrid import subsample_indices
 
 
 def test_lorenz_equilibrium_at_origin():
@@ -226,6 +227,27 @@ def test_trajectory_set_subsampling():
         assert u_new.shape == (len(g_new), 3)
     # trajectory-specific patterns differ
     assert not np.array_equal(sub.grids[0].times, sub.grids[1].times)
+
+
+@pytest.mark.parametrize("keep_rate", [0.5, 0.3])
+def test_subsample_is_one_buffer_of_the_kept_rows(keep_rate):
+    # a ragged set on irregular grids: every trajectory has its own length
+    rng = np.random.default_rng(4)
+    grids, states = [], []
+    for n in (13, 21, 30, 17):
+        interior = np.sort(rng.choice(np.arange(1, 1000), size=n - 2, replace=False)) / 1000.0
+        grids.append(TimeGrid(times=np.concatenate(([0.0], interior, [1.0]))))
+        states.append(rng.standard_normal((n, 3)))
+    data = TrajectorySet(grids=grids, states=states, state_dim=3, system_tag="lorenz",
+                         raw_horizon=1.0)
+    sub = data.subsampled(keep_rate, base_seed=9)
+    kept = sub.states[0].base
+    assert kept is not None and kept.shape == (sum(len(g) for g in sub.grids), 3)
+    assert all(np.shares_memory(u_sub, kept) for u_sub in sub.states)
+    for j, (g, u, g_sub, u_sub) in enumerate(zip(grids, states, sub.grids, sub.states)):
+        keep = subsample_indices(g, keep_rate, [9, 7919, j])
+        assert np.array_equal(u_sub, u[keep])
+        assert np.array_equal(g_sub.times, g.times[keep])
 
 
 def test_grid_questions_of_a_trajectory_set():
