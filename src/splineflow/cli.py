@@ -23,6 +23,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import datafile
@@ -39,7 +40,7 @@ from .systems import (
     LORENZ_SUBSTEPS, BurgersConfig, burgers_substeps, generate_burgers, generate_lorenz,
 )
 from .trainer import TrainConfig, train_flow_matching, train_one_step
-from .vector_field import MlpConfig, load_checkpoint, save_checkpoint
+from .vector_field import MlpConfig, load_checkpoint, row_parts, save_checkpoint
 
 OUTPUT_ROOT_ENV = "SPLINEFLOW_OUTPUT_ROOT"
 
@@ -286,8 +287,10 @@ def _train_common(options: dict, fp: str, autoregressive: bool) -> int:
     splits, header = datafile.read_dataset(options["dataset"])
     if "train" not in splits:
         raise InvalidArgumentError(f"dataset {options['dataset']} has no train split")
-    train_set = splits.pop("train")  # a subsample below then frees the full split
-    val_set = splits.get("val")
+    # the only references: a subsample below frees the full split, and
+    # every other split (a test split) is freed here
+    train_set, val_set = splits.pop("train"), splits.pop("val", None)
+    del splits
 
     flow = {} if autoregressive else {
         "gamma0": options["gamma0"], "noise_m": options["noise_m"], "spline_kind": options["spline"]
@@ -358,9 +361,15 @@ def _train_common(options: dict, fp: str, autoregressive: bool) -> int:
     return 0
 
 
+def _study_cost(rollout_s: float, dataset) -> str:
+    """Stdout fields of a study: its wall time, and the parts its largest batch split into."""
+    return f"rollout_s={rollout_s:.3f} workers={row_parts(dataset.n_traj)}"
+
+
 def cmd_eval(options: dict, fp: str) -> int:
     dataset, _ = _load_split(options["dataset"], options["split"])
     params, grid_step = _load_model(options["checkpoint"], dataset)
+    start = time.perf_counter()
     if grid_step is None:
         solver = SolverConfig(method=options["method"], substeps_per_interval=options["substeps"])
         report = evaluate_flow_model(params, dataset, solver, eval_stride=options["eval_stride"])
@@ -368,6 +377,7 @@ def cmd_eval(options: dict, fp: str) -> int:
         report = evaluate_one_step_model(
             params, dataset, grid_step, eval_stride=options["eval_stride"]
         )
+    rollout_s = time.perf_counter() - start
     out = options["out"] or _out_dir(options) / "eval_report.csv"
     _write_csv(
         out,
@@ -393,7 +403,8 @@ def cmd_eval(options: dict, fp: str) -> int:
     )
     print(
         f"split={options['split']} mean={report.mean:.4e} sd={report.sd:.4e} "
-        f"final={report.final_time_error:.4e} nfe={report.nfe} -> {out}"
+        f"final={report.final_time_error:.4e} nfe={report.nfe} n_diverged={report.n_diverged} "
+        f"{_study_cost(rollout_s, dataset)} -> {out}"
     )
     return 0
 
@@ -432,16 +443,19 @@ def cmd_nfe_sweep(options: dict, fp: str) -> int:
     dataset, _ = _load_split(options["dataset"], options["split"])
     params, _ = _load_model(options["checkpoint"], dataset, flow=True)
     intervals = dataset.shared_grid().n_segments  # AR budget: one evaluation per interval
-    rows = []
-    if options["ar_checkpoint"]:
-        ar_params, grid_step = _load_model(options["ar_checkpoint"], dataset, flow=False)
-        ar_report = evaluate_one_step_model(ar_params, dataset, grid_step)
-        rows.append(("ar", 100, ar_report.nfe, repr(ar_report.final_time_error)))
+    ar_checkpoint = options["ar_checkpoint"]
+    ar_model = _load_model(ar_checkpoint, dataset, flow=False) if ar_checkpoint else None
+    rows, reports = [], []
+    start = time.perf_counter()
+    if ar_model:
+        reports.append(evaluate_one_step_model(ar_model[0], dataset, ar_model[1]))
+        rows.append(("ar", 100, reports[-1].nfe, repr(reports[-1].final_time_error)))
     for method in options["methods"]:
         for pct in options["budgets"]:
             budget = max(1, int(round(intervals * pct / 100.0)))
-            err, nfe = final_time_error_at_budget(params, dataset, method, budget)
+            err, nfe = final_time_error_at_budget(params, dataset, method, budget, reports)
             rows.append((method, pct, nfe, repr(err)))
+    rollout_s = time.perf_counter() - start
     out = options["out"] or _out_dir(options) / "nfe_sweep.csv"
     _write_csv(
         out,
@@ -449,9 +463,12 @@ def cmd_nfe_sweep(options: dict, fp: str) -> int:
         ["method", "budget_pct", "nfe", "final_time_rel_l2"],
         rows,
     )
-    for method, pct, nfe, err in rows:
-        print(f"{method:6s} {pct:4d}% nfe={nfe:5d} final-time rel L2 = {float(err):.4e}")
-    print(f"-> {out}")
+    for (method, pct, nfe, err), report in zip(rows, reports):
+        print(
+            f"{method:6s} {pct:4d}% nfe={nfe:5d} final-time rel L2 = {float(err):.4e} "
+            f"n_diverged={report.n_diverged}"
+        )
+    print(f"{_study_cost(rollout_s, dataset)} -> {out}")
     return 0
 
 
@@ -461,6 +478,7 @@ def cmd_reverse(options: dict, fp: str) -> int:
     if not (0.0 <= options["t_star"] <= 1.0):
         raise InvalidArgumentError("t_star must lie in [0, 1]")
     solver = SolverConfig(method=options["method"], substeps_per_interval=options["substeps"])
+    start = time.perf_counter()
     rows = reverse_time_study(
         params,
         dataset,
@@ -469,6 +487,7 @@ def cmd_reverse(options: dict, fp: str) -> int:
         solver=solver,
         seed=options["seed"],
     )
+    rollout_s = time.perf_counter() - start
     out = options["out"] or _out_dir(options) / "reverse.csv"
     _write_csv(
         out,
@@ -476,7 +495,11 @@ def cmd_reverse(options: dict, fp: str) -> int:
         ["noise_level", "backward_horizon", "mean_relative_error", "n_diverged"],
         [(repr(a), repr(b), repr(c), n) for a, b, c, n in rows],
     )
-    print(f"{len(rows)} rows -> {out}")
+    horizons = len(rows) // len(options["noise_levels"])  # rows per noise level
+    print(
+        f"{len(rows)} rows n_diverged={','.join(str(n) for *_, n in rows[::horizons])} "
+        f"{_study_cost(rollout_s, dataset)} -> {out}"
+    )
     return 0
 
 

@@ -2,44 +2,42 @@
 
 Every trajectory of an evaluated set lies on its one shared grid
 (`TrajectorySet.shared_grid`). Each study rolls the stacked start states
-out in blocks of rows (`_roll_in_blocks`) and scores a block at chosen
-grid indices before rolling out the next, so truths and predictions are
-views of the dataset's snapshot arrays and of one block's state tensor.
-A rollout recording K states of d components takes
-max(1, _BLOCK_BYTES // (K * d * 8)) rows a block: 207 on a Burgers test
-set (K = 101, d = 100), every row of a benchmark Lorenz set. A smaller
-remainder block goes first, so no block is smaller than the one freed
-before it: with the remainder last, glibc's heap fragmented more across
-a process's commands, and `burgers-quintic`'s peak RSS read 3 to 8 MB
-higher. Per-row scores go into one `EvalReport` per rollout pass
-(`build_report`), in dataset order, so the sums run as for one block,
-and every study reads that report: the flow and one-step rows of
-`nfe-sweep` share its final-time error, and `reverse` its per-time
-curve. Rows equal the whole batch's bit for bit while a block's matmuls
-take the same BLAS kernel; OpenBLAS rounds few-row products in another
-order (on the benchmark's Burgers network, blocks under 157 rows).
+of the whole set out as one batch and scores every state as the rollout
+reaches it (`_Scores`, the rollout's record), so no study holds a
+(K, B, d) rollout. Per scored time and row it keeps:
+- the relative error of the state, by the `row_errors` reductions, in a
+  (B, K) table whose axis-0 mean is the report's per-time curve;
+- running sums of the squared error and of the squared truth norm, whose
+  ratio's square root is the row's space-time relative L2 error;
+- running peaks of the squared norms of prediction and truth.
+Truths are gathered per time from the dataset's snapshot arrays. Every
+rollout pass ends in one `EvalReport` (`build_report`): the flow and
+one-step rows of `nfe-sweep` share its final-time error, and `reverse`
+its per-time curve. A set of a few hundred rows is one batch large
+enough for `forward_batch` to split its rows across the CPUs.
+
 Blow-ups are masked (frozen rows) so a single unstable trajectory cannot
 abort a test-set sweep - it simply scores a huge error. A row also
 counts as diverged when its scored predictions outgrow its own truth by
 DIVERGENCE_FACTOR, because the rollout's absolute norm bound lies far
 above the states of a system such as Lorenz (norms below 60). Every
 report holds that verdict; `eval` and `reverse` write it, while
-`final_time_error_at_budget` still returns only the (error, nfe) pair
-that splinebench's tests unpack (ROADMAP item 1). `rollout`,
-`ar_rollout`, `rollout_reverse` and `build_report` are looked up here at
-call time, so wrapping them on this module (as splinebench does to count
-rows and NFE) reaches every block of every study.
+`final_time_error_at_budget` still returns the (error, nfe) pair that
+splinebench's tests unpack (ROADMAP item 2). `rollout`, `ar_rollout`,
+`rollout_reverse` and `build_report` are looked up here at call time, so
+wrapping them on this module (as splinebench does to count rows and NFE)
+reaches every study.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from operator import itemgetter
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-from .metrics import EvalReport, build_report, trajectory_errors
-from .odeint import SolverConfig, ar_rollout, rollout, rollout_reverse
+from .errors import InvalidArgumentError, UndefinedMetricError
+from .metrics import EvalReport, build_report
+from .odeint import RolloutResult, SolverConfig, ar_rollout, rollout, rollout_reverse
 from .systems import TrajectorySet
 from .vector_field import VectorFieldParams, forward_batch
 
@@ -49,7 +47,6 @@ NOISE_SEED_SCALE = 1e9  # a noise level's seed key is round(level * NOISE_SEED_S
 # largest norm of its scored truth has diverged. Models trained at the
 # benchmark's settings peaked below 10x their truth on validation.
 DIVERGENCE_FACTOR = 1e3
-_BLOCK_BYTES = 16 * 2**20  # rollout states of one block of rows
 
 
 def flow_field(params: VectorFieldParams):
@@ -57,33 +54,46 @@ def flow_field(params: VectorFieldParams):
     return lambda t, u: forward_batch(params, t, u)
 
 
-def _roll_in_blocks(
-    dataset: TrajectorySet, keep, starts: np.ndarray, n_times: int, roll
-) -> EvalReport:
-    """Roll the (B, d) start states out block by block and report on every row.
+class _Scores:
+    """The per-row scores of one rollout pass, taken as its states are reached.
 
-    roll(u0) rolls out one block of start states through a module global
-    (`rollout`, `ar_rollout` or `rollout_reverse`); its result holds the
-    block's (K, b, d) states at the shared grid's indices keep, in a buffer
-    of n_times states per row, which sizes the blocks. Each row is scored
-    by `trajectory_errors` on views of the states and of its snapshot
-    array. A row's verdict compares squared norms, per time and row: a
-    temporary of (K, b) numbers, not one the size of the rollout.
+    Calling it with (column, u) scores the (B, d) states u against every
+    row's truth at grid index picks[column] (module docstring); `report`
+    makes the pass's `EvalReport` from the scores and the rollout result.
+    Each call works in three (B, d) buffers made once: a temporary of a
+    few hundred rows of d = 100 lies above glibc's initial 128 KiB mmap
+    threshold, so it can be a fresh mapping, and its page faults, on
+    every call.
     """
-    size = max(1, _BLOCK_BYTES // (n_times * dataset.state_dim * 8))
-    first = len(starts) % size or size  # the remainder block leads (module docstring)
-    ends = [0, *range(first, len(starts) + 1, size)]
-    errors, diverged = [], []
-    for rows in map(slice, ends, ends[1:]):
-        result = roll(starts[rows])
-        states, truths = result.states, [u[keep] for u in dataset.states[rows]]
-        peaks = np.einsum("tbd,tbd->tb", states, states).max(axis=0)
-        limits = [DIVERGENCE_FACTOR**2 * np.einsum("td,td->t", t, t).max() for t in truths]
-        diverged.append(result.diverged | (peaks > np.array(limits)))
-        errors += [trajectory_errors(states[:, i, :], t) for i, t in enumerate(truths)]
-        nfe = result.nfe
-        del result, states  # freed before the next block is rolled out
-    return build_report(errors, nfe, np.concatenate(diverged))
+
+    def __init__(self, dataset: TrajectorySet, picks):
+        rows = dataset.n_traj
+        self.truths, self.picks = dataset.states, picks
+        self.curves = np.empty((rows, len(picks)))
+        self.sq_error, self.sq_truth = np.zeros(rows), np.zeros(rows)
+        self.peak, self.truth_peak = np.zeros(rows), np.zeros(rows)
+        self.truth, self.error, self.square = (np.empty((rows, dataset.state_dim)) for _ in range(3))
+
+    def __call__(self, column: int, u: np.ndarray) -> None:
+        truth, error, square = self.truth, self.error, self.square
+        np.concatenate(list(map(itemgetter(self.picks[column]), self.truths)), out=truth.reshape(-1))
+        np.subtract(u, truth, out=error)
+        # the reductions of `row_errors`' np.linalg.norm(x, axis=-1):
+        # sqrt(add.reduce(x * x, axis=-1)), so the curves keep its values
+        sq_error = np.add.reduce(np.multiply(error, error, out=square), axis=-1)
+        sq_truth = np.add.reduce(np.multiply(truth, truth, out=square), axis=-1)
+        if (sq_truth == 0.0).any():
+            raise UndefinedMetricError("relative error undefined at a zero-norm truth row")
+        self.curves[:, column] = np.sqrt(sq_error) / np.sqrt(sq_truth)
+        self.sq_error += sq_error
+        self.sq_truth += sq_truth
+        np.maximum(self.truth_peak, np.einsum("bd,bd->b", truth, truth), out=self.truth_peak)
+        np.maximum(self.peak, np.einsum("bd,bd->b", u, u), out=self.peak)
+
+    def report(self, result: RolloutResult) -> EvalReport:
+        outgrown = self.peak > DIVERGENCE_FACTOR**2 * self.truth_peak
+        per_traj = np.sqrt(self.sq_error) / np.sqrt(self.sq_truth)
+        return build_report(per_traj, self.curves, result.nfe, result.diverged | outgrown)
 
 
 def evaluate_flow_model(
@@ -99,11 +109,10 @@ def evaluate_flow_model(
     states.
     """
     grid = dataset.shared_grid()
-    keep = grid.stride(eval_stride)
-    times = grid.times[keep]
-    f = flow_field(params)
+    picks = np.arange(len(grid))[grid.stride(eval_stride)]
+    scores = _Scores(dataset, picks)
     u0 = np.stack([u[0] for u in dataset.states])
-    return _roll_in_blocks(dataset, keep, u0, len(times), lambda u: rollout(f, u, times, solver))
+    return scores.report(rollout(flow_field(params), u0, grid.times[picks], solver, record=scores))
 
 
 def evaluate_one_step_model(
@@ -121,14 +130,15 @@ def evaluate_one_step_model(
     """
     grid = dataset.shared_grid()
     dataset.uniform_step(expected=grid_step)
-    keep = grid.stride(eval_stride)
+    scores = _Scores(dataset, np.arange(len(grid))[grid.stride(eval_stride)])
+
+    def record(k, u):
+        if k % eval_stride == 0:
+            scores(k // eval_stride, u)
+
     u0 = np.stack([u[0] for u in dataset.states])
-
-    def roll(u):
-        result = ar_rollout(lambda x: forward_batch(params, 0.0, x), u, grid.times)
-        return replace(result, states=result.states[keep])
-
-    return _roll_in_blocks(dataset, keep, u0, len(grid), roll)
+    result = ar_rollout(lambda x: forward_batch(params, 0.0, x), u0, grid.times, record=record)
+    return scores.report(result)
 
 
 def final_time_error_at_budget(
@@ -136,6 +146,7 @@ def final_time_error_at_budget(
     dataset: TrajectorySet,
     method: str,
     budget_nfe: int,
+    reports: list | None = None,
 ):
     """Mean final-time relative error using a fixed total NFE budget.
 
@@ -143,15 +154,17 @@ def final_time_error_at_budget(
     included), so budget_nfe = steps * stages up to rounding. The error is
     the `final_time_error` of the flow report at stride n_segments, the
     figure `evaluate_one_step_model` gives the AR row of `nfe-sweep`.
-    Returns (final_time_error, actual_nfe): the report's divergence
-    verdict is dropped until splinebench reads the NFE another way
-    (ROADMAP item 1). Diverged rows are frozen and scored at their last
-    finite state.
+    Returns (final_time_error, actual_nfe), the pair splinebench's tests
+    unpack; the report itself, with its divergence verdict, is appended to
+    reports when that is a list (ROADMAP item 2). Diverged rows are frozen
+    and scored at their last finite state.
     """
     stages = SolverConfig(method=method).stages
     n_steps = max(1, int(round(budget_nfe / stages)))
     solver = SolverConfig(method=method, substeps_per_interval=n_steps)
     report = evaluate_flow_model(params, dataset, solver, dataset.shared_grid().n_segments)
+    if reports is not None:
+        reports.append(report)
     return report.final_time_error, report.nfe
 
 
@@ -168,13 +181,12 @@ def reverse_time_study(
     Every trajectory must lie on one shared grid. Anchors at the grid time
     closest to t_star, perturbs the anchor states with isotropic Gaussian
     noise per level, integrates backward to earlier grid times (one
-    blocked `rollout_reverse` pass per level), and reads each level's
-    report. Returns rows (noise_level, backward_horizon, mean_error,
-    n_diverged): mean_error is the report's per-time error at that
-    horizon, and n_diverged its count of rows that froze or outgrew their
-    truth, the verdict `eval` reports too. Noise levels must be >= 0 with
-    a finite seed key level * NOISE_SEED_SCALE.
-    A study with no row to return (an anchor at t = 0, or no noise level)
+    `rollout_reverse` pass per level), and reads each level's report.
+    Returns rows (noise_level, backward_horizon, mean_error, n_diverged):
+    mean_error is the report's per-time error at that horizon, and
+    n_diverged its count of rows that froze or outgrew their truth, the
+    verdict `eval` reports too. Noise levels must be >= 0 with a finite
+    seed key level * NOISE_SEED_SCALE. A study with no row to return (an anchor at t = 0, or no noise level)
     raises.
     """
     if not all(level >= 0.0 and np.isfinite(level * NOISE_SEED_SCALE) for level in noise_levels):
@@ -192,14 +204,14 @@ def reverse_time_study(
     stride = max(1, anchor // REVERSE_MAX_HORIZONS)
     targets = np.append(np.arange(anchor - stride, 0, -stride), 0)
     f = flow_field(params)
-    roll = lambda u: rollout_reverse(f, u, times[anchor], times[targets], solver)
     u0 = np.stack([u[anchor] for u in dataset.states])
     rows = []
     for level in noise_levels:
         rng = np.random.default_rng([seed, int(round(level * NOISE_SEED_SCALE))])
         starts = u0 + level * rng.standard_normal(u0.shape)
-        # the anchor state is recorded too: one more than the targets
-        report = _roll_in_blocks(dataset, targets, starts, len(targets) + 1, roll)
+        scores = _Scores(dataset, targets)
+        result = rollout_reverse(f, starts, times[anchor], times[targets], solver, record=scores)
+        report = scores.report(result)
         rows += [
             (float(level), float(times[anchor] - times[j]), float(error), report.n_diverged)
             for error, j in zip(report.per_time, targets)

@@ -61,23 +61,17 @@ class EvalReport:
         return float((ordered[(ordered.size - 1) // 2] + ordered[ordered.size // 2]) / 2.0)
 
 
-def trajectory_errors(pred: np.ndarray, truth: np.ndarray) -> tuple:
-    """One trajectory's part of a report: (relative_l2, row_errors) of pred against truth."""
-    return relative_l2(pred, truth), row_errors(pred, truth)
+def build_report(per_traj, curves, nfe: int, diverged) -> EvalReport:
+    """Per-trajectory and aggregate relative-L2 metrics of a rollout pass.
 
-
-def build_report(errors, nfe: int, diverged) -> EvalReport:
-    """Per-trajectory and aggregate relative-L2 metrics from per-trajectory errors.
-
-    errors holds each trajectory's `trajectory_errors`, in dataset order,
-    and diverged each trajectory's divergence flag; the per-time curve
-    averages the instantaneous relative error across trajectories
-    (requires equal n_times, which evaluation grids guarantee).
+    per_traj (B,) holds each trajectory's space-time relative L2 error,
+    curves its (B, K) per-time relative errors (`row_errors`), and
+    diverged its (B,) divergence flags, all in dataset order; the
+    per-time curve averages the rows of curves.
     """
-    if len(errors) == 0:
+    if len(per_traj) == 0:
         raise InvalidArgumentError("need the errors of at least one trajectory")
-    per_traj = np.array([e for e, _ in errors])
-    per_time = np.mean([curve for _, curve in errors], axis=0)
+    per_time = np.mean(curves, axis=0)
     return EvalReport(
         per_traj=per_traj,
         mean=float(per_traj.mean()),

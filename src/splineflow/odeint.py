@@ -14,6 +14,11 @@ row that blows up (norm above DEFAULT_NORM_BOUND or a non-finite entry)
 is frozen at its last finite state and flagged in
 ``RolloutResult.diverged``; the other rows keep going. Forward, reverse
 and one-step (AR) rollouts share that one loop.
+
+A rollout records its (n_times, B, d) states, or, given ``record``,
+hands each (B, d) state to record(k, u) as soon as it is reached and
+keeps none: an evaluation scores the states as they come and never holds
+the rollout (`evaluation`). A recorded state is never written to again.
 """
 
 from __future__ import annotations
@@ -52,8 +57,9 @@ class SolverConfig:
 class RolloutResult:
     """States (n_times, B, d) recorded at the requested times, plus solver cost.
 
-    diverged (B,) flags rows that hit the norm bound; frozen rows keep
-    their last finite state.
+    states is None when the states went to a caller's record. diverged
+    (B,) flags rows that hit the norm bound; frozen rows keep their last
+    finite state.
     """
 
     states: np.ndarray
@@ -103,7 +109,7 @@ def step(method: str, f, t: float, u: np.ndarray, h: float) -> np.ndarray:
     raise InvalidArgumentError(f"unknown method {method!r}")
 
 
-def _integrate(advance, f, u0, times_out, substeps, stages):
+def _integrate(advance, f, u0, times_out, substeps, stages, record=None):
     """Shared fixed-step integrator for forward, reverse and one-step rollouts.
 
     Each interval takes `substeps` steps u <- advance(f, t, u, h), each
@@ -112,7 +118,8 @@ def _integrate(advance, f, u0, times_out, substeps, stages):
     entries too, because they, like a sum of squares that overflows, make
     the norm nan or inf. The reported nfe is the scheduled cost per
     trajectory, also when every row has diverged and the remaining steps
-    are skipped.
+    are skipped. The state at times_out[k] goes to record(k, u), or into
+    the result's states when record is None.
     """
     u0 = np.asarray(u0, dtype=np.float64)
     if u0.ndim != 2:
@@ -120,8 +127,11 @@ def _integrate(advance, f, u0, times_out, substeps, stages):
     if not np.isfinite(u0).all():
         raise InvalidArgumentError("initial state must be finite")
     u = u0.copy(order="K")
-    states = np.empty((len(times_out),) + u.shape)
-    states[0] = u
+    states = None
+    if record is None:
+        states = np.empty((len(times_out),) + u.shape)
+        record = states.__setitem__
+    record(0, u)
     alive = np.ones(u.shape[0], dtype=bool)
     for k in range(len(times_out) - 1):
         t0, t1 = times_out[k], times_out[k + 1]
@@ -141,7 +151,7 @@ def _integrate(advance, f, u0, times_out, substeps, stages):
                 u_new[bad] = u[bad]  # freeze at last finite state
                 alive &= ~bad
             u = u_new
-        states[k + 1] = u
+        record(k + 1, u)
     return RolloutResult(
         states=states,
         nfe=(len(times_out) - 1) * substeps * stages,
@@ -149,11 +159,12 @@ def _integrate(advance, f, u0, times_out, substeps, stages):
     )
 
 
-def rollout(f, u0: np.ndarray, eval_times, solver: SolverConfig) -> RolloutResult:
+def rollout(f, u0: np.ndarray, eval_times, solver: SolverConfig, record=None) -> RolloutResult:
     """Integrate du/dt = f(t, u) forward, recording each evaluation time.
 
     eval_times must be increasing; the first entry is the initial time and
-    states[0] is u0 itself.
+    states[0] is u0 itself. Given record, the state at eval_times[k] goes
+    to record(k, u) instead (module docstring).
     """
     times = np.asarray(eval_times, dtype=np.float64)
     if times.ndim != 1 or times.size < 2:
@@ -162,17 +173,18 @@ def rollout(f, u0: np.ndarray, eval_times, solver: SolverConfig) -> RolloutResul
         raise InvalidArgumentError("evaluation times must be strictly increasing")
     return _integrate(
         functools.partial(step, solver.method), f, u0, times,
-        solver.substeps_per_interval, solver.stages,
+        solver.substeps_per_interval, solver.stages, record,
     )
 
 
 def rollout_reverse(
-    f, u_star: np.ndarray, t_star: float, target_times, solver: SolverConfig
+    f, u_star: np.ndarray, t_star: float, target_times, solver: SolverConfig, record=None
 ) -> RolloutResult:
     """Integrate backward from (t_star, u_star) to each earlier target time.
 
     target_times must be strictly decreasing and contained in [0, t_star).
-    The returned states exclude the anchor state itself.
+    The returned states exclude the anchor state itself; given record, the
+    state at target_times[k] goes to record(k, u) instead.
     """
     targets = np.asarray(target_times, dtype=np.float64)
     if targets.ndim != 1:
@@ -182,22 +194,27 @@ def rollout_reverse(
     if targets.size and (targets[0] >= t_star or targets[-1] < 0.0):
         raise InvalidArgumentError("target times must lie in [0, t_star)")
     path = np.concatenate(([t_star], targets))
+
+    def after_anchor(k, u):
+        if k > 0:
+            record(k - 1, u)
+
     result = _integrate(
         functools.partial(step, solver.method), f, u_star, path,
-        solver.substeps_per_interval, solver.stages,
+        solver.substeps_per_interval, solver.stages, None if record is None else after_anchor,
     )
-    return replace(result, states=result.states[1:])
+    return result if record is not None else replace(result, states=result.states[1:])
 
 
-def ar_rollout(one_step_model, u0: np.ndarray, times) -> RolloutResult:
+def ar_rollout(one_step_model, u0: np.ndarray, times, record=None) -> RolloutResult:
     """Recursive one-step rollout u_{k+1} = F(u_k), one step per interval of times.
 
     nfe equals the number of intervals; rows that blow up are frozen and
-    flagged as in `rollout`.
+    flagged, and states recorded or handed to record, as in `rollout`.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size < 1:
         raise InvalidArgumentError("need at least one rollout time")
     return _integrate(
-        lambda fn, t, u, h: fn(t, u), lambda t, u: one_step_model(u), u0, times, 1, 1
+        lambda fn, t, u, h: fn(t, u), lambda t, u: one_step_model(u), u0, times, 1, 1, record
     )

@@ -12,7 +12,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from splineflow import MlpConfig, SolverConfig, evaluation, generate_lorenz, init_params
+from splineflow import (
+    MlpConfig, SolverConfig, evaluation, generate_lorenz, init_params, vector_field,
+)
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "splinebench" / "spans.py"
 
@@ -94,17 +96,21 @@ def test_every_study_reaches_its_rollout_through_the_rollout_sites(monkeypatch):
         ]
 
 
-def test_every_block_of_a_split_study_goes_through_the_rollout_sites(monkeypatch):
-    # A set too large for one block rolls out in several calls; the
-    # benchmark must see each of them, and their rows must add up to the
-    # set, which the pass's one report covers.
-    calls = _spy_on_study_sites(monkeypatch, _load_spans())
-    monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 1)  # one row per block
-    data, studies = _studies()
-    for study, sites in studies:
-        calls.clear()
-        study()
-        assert calls == [
-            call for site in sites
-            for call in [(site, 1)] * data.n_traj + [("build_report", data.n_traj)]
-        ]
+def test_spans_nest_around_a_split_forward_pass(monkeypatch):
+    # a batch of 320 rows splits its forward pass across two threads; the
+    # workers run no span site, so every span opens and closes on the
+    # calling thread and nests in the rollout that called it
+    spans = _load_spans()
+    monkeypatch.setattr(vector_field.os, "sched_getaffinity", lambda pid: {0, 1})
+    data = generate_lorenz(320, 6, seed=5)
+    flow = init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0)
+    tracer = spans.Tracer()
+    tracer.enabled = True
+    with spans.instrument(tracer, full=True):
+        evaluation.evaluate_flow_model(flow, data, SolverConfig("rk4", 1))
+    assert vector_field.row_parts(data.n_traj) == 2
+    recorded = tracer.spans()
+    forward = [s for s in recorded if s.name == "vector_field.forward_batch"]
+    assert len(forward) == 5 * 4
+    assert {recorded[s.parent].name for s in forward} == {"odeint.rollout"}
+    assert spans.partition_error(recorded, range(len(recorded))) < 1e-9

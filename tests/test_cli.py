@@ -54,11 +54,12 @@ def test_training_with_both_outputs_named_creates_no_default_directory(
     assert not (tmp_path / "root").exists() and not (tmp_path / "outputs").exists()
 
 
-def test_subsampled_training_holds_no_copy_of_the_full_split(tmp_path, monkeypatch):
+def _traced_when_training_starts(tmp_path, monkeypatch, n_test):
+    """Bytes traced when `train --keep-rate 0.25` calls the trainer on a 200 x 201 Lorenz file."""
     path = tmp_path / "lorenz.sftraj"
     code = cli.main([
         "gen-data", "--system", "lorenz", "--n-train", "200", "--n-val", "2",
-        "--n-test", "0", "--n-times", "201", "--out", str(path),
+        "--n-test", str(n_test), "--n-times", "201", "--out", str(path),
     ])
     assert code == 0
     real, traced = cli.train_flow_matching, []
@@ -77,9 +78,19 @@ def test_subsampled_training_holds_no_copy_of_the_full_split(tmp_path, monkeypat
     finally:
         tracemalloc.stop()
     assert code == 0
+    return traced[0]
+
+
+def test_subsampled_training_holds_no_copy_of_the_full_split(tmp_path, monkeypatch):
     # the subsample (about a quarter of the rows) may be alive, the full
     # train split's times and states must not be
-    assert traced[0] < 200 * 201 * 4 * 8
+    assert _traced_when_training_starts(tmp_path, monkeypatch, n_test=0) < 200 * 201 * 4 * 8
+
+
+def test_training_holds_no_test_split(tmp_path, monkeypatch):
+    # training reads the file's train and val splits only; a 200-row test
+    # split (1,286,400 payload bytes) must be freed before the first step
+    assert _traced_when_training_starts(tmp_path, monkeypatch, n_test=200) < 200 * 201 * 4 * 8
 
 
 def test_aborted_training_records_its_kept_validation_error(
@@ -166,6 +177,29 @@ def test_sweep_csv_reports_scheduled_nfe_and_reverse_csv_counts_diverged_rows(
     assert [r["nfe"] for r in _csv_rows(sweep)] == ["20"]
     rows = _csv_rows(reverse)
     assert rows and all(r["n_diverged"] == "2" for r in rows)
+
+
+def test_study_stdout_reports_diverged_rows_rollout_time_and_workers(
+    tiny_lorenz, tmp_path, capsys
+):
+    params = init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0)
+    params.biases[-1][:] = 1e10  # both validation rows diverge in their first step
+    ckpt = tmp_path / "huge.ckpt.npz"
+    save_checkpoint(ckpt, params)
+    studies = {
+        "eval": ([], ["n_diverged=2"]),
+        "nfe-sweep": (["--methods", "rk4", "--budgets", "100,200"], ["n_diverged=2"] * 2),
+        "reverse": (["--t-star", "0.5", "--noise-levels", "0,0.1"], ["n_diverged=2,2"]),
+    }
+    for command, (extra, diverged) in studies.items():
+        assert cli.main([
+            command, "--checkpoint", str(ckpt), "--dataset", str(tiny_lorenz), "--split", "val",
+            "--out", str(tmp_path / f"{command}.csv"), *extra,
+        ]) == 0
+        out = capsys.readouterr().out
+        assert re.findall(r"n_diverged=[\d,]+", out) == diverged, command
+        assert re.search(r"rollout_s=\d+\.\d{3} workers=1 -> ", out), command
+        assert "rollout_s" not in (tmp_path / f"{command}.csv").read_text()
 
 
 def test_one_step_checkpoint_runs_only_on_its_training_step(tiny_lorenz, tmp_path):

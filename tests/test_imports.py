@@ -1,10 +1,14 @@
-"""Every name a module of splineflow imports is used in that module.
+"""Every name a module of splineflow imports is used in that module, and
+importing the CLI starts no thread.
 
 The package has no linter to run; this parses each module with `ast`.
 `__init__.py` is exempt: its imports are the package's re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +44,17 @@ def test_the_scan_finds_an_unused_import_and_has_modules_to_scan():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def test_importing_the_cli_starts_no_thread_pool():
+    # forward_batch makes its worker threads at the first split, never at
+    # import: a pool made at import slowed runs whose batches never split
+    check = (
+        "import sys, threading\n"
+        "import splineflow.cli\n"
+        "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures imported'\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -18,12 +18,13 @@ from splineflow import (
 )
 from splineflow.convergence import endpoint_velocity_study
 from splineflow.evaluation import evaluate_flow_model, reverse_time_study
-from splineflow.metrics import row_errors, trajectory_errors
+from splineflow.metrics import row_errors
 
 
 def _report(preds, truths, nfe=0):
-    errors = [trajectory_errors(p, t) for p, t in zip(preds, truths)]
-    return build_report(errors, nfe, np.zeros(len(errors), dtype=bool))
+    per_traj = np.array([relative_l2(p, t) for p, t in zip(preds, truths)])
+    curves = np.array([row_errors(p, t) for p, t in zip(preds, truths)])
+    return build_report(per_traj, curves, nfe, np.zeros(len(truths), dtype=bool))
 
 
 def test_relative_l2_basic_values():

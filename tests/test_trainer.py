@@ -32,12 +32,12 @@ from splineflow.evaluation import (
     reverse_time_study,
 )
 from splineflow.interpolant import InterpolantSampler, SampleBatch
-from splineflow.metrics import EvalReport
-from splineflow.odeint import rollout, rollout_reverse
+from splineflow.metrics import EvalReport, row_errors
+from splineflow.odeint import ar_rollout, rollout, rollout_reverse
 from splineflow.spline import NoiseSchedule, build_linear, build_quintic
 from splineflow.systems import lorenz_rhs
 from splineflow.timegrid import subsample_indices
-from splineflow import evaluation, trainer
+from splineflow import trainer
 from splineflow.trainer import _optimize, _validation_error, build_splines
 from splineflow.vector_field import (
     VectorFieldParams,
@@ -206,27 +206,17 @@ def test_one_step_training_gathers_pairs_from_the_stacked_states(monkeypatch):
 
 
 def test_evaluation_scores_views_of_the_truths():
-    # truths are views of the snapshot arrays and predictions views of the
-    # rollout tensor, so scoring adds little beyond the (K, B, d) states
+    # each recorded state is scored against the truths at its time, read
+    # from the snapshot arrays, as it is reached: the study holds a few
+    # (B, d) states and its (B, K) scores, not the (K, B, d) rollout
     data = _random_set(30, 101, 50, seed=1)
     params = init_params(MlpConfig(state_dim=50, hidden_dims=(8,), embed_bands=2), 0)
     report, peak = _traced_peak(
         lambda: evaluate_flow_model(params, data, SolverConfig("rk4", 1))
     )
     assert report.n_diverged == 0
-    assert peak < 1.5 * (101 * 30 * 50 * 8)
-
-
-def test_evaluation_holds_one_block_of_rows(monkeypatch):
-    # blocks of 6 rows: the peak is a block's states, not the set's
-    data = _random_set(30, 101, 50, seed=1)
-    params = init_params(MlpConfig(state_dim=50, hidden_dims=(8,), embed_bands=2), 0)
-    monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 6 * 101 * 50 * 8)
-    report, peak = _traced_peak(
-        lambda: evaluate_flow_model(params, data, SolverConfig("rk4", 1))
-    )
     assert report.per_traj.shape == (30,)
-    assert peak < 0.5 * (101 * 30 * 50 * 8)  # a block is 0.2 of it
+    assert peak < 0.25 * (101 * 30 * 50 * 8)
 
 
 @pytest.mark.parametrize("make_sampler", [_lorenz_linear_sampler, _burgers_quintic_sampler])
@@ -497,7 +487,7 @@ def test_reverse_study_flags_rows_that_outgrow_their_truth():
 
 
 def _eight_rows_last_outgrowing():
-    """(data, [(study, states per row its rollouts record)]) on 8 constant rows."""
+    """(data, flow, back, one_step) on 8 constant rows."""
     grid = uniform_grid(11)
     data = TrajectorySet(
         grids=[grid] * 8,
@@ -511,43 +501,43 @@ def _eight_rows_last_outgrowing():
     back = VectorFieldParams(config, np.array([1.0, 0.0, 0.0, 0.0, -11.5, 0.5]))
     # F(u) = 2.5 relu(u) - 0.9 relu(-u): the last row grows 2.5-fold a step
     one_step = VectorFieldParams(AR_MLP_PAIR, np.array([1.0, -1.0, 0.0, 0.0, 2.5, -0.9, 0.0]))
-    solver = SolverConfig("rk4", 1)
-    return data, [
-        (lambda: evaluate_flow_model(flow, data, solver), 11),
-        (lambda: evaluate_one_step_model(one_step, data, data.uniform_step()), 11),
-        (lambda: final_time_error_at_budget(flow, data, "rk4", 40), 2),
-        (lambda: reverse_time_study(back, data, 1.0, (0.0, 0.1), solver), 11),
-    ]
+    return data, flow, back, one_step
 
 
-def test_blocked_evaluation_equals_one_block(monkeypatch):
-    data, studies = _eight_rows_last_outgrowing()
-    one_block = evaluation._BLOCK_BYTES
-    rows = []
-    for name in ("rollout", "ar_rollout", "rollout_reverse"):
-        def spy(*args, _original=getattr(evaluation, name), **kwargs):
-            rows.append(len(args[1]))
-            return _original(*args, **kwargs)
+def _recorded_per_time(states, data, picks):
+    """The per-time curve of a recorded (K, B, d) rollout, each row scored whole."""
+    return np.mean([row_errors(states[:, i], u[picks]) for i, u in enumerate(data.states)], axis=0)
 
-        monkeypatch.setattr(evaluation, name, spy)
-    for study, n_times in studies:
-        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", one_block)
-        rows.clear()
-        whole = study()
-        passes = len(rows)  # the reverse study rolls out once per noise level
-        assert rows == [8] * passes
-        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 3 * n_times * data.state_dim * 8)
-        rows.clear()
-        blocked = study()
-        assert rows == [2, 3, 3] * passes  # the remainder block first
-        if isinstance(whole, EvalReport):
-            assert whole.n_diverged == 1
-            for field in ("per_traj", "per_time"):
-                assert np.array_equal(getattr(blocked, field), getattr(whole, field))
-            assert (blocked.nfe, blocked.n_diverged) == (whole.nfe, whole.n_diverged)
-        else:
-            assert blocked == whole
-    assert [n for *_, n in blocked] == [1] * len(blocked)  # the reverse rows
+
+def test_streamed_studies_score_as_their_recorded_rollouts():
+    # every study scores its states as they are reached; the per-time
+    # curve equals scoring the recorded rollout row by row, and only the
+    # last row outgrows its truth
+    data, flow, back, one_step = _eight_rows_last_outgrowing()
+    times, solver = data.grids[0].times, SolverConfig("rk4", 1)
+    u0 = np.stack([u[0] for u in data.states])
+    report = evaluate_flow_model(flow, data, solver)
+    recorded = rollout(flow_field(flow), u0, times, solver)
+    assert np.array_equal(report.per_time, _recorded_per_time(recorded.states, data, slice(None)))
+    assert (report.final_time_error, report.nfe, report.n_diverged) == (11056.192207377575, 40, 1)
+    assert final_time_error_at_budget(flow, data, "rk4", 40) == (11056.192207377575, 40)
+
+    report = evaluate_one_step_model(one_step, data, data.uniform_step(), eval_stride=2)
+    recorded = ar_rollout(lambda x: forward_batch(one_step, 0.0, x), u0, times)
+    assert np.array_equal(
+        report.per_time, _recorded_per_time(recorded.states[::2], data, slice(None, None, 2))
+    )
+    assert (report.final_time_error, report.nfe, report.n_diverged) == (1192.537801872725, 10, 1)
+
+    rows = reverse_time_study(back, data, 1.0, (0.0, 0.1), solver)
+    targets = np.arange(9, -1, -1)
+    anchored = np.stack([u[-1] for u in data.states])
+    recorded = rollout_reverse(flow_field(back), anchored, 1.0, times[targets], solver)
+    assert [e for level, _, e, _ in rows if level == 0.0] == list(
+        _recorded_per_time(recorded.states, data, targets)
+    )
+    assert rows[-1][2:] == (9511.292282099415, 1)
+    assert [n for *_, n in rows] == [1] * 20
 
 
 def test_reverse_study_needs_one_shared_grid():

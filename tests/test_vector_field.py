@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from splineflow import vector_field
 from splineflow import (
     DataFormatError,
     InvalidArgumentError,
@@ -73,6 +77,70 @@ def test_shared_time_matches_per_row_times():
     x = rng.standard_normal((7, 3))
     for t in np.concatenate([rng.uniform(0.0, 1.0, 200), [0.0, 0.5, 1.0]]):
         assert np.array_equal(forward_batch(params, t, x), forward_batch(params, np.full(7, t), x))
+
+
+def _cpus(monkeypatch, n):
+    """Let forward_batch see n CPUs."""
+    monkeypatch.setattr(vector_field.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_row_parts_follow_the_cpus_and_the_part_size():
+    for cpus, rows, parts in [(2, 319, 1), (2, 320, 2), (2, 6000, 2), (4, 600, 3), (1, 6000, 1)]:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _cpus(monkeypatch, cpus)
+            assert vector_field.row_parts(rows) == parts
+
+
+@pytest.mark.parametrize("d, rows", [(100, 600), (100, 601), (100, 320), (3, 400), (3, 402)])
+def test_a_split_forward_pass_equals_one_sweep(monkeypatch, d, rows):
+    # parts start at multiples of 8 rows and hold at least 160, where the
+    # BLAS kernels round every row as in the whole batch (module docstring)
+    params = init_params(MlpConfig(state_dim=d), seed=5)
+    u = np.random.default_rng(rows).standard_normal((rows, d))
+    whole = vector_field._sweep(params, vector_field._assemble_input(params.config, 0.37, u))
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        assert vector_field.row_parts(rows) == cpus
+        assert np.array_equal(forward_batch(params, 0.37, u), whole)
+    assert vector_field._workers is not None
+
+
+def test_split_forward_passes_hold_under_frequent_thread_switches(monkeypatch):
+    # four parts on a fresh pool of three workers (more threads than a
+    # 2-core host has cores), with the interpreter switching threads as
+    # often as it can
+    _cpus(monkeypatch, 4)
+    monkeypatch.setattr(vector_field, "_workers", None)
+    params = init_params(MlpConfig(state_dim=100), seed=5)
+    u = np.random.default_rng(0).standard_normal((640, 100))
+    whole = vector_field._sweep(params, vector_field._assemble_input(params.config, 0.37, u))
+    same = []
+    runner = threading.Thread(
+        target=lambda: same.extend(
+            np.array_equal(forward_batch(params, 0.37, u), whole) for _ in range(40)
+        )
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert vector_field.row_parts(640) == 4
+    assert same == [True] * 40
+    vector_field._workers.shutdown()
+
+
+def test_a_batch_too_small_to_split_starts_no_thread(monkeypatch):
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(vector_field, "_workers", None)
+    params = init_params(MlpConfig(state_dim=100), seed=5)
+    threads = threading.active_count()
+    forward_batch(params, 0.37, np.ones((319, 100)))
+    assert vector_field._workers is None
+    assert threading.active_count() == threads
 
 
 def test_weights_and_biases_are_views_of_flat():
