@@ -445,28 +445,28 @@ def cmd_nfe_sweep(options: dict, fp: str) -> int:
     intervals = dataset.shared_grid().n_segments  # AR budget: one evaluation per interval
     ar_checkpoint = options["ar_checkpoint"]
     ar_model = _load_model(ar_checkpoint, dataset, flow=False) if ar_checkpoint else None
-    rows, reports = [], []
+    runs, reports = [], []  # (method, budget_pct) and the report of each row
     start = time.perf_counter()
     if ar_model:
         reports.append(evaluate_one_step_model(ar_model[0], dataset, ar_model[1]))
-        rows.append(("ar", 100, reports[-1].nfe, repr(reports[-1].final_time_error)))
+        runs.append(("ar", 100))
     for method in options["methods"]:
         for pct in options["budgets"]:
             budget = max(1, int(round(intervals * pct / 100.0)))
-            err, nfe = final_time_error_at_budget(params, dataset, method, budget, reports)
-            rows.append((method, pct, nfe, repr(err)))
+            final_time_error_at_budget(params, dataset, method, budget, reports)
+            runs.append((method, pct))
     rollout_s = time.perf_counter() - start
     out = options["out"] or _out_dir(options) / "nfe_sweep.csv"
     _write_csv(
         out,
         {"fingerprint": fp, "ar_nfe_budget": intervals},
-        ["method", "budget_pct", "nfe", "final_time_rel_l2"],
-        rows,
+        ["method", "budget_pct", "nfe", "final_time_rel_l2", "n_diverged"],
+        [(*run, r.nfe, repr(r.final_time_error), r.n_diverged) for run, r in zip(runs, reports)],
     )
-    for (method, pct, nfe, err), report in zip(rows, reports):
+    for (method, pct), report in zip(runs, reports):
         print(
-            f"{method:6s} {pct:4d}% nfe={nfe:5d} final-time rel L2 = {float(err):.4e} "
-            f"n_diverged={report.n_diverged}"
+            f"{method:6s} {pct:4d}% nfe={report.nfe:5d} final-time rel L2 = "
+            f"{report.final_time_error:.4e} n_diverged={report.n_diverged}"
         )
     print(f"{_study_cost(rollout_s, dataset)} -> {out}")
     return 0

@@ -98,7 +98,7 @@ def endpoint_velocity_study(dataset: TrajectorySet, factors=(1, 2, 4)) -> list:
         for factor in factors:
             acc0, acc1 = [], []
             for lo in range(0, dataset.n_traj, _BLOCK):
-                block = np.stack(dataset.states[lo : lo + _BLOCK], axis=1)
+                block = dataset.stacked()[lo : lo + _BLOCK].swapaxes(0, 1)
                 e0, e1 = _block_endpoint_errors(kind, grid, block, factor, dataset.raw_horizon)
                 acc0.append(e0)
                 acc1.append(e1)

@@ -11,14 +11,16 @@ component-minor order. Header keys the reader does not use (such as the
 
 Writes are canonical (sorted keys, fixed separators), so write -> read ->
 write round-trips byte-identically; rows go to the file through the
-buffer protocol, with no bytes copy. A split's payload is read with one
-`readinto` into one float64 array, and every trajectory's states are a
-view of it, so a split is one buffer that goes back to the operating
-system as a whole when the split is freed. A trajectory whose stored
-times equal the previous one's gets that trajectory's `TimeGrid` object,
-so one grid shared at generation reads back as one object. A header or
-payload that makes no dataset (a missing key, a wrong type, an invalid
-grid, more data than the file holds) raises DataFormatError.
+buffer protocol, with no bytes copy. A split is read into one
+(sum n_j, d) float64 array, the `values` of its `TrajectorySet`: each
+trajectory's times are read on their own, then its states with
+`readinto` straight into its rows, so a split is one buffer that goes
+back to the operating system as a whole when the split is freed. A
+trajectory whose stored times equal the previous one's gets that
+trajectory's `TimeGrid` object, so one grid shared at generation reads
+back as one object. A header or payload that makes no dataset (a
+missing key, a wrong type, an invalid grid, a non-finite state, more
+data than the file holds) raises DataFormatError.
 """
 
 from __future__ import annotations
@@ -102,23 +104,21 @@ def _read_splits(fh, header: dict, path) -> dict:
     d, horizon = int(header["state_dim"]), float(header["raw_horizon"])
     system, splits, grid = str(header["system"]), {}, None
     for entry in header["splits"]:
-        count = sum(n * (1 + d) for n in entry["n_times"])
+        count = sum(entry["n_times"])
         try:
-            payload = np.empty(count, dtype="<f8")
+            values = np.empty((count, d), dtype="<f8")
         except MemoryError as exc:  # a header can claim any size
-            raise DataFormatError(f"{path}: header claims {count} payload values") from exc
-        if fh.readinto(payload) != payload.nbytes:
-            raise DataFormatError(f"{path}: truncated payload")
-        grids, states, at = [], [], 0
+            raise DataFormatError(f"{path}: header claims {count} snapshots") from exc
+        grids, at = [], 0
         for n in entry["n_times"]:
-            times = payload[at : at + n]
+            times, rows = np.empty(n, dtype="<f8"), values[at : at + n]
+            if fh.readinto(times) != times.nbytes or fh.readinto(rows) != rows.nbytes:
+                raise DataFormatError(f"{path}: truncated payload")
             if grid is None or not np.array_equal(grid.times, times):
-                # a copy, so a grid shared with a later split keeps no payload alive
-                grid = TimeGrid(times=times.copy())
+                grid = TimeGrid(times=times)
             grids.append(grid)
-            states.append(payload[at + n : at + n * (1 + d)].reshape(n, d))
-            at += n * (1 + d)
+            at += n
         splits[entry["name"]] = TrajectorySet(
-            grids=grids, states=states, state_dim=d, system_tag=system, raw_horizon=horizon
+            grids=grids, values=values, system_tag=system, raw_horizon=horizon
         )
     return splits

@@ -1,37 +1,37 @@
 """Rollout-based model evaluation shared by the trainer and the CLI.
 
 Every trajectory of an evaluated set lies on its one shared grid
-(`TrajectorySet.shared_grid`). Each study rolls the stacked start states
-of the whole set out as one batch and scores every state as the rollout
-reaches it (`_Scores`, the rollout's record), so no study holds a
-(K, B, d) rollout. Per scored time and row it keeps:
+(`TrajectorySet.shared_grid`), so the set's buffer is one
+(n_traj, n_times, d) array (`TrajectorySet.stacked`). Each study rolls
+the start states of the whole set, one column of that array that the
+rollout copies into a C-ordered batch, out as one batch and scores every
+state as the rollout reaches it (`_Scores`, the rollout's record), so no
+study holds a (K, B, d) rollout. Per scored time and row it keeps:
 - the relative error of the state, by the `row_errors` reductions, in a
   (B, K) table whose axis-0 mean is the report's per-time curve;
 - running sums of the squared error and of the squared truth norm, whose
   ratio's square root is the row's space-time relative L2 error;
 - running peaks of the squared norms of prediction and truth.
-Truths are gathered per time from the dataset's snapshot arrays. Every
-rollout pass ends in one `EvalReport` (`build_report`): the flow and
-one-step rows of `nfe-sweep` share its final-time error, and `reverse`
-its per-time curve. A set of a few hundred rows is one batch large
-enough for `forward_batch` to split its rows across the CPUs.
+The truths of a time are copied from one strided view of that array.
+Every rollout pass ends in one `EvalReport` (`build_report`): the flow
+and one-step rows of `nfe-sweep` share its final-time error, and
+`reverse` its per-time curve. A set of a few hundred rows is one batch
+large enough for `forward_batch` to split its rows across the CPUs.
 
 Blow-ups are masked (frozen rows) so a single unstable trajectory cannot
 abort a test-set sweep - it simply scores a huge error. A row also
 counts as diverged when its scored predictions outgrow its own truth by
 DIVERGENCE_FACTOR, because the rollout's absolute norm bound lies far
 above the states of a system such as Lorenz (norms below 60). Every
-report holds that verdict; `eval` and `reverse` write it, while
-`final_time_error_at_budget` still returns the (error, nfe) pair that
-splinebench's tests unpack (ROADMAP item 2). `rollout`, `ar_rollout`,
-`rollout_reverse` and `build_report` are looked up here at call time, so
-wrapping them on this module (as splinebench does to count rows and NFE)
-reaches every study.
+report holds that verdict, and `eval`, `reverse` and `nfe-sweep` write
+it; `final_time_error_at_budget` hands its report to the caller's list
+and returns the (error, nfe) pair that splinebench's tests unpack.
+`rollout`, `ar_rollout`, `rollout_reverse` and `build_report` are looked
+up here at call time, so wrapping them on this module (as splinebench
+does to count rows and NFE) reaches every study.
 """
 
 from __future__ import annotations
-
-from operator import itemgetter
 
 import numpy as np
 
@@ -68,7 +68,7 @@ class _Scores:
 
     def __init__(self, dataset: TrajectorySet, picks):
         rows = dataset.n_traj
-        self.truths, self.picks = dataset.states, picks
+        self.truths, self.picks = dataset.stacked(), picks
         self.curves = np.empty((rows, len(picks)))
         self.sq_error, self.sq_truth = np.zeros(rows), np.zeros(rows)
         self.peak, self.truth_peak = np.zeros(rows), np.zeros(rows)
@@ -76,7 +76,7 @@ class _Scores:
 
     def __call__(self, column: int, u: np.ndarray) -> None:
         truth, error, square = self.truth, self.error, self.square
-        np.concatenate(list(map(itemgetter(self.picks[column]), self.truths)), out=truth.reshape(-1))
+        np.copyto(truth, self.truths[:, self.picks[column]])
         np.subtract(u, truth, out=error)
         # the reductions of `row_errors`' np.linalg.norm(x, axis=-1):
         # sqrt(add.reduce(x * x, axis=-1)), so the curves keep its values
@@ -111,7 +111,7 @@ def evaluate_flow_model(
     grid = dataset.shared_grid()
     picks = np.arange(len(grid))[grid.stride(eval_stride)]
     scores = _Scores(dataset, picks)
-    u0 = np.stack([u[0] for u in dataset.states])
+    u0 = dataset.stacked()[:, 0]
     return scores.report(rollout(flow_field(params), u0, grid.times[picks], solver, record=scores))
 
 
@@ -136,7 +136,7 @@ def evaluate_one_step_model(
         if k % eval_stride == 0:
             scores(k // eval_stride, u)
 
-    u0 = np.stack([u[0] for u in dataset.states])
+    u0 = dataset.stacked()[:, 0]
     result = ar_rollout(lambda x: forward_batch(params, 0.0, x), u0, grid.times, record=record)
     return scores.report(result)
 
@@ -156,8 +156,8 @@ def final_time_error_at_budget(
     figure `evaluate_one_step_model` gives the AR row of `nfe-sweep`.
     Returns (final_time_error, actual_nfe), the pair splinebench's tests
     unpack; the report itself, with its divergence verdict, is appended to
-    reports when that is a list (ROADMAP item 2). Diverged rows are frozen
-    and scored at their last finite state.
+    reports when that is a list (`nfe-sweep` writes it). Diverged rows are
+    frozen and scored at their last finite state.
     """
     stages = SolverConfig(method=method).stages
     n_steps = max(1, int(round(budget_nfe / stages)))
@@ -204,7 +204,7 @@ def reverse_time_study(
     stride = max(1, anchor // REVERSE_MAX_HORIZONS)
     targets = np.append(np.arange(anchor - stride, 0, -stride), 0)
     f = flow_field(params)
-    u0 = np.stack([u[anchor] for u in dataset.states])
+    u0 = dataset.stacked()[:, anchor]
     rows = []
     for level in noise_levels:
         rng = np.random.default_rng([seed, int(round(level * NOISE_SEED_SCALE))])

@@ -15,16 +15,17 @@ is frozen at its last finite state and flagged in
 ``RolloutResult.diverged``; the other rows keep going. Forward, reverse
 and one-step (AR) rollouts share that one loop.
 
-A rollout records its (n_times, B, d) states, or, given ``record``,
-hands each (B, d) state to record(k, u) as soon as it is reached and
-keeps none: an evaluation scores the states as they come and never holds
-the rollout (`evaluation`). A recorded state is never written to again.
+A rollout keeps no states: it hands each (B, d) state to the caller's
+record(k, u) as soon as it is reached. An evaluation scores the states
+as they come and never holds the rollout (`evaluation`); generation
+copies them into its dataset buffer (`systems`). A recorded state is
+never written to again.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,14 +56,12 @@ class SolverConfig:
 
 @dataclass
 class RolloutResult:
-    """States (n_times, B, d) recorded at the requested times, plus solver cost.
+    """The solver cost of a rollout and the rows it flagged.
 
-    states is None when the states went to a caller's record. diverged
-    (B,) flags rows that hit the norm bound; frozen rows keep their last
-    finite state.
+    diverged (B,) flags rows that hit the norm bound; frozen rows keep
+    their last finite state.
     """
 
-    states: np.ndarray
     nfe: int
     diverged: np.ndarray
 
@@ -109,7 +108,7 @@ def step(method: str, f, t: float, u: np.ndarray, h: float) -> np.ndarray:
     raise InvalidArgumentError(f"unknown method {method!r}")
 
 
-def _integrate(advance, f, u0, times_out, substeps, stages, record=None):
+def _integrate(advance, f, u0, times_out, substeps, stages, record):
     """Shared fixed-step integrator for forward, reverse and one-step rollouts.
 
     Each interval takes `substeps` steps u <- advance(f, t, u, h), each
@@ -118,8 +117,7 @@ def _integrate(advance, f, u0, times_out, substeps, stages, record=None):
     entries too, because they, like a sum of squares that overflows, make
     the norm nan or inf. The reported nfe is the scheduled cost per
     trajectory, also when every row has diverged and the remaining steps
-    are skipped. The state at times_out[k] goes to record(k, u), or into
-    the result's states when record is None.
+    are skipped. The state at times_out[k] goes to record(k, u).
     """
     u0 = np.asarray(u0, dtype=np.float64)
     if u0.ndim != 2:
@@ -127,10 +125,6 @@ def _integrate(advance, f, u0, times_out, substeps, stages, record=None):
     if not np.isfinite(u0).all():
         raise InvalidArgumentError("initial state must be finite")
     u = u0.copy(order="K")
-    states = None
-    if record is None:
-        states = np.empty((len(times_out),) + u.shape)
-        record = states.__setitem__
     record(0, u)
     alive = np.ones(u.shape[0], dtype=bool)
     for k in range(len(times_out) - 1):
@@ -152,19 +146,15 @@ def _integrate(advance, f, u0, times_out, substeps, stages, record=None):
                 alive &= ~bad
             u = u_new
         record(k + 1, u)
-    return RolloutResult(
-        states=states,
-        nfe=(len(times_out) - 1) * substeps * stages,
-        diverged=~alive,
-    )
+    return RolloutResult(nfe=(len(times_out) - 1) * substeps * stages, diverged=~alive)
 
 
-def rollout(f, u0: np.ndarray, eval_times, solver: SolverConfig, record=None) -> RolloutResult:
+def rollout(f, u0: np.ndarray, eval_times, solver: SolverConfig, record) -> RolloutResult:
     """Integrate du/dt = f(t, u) forward, recording each evaluation time.
 
-    eval_times must be increasing; the first entry is the initial time and
-    states[0] is u0 itself. Given record, the state at eval_times[k] goes
-    to record(k, u) instead (module docstring).
+    eval_times must be increasing; the first entry is the initial time.
+    The state at eval_times[k] goes to record(k, u), a copy of u0 at k = 0
+    (module docstring).
     """
     times = np.asarray(eval_times, dtype=np.float64)
     if times.ndim != 1 or times.size < 2:
@@ -178,13 +168,13 @@ def rollout(f, u0: np.ndarray, eval_times, solver: SolverConfig, record=None) ->
 
 
 def rollout_reverse(
-    f, u_star: np.ndarray, t_star: float, target_times, solver: SolverConfig, record=None
+    f, u_star: np.ndarray, t_star: float, target_times, solver: SolverConfig, record
 ) -> RolloutResult:
     """Integrate backward from (t_star, u_star) to each earlier target time.
 
     target_times must be strictly decreasing and contained in [0, t_star).
-    The returned states exclude the anchor state itself; given record, the
-    state at target_times[k] goes to record(k, u) instead.
+    The state at target_times[k] goes to record(k, u); the anchor state
+    itself is not recorded.
     """
     targets = np.asarray(target_times, dtype=np.float64)
     if targets.ndim != 1:
@@ -199,18 +189,17 @@ def rollout_reverse(
         if k > 0:
             record(k - 1, u)
 
-    result = _integrate(
+    return _integrate(
         functools.partial(step, solver.method), f, u_star, path,
-        solver.substeps_per_interval, solver.stages, None if record is None else after_anchor,
+        solver.substeps_per_interval, solver.stages, after_anchor,
     )
-    return result if record is not None else replace(result, states=result.states[1:])
 
 
-def ar_rollout(one_step_model, u0: np.ndarray, times, record=None) -> RolloutResult:
+def ar_rollout(one_step_model, u0: np.ndarray, times, record) -> RolloutResult:
     """Recursive one-step rollout u_{k+1} = F(u_k), one step per interval of times.
 
     nfe equals the number of intervals; rows that blow up are frozen and
-    flagged, and states recorded or handed to record, as in `rollout`.
+    flagged, and states handed to record, as in `rollout`.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size < 1:

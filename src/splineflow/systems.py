@@ -1,11 +1,12 @@
 """Trajectory sets, reference dynamics and dataset generation (Lorenz, 1D Burgers).
 
-`TrajectorySet` answers which one grid all its trajectories lie on
-(`shared_grid`) and the step of that grid when it is uniform
-(`uniform_step`); evaluation needs the first, the one-step baseline and
+A `TrajectorySet` is one C-contiguous (sum n_j, d) snapshot buffer,
+`values`, and a grid per trajectory; `states` and, on a shared grid,
+`stacked` are views of the buffer. It answers which one grid all its
+trajectories lie on (`shared_grid`) and that grid's uniform step
+(`uniform_step`): evaluation needs the first, the one-step baseline and
 the convergence study the second. Only a subsampled training set has a
-grid per trajectory. A generated set shares one `TimeGrid` object among
-its trajectories.
+grid per trajectory; a generated set shares one `TimeGrid` object.
 
 Datasets are solver-converged by construction: Lorenz uses RK4 with a
 fixed substep refinement of the output grid, Burgers derives its substep
@@ -17,9 +18,11 @@ change the data.
 A generator call integrates all its splits ({name: (count, seed)}, as
 `gen-data` passes them) as one batch: rows never interact, so each
 split's states are the ones a call of its own would give, and the
-per-step overhead is paid once. The Lorenz batch is component-major (a
-Fortran-ordered (B, 3) array): x, y and z are each a contiguous vector,
-and every operation of a step stays the same element-wise one.
+per-step overhead is paid once; each split's `values` are its rows of
+the (B, n_times, d) buffer the rollout records into. The Lorenz batch is
+component-major (a Fortran-ordered (B, 3) array): x, y and z are each a
+contiguous vector, and every operation of a step stays the same
+element-wise one.
 
 Both right-hand sides run on every RK4 stage of generation, so they
 finish their terms in place in a few arrays allocated per call. Each
@@ -50,29 +53,39 @@ MAX_GENERATION_STEPS = 10**6
 
 @dataclass
 class TrajectorySet:
-    """Snapshots of several trajectories on per-trajectory grids."""
+    """Trajectory j's n_j = len(grids[j]) snapshots are its rows of `values`, in order."""
 
     grids: list
-    states: list
-    state_dim: int
+    values: np.ndarray
     system_tag: str
     raw_horizon: float
 
     def __post_init__(self):
+        values, rows = self.values, sum(len(g) for g in self.grids)
+        if not self.grids or values.ndim != 2 or not values.flags.c_contiguous:
+            raise InvalidArgumentError("need one C-contiguous (sum n, d) buffer of >= 1 trajectory")
         if self.state_dim < 1:
             raise InvalidArgumentError(f"state_dim must be >= 1, got {self.state_dim}")
-        if len(self.grids) != len(self.states):
-            raise InvalidArgumentError("grids and states must pair up")
-        for g, u in zip(self.grids, self.states):
-            if u.shape != (len(g), self.state_dim):
-                raise InvalidArgumentError(
-                    f"snapshot block {u.shape} does not match grid length {len(g)} "
-                    f"and state_dim {self.state_dim}"
-                )
-            if not np.isfinite(u).all():
-                raise InvalidArgumentError("trajectory states must be finite")
+        if len(values) != rows:
+            raise InvalidArgumentError(f"{len(values)} snapshot rows do not match {rows} grid times")
+        # min and max propagate nan and hold any inf, with no temporary
+        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+            raise InvalidArgumentError("trajectory states must be finite")
         if not (self.raw_horizon > 0.0):
             raise InvalidArgumentError("raw_horizon must be positive")
+
+    @property
+    def state_dim(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def states(self) -> list:
+        """Each trajectory's (n_j, d) snapshots, a view of `values`."""
+        return np.split(self.values, np.cumsum([len(g) for g in self.grids[:-1]]))
+
+    def stacked(self) -> np.ndarray:
+        """The (n_traj, n_times, d) view of `values`; raises unless `shared_grid` exists."""
+        return self.values.reshape(self.n_traj, len(self.shared_grid()), self.state_dim)
 
     @property
     def n_traj(self) -> int:
@@ -81,11 +94,10 @@ class TrajectorySet:
     def shared_grid(self) -> TimeGrid:
         """The one grid every trajectory lies on: the same object or equal times.
 
-        Raises InvalidArgumentError for an empty set or trajectories on
-        different grids.
+        Raises InvalidArgumentError for trajectories on different grids.
         """
-        grid = self.grids[0] if self.grids else None
-        if grid is None or not all(g is grid or np.array_equal(g.times, grid.times) for g in self.grids):
+        grid = self.grids[0]
+        if not all(g is grid or np.array_equal(g.times, grid.times) for g in self.grids):
             raise InvalidArgumentError(f"the {self.n_traj} trajectories must lie on one grid shared by all")
         return grid
 
@@ -109,9 +121,8 @@ class TrajectorySet:
     def subsampled(self, keep_rate: float, base_seed: int) -> "TrajectorySet":
         """Per-trajectory random time subsample (trajectory-specific seeds).
 
-        The kept rows of all trajectories are gathered into one (sum kept, d)
-        buffer, and each trajectory's states are a slice of it: the layout
-        of a split read from a dataset file.
+        The kept rows of all trajectories are gathered straight into the
+        subsample's one (sum kept, d) buffer.
         """
         # Salted entropy keeps subsampling independent of the training
         # rng streams derived from the same base seed.
@@ -119,17 +130,13 @@ class TrajectorySet:
             subsample_indices(g, keep_rate, [base_seed, 7919, j]) for j, g in enumerate(self.grids)
         ]
         kept = np.empty((sum(len(keep) for keep in keeps), self.state_dim))
-        grids, states, at = [], [], 0
-        for g, u, keep in zip(self.grids, self.states, keeps):
-            rows = kept[at : at + len(keep)]
-            rows[...] = u[keep]
-            grids.append(TimeGrid(times=g.times[keep]))
-            states.append(rows)
+        at = 0
+        for u, keep in zip(self.states, keeps):
+            kept[at : at + len(keep)] = u[keep]
             at += len(keep)
         return TrajectorySet(
-            grids=grids,
-            states=states,
-            state_dim=self.state_dim,
+            grids=[TimeGrid(times=g.times[keep]) for g, keep in zip(self.grids, keeps)],
+            values=kept,
             system_tag=self.system_tag,
             raw_horizon=self.raw_horizon,
         )
@@ -211,7 +218,9 @@ def _integrate_splits(rows, u0, rhs, n_times, horizon_seconds, substeps, system_
         )
     grid = uniform_grid(n_times)
     solver = SolverConfig(method="rk4", substeps_per_interval=substeps)
-    result = rollout(lambda t, u: rhs(u), u0, grid.times * horizon_seconds, solver)
+    states = np.empty((len(u0), n_times, u0.shape[1]))
+    record = lambda k, u: np.copyto(states[:, k], u)
+    result = rollout(lambda t, u: rhs(u), u0, grid.times * horizon_seconds, solver, record)
     if result.diverged.any():
         per_split = ", ".join(
             f"{name} {int(result.diverged[part].sum())}" for name, (_, part) in rows.items() if name
@@ -221,12 +230,10 @@ def _integrate_splits(rows, u0, rhs, n_times, horizon_seconds, substeps, system_
             f"{f' ({per_split})' if per_split else ''} diverged with {substeps} substeps "
             f"per interval{hint}"
         )
-    states = np.swapaxes(result.states, 0, 1)  # (B, n_times, d)
     sets = {
         name: TrajectorySet(
             grids=[grid] * (part.stop - part.start),
-            states=list(states[part]),
-            state_dim=u0.shape[1],
+            values=states[part].reshape(-1, u0.shape[1]),
             system_tag=system_tag,
             raw_horizon=horizon_seconds,
         )

@@ -271,7 +271,7 @@ def train_one_step(
     subsampled datasets are rejected.
     """
     step_size = train_set.uniform_step()
-    states = np.stack(train_set.states)  # (M, N, d)
+    states = train_set.stacked()  # (M, N, d), a view of the set's buffer
     n_steps = states.shape[1] - 1  # pairs (u_k, u_{k+1}) per trajectory
 
     mlp_config = mlp_config or MlpConfig(

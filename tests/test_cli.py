@@ -6,8 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from splineflow import DataFormatError, TrajectorySet, cli, datafile, generate_lorenz, trainer
-from splineflow.vector_field import MlpConfig, init_params, load_checkpoint, save_checkpoint
+from splineflow import (
+    DataFormatError, TrajectorySet, cli, datafile, generate_lorenz, trainer, uniform_grid,
+)
+from splineflow.vector_field import (
+    MlpConfig, VectorFieldParams, init_params, load_checkpoint, save_checkpoint,
+)
 
 
 @pytest.fixture
@@ -177,6 +181,36 @@ def test_sweep_csv_reports_scheduled_nfe_and_reverse_csv_counts_diverged_rows(
     assert [r["nfe"] for r in _csv_rows(sweep)] == ["20"]
     rows = _csv_rows(reverse)
     assert rows and all(r["n_diverged"] == "2" for r in rows)
+
+
+def test_sweep_csv_flags_rows_that_outgrow_their_truth(tmp_path):
+    # du/dt = 11.5 relu(u) grows the row from 1 about 1e4-fold in two RK4
+    # steps, far below the 1e8 freeze bound; the one-step map
+    # F(u) = 2.5 relu(u) - 0.9 relu(-u) grows it 2.5^10-fold. The row
+    # from -1 outgrows nothing under either model.
+    data = TrajectorySet(
+        grids=[uniform_grid(11)] * 2, values=np.repeat([[1.0], [-1.0]], 11, axis=0),
+        system_tag="toy", raw_horizon=1.0,
+    )
+    path, flow, ar = tmp_path / "toy.sftraj", tmp_path / "flow.ckpt.npz", tmp_path / "ar.ckpt.npz"
+    datafile.write_dataset(path, {"test": data})
+    save_checkpoint(flow, VectorFieldParams(
+        MlpConfig(1, (1,), embed_bands=1), np.array([1.0, 0.0, 0.0, 0.0, 11.5, 0.0])
+    ))
+    save_checkpoint(ar, VectorFieldParams(
+        MlpConfig(1, (2,), use_time_embedding=False),
+        np.array([1.0, -1.0, 0.0, 0.0, 2.5, -0.9, 0.0]),
+    ), meta={"grid_step": 0.1})
+    out = tmp_path / "sweep.csv"
+    assert cli.main([
+        "nfe-sweep", "--checkpoint", str(flow), "--ar-checkpoint", str(ar), "--dataset",
+        str(path), "--split", "test", "--methods", "rk4", "--budgets", "100,400", "--out", str(out),
+    ]) == 0
+    rows = _csv_rows(out)
+    assert [(r["method"], r["nfe"], r["n_diverged"]) for r in rows] == [
+        ("ar", "10", "1"), ("rk4", "8", "1"), ("rk4", "40", "1"),
+    ]
+    assert all(float(r["final_time_rel_l2"]) > 1e3 for r in rows)
 
 
 def test_study_stdout_reports_diverged_rows_rollout_time_and_workers(
@@ -557,7 +591,7 @@ def _lorenz_file(tmp_path, ragged):
     if not ragged:
         keep = np.searchsorted(full.grids[0].times, sub.grids[0].times)
         sub = TrajectorySet(
-            grids=[sub.grids[0]] * 4, states=[u[keep] for u in full.states], state_dim=3,
+            grids=[sub.grids[0]] * 4, values=full.stacked()[:, keep].reshape(-1, 3),
             system_tag="lorenz", raw_horizon=full.raw_horizon,
         )
     path = tmp_path / "data.sftraj"

@@ -141,8 +141,7 @@ def test_study_rejects_trajectories_on_different_grids():
     fine = generate_lorenz(2, 161, 1.0, 5.0, seed=1)
     mixed = TrajectorySet(
         grids=coarse.grids + fine.grids,
-        states=coarse.states + fine.states,
-        state_dim=3,
+        values=np.concatenate([coarse.values, fine.values]),
         system_tag="lorenz",
         raw_horizon=1.0,
     )
@@ -156,8 +155,8 @@ def test_study_refuses_lorenz_states_of_other_than_three_components(tmp_path):
     # uninitialized truth column
     data = generate_lorenz(2, 11, 1.0, 5.0, seed=0)
     wide = TrajectorySet(
-        grids=data.grids, states=[np.hstack([u, u[:, :1]]) for u in data.states],
-        state_dim=4, system_tag="lorenz", raw_horizon=data.raw_horizon,
+        grids=data.grids, values=np.hstack([data.values, data.values[:, :1]]),
+        system_tag="lorenz", raw_horizon=data.raw_horizon,
     )
     with pytest.raises(InvalidArgumentError, match="3 components"):
         endpoint_velocity_study(wide)

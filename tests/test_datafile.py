@@ -87,12 +87,11 @@ def test_each_split_reads_into_one_buffer(tmp_path, tiny_splits):
     path = tmp_path / "data.sftraj"
     write_dataset(path, tiny_splits)
     loaded, _ = read_dataset(path)
-    train, test = loaded["train"].states, loaded["test"].states
-    for rows in (train, test):
-        assert rows[0].base is not None
-        assert all(u.base is rows[0].base for u in rows)
-    assert train[0].base is not test[0].base
-    assert not any(np.shares_memory(u, v) for u in train for v in test)
+    train, test = loaded["train"], loaded["test"]
+    for split in (train, test):
+        assert split.values.flags.owndata
+        assert all(u.base is split.values for u in split.states)
+    assert not np.shares_memory(train.values, test.values)
 
 
 def test_rejects_truncated_binary(tmp_path, tiny_splits):
@@ -173,9 +172,11 @@ def _rewrite(path, header_change=None, times=None, payload_bytes=None):
         dict(times=[0.0, 0.5, 0.5, 1.0]),
         # a payload of the 4 times alone: every block reads as (4, 0) states
         dict(header_change=lambda h: h.update(state_dim=0), payload_bytes=32),
+        # the 4 stored times, then nan over the first state value
+        dict(times=[0.0, 0.25, 0.5, 1.0, np.nan]),
     ],
     ids=["no n_times", "state_dim x", "n_times 0", "n_times 1e15", "times not increasing",
-         "state_dim 0"],
+         "state_dim 0", "state nan"],
 )
 def test_malformed_header_or_times_raise_data_format_error_and_exit_4(tmp_path, damage):
     path = tmp_path / "data.sftraj"

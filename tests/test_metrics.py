@@ -105,9 +105,10 @@ def test_every_study_raises_on_a_zero_truth_row():
     # the origin is a fixed point of Lorenz, so its all-zero trajectory is
     # an exact solution; no study may score its rows 0
     data = generate_lorenz(3, 21, seed=5)
+    values = data.values.copy()
+    values[:21] = 0.0
     at_origin = TrajectorySet(
-        grids=data.grids, states=[np.zeros((21, 3))] + data.states[1:], state_dim=3,
-        system_tag="lorenz", raw_horizon=data.raw_horizon,
+        grids=data.grids, values=values, system_tag="lorenz", raw_horizon=data.raw_horizon
     )
     params = init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0)
     solver = SolverConfig("rk4", 1)

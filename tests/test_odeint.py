@@ -16,6 +16,8 @@ from splineflow.evaluation import flow_field
 from splineflow.metrics import empirical_order
 from splineflow.odeint import DEFAULT_NORM_BOUND
 
+from recording import recorded
+
 
 def decay(t, u):
     return -u
@@ -105,42 +107,45 @@ def test_empirical_solver_orders_on_smooth_problem():
     for method, order in expected.items():
         errors, steps = [], []
         for n in (8, 16, 32):
-            res = rollout(f, np.array([[1.0]]), [0.0, 1.0], SolverConfig(method, n))
-            errors.append(abs(res.states[-1, 0, 0] - truth))
+            states, _ = recorded(rollout, f, np.array([[1.0]]), [0.0, 1.0], SolverConfig(method, n))
+            errors.append(abs(states[-1, 0, 0] - truth))
             steps.append(1.0 / n)
         assert abs(np.mean(empirical_order(errors, steps)) - order) < 0.2
 
 
 def test_rollout_records_every_eval_time():
     times = np.linspace(0.0, 1.0, 6)
-    res = rollout(decay, np.array([[2.0]]), times, SolverConfig("rk4", 20))
-    assert np.allclose(res.states[:, 0, 0], 2.0 * np.exp(-times), atol=1e-9)
-    assert res.states[0, 0, 0] == 2.0
+    states, _ = recorded(rollout, decay, np.array([[2.0]]), times, SolverConfig("rk4", 20))
+    assert np.allclose(states[:, 0, 0], 2.0 * np.exp(-times), atol=1e-9)
+    assert states[0, 0, 0] == 2.0
 
 
 def test_nfe_accounting_exact():
     times = np.linspace(0.0, 1.0, 11)
     for method, stages in (("euler", 1), ("heun", 2), ("rk4", 4)):
         for substeps in (1, 3):
-            res = rollout(decay, np.array([[1.0]]), times, SolverConfig(method, substeps))
+            solver = SolverConfig(method, substeps)
+            _, res = recorded(rollout, decay, np.array([[1.0]]), times, solver)
             assert res.nfe == 10 * substeps * stages
 
 
 def test_rollout_divergence_mask_mode():
     blow = lambda t, u: u * u
     u0 = np.array([[3.0], [0.1]])  # first row blows up, second stays tame
-    res = rollout(blow, u0, np.linspace(0, 1, 21), SolverConfig("euler", 8))
+    states, res = recorded(rollout, blow, u0, np.linspace(0, 1, 21), SolverConfig("euler", 8))
     assert res.diverged.tolist() == [True, False]
-    assert np.isfinite(res.states).all()
+    assert np.isfinite(states).all()
 
 
 def test_nfe_is_the_scheduled_cost_when_every_row_dies():
     huge = lambda t, u: np.full_like(u, 1e10)
     times = np.linspace(0.0, 1.0, 11)
-    res = rollout(huge, np.ones((3, 2)), times, SolverConfig("rk4", 1))
+    _, res = recorded(rollout, huge, np.ones((3, 2)), times, SolverConfig("rk4", 1))
     assert res.diverged.all()
     assert res.nfe == 10 * 1 * 4
-    back = rollout_reverse(huge, np.ones((3, 2)), 1.0, times[-2::-1], SolverConfig("heun", 2))
+    _, back = recorded(
+        rollout_reverse, huge, np.ones((3, 2)), 1.0, times[-2::-1], SolverConfig("heun", 2)
+    )
     assert back.diverged.all()
     assert back.nfe == 10 * 2 * 2
 
@@ -150,10 +155,10 @@ def test_batched_rollout_matches_single():
     times = np.linspace(0, 1, 5)
     solver = SolverConfig("rk4", 4)
     f = lambda t, u: np.sin(u)
-    batch = rollout(f, u0, times, solver)
+    batch, _ = recorded(rollout, f, u0, times, solver)
     for i in range(2):
-        single = rollout(f, u0[i : i + 1], times, solver)
-        assert np.array_equal(batch.states[:, i : i + 1, :], single.states)
+        single, _ = recorded(rollout, f, u0[i : i + 1], times, solver)
+        assert np.array_equal(batch[:, i : i + 1, :], single)
 
 
 @pytest.mark.parametrize("field", ["lorenz", "mlp"])
@@ -167,55 +172,65 @@ def test_rollout_is_the_same_for_row_and_component_major_batches(field):
         f = flow_field(params)
         times, solver = np.linspace(0.0, 1.0, 11), SolverConfig("heun", 2)
     u0 = np.random.default_rng(7).uniform(-5.0, 5.0, size=(60, 3))
-    by_rows = rollout(f, u0, times, solver)
-    by_components = rollout(f, np.asfortranarray(u0), times, solver)
-    assert np.array_equal(by_rows.states, by_components.states)
-    assert np.array_equal(by_rows.diverged, by_components.diverged)
-    assert by_rows.diverged.any() == (field == "lorenz")
+    by_rows, rows_result = recorded(rollout, f, u0, times, solver)
+    by_components, components_result = recorded(rollout, f, np.asfortranarray(u0), times, solver)
+    assert np.array_equal(by_rows, by_components)
+    assert np.array_equal(rows_result.diverged, components_result.diverged)
+    assert rows_result.diverged.any() == (field == "lorenz")
 
 
 def test_a_component_major_batch_reaches_every_stage_component_major():
     # the rollout loop and the stage arithmetic keep the caller's layout; a C copy
-    # anywhere would hand the field stride-3 columns again
+    # anywhere would hand the field stride-3 columns again, and the record too
+    component_major = lambda u: u.flags.f_contiguous and not u.flags.c_contiguous
     layouts = []
 
     def spy(t, u):
-        layouts.append(u.flags.f_contiguous and not u.flags.c_contiguous)
+        layouts.append(component_major(u))
         return lorenz_rhs(u)
 
     u0 = np.asfortranarray(np.random.default_rng(0).uniform(-5.0, 5.0, size=(40, 3)))
-    result = rollout(spy, u0, np.linspace(0.0, 0.5, 6), SolverConfig("rk4", 3))
+    recorded_layouts = []
+    result = rollout(
+        spy, u0, np.linspace(0.0, 0.5, 6), SolverConfig("rk4", 3),
+        lambda k, u: recorded_layouts.append(component_major(u)),
+    )
     assert len(layouts) == result.nfe == 60
     assert all(layouts)
+    assert recorded_layouts == [True] * 6
 
 
 def test_rollout_rejects_unbatched_state():
     solver = SolverConfig("rk4", 1)
     with pytest.raises(InvalidArgumentError, match="batch"):
-        rollout(decay, np.array([1.0, 2.0]), [0.0, 1.0], solver)
+        recorded(rollout, decay, np.array([1.0, 2.0]), [0.0, 1.0], solver)
     with pytest.raises(InvalidArgumentError, match="batch"):
-        rollout_reverse(decay, np.array([1.0]), 1.0, [0.0], solver)
+        recorded(rollout_reverse, decay, np.array([1.0]), 1.0, [0.0], solver)
     with pytest.raises(InvalidArgumentError, match="batch"):
-        ar_rollout(lambda u: u, np.array([1.0]), [0.0, 1.0])
+        recorded(ar_rollout, lambda u: u, np.array([1.0]), [0.0, 1.0])
 
 
 def test_reverse_recovers_smooth_flow():
     solver = SolverConfig("rk4", 50)
-    fwd = rollout(decay, np.array([[1.5]]), [0.0, 1.0], solver)
-    back = rollout_reverse(decay, fwd.states[-1], 1.0, [0.5, 0.0], solver)
+    fwd, _ = recorded(rollout, decay, np.array([[1.5]]), [0.0, 1.0], solver)
+    back, _ = recorded(rollout_reverse, decay, fwd[-1], 1.0, [0.5, 0.0], solver)
     # round-trip defect is solver truncation, O(h^4) at h = 1/100
-    assert abs(back.states[-1, 0, 0] - 1.5) < 1e-8
+    assert abs(back[-1, 0, 0] - 1.5) < 1e-8
 
 
 def test_reverse_zero_field_constant():
     f = lambda t, u: np.zeros_like(u)
-    res = rollout_reverse(f, np.array([[4.0, 1.0]]), 0.8, [0.4, 0.1], SolverConfig("rk4", 3))
-    assert np.allclose(res.states, 4.0 * np.array([[[1, 0.25]], [[1, 0.25]]]))
+    states, _ = recorded(
+        rollout_reverse, f, np.array([[4.0, 1.0]]), 0.8, [0.4, 0.1], SolverConfig("rk4", 3)
+    )
+    assert np.allclose(states, 4.0 * np.array([[[1, 0.25]], [[1, 0.25]]]))
 
 
 def test_reverse_empty_targets():
-    res = rollout_reverse(decay, np.array([[1.0], [2.0]]), 0.0, [], SolverConfig("rk4", 1))
-    assert res.states.shape == (0, 2, 1)
+    states, res = recorded(
+        rollout_reverse, decay, np.array([[1.0], [2.0]]), 0.0, [], SolverConfig("rk4", 1)
+    )
+    assert states.shape == (0, 2, 1)
     assert res.nfe == 0
     assert res.diverged.tolist() == [False, False]
 
@@ -223,9 +238,9 @@ def test_reverse_empty_targets():
 def test_reverse_validates_targets():
     solver = SolverConfig("rk4", 1)
     with pytest.raises(InvalidArgumentError):
-        rollout_reverse(decay, np.array([[1.0]]), 0.5, [0.1, 0.2], solver)  # increasing
+        recorded(rollout_reverse, decay, np.array([[1.0]]), 0.5, [0.1, 0.2], solver)  # increasing
     with pytest.raises(InvalidArgumentError):
-        rollout_reverse(decay, np.array([[1.0]]), 0.5, [0.6], solver)  # above t_star
+        recorded(rollout_reverse, decay, np.array([[1.0]]), 0.5, [0.6], solver)  # above t_star
 
 
 def test_lorenz_roundtrip_quarter_second():
@@ -233,15 +248,16 @@ def test_lorenz_roundtrip_quarter_second():
     field = lambda t, u: 0.25 * lorenz_rhs(u)
     solver = SolverConfig("rk4", 400)
     u0 = np.array([[2.0, -1.0, 3.5]])
-    fwd = rollout(field, u0, [0.0, 1.0], solver)
-    back = rollout_reverse(field, fwd.states[-1], 1.0, [0.0], solver)
-    rel = np.linalg.norm(back.states[-1] - u0) / np.linalg.norm(u0)
+    fwd, _ = recorded(rollout, field, u0, [0.0, 1.0], solver)
+    back, _ = recorded(rollout_reverse, field, fwd[-1], 1.0, [0.0], solver)
+    rel = np.linalg.norm(back[-1] - u0) / np.linalg.norm(u0)
     assert rel < 1e-6
 
 
 def test_ar_rollout_identity_model():
-    res = ar_rollout(lambda u: u, np.array([[1.0, 2.0]]), np.linspace(0.0, 1.0, 6))
-    assert np.allclose(res.states, np.tile([1.0, 2.0], (6, 1, 1)))
+    times = np.linspace(0.0, 1.0, 6)
+    states, res = recorded(ar_rollout, lambda u: u, np.array([[1.0, 2.0]]), times)
+    assert np.allclose(states, np.tile([1.0, 2.0], (6, 1, 1)))
     assert res.nfe == 5
 
 
@@ -249,7 +265,7 @@ def test_ar_rollout_perfect_oracle_reproduces_data():
     # one-step oracle wrapping the true integrator reproduces its own data
     times = np.linspace(0.0, 1.0, 9)
     solver = SolverConfig("rk4", 10)
-    data = rollout(decay, np.array([[1.0]]), times, solver)
+    data, _ = recorded(rollout, decay, np.array([[1.0]]), times, solver)
     h = times[1] - times[0]
 
     def oracle(u):
@@ -258,25 +274,26 @@ def test_ar_rollout_perfect_oracle_reproduces_data():
             out = step("rk4", decay, 0.0, out, h / 10)
         return out
 
-    res = ar_rollout(oracle, np.array([[1.0]]), times)
-    assert np.allclose(res.states, data.states, atol=1e-14)
+    states, _ = recorded(ar_rollout, oracle, np.array([[1.0]]), times)
+    assert np.allclose(states, data, atol=1e-14)
 
 
 def test_ar_rollout_divergence():
     # 1e3 ** 3 passes the 1e8 bound: the state is flagged and frozen at 1e6
-    res = ar_rollout(lambda u: u * 1e3, np.array([[1.0]]), np.linspace(0.0, 1.0, 11))
+    times = np.linspace(0.0, 1.0, 11)
+    states, res = recorded(ar_rollout, lambda u: u * 1e3, np.array([[1.0]]), times)
     assert res.diverged.tolist() == [True]
-    assert np.array_equal(res.states[2:], np.full((9, 1, 1), 1e6))
+    assert np.array_equal(states[2:], np.full((9, 1, 1), 1e6))
     assert res.nfe == 10
 
 
 def test_ar_rollout_masks_rows_that_blow_up():
     u0 = np.array([[1.0], [-2.0], [0.01], [0.001]])
-    res = ar_rollout(lambda u: 1e3 * u, u0, np.linspace(0.0, 1.0, 4))
+    states, res = recorded(ar_rollout, lambda u: 1e3 * u, u0, np.linspace(0.0, 1.0, 4))
     # |u| grows 1e3x a step: the first two rows pass the 1e8 bound at step 3
     assert res.diverged.tolist() == [True, True, False, False]
-    assert np.array_equal(res.states[3, :2], res.states[2, :2])
-    assert np.array_equal(res.states[3, 2:], 1e9 * u0[2:])
+    assert np.array_equal(states[3, :2], states[2, :2])
+    assert np.array_equal(states[3, 2:], 1e9 * u0[2:])
     assert res.nfe == 3
 
 
@@ -297,10 +314,10 @@ def test_row_check_flags_nan_inf_and_overflowing_rows_in_one_pass():
 
     u0 = np.array([[1.0, 0.5], [2.0, 0.5], [3.0, 0.5], [4.0, 0.5], [5.0, 0.5], [6.0, 0.5]])
     with np.errstate(over="ignore"):
-        res = ar_rollout(model, u0, np.linspace(0.0, 1.0, 4))
+        states, res = recorded(ar_rollout, model, u0, np.linspace(0.0, 1.0, 4))
     assert res.diverged.tolist() == [True, True, True, False, False, False]
-    assert np.array_equal(res.states[1:, :3], np.broadcast_to(u0[:3], (3, 3, 2)))
-    assert np.array_equal(res.states[-1, 3], [below, 0.5])
-    assert np.array_equal(res.states[-1, 4], [6e7, 8e7])
-    assert np.array_equal(res.states[-1, 5], u0[5])
-    assert np.isfinite(res.states).all()
+    assert np.array_equal(states[1:, :3], np.broadcast_to(u0[:3], (3, 3, 2)))
+    assert np.array_equal(states[-1, 3], [below, 0.5])
+    assert np.array_equal(states[-1, 4], [6e7, 8e7])
+    assert np.array_equal(states[-1, 5], u0[5])
+    assert np.isfinite(states).all()

@@ -14,6 +14,7 @@ from splineflow import (
     lorenz_rhs,
     relative_l2,
     sample_grf_initial,
+    datafile,
     systems,
 )
 from splineflow.systems import burgers_substeps, grf_mode_std
@@ -97,8 +98,8 @@ def test_lorenz_grid_normalized():
     assert data.raw_horizon == 5.0
     for horizon in (0.0, -5.0, float("nan")):
         with pytest.raises(InvalidArgumentError):
-            TrajectorySet(grids=data.grids, states=data.states, state_dim=3,
-                          system_tag="lorenz", raw_horizon=horizon)
+            TrajectorySet(grids=data.grids, values=data.values, system_tag="lorenz",
+                          raw_horizon=horizon)
 
 
 def test_burgers_rhs_constant_field():
@@ -238,16 +239,58 @@ def test_subsample_is_one_buffer_of_the_kept_rows(keep_rate):
         interior = np.sort(rng.choice(np.arange(1, 1000), size=n - 2, replace=False)) / 1000.0
         grids.append(TimeGrid(times=np.concatenate(([0.0], interior, [1.0]))))
         states.append(rng.standard_normal((n, 3)))
-    data = TrajectorySet(grids=grids, states=states, state_dim=3, system_tag="lorenz",
+    data = TrajectorySet(grids=grids, values=np.concatenate(states), system_tag="lorenz",
                          raw_horizon=1.0)
     sub = data.subsampled(keep_rate, base_seed=9)
-    kept = sub.states[0].base
-    assert kept is not None and kept.shape == (sum(len(g) for g in sub.grids), 3)
-    assert all(np.shares_memory(u_sub, kept) for u_sub in sub.states)
+    assert sub.values.shape == (sum(len(g) for g in sub.grids), 3)
+    assert not np.shares_memory(sub.values, data.values)
     for j, (g, u, g_sub, u_sub) in enumerate(zip(grids, states, sub.grids, sub.states)):
         keep = subsample_indices(g, keep_rate, [9, 7919, j])
         assert np.array_equal(u_sub, u[keep])
         assert np.array_equal(g_sub.times, g.times[keep])
+
+
+def test_every_set_is_one_buffer_its_views_share(tmp_path):
+    # generated splits of each system, a split read back and a subsample
+    lorenz = generate_lorenz(None, 11, splits={"train": (3, 0), "test": (2, 1)})
+    burgers = generate_burgers(None, 11, splits={"train": (2, 0), "test": (2, 1)})
+    datafile.write_dataset(tmp_path / "lorenz.sftraj", lorenz)
+    read = datafile.read_dataset(tmp_path / "lorenz.sftraj")[0]["test"]
+    sub = read.subsampled(0.5, base_seed=0)
+    shared = (lorenz["train"], lorenz["test"], burgers["test"], read)
+    for data in (*shared, sub):
+        assert data.values.flags.c_contiguous
+        assert data.values.shape == (sum(len(g) for g in data.grids), data.state_dim)
+        assert all(np.shares_memory(u, data.values) for u in data.states)
+    for data in shared:
+        stacked = data.stacked()
+        assert stacked.shape == (data.n_traj, 11, data.state_dim)
+        assert np.shares_memory(stacked, data.values)
+        assert np.array_equal(stacked, np.stack(data.states))
+    with pytest.raises(InvalidArgumentError, match="one grid shared by all"):
+        sub.stacked()
+
+
+def test_a_trajectory_set_needs_one_finite_buffer_that_fills_its_grids():
+    data = generate_lorenz(2, 11, seed=0)
+
+    def on(values, grids=data.grids):
+        return TrajectorySet(grids=grids, values=values, system_tag="lorenz", raw_horizon=1.0)
+
+    nan, inf = data.values.copy(), data.values.copy()
+    nan[13, 1], inf[21, 2] = np.nan, -np.inf
+    for values, grids, message in (
+        (data.values, [], ">= 1 trajectory"),
+        (np.asfortranarray(data.values), data.grids, "C-contiguous"),
+        (data.values.ravel(), data.grids, "C-contiguous"),
+        (data.values[:, :0], data.grids, "state_dim"),
+        (data.values[1:], data.grids, "21 snapshot rows do not match 22"),
+        (nan, data.grids, "finite"),
+        (inf, data.grids, "finite"),
+    ):
+        with pytest.raises(InvalidArgumentError, match=message):
+            on(values, grids)
+    assert on(data.values).state_dim == 3
 
 
 def test_grid_questions_of_a_trajectory_set():
@@ -259,7 +302,7 @@ def test_grid_questions_of_a_trajectory_set():
 
     def on(grids, states):
         return TrajectorySet(
-            grids=grids, states=states, state_dim=3, system_tag="lorenz",
+            grids=grids, values=np.concatenate(states), system_tag="lorenz",
             raw_horizon=data.raw_horizon,
         )
 
@@ -268,7 +311,7 @@ def test_grid_questions_of_a_trajectory_set():
     assert on([data.grids[0], copy], data.states[:2]).shared_grid() is data.grids[0]
     sub = data.subsampled(0.5, base_seed=0)
     mixed = on([data.grids[0], copy, sub.grids[0]], data.states[:2] + sub.states[:1])
-    for split in (sub, mixed, on([], [])):
+    for split in (sub, mixed):
         with pytest.raises(InvalidArgumentError, match="on one grid shared by all"):
             split.shared_grid()
         with pytest.raises(InvalidArgumentError, match="one uniform grid shared"):

@@ -38,6 +38,8 @@ from splineflow.spline import NoiseSchedule, build_linear, build_quintic
 from splineflow.systems import lorenz_rhs
 from splineflow.timegrid import subsample_indices
 from splineflow import trainer
+
+from recording import recorded
 from splineflow.trainer import _optimize, _validation_error, build_splines
 from splineflow.vector_field import (
     VectorFieldParams,
@@ -144,8 +146,8 @@ def test_build_splines_fills_the_per_trajectory_tables_in_order():
     keeps = [subsample_indices(g, r, j) for j, (g, r) in enumerate(zip(full.grids, rates))]
     data = TrajectorySet(
         grids=[TimeGrid(times=g.times[k]) for g, k in zip(full.grids, keeps)],
-        states=[u[k] for u, k in zip(full.states, keeps)],
-        state_dim=3, system_tag="lorenz", raw_horizon=full.raw_horizon,
+        values=np.concatenate([u[k] for u, k in zip(full.states, keeps)]),
+        system_tag="lorenz", raw_horizon=full.raw_horizon,
     )
     assert len({len(g) for g in data.grids}) == len(rates)
     for kind, build in (("linear", build_linear), ("quintic", build_quintic)):
@@ -170,9 +172,9 @@ def _traced_peak(fn):
 def _random_set(n_traj, n_times, d, seed):
     rng = np.random.default_rng(seed)
     grid = uniform_grid(n_times)
-    states = [rng.standard_normal((n_times, d)) + 2.0 for _ in range(n_traj)]
-    return TrajectorySet(grids=[grid] * n_traj, states=states, state_dim=d,
-                         system_tag="random", raw_horizon=1.0)
+    values = np.concatenate([rng.standard_normal((n_times, d)) + 2.0 for _ in range(n_traj)])
+    return TrajectorySet(grids=[grid] * n_traj, values=values, system_tag="random",
+                         raw_horizon=1.0)
 
 
 def test_training_sampler_holds_one_copy_of_the_knot_table():
@@ -189,13 +191,15 @@ def test_training_sampler_holds_one_copy_of_the_knot_table():
 
 
 def test_one_step_training_gathers_pairs_from_the_stacked_states(monkeypatch):
-    # each batch reads (u_k, u_{k+1}) from the one (M, N, d) stack; flattened
-    # input and target copies of it would take the peak to about 3x
-    data = _random_set(40, 101, 100, seed=2)
-    mlp = MlpConfig(state_dim=100, hidden_dims=(8,), use_time_embedding=False)
-    cfg = TrainConfig(steps=2, batch_size=16, eval_every=1)
-    _, peak = _traced_peak(lambda: train_one_step(data, cfg, mlp_config=mlp))
-    assert peak < 1.5 * (40 * 101 * 100 * 8)
+    # each batch reads (u_k, u_{k+1}) from the (M, N, d) view of the split's
+    # buffer: a stacked copy of the split would take the peak past the
+    # split's payload, and flattened input and target copies to about 3x
+    lorenz, data = generate_lorenz(200, 201, seed=0), _random_set(40, 101, 100, seed=2)
+    cfg = TrainConfig(steps=1, batch_size=16)
+    for split in (lorenz, data):
+        mlp = MlpConfig(split.state_dim, hidden_dims=(8,), use_time_embedding=False)
+        _, peak = _traced_peak(lambda: train_one_step(split, cfg, mlp_config=mlp))
+        assert peak < split.values.nbytes
     # the pairs are those the flattened copies gave for the same draws
     monkeypatch.setattr(trainer, "_optimize", lambda params, draw, score, config: draw)
     batch = train_one_step(data, cfg, mlp_config=mlp)()
@@ -242,19 +246,15 @@ def test_fused_step_matches_per_layer_reference(make_sampler):
 
 
 def _constant_set(value=3.0, d=2, n=11):
-    grid = uniform_grid(n)
-    states = np.full((n, d), value)
     return TrajectorySet(
-        grids=[grid], states=[states], state_dim=d, system_tag="toy", raw_horizon=1.0
+        grids=[uniform_grid(n)], values=np.full((n, d), value), system_tag="toy", raw_horizon=1.0
     )
 
 
 def _exponential_set(u0=2.0, n=11):
     grid = uniform_grid(n)
-    states = (u0 * np.exp(-grid.times))[:, None]
-    return TrajectorySet(
-        grids=[grid], states=[states], state_dim=1, system_tag="toy", raw_horizon=1.0
-    )
+    values = (u0 * np.exp(-grid.times))[:, None]
+    return TrajectorySet(grids=[grid], values=values, system_tag="toy", raw_horizon=1.0)
 
 
 TOY_MLP = MlpConfig(state_dim=1, hidden_dims=(32, 32), embed_bands=4)
@@ -293,9 +293,9 @@ def test_learned_field_round_trip():
     f = flow_field(result.params)
     solver = SolverConfig("rk4", 400)
     u0 = data.states[0][:1]
-    fwd = rollout(f, u0, [0.0, 1.0], solver)
-    back = rollout_reverse(f, fwd.states[-1], 1.0, [0.0], solver)
-    rel = np.linalg.norm(back.states[-1] - u0) / np.linalg.norm(u0)
+    fwd, _ = recorded(rollout, f, u0, [0.0, 1.0], solver)
+    back, _ = recorded(rollout_reverse, f, fwd[-1], 1.0, [0.0], solver)
+    rel = np.linalg.norm(back[-1] - u0) / np.linalg.norm(u0)
     assert rel < 1e-3
 
 
@@ -402,8 +402,7 @@ def test_validation_with_diverged_rows_is_never_kept():
 def test_quintic_requires_three_knots():
     grid = uniform_grid(2)
     data = TrajectorySet(
-        grids=[grid], states=[np.zeros((2, 1))], state_dim=1, system_tag="toy",
-        raw_horizon=1.0,
+        grids=[grid], values=np.zeros((2, 1)), system_tag="toy", raw_horizon=1.0,
     )
     cfg = TrainConfig(steps=10, batch_size=4, spline_kind="quintic")
     with pytest.raises(InvalidArgumentError):
@@ -443,8 +442,8 @@ def test_ar_evaluation_masks_rows_that_blow_up():
     grid = uniform_grid(4)
     u0s = (1.0, -2.0, 0.01, 0.001)
     data = TrajectorySet(
-        grids=[grid] * 4, states=[u * 1e3 ** np.arange(4.0)[:, None] for u in u0s],
-        state_dim=1, system_tag="toy", raw_horizon=1.0,
+        grids=[grid] * 4, values=np.concatenate([u * 1e3 ** np.arange(4.0)[:, None] for u in u0s]),
+        system_tag="toy", raw_horizon=1.0,
     )
     report = evaluate_one_step_model(params, data, data.uniform_step())
     assert report.n_diverged == 2
@@ -459,11 +458,12 @@ def test_rows_that_outgrow_their_truth_below_the_norm_bound_are_diverged():
     params = VectorFieldParams(config, np.array([1.0, 0.0, 0.0, 0.0, 11.5, 0.0]))
     grid = uniform_grid(11)
     data = TrajectorySet(
-        grids=[grid] * 2, states=[np.full((11, 1), u) for u in (1.0, -1.0)], state_dim=1,
-        system_tag="toy", raw_horizon=1.0,
+        grids=[grid] * 2, values=np.repeat([[1.0], [-1.0]], 11, axis=0), system_tag="toy",
+        raw_horizon=1.0,
     )
     solver = SolverConfig("rk4", 1)
-    assert 9e4 < rollout(flow_field(params), np.array([[1.0]]), grid.times, solver).states.max() < 1e5
+    states, _ = recorded(rollout, flow_field(params), np.array([[1.0]]), grid.times, solver)
+    assert 9e4 < states.max() < 1e5
     report = evaluate_flow_model(params, data, solver)
     assert report.n_diverged == 1
     assert report.per_traj[1] == 0.0
@@ -476,8 +476,8 @@ def test_reverse_study_flags_rows_that_outgrow_their_truth():
     config = MlpConfig(state_dim=1, hidden_dims=(1,), embed_bands=1)
     params = VectorFieldParams(config, np.array([1.0, 0.0, 0.0, 0.0, -11.5, 0.0]))
     data = TrajectorySet(
-        grids=[uniform_grid(11)] * 2, states=[np.full((11, 1), u) for u in (1.0, -1.0)],
-        state_dim=1, system_tag="toy", raw_horizon=1.0,
+        grids=[uniform_grid(11)] * 2, values=np.repeat([[1.0], [-1.0]], 11, axis=0),
+        system_tag="toy", raw_horizon=1.0,
     )
     rows = reverse_time_study(params, data, 1.0, (0.0,), SolverConfig("rk4", 1))
     level, horizon, error, n_diverged = rows[-1]
@@ -491,8 +491,8 @@ def _eight_rows_last_outgrowing():
     grid = uniform_grid(11)
     data = TrajectorySet(
         grids=[grid] * 8,
-        states=[np.full((11, 1), u) for u in (-1.0, -0.5, -2.0, -1.5, -0.8, -1.2, -0.3, 1.0)],
-        state_dim=1, system_tag="toy", raw_horizon=1.0,
+        values=np.repeat([-1.0, -0.5, -2.0, -1.5, -0.8, -1.2, -0.3, 1.0], 11)[:, None],
+        system_tag="toy", raw_horizon=1.0,
     )
     config = MlpConfig(state_dim=1, hidden_dims=(1,), embed_bands=1)
     # du/dt = 11.5 relu(u) - 0.5 grows the last row about 1e5-fold and
@@ -517,24 +517,24 @@ def test_streamed_studies_score_as_their_recorded_rollouts():
     times, solver = data.grids[0].times, SolverConfig("rk4", 1)
     u0 = np.stack([u[0] for u in data.states])
     report = evaluate_flow_model(flow, data, solver)
-    recorded = rollout(flow_field(flow), u0, times, solver)
-    assert np.array_equal(report.per_time, _recorded_per_time(recorded.states, data, slice(None)))
+    states, _ = recorded(rollout, flow_field(flow), u0, times, solver)
+    assert np.array_equal(report.per_time, _recorded_per_time(states, data, slice(None)))
     assert (report.final_time_error, report.nfe, report.n_diverged) == (11056.192207377575, 40, 1)
     assert final_time_error_at_budget(flow, data, "rk4", 40) == (11056.192207377575, 40)
 
     report = evaluate_one_step_model(one_step, data, data.uniform_step(), eval_stride=2)
-    recorded = ar_rollout(lambda x: forward_batch(one_step, 0.0, x), u0, times)
+    states, _ = recorded(ar_rollout, lambda x: forward_batch(one_step, 0.0, x), u0, times)
     assert np.array_equal(
-        report.per_time, _recorded_per_time(recorded.states[::2], data, slice(None, None, 2))
+        report.per_time, _recorded_per_time(states[::2], data, slice(None, None, 2))
     )
     assert (report.final_time_error, report.nfe, report.n_diverged) == (1192.537801872725, 10, 1)
 
     rows = reverse_time_study(back, data, 1.0, (0.0, 0.1), solver)
     targets = np.arange(9, -1, -1)
     anchored = np.stack([u[-1] for u in data.states])
-    recorded = rollout_reverse(flow_field(back), anchored, 1.0, times[targets], solver)
+    states, _ = recorded(rollout_reverse, flow_field(back), anchored, 1.0, times[targets], solver)
     assert [e for level, _, e, _ in rows if level == 0.0] == list(
-        _recorded_per_time(recorded.states, data, targets)
+        _recorded_per_time(states, data, targets)
     )
     assert rows[-1][2:] == (9511.292282099415, 1)
     assert [n for *_, n in rows] == [1] * 20
@@ -554,7 +554,7 @@ def test_ar_evaluation_scores_each_trajectory_at_its_own_index():
     u0s, rates = (1.0, 3.0, -0.5), (1.5, 2.5, 1.0)
     truths = [u0 * rate ** np.arange(4.0)[:, None] for u0, rate in zip(u0s, rates)]
     data = TrajectorySet(
-        grids=[grid] * 3, states=truths, state_dim=1, system_tag="toy", raw_horizon=1.0,
+        grids=[grid] * 3, values=np.concatenate(truths), system_tag="toy", raw_horizon=1.0,
     )
     report = evaluate_one_step_model(params, data, data.uniform_step())
     own = [relative_l2(u0 * 2.0 ** np.arange(4.0)[:, None], truth)
@@ -567,8 +567,7 @@ def _on_two_grids():
     grid = uniform_grid(5)
     return TrajectorySet(
         grids=[grid, TimeGrid(times=[0.0, 0.2, 0.5, 0.6, 1.0]), grid],
-        states=[np.full((5, 1), 1.0 + i) for i in range(3)],
-        state_dim=1, system_tag="toy", raw_horizon=1.0,
+        values=np.repeat([[1.0], [2.0], [3.0]], 5, axis=0), system_tag="toy", raw_horizon=1.0,
     )
 
 
@@ -626,8 +625,8 @@ def test_one_step_evaluation_runs_only_on_its_training_step():
 
     def on(grid):
         return TrajectorySet(
-            grids=[grid] * 2, states=[np.full((len(grid), 1), u) for u in (1.0, 2.0)],
-            state_dim=1, system_tag="toy", raw_horizon=1.0,
+            grids=[grid] * 2, values=np.repeat([[1.0], [2.0]], len(grid), axis=0),
+            system_tag="toy", raw_horizon=1.0,
         )
 
     with pytest.raises(InvalidArgumentError, match="uniform"):
@@ -684,7 +683,7 @@ def test_quintic_beats_linear_loss_on_subsampled_lorenz(subsampled_lorenz):
     # horizon * lorenz_rhs(x) in normalized time, on held-out snapshots.
     _, sub, held_out, quintic = subsampled_lorenz
     t = np.concatenate([g.times for g in held_out.grids])
-    x = np.concatenate(held_out.states)
+    x = held_out.values
     v_true = held_out.raw_horizon * lorenz_rhs(x)
     wins = 0
     for seed in (0, 1, 2):
