@@ -38,9 +38,11 @@ from .evaluation import (
 from .odeint import SolverConfig
 from .systems import (
     LORENZ_SUBSTEPS, BurgersConfig, burgers_substeps, generate_burgers, generate_lorenz,
+    generation_parts,
 )
 from .trainer import TrainConfig, train_flow_matching, train_one_step
-from .vector_field import MlpConfig, load_checkpoint, row_parts, save_checkpoint
+from .vector_field import PART_ROWS, MlpConfig, load_checkpoint, save_checkpoint
+from .workers import row_parts
 
 OUTPUT_ROOT_ENV = "SPLINEFLOW_OUTPUT_ROOT"
 
@@ -241,6 +243,7 @@ def cmd_gen_data(options: dict, fp: str) -> int:
     }
     if not table:
         raise InvalidArgumentError("all split sizes are zero; nothing to generate")
+    start = time.perf_counter()
     if system == "lorenz":
         splits = generate_lorenz(
             None,
@@ -262,6 +265,7 @@ def cmd_gen_data(options: dict, fp: str) -> int:
         )
         if substeps is None:  # the generator has checked the inputs the bound's count reads
             substeps = burgers_substeps(config, horizon / (n_times - 1))
+    rollout_s = time.perf_counter() - start
 
     meta = {
         "fingerprint": fp,
@@ -279,7 +283,12 @@ def cmd_gen_data(options: dict, fp: str) -> int:
 
     out = options["out"] or _out_dir(options) / f"{system}_seed{seed}.sftraj"
     datafile.write_dataset(out, splits, generator_meta=meta)
-    print(f"wrote {out} ({', '.join(f'{k}={v.n_traj}' for k, v in splits.items())}) fingerprint={fp}")
+    first = next(iter(splits.values()))
+    parts = generation_parts(first.system_tag, sum(counts.values()), first.state_dim)
+    print(
+        f"wrote {out} ({', '.join(f'{k}={v.n_traj}' for k, v in splits.items())}) "
+        f"{_study_cost(rollout_s, parts)} fingerprint={fp}"
+    )
     return 0
 
 
@@ -361,9 +370,9 @@ def _train_common(options: dict, fp: str, autoregressive: bool) -> int:
     return 0
 
 
-def _study_cost(rollout_s: float, dataset) -> str:
-    """Stdout fields of a study: its wall time, and the parts its largest batch split into."""
-    return f"rollout_s={rollout_s:.3f} workers={row_parts(dataset.n_traj)}"
+def _study_cost(rollout_s: float, workers: int) -> str:
+    """Stdout fields of a command's rollouts: their wall time and their batch's row parts."""
+    return f"rollout_s={rollout_s:.3f} workers={workers}"
 
 
 def cmd_eval(options: dict, fp: str) -> int:
@@ -404,7 +413,7 @@ def cmd_eval(options: dict, fp: str) -> int:
     print(
         f"split={options['split']} mean={report.mean:.4e} sd={report.sd:.4e} "
         f"final={report.final_time_error:.4e} nfe={report.nfe} n_diverged={report.n_diverged} "
-        f"{_study_cost(rollout_s, dataset)} -> {out}"
+        f"{_study_cost(rollout_s, row_parts(dataset.n_traj, PART_ROWS))} -> {out}"
     )
     return 0
 
@@ -468,7 +477,7 @@ def cmd_nfe_sweep(options: dict, fp: str) -> int:
             f"{method:6s} {pct:4d}% nfe={report.nfe:5d} final-time rel L2 = "
             f"{report.final_time_error:.4e} n_diverged={report.n_diverged}"
         )
-    print(f"{_study_cost(rollout_s, dataset)} -> {out}")
+    print(f"{_study_cost(rollout_s, row_parts(dataset.n_traj, PART_ROWS))} -> {out}")
     return 0
 
 
@@ -498,7 +507,7 @@ def cmd_reverse(options: dict, fp: str) -> int:
     horizons = len(rows) // len(options["noise_levels"])  # rows per noise level
     print(
         f"{len(rows)} rows n_diverged={','.join(str(n) for *_, n in rows[::horizons])} "
-        f"{_study_cost(rollout_s, dataset)} -> {out}"
+        f"{_study_cost(rollout_s, row_parts(dataset.n_traj, PART_ROWS))} -> {out}"
     )
     return 0
 

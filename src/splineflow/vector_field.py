@@ -17,16 +17,11 @@ dimensions. A scalar time shared by a whole batch (every rollout call) is
 embedded once and broadcast across the rows.
 
 `forward_batch` splits a batch of 2 * PART_ROWS rows or more into
-`row_parts` contiguous row parts, one per CPU the process may run on
-(`os.sched_getaffinity`), and sweeps them at once: numpy releases the GIL
-in matmuls and ufunc loops. The calling thread sweeps the first part and
-worker threads the others, each into its rows of one output array. The
-workers are made at the first split, never at import (a forked child
-makes its own). They run only `_sweep`, which the calling thread hands
-them and which calls numpy alone: no function of this package runs off
-the main thread, so a wrapper installed on a module attribute (the span
-sites of splinebench, whose spans must nest) sees every call on the
-thread that made it.
+contiguous row parts, one per usable CPU, on the package's one worker
+pool (`workers`). The calling thread sweeps the first part and the
+workers the others, each into its rows of one output array. A worker
+runs `_sweep` alone, which calls numpy and is no span site, so the span
+sites of splinebench see every call on the thread that made it.
 
 The parts' outputs are bit-identical to one sweep of the whole batch
 because each row meets the BLAS kernels in the same place. A scan of 1
@@ -45,17 +40,16 @@ the UTF-8 JSON of {"format_version": 2, "mlp": the MlpConfig fields,
 from __future__ import annotations
 
 import json
-import os
 import zipfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DataFormatError, InvalidArgumentError, NumericError
+from .workers import row_parts, split_rows
 
 CHECKPOINT_VERSION = 2
 PART_ROWS = 160  # fewest rows of a part of a split forward pass (module docstring)
-_workers = None  # the thread pool of split forward passes, made at the first split
 
 
 def time_embedding(t, bands: int) -> np.ndarray:
@@ -174,56 +168,22 @@ def _sweep(
     return h
 
 
-def row_parts(rows: int) -> int:
-    """The number of parts `forward_batch` splits a batch of `rows` rows into."""
-    if rows < 2 * PART_ROWS:
-        return 1
-    return min(len(os.sched_getaffinity(0)), rows // PART_ROWS)
-
-
-def _forget_workers() -> None:
-    global _workers
-    _workers = None  # a forked child has none of the parent's threads
-
-
-os.register_at_fork(after_in_child=_forget_workers)
-
-
-def _split_sweep(params: VectorFieldParams, x: np.ndarray, parts: int) -> np.ndarray:
-    """`_sweep` of x as `parts` row parts swept at once (module docstring)."""
-    global _workers
-    if _workers is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        cpus = len(os.sched_getaffinity(0))
-        _workers = ThreadPoolExecutor(max_workers=cpus - 1, thread_name_prefix="forward_batch")
-    size = len(x) // parts // 8 * 8  # >= PART_ROWS, itself a multiple of 8
-    cuts = [*range(0, parts * size, size), len(x)]
-    out = np.empty((len(x), params.config.state_dim))
-    pending = [
-        _workers.submit(_sweep, params, x[lo:hi], None, out[lo:hi])
-        for lo, hi in zip(cuts[1:-1], cuts[2:])
-    ]
-    try:
-        _sweep(params, x[: cuts[1]], out=out[: cuts[1]])
-    finally:
-        for part in pending:
-            part.result()
-    return out
-
-
 def forward_batch(params: VectorFieldParams, ts, states) -> np.ndarray:
     """Network output for a batch; states (B, d), ts scalar or (B,).
 
-    A batch of 2 * PART_ROWS rows or more is swept in `row_parts` parts at
-    once (module docstring).
+    A batch of 2 * PART_ROWS rows or more is swept in row parts at once
+    (module docstring).
     """
     states = np.asarray(states, dtype=np.float64)
     x = _assemble_input(params.config, ts, states)
     if not np.isfinite(x).all():
         raise NumericError("non-finite network input")
-    parts = row_parts(len(x))
-    return _sweep(params, x) if parts == 1 else _split_sweep(params, x, parts)
+    parts = row_parts(len(x), PART_ROWS)
+    if parts == 1:
+        return _sweep(params, x)
+    out = np.empty((len(x), params.config.state_dim))
+    split_rows(lambda lo, hi: _sweep(params, x[lo:hi], None, out[lo:hi]), len(x), parts, align=8)
+    return out
 
 
 def loss_and_grad(params: VectorFieldParams, batch):

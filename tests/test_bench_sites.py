@@ -10,10 +10,12 @@ must end in one `build_report`, the span site of report building.
 
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 from splineflow import (
-    MlpConfig, SolverConfig, evaluation, generate_lorenz, init_params, vector_field,
+    MlpConfig, SolverConfig, cli, evaluation, generate_lorenz, init_params, systems, vector_field,
+    workers,
 )
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "splinebench" / "spans.py"
@@ -101,16 +103,49 @@ def test_spans_nest_around_a_split_forward_pass(monkeypatch):
     # workers run no span site, so every span opens and closes on the
     # calling thread and nests in the rollout that called it
     spans = _load_spans()
-    monkeypatch.setattr(vector_field.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 1})
     data = generate_lorenz(320, 6, seed=5)
     flow = init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0)
     tracer = spans.Tracer()
     tracer.enabled = True
     with spans.instrument(tracer, full=True):
         evaluation.evaluate_flow_model(flow, data, SolverConfig("rk4", 1))
-    assert vector_field.row_parts(data.n_traj) == 2
+    assert workers.row_parts(data.n_traj, vector_field.PART_ROWS) == 2
     recorded = tracer.spans()
     forward = [s for s in recorded if s.name == "vector_field.forward_batch"]
     assert len(forward) == 5 * 4
     assert {recorded[s.parent].name for s in forward} == {"odeint.rollout"}
+    assert spans.partition_error(recorded, range(len(recorded))) < 1e-9
+
+
+def test_spans_nest_around_a_split_generation(monkeypatch, tmp_path):
+    # 400 Burgers rows integrate in two parts; the workers run no span
+    # site, so every span of gen-data opens and closes on the calling thread
+    spans = _load_spans()
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 1})
+    tracer = spans.Tracer()
+    tracer.enabled = True
+    threads = []
+
+    def on_thread(edge):
+        def record_thread(*name):
+            threads.append(threading.get_ident())
+            edge(*name)
+
+        return record_thread
+
+    monkeypatch.setattr(tracer, "begin", on_thread(tracer.begin))
+    monkeypatch.setattr(tracer, "end", on_thread(tracer.end))
+    with spans.instrument(tracer, full=True), tracer.span("cli.gen-data"):
+        assert cli.main([
+            "gen-data", "--system", "burgers1d", "--n-train", "400", "--n-val", "0",
+            "--n-test", "0", "--n-times", "11", "--horizon", "0.1",
+            "--out", str(tmp_path / "burgers.sftraj"),
+        ]) == 0
+    assert systems.generation_parts("burgers1d", 400, 100) == 2
+    recorded = tracer.spans()
+    assert [s.name for s in recorded] == [
+        "cli.gen-data", "systems.generate", "datafile.write_dataset",
+    ]
+    assert threads == [threading.get_ident()] * 2 * len(recorded)
     assert spans.partition_error(recorded, range(len(recorded))) < 1e-9

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from splineflow import (
-    DataFormatError, TrajectorySet, cli, datafile, generate_lorenz, trainer, uniform_grid,
+    DataFormatError, TrajectorySet, cli, datafile, generate_lorenz, trainer, uniform_grid, workers,
 )
 from splineflow.vector_field import (
     MlpConfig, VectorFieldParams, init_params, load_checkpoint, save_checkpoint,
@@ -399,6 +399,41 @@ def test_diverged_gen_data_counts_rows_per_split_and_writes_nothing(tmp_path, ca
     )
     total, train, val = map(int, found.groups())
     assert train > 0 and val > 0 and total == train + val
+
+
+def _gen_burgers(out, train, val, test, n_times, horizon, *extra):
+    return cli.main([
+        "gen-data", "--system", "burgers1d", "--n-train", str(train), "--n-val", str(val),
+        "--n-test", str(test), "--n-times", str(n_times), "--horizon", str(horizon),
+        "--out", str(out), *extra,
+    ])
+
+
+def test_split_diverged_gen_data_exits_3_as_one_part_does(tmp_path, capsys, monkeypatch):
+    # one RK4 substep per 0.007875 s interval: some rows of each split blow up
+    out = tmp_path / "burgers.sftraj"
+    errors = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        assert _gen_burgers(out, 300, 40, 60, 41, 0.315, "--gen-substeps", "1") == 3
+        assert not out.exists()
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert re.search(r"\d+ of 400 rows \(train \d+, val \d+, test \d+\) diverged", errors[0])
+
+
+def test_gen_data_stdout_reports_rollout_time_and_workers(tmp_path, capsys, monkeypatch):
+    # 400 Burgers rows integrate in two parts on two CPUs, into the same
+    # file; the cost goes to stdout only, never into the dataset
+    path, files = tmp_path / "burgers.sftraj", []
+    for cpus in (1, 2):
+        monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        assert _gen_burgers(path, 300, 40, 60, 11, 0.1) == 0
+        out = capsys.readouterr().out
+        assert re.search(rf"\) rollout_s=\d+\.\d{{3}} workers={cpus} fingerprint=", out), out
+        files.append(path.read_bytes())
+    assert files[0] == files[1]
+    assert b"rollout_s" not in files[0]
 
 
 _USELESS_GEN_DATA = [

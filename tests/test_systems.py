@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from splineflow import (
     sample_grf_initial,
     datafile,
     systems,
+    workers,
 )
 from splineflow.systems import burgers_substeps, grf_mode_std
 from splineflow.timegrid import subsample_indices
@@ -180,6 +183,80 @@ def test_lorenz_generation_integrates_component_major(monkeypatch):
     generate_lorenz(8, 11, seed=0)
     assert len(layouts) == 10 * 10 * 4
     assert all(layouts)
+
+
+def _cpus(monkeypatch, n):
+    """Let the worker pool see n CPUs."""
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.mark.parametrize("rows, parts_on_4", [(400, 2), (600, 3), (601, 3)])
+def test_a_split_burgers_generation_equals_one_part(monkeypatch, rows, parts_on_4):
+    # rows never interact and the right-hand side works row by row, so
+    # parts integrated at once give the bytes of one part; a part holds
+    # at least 2^14 / nx = 164 rows
+    _cpus(monkeypatch, 1)
+    whole = generate_burgers(rows, 11, seed=rows, horizon_seconds=0.1)
+    for cpus, parts in ((2, 2), (4, parts_on_4)):
+        _cpus(monkeypatch, cpus)
+        assert systems.generation_parts("burgers1d", rows, 100) == parts
+        split = generate_burgers(rows, 11, seed=rows, horizon_seconds=0.1)
+        assert np.array_equal(split.values, whole.values)
+
+
+def test_split_boundaries_inside_a_part_keep_every_split_byte_equal(monkeypatch):
+    # 600 rows in parts of 300 (2 CPUs) or 200 (4 CPUs): the train/val
+    # and val/test boundaries at rows 250 and 270 fall inside parts, and
+    # part boundaries fall inside the train and test splits
+    table = {"train": (250, 3), "val": (20, 4), "test": (330, 5)}
+    _cpus(monkeypatch, 1)
+    whole = generate_burgers(None, 11, horizon_seconds=0.1, splits=table)
+    for cpus in (2, 4):
+        _cpus(monkeypatch, cpus)
+        split = generate_burgers(None, 11, horizon_seconds=0.1, splits=table)
+        for name in table:
+            assert np.array_equal(split[name].values, whole[name].values), (cpus, name)
+
+
+def test_a_lorenz_generation_forced_to_split_equals_one_part(monkeypatch):
+    # a component-major Lorenz step reads one entry per row, so no real
+    # Lorenz batch reaches 2 x 2^14 entries; parts of 4 entries force it
+    # to split, and every part stays component-major
+    table = {"train": (13, 1), "test": (8, 2)}
+    layouts = []
+
+    def spy(state):
+        layouts.append(state.flags.f_contiguous and not state.flags.c_contiguous)
+        return lorenz_rhs(state)
+
+    monkeypatch.setattr(systems, "lorenz_rhs", spy)
+    _cpus(monkeypatch, 1)
+    whole = generate_lorenz(None, 11, splits=table)
+    monkeypatch.setattr(systems, "PART_ENTRIES", 4)
+    for cpus, parts in ((1, 1), (2, 2), (4, 4)):
+        _cpus(monkeypatch, cpus)
+        assert systems.generation_parts("lorenz", 21, 3) == parts
+        split = generate_lorenz(None, 11, splits=table)
+        for name in table:
+            assert np.array_equal(split[name].values, whole[name].values), (cpus, name)
+    assert all(layouts)
+
+
+def test_a_split_generation_that_diverges_counts_rows_per_split_as_one_part(monkeypatch):
+    # one RK4 substep per 0.007875 s interval is just past the diffusive
+    # bound: some rows of each split blow up and others do not, and the
+    # parts' flags join in row order
+    table = {"train": (300, 1), "val": (40, 2), "test": (60, 3)}
+    messages = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        assert systems.generation_parts("burgers1d", 400, 100) == cpus
+        with pytest.raises(DivergedError) as raised:
+            generate_burgers(None, 41, horizon_seconds=0.315, substeps=1, splits=table)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+    counts = re.search(r"of 400 rows \(train (\d+), val (\d+), test (\d+)\)", messages[0]).groups()
+    assert all(0 < int(n) < table[name][0] for name, n in zip(table, counts)), counts
 
 
 def test_split_tables_name_every_split_once_with_rows():

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from splineflow import vector_field
+from splineflow import cli, vector_field, workers
 from splineflow import (
     DataFormatError,
     InvalidArgumentError,
@@ -80,15 +80,19 @@ def test_shared_time_matches_per_row_times():
 
 
 def _cpus(monkeypatch, n):
-    """Let forward_batch see n CPUs."""
-    monkeypatch.setattr(vector_field.os, "sched_getaffinity", lambda pid: set(range(n)))
+    """Let the worker pool see n CPUs."""
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _forward_parts(rows):
+    return workers.row_parts(rows, vector_field.PART_ROWS)
 
 
 def test_row_parts_follow_the_cpus_and_the_part_size():
     for cpus, rows, parts in [(2, 319, 1), (2, 320, 2), (2, 6000, 2), (4, 600, 3), (1, 6000, 1)]:
         with pytest.MonkeyPatch.context() as monkeypatch:
             _cpus(monkeypatch, cpus)
-            assert vector_field.row_parts(rows) == parts
+            assert _forward_parts(rows) == parts
 
 
 @pytest.mark.parametrize("d, rows", [(100, 600), (100, 601), (100, 320), (3, 400), (3, 402)])
@@ -100,9 +104,9 @@ def test_a_split_forward_pass_equals_one_sweep(monkeypatch, d, rows):
     whole = vector_field._sweep(params, vector_field._assemble_input(params.config, 0.37, u))
     for cpus in (1, 2):
         _cpus(monkeypatch, cpus)
-        assert vector_field.row_parts(rows) == cpus
+        assert _forward_parts(rows) == cpus
         assert np.array_equal(forward_batch(params, 0.37, u), whole)
-    assert vector_field._workers is not None
+    assert workers._pool is not None
 
 
 def test_split_forward_passes_hold_under_frequent_thread_switches(monkeypatch):
@@ -110,7 +114,7 @@ def test_split_forward_passes_hold_under_frequent_thread_switches(monkeypatch):
     # 2-core host has cores), with the interpreter switching threads as
     # often as it can
     _cpus(monkeypatch, 4)
-    monkeypatch.setattr(vector_field, "_workers", None)
+    monkeypatch.setattr(workers, "_pool", None)
     params = init_params(MlpConfig(state_dim=100), seed=5)
     u = np.random.default_rng(0).standard_normal((640, 100))
     whole = vector_field._sweep(params, vector_field._assemble_input(params.config, 0.37, u))
@@ -128,18 +132,28 @@ def test_split_forward_passes_hold_under_frequent_thread_switches(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not runner.is_alive()
-    assert vector_field.row_parts(640) == 4
+    assert _forward_parts(640) == 4
     assert same == [True] * 40
-    vector_field._workers.shutdown()
+    workers._pool.shutdown()
 
 
-def test_a_batch_too_small_to_split_starts_no_thread(monkeypatch):
+def test_a_batch_too_small_to_split_starts_no_thread(monkeypatch, tmp_path):
+    # a forward pass under 2 * PART_ROWS rows, a default-size gen-data of
+    # either system, and the gen-data commands of the benchmark's Lorenz
+    # workloads (train and validation 1000 + 100, test 400 or 100)
     _cpus(monkeypatch, 2)
-    monkeypatch.setattr(vector_field, "_workers", None)
+    monkeypatch.setattr(workers, "_pool", None)
     params = init_params(MlpConfig(state_dim=100), seed=5)
     threads = threading.active_count()
     forward_batch(params, 0.37, np.ones((319, 100)))
-    assert vector_field._workers is None
+    out = str(tmp_path / "data.sftraj")
+    for system in ("lorenz", "burgers1d"):
+        assert cli.main(["gen-data", "--system", system, "--out", out]) == 0
+    for train, val, test in (("1000", "100", "0"), ("0", "0", "400"), ("0", "0", "100")):
+        assert cli.main([
+            "gen-data", "--n-train", train, "--n-val", val, "--n-test", test, "--out", out,
+        ]) == 0
+    assert workers._pool is None
     assert threading.active_count() == threads
 
 
