@@ -36,13 +36,9 @@ from .evaluation import (
     reverse_time_study,
 )
 from .odeint import SolverConfig
-from .systems import (
-    LORENZ_SUBSTEPS, BurgersConfig, burgers_substeps, generate_burgers, generate_lorenz,
-    generation_parts,
-)
+from .systems import LORENZ_SUBSTEPS, BurgersConfig, burgers_substeps, generate_burgers, generate_lorenz
 from .trainer import TrainConfig, train_flow_matching, train_one_step
-from .vector_field import PART_ROWS, MlpConfig, load_checkpoint, save_checkpoint
-from .workers import row_parts
+from .vector_field import MlpConfig, load_checkpoint, save_checkpoint
 
 OUTPUT_ROOT_ENV = "SPLINEFLOW_OUTPUT_ROOT"
 
@@ -223,6 +219,16 @@ def _load_model(path: str, dataset, flow: bool | None = None):
     return params, meta["grid_step"]
 
 
+def _clock():
+    """Start a command's clock; the returned call gives the stdout fields of its cost.
+
+    The fields are the wall and CPU seconds since the start. Process CPU
+    time counts every thread, the worker pool's too.
+    """
+    wall, cpu = time.perf_counter(), time.process_time()
+    return lambda: f"rollout_s={time.perf_counter() - wall:.3f} cpu_s={time.process_time() - cpu:.3f}"
+
+
 def cmd_gen_data(options: dict, fp: str) -> int:
     system = options["system"]
     if system not in SYSTEM_DEFAULTS:
@@ -243,7 +249,7 @@ def cmd_gen_data(options: dict, fp: str) -> int:
     }
     if not table:
         raise InvalidArgumentError("all split sizes are zero; nothing to generate")
-    start = time.perf_counter()
+    clock = _clock()
     if system == "lorenz":
         splits = generate_lorenz(
             None,
@@ -265,7 +271,7 @@ def cmd_gen_data(options: dict, fp: str) -> int:
         )
         if substeps is None:  # the generator has checked the inputs the bound's count reads
             substeps = burgers_substeps(config, horizon / (n_times - 1))
-    rollout_s = time.perf_counter() - start
+    cost = clock()
 
     meta = {
         "fingerprint": fp,
@@ -283,11 +289,9 @@ def cmd_gen_data(options: dict, fp: str) -> int:
 
     out = options["out"] or _out_dir(options) / f"{system}_seed{seed}.sftraj"
     datafile.write_dataset(out, splits, generator_meta=meta)
-    first = next(iter(splits.values()))
-    parts = generation_parts(first.system_tag, sum(counts.values()), first.state_dim)
     print(
         f"wrote {out} ({', '.join(f'{k}={v.n_traj}' for k, v in splits.items())}) "
-        f"{_study_cost(rollout_s, parts)} fingerprint={fp}"
+        f"{cost} fingerprint={fp}"
     )
     return 0
 
@@ -370,15 +374,10 @@ def _train_common(options: dict, fp: str, autoregressive: bool) -> int:
     return 0
 
 
-def _study_cost(rollout_s: float, workers: int) -> str:
-    """Stdout fields of a command's rollouts: their wall time and their batch's row parts."""
-    return f"rollout_s={rollout_s:.3f} workers={workers}"
-
-
 def cmd_eval(options: dict, fp: str) -> int:
     dataset, _ = _load_split(options["dataset"], options["split"])
     params, grid_step = _load_model(options["checkpoint"], dataset)
-    start = time.perf_counter()
+    clock = _clock()
     if grid_step is None:
         solver = SolverConfig(method=options["method"], substeps_per_interval=options["substeps"])
         report = evaluate_flow_model(params, dataset, solver, eval_stride=options["eval_stride"])
@@ -386,7 +385,7 @@ def cmd_eval(options: dict, fp: str) -> int:
         report = evaluate_one_step_model(
             params, dataset, grid_step, eval_stride=options["eval_stride"]
         )
-    rollout_s = time.perf_counter() - start
+    cost = clock()
     out = options["out"] or _out_dir(options) / "eval_report.csv"
     _write_csv(
         out,
@@ -413,7 +412,7 @@ def cmd_eval(options: dict, fp: str) -> int:
     print(
         f"split={options['split']} mean={report.mean:.4e} sd={report.sd:.4e} "
         f"final={report.final_time_error:.4e} nfe={report.nfe} n_diverged={report.n_diverged} "
-        f"{_study_cost(rollout_s, row_parts(dataset.n_traj, PART_ROWS))} -> {out}"
+        f"{cost} -> {out}"
     )
     return 0
 
@@ -455,7 +454,7 @@ def cmd_nfe_sweep(options: dict, fp: str) -> int:
     ar_checkpoint = options["ar_checkpoint"]
     ar_model = _load_model(ar_checkpoint, dataset, flow=False) if ar_checkpoint else None
     runs, reports = [], []  # (method, budget_pct) and the report of each row
-    start = time.perf_counter()
+    clock = _clock()
     if ar_model:
         reports.append(evaluate_one_step_model(ar_model[0], dataset, ar_model[1]))
         runs.append(("ar", 100))
@@ -464,7 +463,7 @@ def cmd_nfe_sweep(options: dict, fp: str) -> int:
             budget = max(1, int(round(intervals * pct / 100.0)))
             final_time_error_at_budget(params, dataset, method, budget, reports)
             runs.append((method, pct))
-    rollout_s = time.perf_counter() - start
+    cost = clock()
     out = options["out"] or _out_dir(options) / "nfe_sweep.csv"
     _write_csv(
         out,
@@ -477,7 +476,7 @@ def cmd_nfe_sweep(options: dict, fp: str) -> int:
             f"{method:6s} {pct:4d}% nfe={report.nfe:5d} final-time rel L2 = "
             f"{report.final_time_error:.4e} n_diverged={report.n_diverged}"
         )
-    print(f"{_study_cost(rollout_s, row_parts(dataset.n_traj, PART_ROWS))} -> {out}")
+    print(f"{cost} -> {out}")
     return 0
 
 
@@ -487,7 +486,7 @@ def cmd_reverse(options: dict, fp: str) -> int:
     if not (0.0 <= options["t_star"] <= 1.0):
         raise InvalidArgumentError("t_star must lie in [0, 1]")
     solver = SolverConfig(method=options["method"], substeps_per_interval=options["substeps"])
-    start = time.perf_counter()
+    clock = _clock()
     rows = reverse_time_study(
         params,
         dataset,
@@ -496,7 +495,7 @@ def cmd_reverse(options: dict, fp: str) -> int:
         solver=solver,
         seed=options["seed"],
     )
-    rollout_s = time.perf_counter() - start
+    cost = clock()
     out = options["out"] or _out_dir(options) / "reverse.csv"
     _write_csv(
         out,
@@ -507,7 +506,7 @@ def cmd_reverse(options: dict, fp: str) -> int:
     horizons = len(rows) // len(options["noise_levels"])  # rows per noise level
     print(
         f"{len(rows)} rows n_diverged={','.join(str(n) for *_, n in rows[::horizons])} "
-        f"{_study_cost(rollout_s, row_parts(dataset.n_traj, PART_ROWS))} -> {out}"
+        f"{cost} -> {out}"
     )
     return 0
 

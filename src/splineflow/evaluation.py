@@ -50,7 +50,7 @@ DIVERGENCE_FACTOR = 1e3
 
 
 def flow_field(params: VectorFieldParams):
-    """The learned right-hand side as f(t, u) on (B, d) states."""
+    """The network as f(t, u) on (B, d) states; a one-step model has no time input and ignores t."""
     return lambda t, u: forward_batch(params, t, u)
 
 
@@ -87,7 +87,7 @@ class _Scores:
         self.curves[:, column] = np.sqrt(sq_error) / np.sqrt(sq_truth)
         self.sq_error += sq_error
         self.sq_truth += sq_truth
-        np.maximum(self.truth_peak, np.einsum("bd,bd->b", truth, truth), out=self.truth_peak)
+        np.maximum(self.truth_peak, sq_truth, out=self.truth_peak)
         np.maximum(self.peak, np.einsum("bd,bd->b", u, u), out=self.peak)
 
     def report(self, result: RolloutResult) -> EvalReport:
@@ -137,8 +137,7 @@ def evaluate_one_step_model(
             scores(k // eval_stride, u)
 
     u0 = dataset.stacked()[:, 0]
-    result = ar_rollout(lambda x: forward_batch(params, 0.0, x), u0, grid.times, record=record)
-    return scores.report(result)
+    return scores.report(ar_rollout(flow_field(params), u0, grid.times, record=record))
 
 
 def final_time_error_at_budget(

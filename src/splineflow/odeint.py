@@ -195,15 +195,15 @@ def rollout_reverse(
     )
 
 
-def ar_rollout(one_step_model, u0: np.ndarray, times, record) -> RolloutResult:
-    """Recursive one-step rollout u_{k+1} = F(u_k), one step per interval of times.
+def ar_rollout(f, u0: np.ndarray, times, record) -> RolloutResult:
+    """Recursive one-step rollout u_{k+1} = f(t_k, u_k), one step per interval of times.
 
-    nfe equals the number of intervals; rows that blow up are frozen and
-    flagged, and states handed to record, as in `rollout`.
+    f takes (t, u) like the field of `rollout`; a one-step network has no
+    time input and ignores t. nfe equals the number of intervals; rows
+    that blow up are frozen and flagged, and states handed to record, as
+    in `rollout`.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size < 1:
         raise InvalidArgumentError("need at least one rollout time")
-    return _integrate(
-        lambda fn, t, u, h: fn(t, u), lambda t, u: one_step_model(u), u0, times, 1, 1, record
-    )
+    return _integrate(lambda fn, t, u, h: fn(t, u), f, u0, times, 1, 1, record)

@@ -33,13 +33,16 @@ bit-identical to one part. A worker runs `rollout` and the right-hand
 side, neither a span site. A part holds enough rows for each array
 operation of a step to read PART_ENTRIES = 2^14 entries or more; below
 that, the GIL hand-offs of a step's many small operations cost more than
-the second CPU gives. An operation reads rows x nx entries of a
-row-major Burgers batch, but only rows of a component-major Lorenz one.
-One rollout in 2 parts on a 2-core x86-64 host (numpy 2.4.6) took this
-share of its time in 1 part: Burgers (nx = 100) 1.83 at 160 rows, 1.17
-at 220, 1.09 at 300, 0.83 at 400 and 0.57 at 600; Lorenz 4.94 at 1,100
-rows and 1.76 at 11,000. So a Burgers batch of 328 rows or more splits,
-and no Lorenz batch under 32,768 rows does.
+the second CPU gives. An operation reads as many entries per row as the
+batch's row stride spans, so the batch's own layout sets the floor: nx
+entries of a row-major Burgers batch (164 rows at nx = 100), but one of
+a component-major Lorenz batch (16,384 rows). One rollout in 2 parts on
+a 2-core x86-64 host (numpy 2.4.6) took this share of its time in 1
+part: Burgers (nx = 100) 1.83 at 160 rows, 1.17 at 220, 1.09 at 300,
+0.83 at 400 and 0.57 at 600; Lorenz 4.94 at 1,100 rows and 1.76 at
+11,000. So a Burgers batch of 328 rows or more splits, and no Lorenz
+batch under 32,768 rows does. `gen-data` reports the wall and CPU time
+the generation took, not the parts it was cut into.
 
 Both right-hand sides run on every RK4 stage of generation, so they
 finish their terms in place in a few arrays allocated per call. Each
@@ -221,26 +224,15 @@ def _initial_batch(rows: dict, state_dim: int, draw, order: str) -> np.ndarray:
     return u0
 
 
-def generation_parts(system_tag: str, rows: int, state_dim: int) -> int:
-    """The row parts a generation of `rows` rows integrates in (module docstring).
-
-    A part's array operations each read its rows x state_dim entries of a
-    row-major (Burgers) batch, but only its rows of a component-major
-    (Lorenz) one.
-    """
-    per_row = 1 if system_tag == "lorenz" else state_dim
-    return row_parts(rows, -(-PART_ENTRIES // per_row))
-
-
 def _integrate_splits(rows, u0, rhs, n_times, horizon_seconds, substeps, system_tag, hint=""):
     """One RK4 rollout of the whole batch, cut back into one TrajectorySet per split.
 
-    A large batch is integrated in `generation_parts` row parts at once,
-    each recording into its rows of the one (B, n_times, d) buffer. More
-    than MAX_GENERATION_STEPS steps per row raise InvalidArgumentError
-    before any step; any diverged row raises DivergedError with the count
-    per named split. `hint` ends both messages. The one split None returns
-    its set, not a dict.
+    A large batch is integrated in row parts at once, each recording into
+    its rows of the one (B, n_times, d) buffer. More than
+    MAX_GENERATION_STEPS steps per row raise InvalidArgumentError before
+    any step; any diverged row raises DivergedError with the count per
+    named split. `hint` ends both messages. The one split None returns its
+    set, not a dict.
     """
     if (n_times - 1) * substeps > MAX_GENERATION_STEPS:
         raise InvalidArgumentError(
@@ -258,7 +250,10 @@ def _integrate_splits(rows, u0, rhs, n_times, horizon_seconds, substeps, system_
         record = lambda k, u: np.copyto(part[:, k], u)
         return rollout(lambda t, u: rhs(u), u0[lo:hi], times, solver, record).diverged
 
-    parts = generation_parts(system_tag, *u0.shape)
+    # a part's array operations read u0.strides[0] / u0.itemsize entries
+    # per row: d of a row-major batch, 1 of a component-major one
+    floor = -(-PART_ENTRIES * u0.itemsize // u0.strides[0])
+    parts = row_parts(len(u0), floor)
     diverged = np.concatenate(split_rows(integrate, len(u0), parts))
     if diverged.any():
         per_split = ", ".join(

@@ -181,7 +181,6 @@ def _optimize(params, draw_batch, score_validation, config: TrainConfig) -> Trai
     history = []
     best, best_step, best_val = None, 0, math.inf
     last_good, last_good_step = None, 0
-    evaluated = False
     for step_idx in range(1, config.steps + 1):
         batch = draw_batch()
         try:
@@ -208,13 +207,12 @@ def _optimize(params, draw_batch, score_validation, config: TrainConfig) -> Trai
             step_idx % config.eval_every == 0 or step_idx == config.steps
         ):
             val = score_validation(params)
-            evaluated = True
             if val < math.inf and val <= best_val:
                 best, best_step, best_val = params, step_idx, val
         history.append(HistoryRow(step=step_idx, train_loss=loss, val_error=val))
     if best is None:  # no validation ran, or every one had diverged rows
         best, best_step = params, config.steps
-        if not evaluated:
+        if score_validation is None:  # the last step validates whenever a scorer is given
             best_val = math.nan
     return TrainResult(params=best, history=history, best_step=best_step, best_val_error=best_val)
 

@@ -7,9 +7,13 @@ parts a batch gets, one per CPU the process may run on
 (`os.sched_getaffinity`) while every part keeps the fewest rows its
 caller names; `split_rows` runs them. The calling thread runs the first
 part and pool workers the others, and every part is joined before
-`split_rows` returns or raises. Each caller says why its parts give the
-bits one run of the whole batch gives: `vector_field.forward_batch` and
-generation (`systems`).
+`split_rows` returns or raises. Its two callers, and only they, import
+this module; each names its floor and says why its parts give the bits
+one run of the whole batch gives. `vector_field.forward_batch` splits at
+a fixed PART_ROWS, generation (`systems`) at a floor read from its
+batch's row stride. The commands never re-derive a split: they print the
+wall and process CPU time (`time.process_time`, every thread included)
+that their work took.
 
 The pool is made at the first split, never at import, and a forked
 child forgets the parent's (its threads do not exist there). Workers run

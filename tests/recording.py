@@ -1,6 +1,10 @@
-"""Rollouts keep no states; tests that read them all record them here."""
+"""Rollouts keep no states; tests that read them all record them here, and
+tests that read how generation cut its batch record each rollout's rows.
+"""
 
 import numpy as np
+
+from splineflow import systems
 
 
 def recorded(roll, f, u0, *args):
@@ -18,3 +22,20 @@ def recorded(roll, f, u0, *args):
 
     result = roll(f, u0, *args, record=record)
     return np.stack(states) if states else np.empty((0,) + np.shape(u0)), result
+
+
+def generation_rollout_rows(monkeypatch) -> list:
+    """The rows of each `systems.rollout` call from here on.
+
+    Generation integrates each row part of its batch in one such call. The
+    parts run at once on different threads, so they enter the list in any
+    order.
+    """
+    rows, real = [], systems.rollout
+
+    def spy(f, u0, *args, **kwargs):
+        rows.append(len(u0))
+        return real(f, u0, *args, **kwargs)
+
+    monkeypatch.setattr(systems, "rollout", spy)
+    return rows

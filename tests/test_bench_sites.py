@@ -14,9 +14,10 @@ import threading
 from pathlib import Path
 
 from splineflow import (
-    MlpConfig, SolverConfig, cli, evaluation, generate_lorenz, init_params, systems, vector_field,
-    workers,
+    MlpConfig, SolverConfig, cli, evaluation, generate_lorenz, init_params, vector_field, workers,
 )
+
+from recording import generation_rollout_rows
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "splinebench" / "spans.py"
 
@@ -136,13 +137,14 @@ def test_spans_nest_around_a_split_generation(monkeypatch, tmp_path):
 
     monkeypatch.setattr(tracer, "begin", on_thread(tracer.begin))
     monkeypatch.setattr(tracer, "end", on_thread(tracer.end))
+    calls = generation_rollout_rows(monkeypatch)
     with spans.instrument(tracer, full=True), tracer.span("cli.gen-data"):
         assert cli.main([
             "gen-data", "--system", "burgers1d", "--n-train", "400", "--n-val", "0",
             "--n-test", "0", "--n-times", "11", "--horizon", "0.1",
             "--out", str(tmp_path / "burgers.sftraj"),
         ]) == 0
-    assert systems.generation_parts("burgers1d", 400, 100) == 2
+    assert calls == [200, 200]
     recorded = tracer.spans()
     assert [s.name for s in recorded] == [
         "cli.gen-data", "systems.generate", "datafile.write_dataset",

@@ -13,6 +13,8 @@ from splineflow.vector_field import (
     MlpConfig, VectorFieldParams, init_params, load_checkpoint, save_checkpoint,
 )
 
+from recording import generation_rollout_rows
+
 
 @pytest.fixture
 def tiny_lorenz(tmp_path):
@@ -213,7 +215,7 @@ def test_sweep_csv_flags_rows_that_outgrow_their_truth(tmp_path):
     assert all(float(r["final_time_rel_l2"]) > 1e3 for r in rows)
 
 
-def test_study_stdout_reports_diverged_rows_rollout_time_and_workers(
+def test_study_stdout_reports_diverged_rows_and_rollout_wall_and_cpu_time(
     tiny_lorenz, tmp_path, capsys
 ):
     params = init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0)
@@ -232,7 +234,7 @@ def test_study_stdout_reports_diverged_rows_rollout_time_and_workers(
         ]) == 0
         out = capsys.readouterr().out
         assert re.findall(r"n_diverged=[\d,]+", out) == diverged, command
-        assert re.search(r"rollout_s=\d+\.\d{3} workers=1 -> ", out), command
+        assert re.search(r"rollout_s=\d+\.\d{3} cpu_s=\d+\.\d{3} -> ", out), command
         assert "rollout_s" not in (tmp_path / f"{command}.csv").read_text()
 
 
@@ -422,15 +424,18 @@ def test_split_diverged_gen_data_exits_3_as_one_part_does(tmp_path, capsys, monk
     assert re.search(r"\d+ of 400 rows \(train \d+, val \d+, test \d+\) diverged", errors[0])
 
 
-def test_gen_data_stdout_reports_rollout_time_and_workers(tmp_path, capsys, monkeypatch):
+def test_gen_data_stdout_reports_rollout_wall_and_cpu_time(tmp_path, capsys, monkeypatch):
     # 400 Burgers rows integrate in two parts on two CPUs, into the same
     # file; the cost goes to stdout only, never into the dataset
     path, files = tmp_path / "burgers.sftraj", []
-    for cpus in (1, 2):
+    calls = generation_rollout_rows(monkeypatch)
+    for cpus, parts in ((1, [400]), (2, [200, 200])):
         monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        calls.clear()
         assert _gen_burgers(path, 300, 40, 60, 11, 0.1) == 0
+        assert calls == parts
         out = capsys.readouterr().out
-        assert re.search(rf"\) rollout_s=\d+\.\d{{3}} workers={cpus} fingerprint=", out), out
+        assert re.search(r"\) rollout_s=\d+\.\d{3} cpu_s=\d+\.\d{3} fingerprint=", out), out
         files.append(path.read_bytes())
     assert files[0] == files[1]
     assert b"rollout_s" not in files[0]

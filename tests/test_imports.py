@@ -1,5 +1,6 @@
-"""Every name a module of splineflow imports is used in that module, and
-importing the CLI starts no thread.
+"""Every name a module of splineflow imports is used in that module, only
+the callers of the worker pool import it, and importing the CLI starts no
+thread.
 
 The package has no linter to run; this parses each module with `ast`.
 `__init__.py` is exempt: its imports are the package's re-exports.
@@ -44,6 +45,23 @@ def test_the_scan_finds_an_unused_import_and_has_modules_to_scan():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def package_imports(source: str) -> set:
+    """The splineflow modules the module's relative imports read from."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.update([node.module] if node.module else (alias.name for alias in node.names))
+    return names
+
+
+def test_only_the_two_row_splits_import_the_worker_pool():
+    # vector_field and systems each own the floor of their split; the
+    # commands report the time their work took and never re-derive the parts
+    assert package_imports("from .workers import row_parts\nfrom . import workers\n") == {"workers"}
+    importers = {p.name for p in MODULES if "workers" in package_imports(p.read_text(encoding="utf-8"))}
+    assert importers == {"vector_field.py", "systems.py"}
 
 
 def test_importing_the_cli_starts_no_thread_pool():

@@ -207,7 +207,7 @@ def test_rollout_rejects_unbatched_state():
     with pytest.raises(InvalidArgumentError, match="batch"):
         recorded(rollout_reverse, decay, np.array([1.0]), 1.0, [0.0], solver)
     with pytest.raises(InvalidArgumentError, match="batch"):
-        recorded(ar_rollout, lambda u: u, np.array([1.0]), [0.0, 1.0])
+        recorded(ar_rollout, lambda t, u: u, np.array([1.0]), [0.0, 1.0])
 
 
 def test_reverse_recovers_smooth_flow():
@@ -255,9 +255,12 @@ def test_lorenz_roundtrip_quarter_second():
 
 
 def test_ar_rollout_identity_model():
-    times = np.linspace(0.0, 1.0, 6)
-    states, res = recorded(ar_rollout, lambda u: u, np.array([[1.0, 2.0]]), times)
+    # the model is called as f(t_k, u_k) at the start of each interval
+    times, seen = np.linspace(0.0, 1.0, 6), []
+    identity = lambda t, u: seen.append(t) or u
+    states, res = recorded(ar_rollout, identity, np.array([[1.0, 2.0]]), times)
     assert np.allclose(states, np.tile([1.0, 2.0], (6, 1, 1)))
+    assert seen == list(times[:-1])
     assert res.nfe == 5
 
 
@@ -268,7 +271,7 @@ def test_ar_rollout_perfect_oracle_reproduces_data():
     data, _ = recorded(rollout, decay, np.array([[1.0]]), times, solver)
     h = times[1] - times[0]
 
-    def oracle(u):
+    def oracle(t, u):
         out = u
         for _ in range(10):
             out = step("rk4", decay, 0.0, out, h / 10)
@@ -281,7 +284,7 @@ def test_ar_rollout_perfect_oracle_reproduces_data():
 def test_ar_rollout_divergence():
     # 1e3 ** 3 passes the 1e8 bound: the state is flagged and frozen at 1e6
     times = np.linspace(0.0, 1.0, 11)
-    states, res = recorded(ar_rollout, lambda u: u * 1e3, np.array([[1.0]]), times)
+    states, res = recorded(ar_rollout, lambda t, u: u * 1e3, np.array([[1.0]]), times)
     assert res.diverged.tolist() == [True]
     assert np.array_equal(states[2:], np.full((9, 1, 1), 1e6))
     assert res.nfe == 10
@@ -289,7 +292,7 @@ def test_ar_rollout_divergence():
 
 def test_ar_rollout_masks_rows_that_blow_up():
     u0 = np.array([[1.0], [-2.0], [0.01], [0.001]])
-    states, res = recorded(ar_rollout, lambda u: 1e3 * u, u0, np.linspace(0.0, 1.0, 4))
+    states, res = recorded(ar_rollout, lambda t, u: 1e3 * u, u0, np.linspace(0.0, 1.0, 4))
     # |u| grows 1e3x a step: the first two rows pass the 1e8 bound at step 3
     assert res.diverged.tolist() == [True, True, False, False]
     assert np.array_equal(states[3, :2], states[2, :2])
@@ -302,7 +305,7 @@ def test_row_check_flags_nan_inf_and_overflowing_rows_in_one_pass():
     # and on the alive rows alone once some rows are frozen.
     below = np.nextafter(DEFAULT_NORM_BOUND, 0.0)
 
-    def model(u):
+    def model(t, u):
         out = u.copy()
         key = u[:, 0]
         out[key == 1.0, 1] = np.nan

@@ -23,6 +23,8 @@ from splineflow import (
 from splineflow.systems import burgers_substeps, grf_mode_std
 from splineflow.timegrid import subsample_indices
 
+from recording import generation_rollout_rows
+
 
 def test_lorenz_equilibrium_at_origin():
     assert np.allclose(lorenz_rhs(np.zeros(3)), 0.0)
@@ -193,14 +195,16 @@ def _cpus(monkeypatch, n):
 @pytest.mark.parametrize("rows, parts_on_4", [(400, 2), (600, 3), (601, 3)])
 def test_a_split_burgers_generation_equals_one_part(monkeypatch, rows, parts_on_4):
     # rows never interact and the right-hand side works row by row, so
-    # parts integrated at once give the bytes of one part; a part holds
-    # at least 2^14 / nx = 164 rows
+    # parts integrated at once give the bytes of one part; a part of the
+    # row-major batch holds at least 2^14 / nx = 164 rows
     _cpus(monkeypatch, 1)
     whole = generate_burgers(rows, 11, seed=rows, horizon_seconds=0.1)
+    calls = generation_rollout_rows(monkeypatch)
     for cpus, parts in ((2, 2), (4, parts_on_4)):
         _cpus(monkeypatch, cpus)
-        assert systems.generation_parts("burgers1d", rows, 100) == parts
+        calls.clear()
         split = generate_burgers(rows, 11, seed=rows, horizon_seconds=0.1)
+        assert (len(calls), sum(calls)) == (parts, rows) and min(calls) >= 164, calls
         assert np.array_equal(split.values, whole.values)
 
 
@@ -233,10 +237,12 @@ def test_a_lorenz_generation_forced_to_split_equals_one_part(monkeypatch):
     _cpus(monkeypatch, 1)
     whole = generate_lorenz(None, 11, splits=table)
     monkeypatch.setattr(systems, "PART_ENTRIES", 4)
-    for cpus, parts in ((1, 1), (2, 2), (4, 4)):
+    calls = generation_rollout_rows(monkeypatch)
+    for cpus, parts in ((1, [21]), (2, [10, 11]), (4, [5, 5, 5, 6])):
         _cpus(monkeypatch, cpus)
-        assert systems.generation_parts("lorenz", 21, 3) == parts
+        calls.clear()
         split = generate_lorenz(None, 11, splits=table)
+        assert sorted(calls) == parts
         for name in table:
             assert np.array_equal(split[name].values, whole[name].values), (cpus, name)
     assert all(layouts)
@@ -248,11 +254,13 @@ def test_a_split_generation_that_diverges_counts_rows_per_split_as_one_part(monk
     # parts' flags join in row order
     table = {"train": (300, 1), "val": (40, 2), "test": (60, 3)}
     messages = []
-    for cpus in (1, 2):
+    calls = generation_rollout_rows(monkeypatch)
+    for cpus, parts in ((1, [400]), (2, [200, 200])):
         _cpus(monkeypatch, cpus)
-        assert systems.generation_parts("burgers1d", 400, 100) == cpus
+        calls.clear()
         with pytest.raises(DivergedError) as raised:
             generate_burgers(None, 41, horizon_seconds=0.315, substeps=1, splits=table)
+        assert calls == parts
         messages.append(str(raised.value))
     assert messages[0] == messages[1]
     counts = re.search(r"of 400 rows \(train (\d+), val (\d+), test (\d+)\)", messages[0]).groups()

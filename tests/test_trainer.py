@@ -523,7 +523,7 @@ def test_streamed_studies_score_as_their_recorded_rollouts():
     assert final_time_error_at_budget(flow, data, "rk4", 40) == (11056.192207377575, 40)
 
     report = evaluate_one_step_model(one_step, data, data.uniform_step(), eval_stride=2)
-    states, _ = recorded(ar_rollout, lambda x: forward_batch(one_step, 0.0, x), u0, times)
+    states, _ = recorded(ar_rollout, lambda t, x: forward_batch(one_step, 0.0, x), u0, times)
     assert np.array_equal(
         report.per_time, _recorded_per_time(states[::2], data, slice(None, None, 2))
     )
