@@ -150,7 +150,11 @@ COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="splineflow",
-        description="spline-based flow matching experiment harness",
+        description=(
+            "spline-based flow matching experiment harness. Large batches run on a"
+            " thread per CPU, each of which assumes BLAS on one thread: set"
+            " OPENBLAS_NUM_THREADS=1 (OMP_NUM_THREADS=1 for other BLAS builds)."
+        ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, opts in COMMANDS.items():
@@ -219,14 +223,17 @@ def _load_model(path: str, dataset, flow: bool | None = None):
     return params, meta["grid_step"]
 
 
-def _clock():
+def _clock(wall_field: str = "rollout_s"):
     """Start a command's clock; the returned call gives the stdout fields of its cost.
 
-    The fields are the wall and CPU seconds since the start. Process CPU
-    time counts every thread, the worker pool's too.
+    The fields are the wall seconds since the start, named `wall_field`,
+    and the CPU seconds. Process CPU time counts every thread, the worker
+    pool's too, so CPU above wall time shows work that ran at once.
     """
     wall, cpu = time.perf_counter(), time.process_time()
-    return lambda: f"rollout_s={time.perf_counter() - wall:.3f} cpu_s={time.process_time() - cpu:.3f}"
+    return lambda: (
+        f"{wall_field}={time.perf_counter() - wall:.3f} cpu_s={time.process_time() - cpu:.3f}"
+    )
 
 
 def cmd_gen_data(options: dict, fp: str) -> int:
@@ -356,6 +363,7 @@ def _train_common(options: dict, fp: str, autoregressive: bool) -> int:
             [(row.step, repr(row.train_loss), repr(row.val_error)) for row in result.history],
         )
 
+    clock = _clock("train_s")
     try:
         if autoregressive:
             result = train_one_step(train_set, config, mlp_config=mlp, val_set=val_set)
@@ -366,10 +374,11 @@ def _train_common(options: dict, fp: str, autoregressive: bool) -> int:
             dump(exc.result, status=f"aborted: {exc}")
             print(f"training aborted; last good checkpoint at {ckpt_path}", file=sys.stderr)
         raise
+    cost = clock()
     dump(result, status="ok")
     print(
         f"wrote {ckpt_path} (best step {result.best_step}, "
-        f"val rel L2 {result.best_val_error:.4g}) fingerprint={fp}"
+        f"val rel L2 {result.best_val_error:.4g}) fingerprint={fp} {cost}"
     )
     return 0
 

@@ -14,6 +14,10 @@ trajectory's rows through per-trajectory row offsets and finds each
 draw's segment in a matrix of knot times padded with +inf. Ragged and
 equal-length grids therefore take the same path: one gather and one
 `segment_derivatives` call per batch.
+
+Training draws through `_draw`, which splinebench does not wrap: the
+trainer may run it on the worker pool (`workers`), where no span site
+may run. `sample_batch` checks its batch size and draws through it too.
 """
 
 from __future__ import annotations
@@ -67,6 +71,10 @@ class InterpolantSampler:
         """Draw batch_size independent triples; deterministic under a seeded rng."""
         if batch_size < 1:
             raise InvalidArgumentError("batch_size must be positive")
+        return self._draw(batch_size, rng)
+
+    def _draw(self, batch_size: int, rng: np.random.Generator) -> SampleBatch:
+        """`sample_batch` of a positive batch_size, the trainer's draw on either thread."""
         traj = rng.integers(0, self.n_trajectories, size=batch_size)
         ts = rng.uniform(0.0, 1.0, size=batch_size)
         z = rng.standard_normal((batch_size, self.state_dim))

@@ -31,9 +31,9 @@ into its rows of the one buffer, and the parts' diverged flags join in
 row order. Every operation of a step works row by row, so the data are
 bit-identical to one part. A worker runs `rollout` and the right-hand
 side, neither a span site. A part holds enough rows for each array
-operation of a step to read PART_ENTRIES = 2^14 entries or more; below
-that, the GIL hand-offs of a step's many small operations cost more than
-the second CPU gives. An operation reads as many entries per row as the
+operation of a step to read `workers.PART_ENTRIES` = 2^14 entries or
+more; below that, the GIL hand-offs of a step's many small operations
+cost more than the second CPU gives. An operation reads as many entries per row as the
 batch's row stride spans, so the batch's own layout sets the floor: nx
 entries of a row-major Burgers batch (164 rows at nx = 100), but one of
 a component-major Lorenz batch (16,384 rows). One rollout in 2 parts on
@@ -61,7 +61,7 @@ import numpy as np
 from .errors import DivergedError, InvalidArgumentError
 from .odeint import SolverConfig, rollout
 from .timegrid import TimeGrid, subsample_indices, uniform_grid
-from .workers import row_parts, split_rows
+from .workers import PART_ENTRIES, row_parts, split_rows
 
 LORENZ_SIGMA = 10.0
 LORENZ_RHO = 28.0
@@ -70,7 +70,6 @@ LORENZ_SUBSTEPS = 10  # RK4 substeps per output interval of a Lorenz generation
 # Most RK4 steps per row a generation may take: (n_times - 1) * substeps.
 # The command defaults take at most 2,000 (Lorenz: 200 intervals x 10).
 MAX_GENERATION_STEPS = 10**6
-PART_ENTRIES = 2**14  # fewest entries per array operation of a generation part
 
 
 @dataclass

@@ -6,6 +6,12 @@ with the best validation error (long trainings on chaotic data
 fluctuate, so last-step weights are a poor pick). Runs are bit-for-bit
 reproducible for a fixed config and seed.
 
+A batch depends on the rng, never on the parameters, so on 2 CPUs or
+more a large batch (`workers.PART_ENTRIES` entries or more in x) is
+drawn one step ahead on the worker pool (`workers.one_ahead`) while the
+current step runs. One draw is pending at a time, so the batches are the
+ones drawn in line.
+
 Adam works on the flat parameter vector with the fixed settings
 ADAM_BETAS and ADAM_EPS: the two moment vectors are updated in place, in
 the same operation order as the textbook update, and each step writes
@@ -16,6 +22,7 @@ parameters of some step is therefore a snapshot.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +39,7 @@ from .vector_field import (
     init_params,
     loss_and_grad,
 )
+from .workers import one_ahead
 
 SPLINE_KINDS = ("linear", "quintic")
 
@@ -181,35 +189,36 @@ def _optimize(params, draw_batch, score_validation, config: TrainConfig) -> Trai
     history = []
     best, best_step, best_val = None, 0, math.inf
     last_good, last_good_step = None, 0
-    for step_idx in range(1, config.steps + 1):
-        batch = draw_batch()
-        try:
-            loss, grads = loss_and_grad(params, batch)
-            if step_idx == 1:
-                loss_limit = LOSS_EXPLOSION_FACTOR * loss
-            if loss > loss_limit:
-                raise NumericError(
-                    f"loss {loss:.3e} exceeds {LOSS_EXPLOSION_FACTOR:g} x the first step's loss"
-                )
-            # adam_step returns a fresh vector, so holding a reference is a snapshot
-            last_good, last_good_step = params, step_idx - 1
-            params, state = adam_step(params, state, grads, config)
-        except NumericError as exc:
-            if best is None:
-                best, best_step, best_val = last_good, last_good_step, math.nan
-            raise TrainingAbortedError(
-                f"training diverged at step {step_idx}: {exc}",
-                step=step_idx,
-                result=None if best is None else TrainResult(best, history, best_step, best_val),
-            ) from exc
-        val = math.nan
-        if score_validation is not None and (
-            step_idx % config.eval_every == 0 or step_idx == config.steps
-        ):
-            val = score_validation(params)
-            if val < math.inf and val <= best_val:
-                best, best_step, best_val = params, step_idx, val
-        history.append(HistoryRow(step=step_idx, train_loss=loss, val_error=val))
+    entries = config.batch_size * params.config.state_dim  # of a batch's x
+    with closing(one_ahead(draw_batch, config.steps, entries)) as batches:
+        for step_idx, batch in enumerate(batches, start=1):
+            try:
+                loss, grads = loss_and_grad(params, batch)
+                if step_idx == 1:
+                    loss_limit = LOSS_EXPLOSION_FACTOR * loss
+                if loss > loss_limit:
+                    raise NumericError(
+                        f"loss {loss:.3e} exceeds {LOSS_EXPLOSION_FACTOR:g} x the first step's loss"
+                    )
+                # adam_step returns a fresh vector, so holding a reference is a snapshot
+                last_good, last_good_step = params, step_idx - 1
+                params, state = adam_step(params, state, grads, config)
+            except NumericError as exc:
+                if best is None:
+                    best, best_step, best_val = last_good, last_good_step, math.nan
+                raise TrainingAbortedError(
+                    f"training diverged at step {step_idx}: {exc}",
+                    step=step_idx,
+                    result=None if best is None else TrainResult(best, history, best_step, best_val),
+                ) from exc
+            val = math.nan
+            if score_validation is not None and (
+                step_idx % config.eval_every == 0 or step_idx == config.steps
+            ):
+                val = score_validation(params)
+                if val < math.inf and val <= best_val:
+                    best, best_step, best_val = params, step_idx, val
+            history.append(HistoryRow(step=step_idx, train_loss=loss, val_error=val))
     if best is None:  # no validation ran, or every one had diverged rows
         best, best_step = params, config.steps
         if score_validation is None:  # the last step validates whenever a scorer is given
@@ -250,7 +259,7 @@ def train_flow_matching(
 
     return _optimize(
         params,
-        lambda: sampler.sample_batch(config.batch_size, rng),
+        lambda: sampler._draw(config.batch_size, rng),
         score,
         config,
     )

@@ -151,3 +151,43 @@ def test_spans_nest_around_a_split_generation(monkeypatch, tmp_path):
     ]
     assert threads == [threading.get_ident()] * 2 * len(recorded)
     assert spans.partition_error(recorded, range(len(recorded))) < 1e-9
+
+
+def test_spans_nest_around_a_training_that_draws_ahead(monkeypatch, tmp_path):
+    # batches of 256 Burgers rows (25,600 entries) are drawn one step ahead
+    # on the pool; the draw is no span site, so every span of train opens
+    # and closes on the calling thread, and no sampler span is recorded
+    spans = _load_spans()
+    data = tmp_path / "burgers.sftraj"
+    assert cli.main([
+        "gen-data", "--system", "burgers1d", "--n-train", "4", "--n-val", "2",
+        "--n-test", "0", "--n-times", "11", "--horizon", "0.1", "--out", str(data),
+    ]) == 0
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(workers, "_pool", None)
+    tracer = spans.Tracer()
+    tracer.enabled = True
+    threads = []
+
+    def on_thread(edge):
+        def record_thread(*name):
+            threads.append(threading.get_ident())
+            edge(*name)
+
+        return record_thread
+
+    monkeypatch.setattr(tracer, "begin", on_thread(tracer.begin))
+    monkeypatch.setattr(tracer, "end", on_thread(tracer.end))
+    with spans.instrument(tracer, full=True), tracer.span("cli.train"):
+        assert cli.main([
+            "train", "--dataset", str(data), "--steps", "4", "--eval-every", "2",
+            "--batch-size", "256", "--hidden", "16", "--out-dir", str(tmp_path),
+        ]) == 0
+    assert workers._pool is not None  # the only pool work of this run is the draw
+    workers._pool.shutdown()
+    recorded = tracer.spans()
+    names = [s.name for s in recorded]
+    assert names.count("vector_field.loss_and_grad") == names.count("trainer.adam_step") == 4
+    assert "interpolant.sample_batch" not in names
+    assert threads == [threading.get_ident()] * 2 * len(recorded)
+    assert spans.partition_error(recorded, range(len(recorded))) < 1e-9

@@ -60,6 +60,23 @@ def test_training_with_both_outputs_named_creates_no_default_directory(
     assert not (tmp_path / "root").exists() and not (tmp_path / "outputs").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "train-ar"])
+def test_training_stdout_ends_with_its_wall_and_cpu_time(tiny_lorenz, tmp_path, capsys, command):
+    # the cost goes to stdout only: the history and the checkpoint carry no timing
+    ckpt, history = tmp_path / "run.ckpt.npz", tmp_path / "history.csv"
+    capsys.readouterr()
+    assert cli.main([
+        command, "--dataset", str(tiny_lorenz), "--steps", "2", "--batch-size", "8",
+        "--eval-every", "1", "--hidden", "8", "--checkpoint-out", str(ckpt),
+        "--history-out", str(history),
+    ]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r" fingerprint=[0-9a-f]+ train_s=\d+\.\d{3} cpu_s=\d+\.\d{3}\n$", out), out
+    for field in ("train_s", "cpu_s"):
+        assert field not in history.read_text()
+        assert field not in json.dumps(load_checkpoint(ckpt)[1])
+
+
 def _traced_when_training_starts(tmp_path, monkeypatch, n_test):
     """Bytes traced when `train --keep-rate 0.25` calls the trainer on a 200 x 201 Lorenz file."""
     path = tmp_path / "lorenz.sftraj"

@@ -1,5 +1,5 @@
 """Every name a module of splineflow imports is used in that module, only
-the callers of the worker pool import it, and importing the CLI starts no
+the users of the worker pool import it, and importing the CLI starts no
 thread.
 
 The package has no linter to run; this parses each module with `ast`.
@@ -56,12 +56,13 @@ def package_imports(source: str) -> set:
     return names
 
 
-def test_only_the_two_row_splits_import_the_worker_pool():
-    # vector_field and systems each own the floor of their split; the
-    # commands report the time their work took and never re-derive the parts
+def test_only_the_row_splits_and_the_trainer_import_the_worker_pool():
+    # vector_field and systems each own the floor of their split, and the
+    # trainer draws its next batch ahead; the commands report the time
+    # their work took and never re-derive the parts or the draw-ahead
     assert package_imports("from .workers import row_parts\nfrom . import workers\n") == {"workers"}
     importers = {p.name for p in MODULES if "workers" in package_imports(p.read_text(encoding="utf-8"))}
-    assert importers == {"vector_field.py", "systems.py"}
+    assert importers == {"vector_field.py", "systems.py", "trainer.py"}
 
 
 def test_importing_the_cli_starts_no_thread_pool():

@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -37,7 +40,7 @@ from splineflow.odeint import ar_rollout, rollout, rollout_reverse
 from splineflow.spline import NoiseSchedule, build_linear, build_quintic
 from splineflow.systems import lorenz_rhs
 from splineflow.timegrid import subsample_indices
-from splineflow import trainer
+from splineflow import trainer, workers
 
 from recording import recorded
 from splineflow.trainer import _optimize, _validation_error, build_splines
@@ -381,6 +384,109 @@ def test_non_finite_loss_hands_over_last_params_that_passed(first_bad_step):
     replay = _optimize(init_params(AR_MLP, 0), _decay_batches(first_bad_step),
                        None, dataclasses.replace(cfg, steps=kept))
     assert np.array_equal(err.value.result.params.flat, replay.params.flat)
+
+
+def _cpus(monkeypatch, n):
+    """Let the worker pool see n CPUs."""
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _draw_threads(monkeypatch) -> list:
+    """The thread of every batch the trainers draw from here on, in order."""
+    threads, real = [], trainer.one_ahead
+
+    def spy(draw, count, entries):
+        return real(lambda: (threads.append(threading.get_ident()), draw())[1], count, entries)
+
+    monkeypatch.setattr(trainer, "one_ahead", spy)
+    return threads
+
+
+def _bits(result):
+    history = [(row.step, row.train_loss, row.val_error) for row in result.history]
+    return np.array(history), result.params.flat, result.best_step
+
+
+@pytest.mark.parametrize("train", [train_flow_matching, train_one_step])
+def test_a_training_that_draws_ahead_equals_one_that_draws_in_line(monkeypatch, train):
+    # batches of 256 x 100 entries, above PART_ENTRIES: on 2 CPUs each next
+    # batch is drawn on the pool while the step runs; with the floor above
+    # the batch, every batch is drawn on the calling thread when needed
+    data = generate_burgers(4, 21, seed=0)
+    cfg = TrainConfig(steps=12, batch_size=256, eval_every=5, seed=3)
+    mlp = MlpConfig(state_dim=100, hidden_dims=(16,), embed_bands=2,
+                    use_time_embedding=train is train_flow_matching)
+    _cpus(monkeypatch, 2)
+    threads, runs, caller = _draw_threads(monkeypatch), [], threading.get_ident()
+    for floor, on_pool in ((workers.PART_ENTRIES, 11), (256 * 100 + 1, 0)):
+        monkeypatch.setattr(workers, "PART_ENTRIES", floor)
+        threads.clear()
+        runs.append(_bits(train(data, cfg, mlp_config=mlp, val_set=data)))
+        assert threads[0] == caller
+        assert len(threads) - threads.count(caller) == on_pool
+    (history, flat, best), (inline_history, inline_flat, inline_best) = runs
+    assert np.array_equal(history, inline_history, equal_nan=True)
+    assert np.array_equal(flat, inline_flat)
+    assert best == inline_best
+
+
+@pytest.mark.parametrize("floor", [1, 10**9])
+def test_a_full_run_draws_exactly_its_steps_batches(monkeypatch, floor):
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(workers, "PART_ENTRIES", floor)
+    threads = _draw_threads(monkeypatch)
+    cfg = TrainConfig(steps=7, batch_size=16, learning_rate=1e-2, eval_every=3, seed=0)
+    result = _optimize(init_params(AR_MLP, 0), _decay_batches(100), lambda p: 1.0, cfg)
+    assert [row.step for row in result.history] == list(range(1, 8))
+    assert len(threads) == 7
+
+
+def test_draws_ahead_hold_under_frequent_thread_switches(monkeypatch):
+    # a fresh pool of three workers (more threads than a 2-core host has
+    # cores), with the interpreter switching threads as often as it can:
+    # the rng passes between threads one draw at a time, in order
+    _cpus(monkeypatch, 4)
+    monkeypatch.setattr(workers, "_pool", None)
+    rngs = [np.random.default_rng(9), np.random.default_rng(9)]
+    inline = [rngs[1].standard_normal((64, 256)) for _ in range(200)]
+    ahead = []
+    runner = threading.Thread(target=lambda: ahead.extend(
+        workers.one_ahead(lambda: rngs[0].standard_normal((64, 256)), 200, 64 * 256)
+    ))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert len(ahead) == 200
+    assert all(np.array_equal(a, b) for a, b in zip(ahead, inline))
+    workers._pool.shutdown()
+
+
+def test_an_aborted_run_leaves_no_draw_running(monkeypatch):
+    # the batch of step 4 has a NaN target; the draw of batch 5 is pending
+    # on the pool as step 4 fails, and has ended before the error propagates
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(workers, "PART_ENTRIES", 16)
+    draw, running, drawn = _decay_batches(4), [], []
+
+    def slow_draw():
+        running.append(threading.get_ident())
+        time.sleep(0.05)
+        batch = draw()
+        drawn.append(running.pop())
+        return batch
+
+    cfg = TrainConfig(steps=10, batch_size=16, learning_rate=1e-2, seed=0)
+    with pytest.raises(TrainingAbortedError) as err:
+        _optimize(init_params(AR_MLP, 0), slow_draw, None, cfg)
+    assert running == []
+    assert err.value.step == 4
+    assert len(drawn) == 5  # one batch past the aborting step
+    assert drawn[0] == threading.get_ident() and threading.get_ident() not in drawn[1:]
 
 
 def test_validation_with_diverged_rows_is_never_kept():

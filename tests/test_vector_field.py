@@ -139,19 +139,32 @@ def test_split_forward_passes_hold_under_frequent_thread_switches(monkeypatch):
 
 def test_a_batch_too_small_to_split_starts_no_thread(monkeypatch, tmp_path):
     # a forward pass under 2 * PART_ROWS rows, a default-size gen-data of
-    # either system, and the gen-data commands of the benchmark's Lorenz
-    # workloads (train and validation 1000 + 100, test 400 or 100)
+    # either system, and the commands of the benchmark's Lorenz workloads
+    # up to their trainings: gen-data (train and validation 1000 + 100,
+    # test 400 or 100), and train and train-ar at batch 256, whose 256 x 3
+    # entries are under the floor of drawing the next batch ahead
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(workers, "_pool", None)
     params = init_params(MlpConfig(state_dim=100), seed=5)
     threads = threading.active_count()
     forward_batch(params, 0.37, np.ones((319, 100)))
-    out = str(tmp_path / "data.sftraj")
+    out, train_file = str(tmp_path / "data.sftraj"), str(tmp_path / "train.sftraj")
     for system in ("lorenz", "burgers1d"):
         assert cli.main(["gen-data", "--system", system, "--out", out]) == 0
-    for train, val, test in (("1000", "100", "0"), ("0", "0", "400"), ("0", "0", "100")):
+    for train, val, test, path in (
+        ("1000", "100", "0", train_file), ("0", "0", "400", out), ("0", "0", "100", out)
+    ):
         assert cli.main([
-            "gen-data", "--n-train", train, "--n-val", val, "--n-test", test, "--out", out,
+            "gen-data", "--n-train", train, "--n-val", val, "--n-test", test, "--out", path,
+        ]) == 0
+    for training in (
+        ["train", "--keep-rate", "0.5", "--spline", "linear"],
+        ["train", "--spline", "quintic"],
+        ["train-ar"],
+    ):
+        assert cli.main([
+            *training, "--dataset", train_file, "--steps", "3", "--eval-every", "3",
+            "--batch-size", "256", "--out-dir", str(tmp_path),
         ]) == 0
     assert workers._pool is None
     assert threading.active_count() == threads
