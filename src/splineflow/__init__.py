@@ -17,7 +17,7 @@ from .errors import (
     UndefinedMetricError,
 )
 from .interpolant import InterpolantSampler, SampleBatch
-from .metrics import EvalReport, build_report, empirical_order, relative_l2
+from .metrics import EvalReport, build_report, empirical_order
 from .odeint import RolloutResult, SolverConfig, ar_rollout, rollout, rollout_reverse, step
 from .spline import NoiseSchedule, build_linear, build_quintic, estimate_knot_derivatives
 from .stencil import fd_weights

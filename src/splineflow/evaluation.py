@@ -60,10 +60,8 @@ class _Scores:
     Calling it with (column, u) scores the (B, d) states u against every
     row's truth at grid index picks[column] (module docstring); `report`
     makes the pass's `EvalReport` from the scores and the rollout result.
-    Each call works in three (B, d) buffers made once: a temporary of a
-    few hundred rows of d = 100 lies above glibc's initial 128 KiB mmap
-    threshold, so it can be a fresh mapping, and its page faults, on
-    every call.
+    Each call works in three (B, d) buffers made once per pass, so no
+    call allocates (CHANGES.md, "Evaluation scores as it integrates").
     """
 
     def __init__(self, dataset: TrajectorySet, picks):

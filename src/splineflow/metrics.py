@@ -10,24 +10,6 @@ import numpy as np
 from .errors import InvalidArgumentError, UndefinedMetricError
 
 
-def relative_l2(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Space-time relative L2 error of one trajectory.
-
-    Frobenius norm of (pred - truth) over all entries divided by the norm
-    of the truth.
-    """
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if pred.shape != truth.shape:
-        raise InvalidArgumentError(
-            f"shape mismatch: pred {pred.shape} vs truth {truth.shape}"
-        )
-    denom = np.linalg.norm(truth)
-    if denom == 0.0:
-        raise UndefinedMetricError("relative L2 undefined for all-zero reference")
-    return float(np.linalg.norm(pred - truth) / denom)
-
-
 def row_errors(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """Relative L2 error of every state row: |pred - truth| / |truth| over the last axis.
 

@@ -24,25 +24,17 @@ component-major (a Fortran-ordered (B, 3) array): x, y and z are each a
 contiguous vector, and every operation of a step stays the same
 element-wise one.
 
-A large batch is integrated in contiguous row parts at once, on the
-package's one worker pool (`workers`): the calling thread integrates the
-first part and the workers the others, each through the same `rollout`
-into its rows of the one buffer, and the parts' diverged flags join in
-row order. Every operation of a step works row by row, so the data are
-bit-identical to one part. A worker runs `rollout` and the right-hand
-side, neither a span site. A part holds enough rows for each array
-operation of a step to read `workers.PART_ENTRIES` = 2^14 entries or
-more; below that, the GIL hand-offs of a step's many small operations
-cost more than the second CPU gives. An operation reads as many entries per row as the
-batch's row stride spans, so the batch's own layout sets the floor: nx
-entries of a row-major Burgers batch (164 rows at nx = 100), but one of
-a component-major Lorenz batch (16,384 rows). One rollout in 2 parts on
-a 2-core x86-64 host (numpy 2.4.6) took this share of its time in 1
-part: Burgers (nx = 100) 1.83 at 160 rows, 1.17 at 220, 1.09 at 300,
-0.83 at 400 and 0.57 at 600; Lorenz 4.94 at 1,100 rows and 1.76 at
-11,000. So a Burgers batch of 328 rows or more splits, and no Lorenz
-batch under 32,768 rows does. `gen-data` reports the wall and CPU time
-the generation took, not the parts it was cut into.
+A batch is integrated in contiguous row parts at once
+(`workers.split_rows`), each through the same `rollout` into its rows of
+the one buffer, and the parts' diverged flags join in row order. Every
+operation of a step works row by row, so the data are bit-identical to
+one part. A part holds enough rows for each array operation of a step
+to read `workers.PART_ENTRIES` entries or more; an operation reads as
+many entries per row as the batch's row stride spans, so the batch's
+layout sets the floor: 168 rows of a row-major Burgers batch at
+nx = 100, but 16,384 of a component-major Lorenz batch, which no
+benchmark generation reaches (CHANGES.md, "Generation splits a large
+batch's rows").
 
 Both right-hand sides run on every RK4 stage of generation, so they
 finish their terms in place in a few arrays allocated per call. Each
@@ -61,7 +53,7 @@ import numpy as np
 from .errors import DivergedError, InvalidArgumentError
 from .odeint import SolverConfig, rollout
 from .timegrid import TimeGrid, subsample_indices, uniform_grid
-from .workers import PART_ENTRIES, row_parts, split_rows
+from .workers import PART_ENTRIES, split_rows
 
 LORENZ_SIGMA = 10.0
 LORENZ_RHO = 28.0
@@ -252,8 +244,7 @@ def _integrate_splits(rows, u0, rhs, n_times, horizon_seconds, substeps, system_
     # a part's array operations read u0.strides[0] / u0.itemsize entries
     # per row: d of a row-major batch, 1 of a component-major one
     floor = -(-PART_ENTRIES * u0.itemsize // u0.strides[0])
-    parts = row_parts(len(u0), floor)
-    diverged = np.concatenate(split_rows(integrate, len(u0), parts))
+    diverged = np.concatenate(split_rows(integrate, len(u0), floor))
     if diverged.any():
         per_split = ", ".join(
             f"{name} {int(diverged[part].sum())}" for name, (_, part) in rows.items() if name

@@ -6,11 +6,8 @@ with the best validation error (long trainings on chaotic data
 fluctuate, so last-step weights are a poor pick). Runs are bit-for-bit
 reproducible for a fixed config and seed.
 
-A batch depends on the rng, never on the parameters, so on 2 CPUs or
-more a large batch (`workers.PART_ENTRIES` entries or more in x) is
-drawn one step ahead on the worker pool (`workers.one_ahead`) while the
-current step runs. One draw is pending at a time, so the batches are the
-ones drawn in line.
+A large batch is drawn one step ahead on the worker pool while the
+current step runs, by the rule of `workers.one_ahead`.
 
 Adam works on the flat parameter vector with the fixed settings
 ADAM_BETAS and ADAM_EPS: the two moment vectors are updated in place, in

@@ -16,21 +16,12 @@ squared error, which keeps learning rates transferable across state
 dimensions. A scalar time shared by a whole batch (every rollout call) is
 embedded once and broadcast across the rows.
 
-`forward_batch` splits a batch of 2 * PART_ROWS rows or more into
-contiguous row parts, one per usable CPU, on the package's one worker
-pool (`workers`). The calling thread sweeps the first part and the
-workers the others, each into its rows of one output array. A worker
-runs `_sweep` alone, which calls numpy and is no span site, so the span
-sites of splinebench see every call on the thread that made it.
-
-The parts' outputs are bit-identical to one sweep of the whole batch
-because each row meets the BLAS kernels in the same place. A scan of 1
-to 600 rows on OpenBLAS 0.3.31 (Haswell kernels) found where a part's
-product differs from the same rows of the whole batch's: the output
-layer of a d = 3 network for most row counts that are not a multiple
-of 4, and that of a d = 100 network for parts under 157 rows. So each
-part starts at a multiple of 8 rows, each but the last holds a multiple
-of 8, and each holds at least PART_ROWS = 160.
+`forward_batch` sweeps a batch into one (B, d) output in row parts at
+once (`workers.split_rows`). Parts start at multiples of 8 rows and hold
+PART_ROWS = 160 rows or more: a smaller part of a d = 100 network's
+output layer can round differently from the same rows of the whole
+batch (CHANGES.md, "Evaluation scores as it integrates"). So every
+output is bit-identical to one sweep of the whole batch.
 
 A checkpoint (format 2) is an .npz archive of two arrays: `header_json`,
 the UTF-8 JSON of {"format_version": 2, "mlp": the MlpConfig fields,
@@ -46,7 +37,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DataFormatError, InvalidArgumentError, NumericError
-from .workers import row_parts, split_rows
+from .workers import split_rows
 
 CHECKPOINT_VERSION = 2
 PART_ROWS = 160  # fewest rows of a part of a split forward pass (module docstring)
@@ -171,18 +162,14 @@ def _sweep(
 def forward_batch(params: VectorFieldParams, ts, states) -> np.ndarray:
     """Network output for a batch; states (B, d), ts scalar or (B,).
 
-    A batch of 2 * PART_ROWS rows or more is swept in row parts at once
-    (module docstring).
+    Swept in row parts at once (module docstring).
     """
     states = np.asarray(states, dtype=np.float64)
     x = _assemble_input(params.config, ts, states)
     if not np.isfinite(x).all():
         raise NumericError("non-finite network input")
-    parts = row_parts(len(x), PART_ROWS)
-    if parts == 1:
-        return _sweep(params, x)
     out = np.empty((len(x), params.config.state_dim))
-    split_rows(lambda lo, hi: _sweep(params, x[lo:hi], None, out[lo:hi]), len(x), parts, align=8)
+    split_rows(lambda lo, hi: _sweep(params, x[lo:hi], None, out[lo:hi]), len(x), PART_ROWS)
     return out
 
 

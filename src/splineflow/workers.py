@@ -1,50 +1,35 @@
 """The package's one thread pool: work that runs beside the calling thread.
 
 numpy releases the GIL in matmuls and ufunc loops, so the pool's threads
-compute while the calling thread does. It has three uses, and only their
-modules import this one; each says why its results give the bits one
+compute while the calling thread does. Only the modules that use the
+pool import this one; each says why its results give the bits one
 thread gives.
 
-- A forward pass (`vector_field.forward_batch`) and a generation
-  (`systems`) cut a large batch into contiguous row parts that run at
-  once: rows never interact. `row_parts` says how many parts a batch
-  gets, one per CPU the process may run on (`os.sched_getaffinity`)
-  while every part keeps the fewest rows its caller names; `split_rows`
-  runs them. The calling thread runs the first part and pool workers the
-  others, and every part is joined before `split_rows` returns or
-  raises. The forward pass splits at a fixed PART_ROWS, generation at a
-  floor read from its batch's row stride.
-- Training (`trainer`) draws its next batch while the current step runs:
-  a batch depends on the sampler's rng, never on the parameters.
-  `one_ahead` keeps one draw pending, so the rng is used by one thread
-  at a time and in the same order. It draws ahead only on 2 CPUs or more
-  and when a batch's arrays hold PART_ENTRIES entries or more. A d = 3
-  Lorenz batch of 256 rows (768 entries) draws in about 0.2 ms, less than
-  the hand-off costs: drawing it ahead made a Lorenz training 2-14%
-  slower on 5 of 5 pairs. A d = 100 Burgers batch of 256
-  rows (25,600 entries) takes 1.2-1.4 ms of a 4.7 ms step, and drawing it
-  ahead made its training 15-32% faster on 10 of 10 pairs.
+- `split_rows` cuts a batch into contiguous row parts that run at once,
+  for a forward pass (`vector_field`) and a generation (`systems`): rows
+  never interact. It makes one part per CPU the process may run on,
+  each of at least its caller's floor of rows, and cuts only at
+  multiples of 8 rows, where BLAS kernels round each row as in the whole
+  batch (CHANGES.md, "Evaluation scores as it integrates").
+- `one_ahead` draws a training batch while the current step runs
+  (`trainer`): a batch depends on the sampler's rng, never on the
+  parameters. One draw is pending at a time, so the rng is used by one
+  thread at a time and in the same order (CHANGES.md, "Training draws
+  its next batch").
 
-PART_ENTRIES = 2^14 is the one floor of "work big enough for the pool",
-in entries of the arrays a pool job works on: below it, the GIL
-hand-offs cost more than the second CPU gives. A pending draw never
-waits on pool work, so a split forward pass that queues behind it cannot
-deadlock. The commands never re-derive a split or a draw-ahead: they
-print the wall and process CPU time (`time.process_time`, every thread
-included) that their work took.
-
-Every pool job assumes BLAS runs on one thread. Unpinned, each part's
-matmul starts OpenBLAS's own threads too and the CPUs are oversubscribed:
-a burgers `eval` of 600 rows on 2 CPUs read `rollout_s` 1.29-2.07 s,
-against 0.79-1.00 s with OPENBLAS_NUM_THREADS=1. The package sets no
-environment variable; the caller pins BLAS.
+PART_ENTRIES is the one floor of "work big enough for the pool", in
+entries of the arrays a pool job works on: below it, the GIL hand-offs
+cost more than the second CPU gives (CHANGES.md, "Generation splits a
+large batch's rows" and "Training draws its next batch"). A pending
+draw never waits on pool work, so a split that queues behind it cannot
+deadlock. Every job assumes BLAS runs on one thread, which the
+caller pins: unpinned, each part's matmul starts BLAS threads of its own
+and oversubscribes the CPUs (CHANGES.md, the `FOUND` on unpinned BLAS).
 
 The pool is made at the first job, never at import, and a forked child
 forgets the parent's (its threads do not exist there). Workers run no
-span site: the jobs call numpy, `vector_field._sweep`, `systems.rollout`
-with a right-hand side and `InterpolantSampler._draw`, none of which
-splinebench wraps, so every span opens and closes on the calling thread,
-and spans nest.
+span site, so every splinebench span opens and closes on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -56,11 +41,11 @@ PART_ENTRIES = 2**14  # fewest array entries of a pool job (module docstring)
 _pool = None  # made at the first job
 
 
-def row_parts(rows: int, part_rows: int) -> int:
-    """The parts a batch of `rows` rows splits into, each of `part_rows` rows or more."""
-    if rows < 2 * part_rows:
-        return 1
-    return min(len(os.sched_getaffinity(0)), rows // part_rows)
+def _cpus() -> int:
+    """The CPUs this process may run on; all of them where affinity is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _forget_pool() -> None:
@@ -68,7 +53,8 @@ def _forget_pool() -> None:
     _pool = None  # a forked child has none of the parent's threads
 
 
-os.register_at_fork(after_in_child=_forget_pool)
+if hasattr(os, "register_at_fork"):  # no fork, and no hook, on Windows
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _the_pool():
@@ -76,23 +62,28 @@ def _the_pool():
     if _pool is None:
         from concurrent.futures import ThreadPoolExecutor
 
-        cpus = len(os.sched_getaffinity(0))
-        _pool = ThreadPoolExecutor(max_workers=cpus - 1, thread_name_prefix="splineflow")
+        _pool = ThreadPoolExecutor(max_workers=_cpus() - 1, thread_name_prefix="splineflow")
     return _pool
 
 
-def split_rows(work, rows: int, parts: int, align: int = 1) -> list:
-    """[work(lo, hi) of each of `parts` contiguous row parts], run at once.
+def split_rows(work, rows: int, min_rows: int) -> list:
+    """[work(lo, hi) of each contiguous row part of [0, rows)], run at once.
 
-    Each part starts at a multiple of `align` rows, and each but the last
-    holds rows // parts rounded down to one. One part runs on the calling
-    thread alone and starts no pool.
+    With `min_rows` rounded up to a multiple of 8 as the floor, there are
+    min(CPUs, rows // floor) parts, and at least one. Each starts at a
+    multiple of 8 rows and each but the last holds rows // parts rounded
+    down to a multiple of 8, so every part of a split holds the floor or
+    more. One part runs on the calling thread alone and starts no pool;
+    otherwise the calling thread runs the first part, and every part is
+    joined before this returns or raises.
     """
+    floor = -(-min_rows // 8) * 8
+    parts = min(_cpus(), rows // floor) if rows >= 2 * floor else 1
     if parts == 1:
         return [work(0, rows)]
     from concurrent.futures import wait
 
-    size = rows // parts // align * align
+    size = rows // parts // 8 * 8
     cuts = [*range(0, parts * size, size), rows]
     pending = [_the_pool().submit(work, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
     try:
@@ -112,7 +103,7 @@ def one_ahead(draw, count: int, entries: int):
     pool starts. Close the generator (`contextlib.closing`) so that a
     pending draw has ended before an error of the caller propagates.
     """
-    if len(os.sched_getaffinity(0)) < 2 or entries < PART_ENTRIES:
+    if _cpus() < 2 or entries < PART_ENTRIES:
         for _ in range(count):
             yield draw()
         return

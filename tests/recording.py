@@ -1,10 +1,11 @@
 """Rollouts keep no states; tests that read them all record them here, and
-tests that read how generation cut its batch record each rollout's rows.
+tests that read how generation or a forward pass cut its batch record the
+rows of each part.
 """
 
 import numpy as np
 
-from splineflow import systems
+from splineflow import systems, vector_field
 
 
 def recorded(roll, f, u0, *args):
@@ -38,4 +39,21 @@ def generation_rollout_rows(monkeypatch) -> list:
         return real(f, u0, *args, **kwargs)
 
     monkeypatch.setattr(systems, "rollout", spy)
+    return rows
+
+
+def forward_sweep_rows(monkeypatch) -> list:
+    """The rows of each `vector_field._sweep` a forward pass makes from here on.
+
+    A forward pass sweeps each row part of its batch in one such call. The
+    parts run at once on different threads, so they enter the list in any
+    order.
+    """
+    rows, real = [], vector_field._sweep
+
+    def spy(params, x, *args):
+        rows.append(len(x))
+        return real(params, x, *args)
+
+    monkeypatch.setattr(vector_field, "_sweep", spy)
     return rows

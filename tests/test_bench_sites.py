@@ -14,10 +14,10 @@ import threading
 from pathlib import Path
 
 from splineflow import (
-    MlpConfig, SolverConfig, cli, evaluation, generate_lorenz, init_params, vector_field, workers,
+    MlpConfig, SolverConfig, cli, evaluation, generate_lorenz, init_params, workers,
 )
 
-from recording import generation_rollout_rows
+from recording import forward_sweep_rows, generation_rollout_rows
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "splinebench" / "spans.py"
 
@@ -109,9 +109,10 @@ def test_spans_nest_around_a_split_forward_pass(monkeypatch):
     flow = init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0)
     tracer = spans.Tracer()
     tracer.enabled = True
+    sweeps = forward_sweep_rows(monkeypatch)
     with spans.instrument(tracer, full=True):
         evaluation.evaluate_flow_model(flow, data, SolverConfig("rk4", 1))
-    assert workers.row_parts(data.n_traj, vector_field.PART_ROWS) == 2
+    assert sweeps == [160] * 2 * 5 * 4
     recorded = tracer.spans()
     forward = [s for s in recorded if s.name == "vector_field.forward_batch"]
     assert len(forward) == 5 * 4

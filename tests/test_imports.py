@@ -60,7 +60,7 @@ def test_only_the_row_splits_and_the_trainer_import_the_worker_pool():
     # vector_field and systems each own the floor of their split, and the
     # trainer draws its next batch ahead; the commands report the time
     # their work took and never re-derive the parts or the draw-ahead
-    assert package_imports("from .workers import row_parts\nfrom . import workers\n") == {"workers"}
+    assert package_imports("from .workers import split_rows\nfrom . import workers\n") == {"workers"}
     importers = {p.name for p in MODULES if "workers" in package_imports(p.read_text(encoding="utf-8"))}
     assert importers == {"vector_field.py", "systems.py", "trainer.py"}
 

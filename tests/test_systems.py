@@ -14,7 +14,6 @@ from splineflow import (
     generate_burgers,
     generate_lorenz,
     lorenz_rhs,
-    relative_l2,
     sample_grf_initial,
     datafile,
     systems,
@@ -24,6 +23,7 @@ from splineflow.systems import burgers_substeps, grf_mode_std
 from splineflow.timegrid import subsample_indices
 
 from recording import generation_rollout_rows
+from reference import relative_l2
 
 
 def test_lorenz_equilibrium_at_origin():
@@ -196,7 +196,8 @@ def _cpus(monkeypatch, n):
 def test_a_split_burgers_generation_equals_one_part(monkeypatch, rows, parts_on_4):
     # rows never interact and the right-hand side works row by row, so
     # parts integrated at once give the bytes of one part; a part of the
-    # row-major batch holds at least 2^14 / nx = 164 rows
+    # row-major batch holds at least 2^14 / nx = 164 rows, cut at a
+    # multiple of 8: 168
     _cpus(monkeypatch, 1)
     whole = generate_burgers(rows, 11, seed=rows, horizon_seconds=0.1)
     calls = generation_rollout_rows(monkeypatch)
@@ -204,12 +205,12 @@ def test_a_split_burgers_generation_equals_one_part(monkeypatch, rows, parts_on_
         _cpus(monkeypatch, cpus)
         calls.clear()
         split = generate_burgers(rows, 11, seed=rows, horizon_seconds=0.1)
-        assert (len(calls), sum(calls)) == (parts, rows) and min(calls) >= 164, calls
+        assert (len(calls), sum(calls)) == (parts, rows) and min(calls) >= 168, calls
         assert np.array_equal(split.values, whole.values)
 
 
 def test_split_boundaries_inside_a_part_keep_every_split_byte_equal(monkeypatch):
-    # 600 rows in parts of 300 (2 CPUs) or 200 (4 CPUs): the train/val
+    # 600 rows in parts of 296 and 304 (2 CPUs) or 200 (4 CPUs): the train/val
     # and val/test boundaries at rows 250 and 270 fall inside parts, and
     # part boundaries fall inside the train and test splits
     table = {"train": (250, 3), "val": (20, 4), "test": (330, 5)}
@@ -224,8 +225,9 @@ def test_split_boundaries_inside_a_part_keep_every_split_byte_equal(monkeypatch)
 
 def test_a_lorenz_generation_forced_to_split_equals_one_part(monkeypatch):
     # a component-major Lorenz step reads one entry per row, so no real
-    # Lorenz batch reaches 2 x 2^14 entries; parts of 4 entries force it
-    # to split, and every part stays component-major
+    # Lorenz batch reaches 2 x 2^14 entries; parts of 4 entries, cut at
+    # multiples of 8 rows, force it to split, and every part stays
+    # component-major
     table = {"train": (13, 1), "test": (8, 2)}
     layouts = []
 
@@ -238,7 +240,7 @@ def test_a_lorenz_generation_forced_to_split_equals_one_part(monkeypatch):
     whole = generate_lorenz(None, 11, splits=table)
     monkeypatch.setattr(systems, "PART_ENTRIES", 4)
     calls = generation_rollout_rows(monkeypatch)
-    for cpus, parts in ((1, [21]), (2, [10, 11]), (4, [5, 5, 5, 6])):
+    for cpus, parts in ((1, [21]), (2, [8, 13]), (4, [8, 13])):
         _cpus(monkeypatch, cpus)
         calls.clear()
         split = generate_lorenz(None, 11, splits=table)

@@ -22,7 +22,6 @@ from splineflow import (
     generate_burgers,
     generate_lorenz,
     init_params,
-    relative_l2,
     train_flow_matching,
     train_one_step,
     uniform_grid,
@@ -43,6 +42,7 @@ from splineflow.timegrid import subsample_indices
 from splineflow import trainer, workers
 
 from recording import recorded
+from reference import relative_l2
 from splineflow.trainer import _optimize, _validation_error, build_splines
 from splineflow.vector_field import (
     VectorFieldParams,

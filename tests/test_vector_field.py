@@ -20,6 +20,8 @@ from splineflow import (
     time_embedding,
 )
 
+from recording import forward_sweep_rows
+
 
 def test_embedding_at_zero():
     emb = time_embedding(0.0, bands=4)
@@ -84,28 +86,33 @@ def _cpus(monkeypatch, n):
     monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-def _forward_parts(rows):
-    return workers.row_parts(rows, vector_field.PART_ROWS)
-
-
-def test_row_parts_follow_the_cpus_and_the_part_size():
-    for cpus, rows, parts in [(2, 319, 1), (2, 320, 2), (2, 6000, 2), (4, 600, 3), (1, 6000, 1)]:
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            _cpus(monkeypatch, cpus)
-            assert _forward_parts(rows) == parts
+def test_row_parts_follow_the_cpus_and_the_part_size(monkeypatch):
+    params = init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), seed=5)
+    calls = forward_sweep_rows(monkeypatch)
+    for cpus, rows, parts in [
+        (2, 319, [319]), (2, 320, [160, 160]), (2, 6000, [3000, 3000]),
+        (4, 600, [200, 200, 200]), (4, 601, [200, 200, 201]), (1, 6000, [6000]),
+    ]:
+        _cpus(monkeypatch, cpus)
+        calls.clear()
+        forward_batch(params, 0.37, np.ones((rows, 3)))
+        assert sorted(calls) == parts, (cpus, rows)
 
 
 @pytest.mark.parametrize("d, rows", [(100, 600), (100, 601), (100, 320), (3, 400), (3, 402)])
 def test_a_split_forward_pass_equals_one_sweep(monkeypatch, d, rows):
     # parts start at multiples of 8 rows and hold at least 160, where the
     # BLAS kernels round every row as in the whole batch (module docstring)
+    cuts = {600: [296, 304], 601: [296, 305], 320: [160, 160], 400: [200, 200], 402: [200, 202]}
     params = init_params(MlpConfig(state_dim=d), seed=5)
     u = np.random.default_rng(rows).standard_normal((rows, d))
     whole = vector_field._sweep(params, vector_field._assemble_input(params.config, 0.37, u))
-    for cpus in (1, 2):
+    calls = forward_sweep_rows(monkeypatch)
+    for cpus, parts in ((1, [rows]), (2, cuts[rows])):
         _cpus(monkeypatch, cpus)
-        assert _forward_parts(rows) == cpus
+        calls.clear()
         assert np.array_equal(forward_batch(params, 0.37, u), whole)
+        assert sorted(calls) == parts
     assert workers._pool is not None
 
 
@@ -118,6 +125,7 @@ def test_split_forward_passes_hold_under_frequent_thread_switches(monkeypatch):
     params = init_params(MlpConfig(state_dim=100), seed=5)
     u = np.random.default_rng(0).standard_normal((640, 100))
     whole = vector_field._sweep(params, vector_field._assemble_input(params.config, 0.37, u))
+    calls = forward_sweep_rows(monkeypatch)
     same = []
     runner = threading.Thread(
         target=lambda: same.extend(
@@ -132,7 +140,7 @@ def test_split_forward_passes_hold_under_frequent_thread_switches(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not runner.is_alive()
-    assert _forward_parts(640) == 4
+    assert calls == [160] * 4 * 40
     assert same == [True] * 40
     workers._pool.shutdown()
 
