@@ -20,7 +20,6 @@ from .interpolant import InterpolantSampler, SampleBatch
 from .metrics import EvalReport, build_report, empirical_order
 from .odeint import RolloutResult, SolverConfig, ar_rollout, rollout, rollout_reverse, step
 from .spline import NoiseSchedule, build_linear, build_quintic, estimate_knot_derivatives
-from .stencil import fd_weights
 from .systems import (
     BurgersConfig,
     TrajectorySet,

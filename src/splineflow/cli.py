@@ -38,7 +38,7 @@ from .evaluation import (
 from .odeint import SolverConfig
 from .systems import LORENZ_SUBSTEPS, BurgersConfig, burgers_substeps, generate_burgers, generate_lorenz
 from .trainer import TrainConfig, train_flow_matching, train_one_step
-from .vector_field import MlpConfig, load_checkpoint, save_checkpoint
+from .vector_field import load_checkpoint, save_checkpoint
 
 OUTPUT_ROOT_ENV = "SPLINEFLOW_OUTPUT_ROOT"
 
@@ -81,7 +81,7 @@ _TRAIN_OPTS = [
     ("lr", float, TrainConfig.learning_rate, "Adam learning rate"),
     ("eval_every", int, TrainConfig.eval_every, "validation rollout cadence in steps"),
     ("seed", _non_negative_int, TrainConfig.seed, "training seed"),
-    ("hidden", _comma_ints, MlpConfig.hidden_dims, "hidden layer widths"),
+    ("hidden", _comma_ints, TrainConfig.hidden_dims, "hidden layer widths"),
     ("checkpoint_out", str, None, "checkpoint path (default under out dir)"),
     ("history_out", str, None, "history CSV path (default under out dir)"),
 ]
@@ -103,7 +103,7 @@ COMMANDS = {
     ],
     "train": _COMMON + _TRAIN_OPTS + [
         ("keep_rate", float, 1.0, "fraction of time points kept per trajectory"),
-        ("embed_bands", int, MlpConfig.embed_bands, "sinusoidal time-embedding frequency count"),
+        ("embed_bands", int, TrainConfig.embed_bands, "sinusoidal time-embedding frequency count"),
         ("spline", str, TrainConfig.spline_kind, "spline kind: linear or quintic"),
         ("gamma0", float, TrainConfig.gamma0, "noise schedule amplitude"),
         ("noise_m", int, TrainConfig.noise_m, "noise schedule smoothness exponent"),
@@ -323,13 +323,9 @@ def _train_common(options: dict, fp: str, autoregressive: bool) -> int:
         learning_rate=options["lr"],
         eval_every=options["eval_every"],
         seed=options["seed"],
-        **flow,
-    )
-    mlp = MlpConfig(
-        state_dim=train_set.state_dim,
         hidden_dims=options["hidden"],
-        embed_bands=options.get("embed_bands", MlpConfig.embed_bands),
-        use_time_embedding=not autoregressive,
+        embed_bands=options.get("embed_bands", TrainConfig.embed_bands),
+        **flow,
     )
 
     tag = f"{header['system']}_{'ar' if autoregressive else config.spline_kind}_seed{options['seed']}"
@@ -366,9 +362,9 @@ def _train_common(options: dict, fp: str, autoregressive: bool) -> int:
     clock = _clock("train_s")
     try:
         if autoregressive:
-            result = train_one_step(train_set, config, mlp_config=mlp, val_set=val_set)
+            result = train_one_step(train_set, config, val_set=val_set)
         else:
-            result = train_flow_matching(train_set, config, mlp_config=mlp, val_set=val_set)
+            result = train_flow_matching(train_set, config, val_set=val_set)
     except TrainingAbortedError as exc:
         if exc.result is not None:
             dump(exc.result, status=f"aborted: {exc}")

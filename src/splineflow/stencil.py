@@ -2,11 +2,12 @@
 
 `fd_weights` gives the weights of any derivative on any nodes (Fornberg
 1988, *Math. Comp.* 51:699) by solving the Vandermonde system on nodes
-shifted to the evaluation point. Nothing in the package calls it: the
-knot derivatives of `spline.estimate_knot_derivatives` use closed forms,
-and the tests check those against it. It stays in the package because
-the benchmark still wraps it here by name; it can move to the tests once
-that span site is gone.
+shifted to the evaluation point. Nothing in the package calls it, and
+the package does not export it: the knot derivatives of
+`spline.estimate_knot_derivatives` use closed forms, and the tests check
+those against it. It stays in this module because the benchmark still
+wraps it here by name; it can move to the tests once that span site is
+gone.
 """
 
 from __future__ import annotations

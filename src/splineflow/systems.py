@@ -177,7 +177,7 @@ def lorenz_rhs(state: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split_rows(n_traj, seed, splits) -> dict:
+def _split_table(n_traj, seed, splits) -> dict:
     """{name: (seed, its slice of the one batch)} of a generator call.
 
     `splits` is {name: (count, seed)}; a call without it is one split named None.
@@ -186,15 +186,15 @@ def _split_rows(n_traj, seed, splits) -> dict:
         splits = {None: (n_traj, seed)}
     elif n_traj is not None:
         raise InvalidArgumentError("pass n_traj=None when splits are given")
-    rows, start = {}, 0
+    table, start = {}, 0
     for name, (count, split_seed) in splits.items():
         if count < 1:
             raise InvalidArgumentError(f"every split needs n_traj >= 1, got {splits}")
-        rows[name] = (split_seed, slice(start, start + count))
+        table[name] = (split_seed, slice(start, start + count))
         start += count
-    if not rows:
+    if not table:
         raise InvalidArgumentError("need at least one split")
-    return rows
+    return table
 
 
 def _check_times(n_times: int, horizon_seconds: float) -> None:
@@ -206,16 +206,16 @@ def _check_times(n_times: int, horizon_seconds: float) -> None:
         )
 
 
-def _initial_batch(rows: dict, state_dim: int, draw, order: str) -> np.ndarray:
+def _initial_batch(table: dict, state_dim: int, draw, order: str) -> np.ndarray:
     """The batch of every split's initial rows; row j of a split is draw([seed, j])."""
-    u0 = np.empty((max(part.stop for _, part in rows.values()), state_dim), order=order)
-    for seed, part in rows.values():
+    u0 = np.empty((max(part.stop for _, part in table.values()), state_dim), order=order)
+    for seed, part in table.values():
         for j, row in enumerate(range(part.start, part.stop)):
             u0[row] = draw([seed, j])
     return u0
 
 
-def _integrate_splits(rows, u0, rhs, n_times, horizon_seconds, substeps, system_tag, hint=""):
+def _integrate_splits(table, u0, rhs, n_times, horizon_seconds, substeps, system_tag, hint=""):
     """One RK4 rollout of the whole batch, cut back into one TrajectorySet per split.
 
     A large batch is integrated in row parts at once, each recording into
@@ -247,7 +247,7 @@ def _integrate_splits(rows, u0, rhs, n_times, horizon_seconds, substeps, system_
     diverged = np.concatenate(split_rows(integrate, len(u0), floor))
     if diverged.any():
         per_split = ", ".join(
-            f"{name} {int(diverged[part].sum())}" for name, (_, part) in rows.items() if name
+            f"{name} {int(diverged[part].sum())}" for name, (_, part) in table.items() if name
         )
         raise DivergedError(
             f"{system_tag} integration unstable: {int(diverged.sum())} of {len(u0)} rows"
@@ -261,7 +261,7 @@ def _integrate_splits(rows, u0, rhs, n_times, horizon_seconds, substeps, system_
             system_tag=system_tag,
             raw_horizon=horizon_seconds,
         )
-        for name, (_, part) in rows.items()
+        for name, (_, part) in table.items()
     }
     return sets[None] if None in sets else sets
 
@@ -289,12 +289,12 @@ def generate_lorenz(
         raise InvalidArgumentError(
             f"init_box must be positive with a finite width 2 * init_box, got {init_box!r}"
         )
-    rows = _split_rows(n_traj, seed, splits)
+    table = _split_table(n_traj, seed, splits)
     u0 = _initial_batch(
-        rows, 3, lambda entropy: np.random.default_rng(entropy).uniform(-init_box, init_box, size=3),
+        table, 3, lambda entropy: np.random.default_rng(entropy).uniform(-init_box, init_box, size=3),
         order="F",
     )
-    return _integrate_splits(rows, u0, lorenz_rhs, n_times, horizon_seconds, substeps, "lorenz")
+    return _integrate_splits(table, u0, lorenz_rhs, n_times, horizon_seconds, substeps, "lorenz")
 
 
 @dataclass(frozen=True)
@@ -408,13 +408,13 @@ def generate_burgers(
     """
     _check_times(n_times, horizon_seconds)
     config = config or BurgersConfig()
-    rows = _split_rows(n_traj, seed, splits)
+    table = _split_table(n_traj, seed, splits)
     needed = burgers_substeps(config, horizon_seconds / (n_times - 1))
     u0 = _initial_batch(
-        rows, config.nx, lambda entropy: sample_grf_initial(config.nx, entropy), order="C"
+        table, config.nx, lambda entropy: sample_grf_initial(config.nx, entropy), order="C"
     )
     return _integrate_splits(
-        rows, u0, lambda u: burgers_rhs(u, config), n_times, horizon_seconds,
+        table, u0, lambda u: burgers_rhs(u, config), n_times, horizon_seconds,
         needed if substeps is None else substeps, "burgers1d",
         hint=f"; needs >= {needed} substeps per interval",
     )

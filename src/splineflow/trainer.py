@@ -6,6 +6,10 @@ with the best validation error (long trainings on chaotic data
 fluctuate, so last-step weights are a poor pick). Runs are bit-for-bit
 reproducible for a fixed config and seed.
 
+Each trainer builds its own network from the training set's state
+dimension and the config's `hidden_dims` and `embed_bands`: the flow
+model's takes a time input, the one-step baseline's does not.
+
 A large batch is drawn one step ahead on the worker pool while the
 current step runs, by the rule of `workers.one_ahead`.
 
@@ -57,6 +61,14 @@ VALIDATION_SOLVER = SolverConfig(method="rk4", substeps_per_interval=1)
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Settings of one training run, for either trainer.
+
+    Only the flow trainer reads `spline_kind`, `gamma0`, `noise_m` and
+    `embed_bands`: the one-step baseline has no spline path and no time
+    input (its checkpoint still records `embed_bands` in the network's
+    config).
+    """
+
     steps: int = 20000
     batch_size: int = 256
     learning_rate: float = 1e-3
@@ -65,6 +77,8 @@ class TrainConfig:
     noise_m: int = 3
     spline_kind: str = "quintic"
     seed: int = 0
+    hidden_dims: tuple = MlpConfig.hidden_dims
+    embed_bands: int = MlpConfig.embed_bands
 
     def __post_init__(self):
         if self.steps <= 0 or self.batch_size <= 0:
@@ -224,10 +238,7 @@ def _optimize(params, draw_batch, score_validation, config: TrainConfig) -> Trai
 
 
 def train_flow_matching(
-    train_set: TrajectorySet,
-    config: TrainConfig,
-    mlp_config: MlpConfig | None = None,
-    val_set: TrajectorySet | None = None,
+    train_set: TrajectorySet, config: TrainConfig, val_set: TrajectorySet | None = None
 ) -> TrainResult:
     """Fit the velocity model to spline-path targets by flow matching.
 
@@ -236,15 +247,11 @@ def train_flow_matching(
     the analytic path velocity. Validation (when a set is given) scores a
     VALIDATION_SOLVER rollout from each held-out initial condition.
     """
-    mlp_config = mlp_config or MlpConfig(state_dim=train_set.state_dim)
-    if not mlp_config.use_time_embedding:
-        raise InvalidArgumentError("the flow model's velocity field takes a time input")
-    if mlp_config.state_dim != train_set.state_dim:
-        raise InvalidArgumentError("mlp state_dim does not match the dataset")
+    mlp = MlpConfig(train_set.state_dim, config.hidden_dims, config.embed_bands)
     schedule = NoiseSchedule(gamma0=config.gamma0, m=config.noise_m)
     table = build_splines(train_set, config.spline_kind)
     sampler = InterpolantSampler(train_set.grids, table, schedule)
-    params = init_params(mlp_config, config.seed)
+    params = init_params(mlp, config.seed)
     rng = np.random.default_rng([config.seed, 1])
 
     score = None
@@ -263,10 +270,7 @@ def train_flow_matching(
 
 
 def train_one_step(
-    train_set: TrajectorySet,
-    config: TrainConfig,
-    mlp_config: MlpConfig | None = None,
-    val_set: TrajectorySet | None = None,
+    train_set: TrajectorySet, config: TrainConfig, val_set: TrajectorySet | None = None
 ) -> TrainResult:
     """Teacher-forced one-step predictor u(t_i) -> u(t_{i+1}).
 
@@ -278,14 +282,10 @@ def train_one_step(
     states = train_set.stacked()  # (M, N, d), a view of the set's buffer
     n_steps = states.shape[1] - 1  # pairs (u_k, u_{k+1}) per trajectory
 
-    mlp_config = mlp_config or MlpConfig(
-        state_dim=train_set.state_dim, use_time_embedding=False
+    mlp = MlpConfig(
+        train_set.state_dim, config.hidden_dims, config.embed_bands, use_time_embedding=False
     )
-    if mlp_config.use_time_embedding:
-        raise InvalidArgumentError("the one-step baseline does not take a time input")
-    if mlp_config.state_dim != train_set.state_dim:
-        raise InvalidArgumentError("mlp state_dim does not match the dataset")
-    params = init_params(mlp_config, config.seed)
+    params = init_params(mlp, config.seed)
     rng = np.random.default_rng([config.seed, 1])
     zeros = np.zeros(config.batch_size)
 

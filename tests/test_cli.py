@@ -675,6 +675,8 @@ def test_studies_need_one_grid_shared_by_the_split(tmp_path, ragged, expected):
     [
         ("train", "lr", "nan"), ("train", "lr", "inf"), ("train-ar", "lr", "nan"),
         ("train", "gamma0", "nan"), ("train", "gamma0", "inf"),
+        # the trainer builds its network before its first step
+        ("train", "hidden", "0"), ("train", "embed-bands", "0"), ("train-ar", "hidden", "0"),
     ],
 )
 def test_non_finite_training_settings_exit_2_without_a_checkpoint(

@@ -1,6 +1,6 @@
 """Every name a module of splineflow imports is used in that module, only
-the users of the worker pool import it, and importing the CLI starts no
-thread.
+the users of the worker pool import it, only the network and the trainer
+use the network config, and importing the CLI starts no thread.
 
 The package has no linter to run; this parses each module with `ast`.
 `__init__.py` is exempt: its imports are the package's re-exports.
@@ -63,6 +63,28 @@ def test_only_the_row_splits_and_the_trainer_import_the_worker_pool():
     assert package_imports("from .workers import split_rows\nfrom . import workers\n") == {"workers"}
     importers = {p.name for p in MODULES if "workers" in package_imports(p.read_text(encoding="utf-8"))}
     assert importers == {"vector_field.py", "systems.py", "trainer.py"}
+
+
+def names_used(source: str) -> set:
+    """Every name the module reads, reads as an attribute, or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_only_the_network_and_the_trainer_use_the_network_config():
+    # each trainer builds its network from the data and its TrainConfig,
+    # so the CLI builds none: it reads checkpoints that carry their config
+    for source in ("from .vector_field import MlpConfig\n", "vector_field.MlpConfig(3)\n"):
+        assert "MlpConfig" in names_used(source)
+    users = {p.name for p in MODULES if "MlpConfig" in names_used(p.read_text(encoding="utf-8"))}
+    assert users == {"vector_field.py", "trainer.py"}
 
 
 def test_importing_the_cli_starts_no_thread_pool():

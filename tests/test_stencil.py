@@ -3,12 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from splineflow import (
-    InvalidArgumentError,
-    estimate_knot_derivatives,
-    fd_weights,
-    uniform_grid,
-)
+from splineflow import InvalidArgumentError, estimate_knot_derivatives, uniform_grid
+from splineflow.stencil import fd_weights
 from splineflow.timegrid import TimeGrid
 
 

@@ -198,14 +198,13 @@ def test_one_step_training_gathers_pairs_from_the_stacked_states(monkeypatch):
     # buffer: a stacked copy of the split would take the peak past the
     # split's payload, and flattened input and target copies to about 3x
     lorenz, data = generate_lorenz(200, 201, seed=0), _random_set(40, 101, 100, seed=2)
-    cfg = TrainConfig(steps=1, batch_size=16)
+    cfg = TrainConfig(steps=1, batch_size=16, hidden_dims=(8,))
     for split in (lorenz, data):
-        mlp = MlpConfig(split.state_dim, hidden_dims=(8,), use_time_embedding=False)
-        _, peak = _traced_peak(lambda: train_one_step(split, cfg, mlp_config=mlp))
+        _, peak = _traced_peak(lambda: train_one_step(split, cfg))
         assert peak < split.values.nbytes
     # the pairs are those the flattened copies gave for the same draws
     monkeypatch.setattr(trainer, "_optimize", lambda params, draw, score, config: draw)
-    batch = train_one_step(data, cfg, mlp_config=mlp)()
+    batch = train_one_step(data, cfg)()
     stacked = np.stack(data.states)
     idx = np.random.default_rng([cfg.seed, 1]).integers(0, 40 * 100, size=16)
     assert np.array_equal(batch.x, stacked[:, :-1].reshape(-1, 100)[idx])
@@ -260,15 +259,14 @@ def _exponential_set(u0=2.0, n=11):
     return TrajectorySet(grids=[grid], values=values, system_tag="toy", raw_horizon=1.0)
 
 
-TOY_MLP = MlpConfig(state_dim=1, hidden_dims=(32, 32), embed_bands=4)
+TOY_NET = {"hidden_dims": (32, 32), "embed_bands": 4}
 
 
 def test_constant_trajectory_learns_zero_field():
     data = _constant_set()
     cfg = TrainConfig(steps=1500, batch_size=64, learning_rate=3e-3, gamma0=0.0,
-                      eval_every=500, seed=0)
-    mlp = MlpConfig(state_dim=2, hidden_dims=(32, 32), embed_bands=4)
-    result = train_flow_matching(data, cfg, mlp_config=mlp, val_set=data)
+                      eval_every=500, seed=0, **TOY_NET)
+    result = train_flow_matching(data, cfg, val_set=data)
     assert result.history[-1].train_loss < 1e-5
     report = evaluate_flow_model(result.params, data, SolverConfig("rk4", 2))
     assert report.mean < 1e-3
@@ -277,8 +275,8 @@ def test_constant_trajectory_learns_zero_field():
 def test_exponential_toy_learns_decay_field():
     data = _exponential_set()
     cfg = TrainConfig(steps=4000, batch_size=128, learning_rate=3e-3, gamma0=0.0,
-                      eval_every=1000, seed=1)
-    result = train_flow_matching(data, cfg, mlp_config=TOY_MLP, val_set=data)
+                      eval_every=1000, seed=1, **TOY_NET)
+    result = train_flow_matching(data, cfg, val_set=data)
     report = evaluate_flow_model(result.params, data, SolverConfig("rk4", 4))
     assert report.mean < 1e-2
     # learned field approximates -u on the data tube
@@ -291,8 +289,8 @@ def test_learned_field_round_trip():
     # forward to t=1 then backward to t=0 with the same learned field
     data = _exponential_set()
     cfg = TrainConfig(steps=4000, batch_size=128, learning_rate=3e-3, gamma0=0.0,
-                      eval_every=1000, seed=1)
-    result = train_flow_matching(data, cfg, mlp_config=TOY_MLP, val_set=data)
+                      eval_every=1000, seed=1, **TOY_NET)
+    result = train_flow_matching(data, cfg, val_set=data)
     f = flow_field(result.params)
     solver = SolverConfig("rk4", 400)
     u0 = data.states[0][:1]
@@ -305,10 +303,9 @@ def test_learned_field_round_trip():
 def test_training_is_bit_reproducible():
     data = _exponential_set()
     cfg = TrainConfig(steps=300, batch_size=32, learning_rate=1e-3, gamma0=1e-5,
-                      eval_every=100, seed=7)
-    mlp = MlpConfig(state_dim=1, hidden_dims=(8, 8), embed_bands=2)
-    a = train_flow_matching(data, cfg, mlp_config=mlp, val_set=data)
-    b = train_flow_matching(data, cfg, mlp_config=mlp, val_set=data)
+                      eval_every=100, seed=7, hidden_dims=(8, 8), embed_bands=2)
+    a = train_flow_matching(data, cfg, val_set=data)
+    b = train_flow_matching(data, cfg, val_set=data)
     assert np.array_equal(a.params.flat, b.params.flat)
     assert [r.train_loss for r in a.history] == [r.train_loss for r in b.history]
 
@@ -316,8 +313,8 @@ def test_training_is_bit_reproducible():
 def test_smoothed_loss_nonincreasing_early():
     data = _exponential_set()
     cfg = TrainConfig(steps=3000, batch_size=128, learning_rate=3e-3, gamma0=0.0,
-                      eval_every=1000, seed=2)
-    result = train_flow_matching(data, cfg, mlp_config=TOY_MLP)
+                      eval_every=1000, seed=2, **TOY_NET)
+    result = train_flow_matching(data, cfg)
     losses = np.array([row.train_loss for row in result.history])
     smooth = np.convolve(losses, np.full(100, 1.0 / 100), mode="valid")  # rolling mean
     early = smooth[: 300 - 100]  # first 10% of the run
@@ -328,10 +325,9 @@ def test_smoothed_loss_nonincreasing_early():
 def test_divergent_run_aborts_with_last_good_params():
     data = _exponential_set()
     cfg = TrainConfig(steps=500, batch_size=32, learning_rate=1e18, gamma0=0.0,
-                      eval_every=100, seed=0)
-    mlp = MlpConfig(state_dim=1, hidden_dims=(8,), embed_bands=2)
+                      eval_every=100, seed=0, hidden_dims=(8,), embed_bands=2)
     with pytest.raises(TrainingAbortedError) as err:
-        train_flow_matching(data, cfg, mlp_config=mlp, val_set=data)
+        train_flow_matching(data, cfg, val_set=data)
     assert err.value.result is not None
     assert err.value.step >= 1
 
@@ -339,16 +335,15 @@ def test_divergent_run_aborts_with_last_good_params():
 def test_loss_explosion_aborts_at_step_two_with_initial_params():
     data = _exponential_set()
     cfg = TrainConfig(steps=500, batch_size=32, learning_rate=1e18, gamma0=0.0,
-                      eval_every=100, seed=0)
-    mlp = MlpConfig(state_dim=1, hidden_dims=(8,), embed_bands=2)
+                      eval_every=100, seed=0, hidden_dims=(8,), embed_bands=2)
     with pytest.raises(TrainingAbortedError) as err:
-        train_flow_matching(data, cfg, mlp_config=mlp, val_set=data)
+        train_flow_matching(data, cfg, val_set=data)
     # the loss stays finite but explodes at step 2, before any validation:
     # only the initial parameters passed the loss check
     assert err.value.step == 2
     assert err.value.result.best_step == 0
     assert math.isnan(err.value.result.best_val_error)
-    initial = init_params(mlp, cfg.seed)
+    initial = init_params(MlpConfig(1, (8,), embed_bands=2), cfg.seed)
     assert np.array_equal(err.value.result.params.flat, initial.flat)
     assert [row.step for row in err.value.result.history] == [1]
 
@@ -413,15 +408,14 @@ def test_a_training_that_draws_ahead_equals_one_that_draws_in_line(monkeypatch, 
     # batch is drawn on the pool while the step runs; with the floor above
     # the batch, every batch is drawn on the calling thread when needed
     data = generate_burgers(4, 21, seed=0)
-    cfg = TrainConfig(steps=12, batch_size=256, eval_every=5, seed=3)
-    mlp = MlpConfig(state_dim=100, hidden_dims=(16,), embed_bands=2,
-                    use_time_embedding=train is train_flow_matching)
+    cfg = TrainConfig(steps=12, batch_size=256, eval_every=5, seed=3, hidden_dims=(16,),
+                      embed_bands=2)
     _cpus(monkeypatch, 2)
     threads, runs, caller = _draw_threads(monkeypatch), [], threading.get_ident()
     for floor, on_pool in ((workers.PART_ENTRIES, 11), (256 * 100 + 1, 0)):
         monkeypatch.setattr(workers, "PART_ENTRIES", floor)
         threads.clear()
-        runs.append(_bits(train(data, cfg, mlp_config=mlp, val_set=data)))
+        runs.append(_bits(train(data, cfg, val_set=data)))
         assert threads[0] == caller
         assert len(threads) - threads.count(caller) == on_pool
     (history, flat, best), (inline_history, inline_flat, inline_best) = runs
@@ -510,26 +504,30 @@ def test_quintic_requires_three_knots():
     data = TrajectorySet(
         grids=[grid], values=np.zeros((2, 1)), system_tag="toy", raw_horizon=1.0,
     )
-    cfg = TrainConfig(steps=10, batch_size=4, spline_kind="quintic")
+    cfg = TrainConfig(steps=10, batch_size=4, spline_kind="quintic", hidden_dims=(4,))
     with pytest.raises(InvalidArgumentError):
-        train_flow_matching(data, cfg, mlp_config=MlpConfig(state_dim=1, hidden_dims=(4,)))
+        train_flow_matching(data, cfg)
 
 
-def test_each_trainer_rejects_the_other_models_network():
-    # the time input is what tells a velocity field from a next-state map
-    data = _constant_set(value=1.5, d=1)
-    cfg = TrainConfig(steps=2, batch_size=4)
-    with pytest.raises(InvalidArgumentError, match="time input"):
-        train_flow_matching(data, cfg, mlp_config=MlpConfig(1, (4,), use_time_embedding=False))
-    with pytest.raises(InvalidArgumentError, match="time input"):
-        train_one_step(data, cfg, mlp_config=MlpConfig(1, (4,)))
+@pytest.mark.parametrize("net", [{}, {"hidden_dims": (4, 3), "embed_bands": 2}])
+def test_each_trainer_builds_its_network_from_the_data_and_the_config(net):
+    # the time input is what tells a velocity field from a next-state map;
+    # the width comes from the data, the layers and bands from the config
+    data = _constant_set(value=1.5, d=2)
+    cfg = TrainConfig(steps=2, batch_size=4, **net)
+    for train, time_input in ((train_flow_matching, True), (train_one_step, False)):
+        config = train(data, cfg).params.config
+        assert config == MlpConfig(data.state_dim, cfg.hidden_dims, cfg.embed_bands,
+                                   use_time_embedding=time_input)
+        assert config.hidden_dims == net.get("hidden_dims", MlpConfig.hidden_dims)
+        assert config.embed_bands == net.get("embed_bands", MlpConfig.embed_bands)
 
 
 def test_ar_learns_identity_on_constant_data():
     data = _constant_set(value=1.5, d=1)
-    cfg = TrainConfig(steps=1200, batch_size=32, learning_rate=3e-3, eval_every=400, seed=0)
-    mlp = MlpConfig(state_dim=1, hidden_dims=(16, 16), use_time_embedding=False)
-    result = train_one_step(data, cfg, mlp_config=mlp, val_set=data)
+    cfg = TrainConfig(steps=1200, batch_size=32, learning_rate=3e-3, eval_every=400, seed=0,
+                      hidden_dims=(16, 16))
+    result = train_one_step(data, cfg, val_set=data)
     assert result.history[-1].train_loss < 1e-6
     report = evaluate_one_step_model(result.params, data, data.uniform_step())
     assert report.mean < 1e-2
@@ -698,7 +696,7 @@ def test_flow_training_refuses_such_a_val_set_before_its_first_step(monkeypatch)
     monkeypatch.setattr(trainer, "loss_and_grad", lambda *args: steps.append(args))
     with pytest.raises(InvalidArgumentError, match="one grid shared by all"):
         train_flow_matching(
-            _constant_set(d=1), TrainConfig(steps=1, batch_size=4), TOY_MLP,
+            _constant_set(d=1), TrainConfig(steps=1, batch_size=4, **TOY_NET),
             val_set=_on_two_grids(),
         )
     assert steps == []
@@ -747,13 +745,6 @@ def test_ar_rejects_irregular_grids():
     cfg = TrainConfig(steps=10, batch_size=4)
     with pytest.raises(InvalidArgumentError, match="uniform"):
         train_one_step(data, cfg)
-
-
-def test_ar_rejects_time_embedding_config():
-    data = _constant_set(d=1)
-    cfg = TrainConfig(steps=10, batch_size=4)
-    with pytest.raises(InvalidArgumentError):
-        train_one_step(data, cfg, mlp_config=MlpConfig(state_dim=1, hidden_dims=(4,)))
 
 
 # The headline check passes when CFO's final-time error is at most this

@@ -35,9 +35,9 @@ def test_split_rows_cuts_at_multiples_of_8_into_parts_of_the_floor(monkeypatch):
 
 
 def _train(data):
-    mlp = MlpConfig(state_dim=100, hidden_dims=(16,), embed_bands=2)
-    cfg = TrainConfig(steps=3, batch_size=256, eval_every=3, seed=3)
-    result = train_flow_matching(data, cfg, mlp_config=mlp, val_set=data)
+    cfg = TrainConfig(steps=3, batch_size=256, eval_every=3, seed=3, hidden_dims=(16,),
+                      embed_bands=2)
+    result = train_flow_matching(data, cfg, val_set=data)
     return [(row.step, row.train_loss, row.val_error) for row in result.history], result.params.flat
 
 
