@@ -2,8 +2,9 @@
 
 Subcommands: gen-data, train, train-ar, eval, convergence, nfe-sweep,
 reverse. gen-data writes one binary dataset file (see `datafile`); every
-other command reads one. Outputs land under --out-dir, which defaults to
-the SPLINEFLOW_OUTPUT_ROOT environment variable or ./outputs.
+other command reads one. Each output goes where its flag names it, else
+under --out-dir, $SPLINEFLOW_OUTPUT_ROOT or ./outputs; its directory is
+made either way. A float in a CSV is its shortest round-trip text.
 
 argparse types every flag, fills its default and refuses a command
 without its required flags. All commands are deterministic for a fixed
@@ -170,16 +171,15 @@ def fingerprint(command: str, options: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _out_dir(options: dict) -> Path:
-    root = options.get("out_dir") or os.environ.get(OUTPUT_ROOT_ENV) or "outputs"
-    path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
+def _output(options: dict, flag: str, default_name: str) -> Path:
+    """The path `flag` names, else `default_name` under the output root; makes its directory."""
+    root = options["out_dir"] or os.environ.get(OUTPUT_ROOT_ENV) or "outputs"
+    path = Path(options[flag] or Path(root, default_name))
+    path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _write_csv(path, comments: dict, header, rows) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _write_csv(path: Path, comments: dict, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for key, value in comments.items():
             fh.write(f"# {key}={value}\n")
@@ -294,7 +294,7 @@ def cmd_gen_data(options: dict, fp: str) -> int:
     else:
         meta.update({"nu": options["nu"], "nx": options["nx"]})
 
-    out = options["out"] or _out_dir(options) / f"{system}_seed{seed}.sftraj"
+    out = _output(options, "out", f"{system}_seed{seed}.sftraj")
     datafile.write_dataset(out, splits, generator_meta=meta)
     print(
         f"wrote {out} ({', '.join(f'{k}={v.n_traj}' for k, v in splits.items())}) "
@@ -329,8 +329,8 @@ def _train_common(options: dict, fp: str, autoregressive: bool) -> int:
     )
 
     tag = f"{header['system']}_{'ar' if autoregressive else config.spline_kind}_seed{options['seed']}"
-    ckpt_path = options["checkpoint_out"] or _out_dir(options) / f"{tag}.ckpt.npz"
-    hist_path = options["history_out"] or _out_dir(options) / f"{tag}_history.csv"
+    ckpt_path = _output(options, "checkpoint_out", f"{tag}.ckpt.npz")
+    hist_path = _output(options, "history_out", f"{tag}_history.csv")
 
     meta = {
         "fingerprint": fp,
@@ -356,7 +356,7 @@ def _train_common(options: dict, fp: str, autoregressive: bool) -> int:
             hist_path,
             {"fingerprint": fp, "status": status},
             ["step", "train_loss", "val_rel_l2"],
-            [(row.step, repr(row.train_loss), repr(row.val_error)) for row in result.history],
+            [(row.step, row.train_loss, row.val_error) for row in result.history],
         )
 
     clock = _clock("train_s")
@@ -391,28 +391,27 @@ def cmd_eval(options: dict, fp: str) -> int:
             params, dataset, grid_step, eval_stride=options["eval_stride"]
         )
     cost = clock()
-    out = options["out"] or _out_dir(options) / "eval_report.csv"
+    out = _output(options, "out", "eval_report.csv")
     _write_csv(
         out,
         {
             "fingerprint": fp,
             "checkpoint": options["checkpoint"],
-            "mean_rel_l2": repr(report.mean),
-            "median_rel_l2": repr(report.median),
-            "sd_rel_l2": repr(report.sd),
-            "final_time_error": repr(report.final_time_error),
+            "mean_rel_l2": report.mean,
+            "median_rel_l2": report.median,
+            "sd_rel_l2": report.sd,
+            "final_time_error": report.final_time_error,
             "nfe": report.nfe,
             "n_diverged": report.n_diverged,
         },
         ["traj_index", "relative_l2"],
-        [(i, repr(float(v))) for i, v in enumerate(report.per_traj)],
+        enumerate(report.per_traj.tolist()),
     )
-    per_time_out = Path(str(out)).with_suffix(".pertime.csv")
     _write_csv(
-        per_time_out,
+        out.with_suffix(".pertime.csv"),
         {"fingerprint": fp},
         ["time_index", "mean_relative_error"],
-        [(i, repr(float(v))) for i, v in enumerate(report.per_time)],
+        enumerate(report.per_time.tolist()),
     )
     print(
         f"split={options['split']} mean={report.mean:.4e} sd={report.sd:.4e} "
@@ -425,7 +424,7 @@ def cmd_eval(options: dict, fp: str) -> int:
 def cmd_convergence(options: dict, fp: str) -> int:
     dataset, _ = _load_split(options["dataset"], options["split"])
     rows = endpoint_velocity_study(dataset, factors=options["factors"])
-    out = options["out"] or _out_dir(options) / "convergence.csv"
+    out = _output(options, "out", "convergence.csv")
     _write_csv(
         out,
         {"fingerprint": fp, "dataset": options["dataset"]},
@@ -435,8 +434,8 @@ def cmd_convergence(options: dict, fp: str) -> int:
         ],
         [
             (
-                r.spline_kind, r.factor, repr(r.dt_seconds), r.n_segments,
-                repr(r.err_tau0), repr(r.order_tau0), repr(r.err_tau1), repr(r.order_tau1),
+                r.spline_kind, r.factor, r.dt_seconds, r.n_segments,
+                r.err_tau0, r.order_tau0, r.err_tau1, r.order_tau1,
             )
             for r in rows
         ],
@@ -469,12 +468,12 @@ def cmd_nfe_sweep(options: dict, fp: str) -> int:
             final_time_error_at_budget(params, dataset, method, budget, reports)
             runs.append((method, pct))
     cost = clock()
-    out = options["out"] or _out_dir(options) / "nfe_sweep.csv"
+    out = _output(options, "out", "nfe_sweep.csv")
     _write_csv(
         out,
         {"fingerprint": fp, "ar_nfe_budget": intervals},
         ["method", "budget_pct", "nfe", "final_time_rel_l2", "n_diverged"],
-        [(*run, r.nfe, repr(r.final_time_error), r.n_diverged) for run, r in zip(runs, reports)],
+        [(*run, r.nfe, r.final_time_error, r.n_diverged) for run, r in zip(runs, reports)],
     )
     for (method, pct), report in zip(runs, reports):
         print(
@@ -488,8 +487,6 @@ def cmd_nfe_sweep(options: dict, fp: str) -> int:
 def cmd_reverse(options: dict, fp: str) -> int:
     dataset, _ = _load_split(options["dataset"], options["split"])
     params, _ = _load_model(options["checkpoint"], dataset, flow=True)
-    if not (0.0 <= options["t_star"] <= 1.0):
-        raise InvalidArgumentError("t_star must lie in [0, 1]")
     solver = SolverConfig(method=options["method"], substeps_per_interval=options["substeps"])
     clock = _clock()
     rows = reverse_time_study(
@@ -501,12 +498,12 @@ def cmd_reverse(options: dict, fp: str) -> int:
         seed=options["seed"],
     )
     cost = clock()
-    out = options["out"] or _out_dir(options) / "reverse.csv"
+    out = _output(options, "out", "reverse.csv")
     _write_csv(
         out,
         {"fingerprint": fp, "t_star": options["t_star"]},
         ["noise_level", "backward_horizon", "mean_relative_error", "n_diverged"],
-        [(repr(a), repr(b), repr(c), n) for a, b, c, n in rows],
+        rows,
     )
     horizons = len(rows) // len(options["noise_levels"])  # rows per noise level
     print(

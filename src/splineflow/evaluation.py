@@ -182,10 +182,12 @@ def reverse_time_study(
     Returns rows (noise_level, backward_horizon, mean_error, n_diverged):
     mean_error is the report's per-time error at that horizon, and
     n_diverged its count of rows that froze or outgrew their truth, the
-    verdict `eval` reports too. Noise levels must be >= 0 with a finite
-    seed key level * NOISE_SEED_SCALE. A study with no row to return (an anchor at t = 0, or no noise level)
-    raises.
+    verdict `eval` reports too. t_star must lie in [0, 1]; noise levels must
+    be >= 0 with a finite seed key level * NOISE_SEED_SCALE. A study with no
+    row to return (an anchor at t = 0, or no noise level) raises.
     """
+    if not 0.0 <= t_star <= 1.0:  # nan fails too
+        raise InvalidArgumentError(f"t_star must lie in [0, 1], got {t_star!r}")
     if not all(level >= 0.0 and np.isfinite(level * NOISE_SEED_SCALE) for level in noise_levels):
         raise InvalidArgumentError(
             f"noise levels must be >= 0 with a finite level * {NOISE_SEED_SCALE:g}, "

@@ -180,6 +180,79 @@ def _csv_rows(path):
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
 
+@pytest.fixture(scope="module")
+def every_output(tmp_path_factory):
+    """Run every command once, each naming its outputs in a directory not made yet.
+
+    Returns {command: (exit code, [the files it names])}.
+    """
+    new = tmp_path_factory.mktemp("every") / "new"
+    data = new / "gen-data" / "tiny.sftraj"
+    flow, ar = new / "train" / "run.ckpt.npz", new / "train-ar" / "run.ckpt.npz"
+    study = ["--checkpoint", str(flow), "--dataset", str(data), "--split", "val"]
+
+    def training(ckpt):
+        history = ckpt.parent / "history.csv"
+        argv = ["--dataset", str(data), "--steps", "2", "--batch-size", "8", "--eval-every", "1",
+                "--hidden", "8", "--checkpoint-out", str(ckpt), "--history-out", str(history)]
+        return argv, [ckpt, history]
+
+    def csv_out(command, *extra):
+        out = new / command / f"{command}.csv"
+        written = [out, out.with_suffix(".pertime.csv")] if command == "eval" else [out]
+        return [*extra, "--out", str(out)], written
+
+    runs = {
+        "gen-data": (["--n-train", "4", "--n-val", "2", "--n-test", "0", "--n-times", "11",
+                      "--out", str(data)], [data]),
+        "train": training(flow),
+        "train-ar": training(ar),
+        "eval": csv_out("eval", *study),
+        "convergence": csv_out("convergence", "--dataset", str(data), "--factors", "1,2"),
+        "nfe-sweep": csv_out("nfe-sweep", *study, "--ar-checkpoint", str(ar), "--budgets", "100"),
+        "reverse": csv_out("reverse", *study, "--t-star", "0.5", "--noise-levels", "0,0.1"),
+    }
+    return {
+        command: (cli.main([command, *argv]), written)
+        for command, (argv, written) in runs.items()
+    }
+
+
+def test_every_command_makes_the_directory_of_each_output_it_is_named(every_output):
+    # the output rule is the same for every file: a dataset or a checkpoint
+    # named in a new directory once cost a whole run and exited 4
+    for command, (code, written) in every_output.items():
+        assert code == 0, command
+        assert all(path.is_file() for path in written), command
+
+
+# The float columns and comment values of the CSVs the commands write
+_FLOAT_COLUMNS = {
+    "train_loss", "val_rel_l2", "relative_l2", "mean_relative_error", "dt_seconds", "err_tau0",
+    "order_tau0", "err_tau1", "order_tau1", "final_time_rel_l2", "noise_level",
+    "backward_horizon",
+}
+_FLOAT_COMMENTS = {"mean_rel_l2", "median_rel_l2", "sd_rel_l2", "final_time_error", "t_star"}
+
+
+def test_every_float_a_csv_holds_is_its_shortest_round_trip_text(every_output):
+    # csv and f-strings write a Python float as its shortest round-trip
+    # text; a rounded or wrapped number (1.234e-01, np.float64(0.5)) would show
+    seen = set()
+    for _, written in every_output.values():
+        for path in (p for p in written if p.suffix == ".csv"):
+            comments = dict(line[2:].split("=", 1) for line in path.read_text().splitlines()
+                            if line.startswith("# "))
+            for key in _FLOAT_COMMENTS & set(comments):
+                assert repr(float(comments[key])) == comments[key], (path.name, key)
+                seen.add(key)
+            for row in _csv_rows(path):
+                for column in _FLOAT_COLUMNS & set(row):
+                    assert repr(float(row[column])) == row[column], (path.name, column)
+                    seen.add(column)
+    assert seen == _FLOAT_COLUMNS | _FLOAT_COMMENTS
+
+
 def test_sweep_csv_reports_scheduled_nfe_and_reverse_csv_counts_diverged_rows(
     tiny_lorenz, tmp_path
 ):
@@ -625,11 +698,14 @@ def test_each_command_without_a_required_flag_exits_2_naming_it(
         ("nfe-sweep", ["--methods", "rk4", "--budgets", ""]),
         ("nfe-sweep", ["--methods", "", "--budgets", "100"]),
         ("reverse", ["--t-star", "0"]),
+        ("reverse", ["--t-star", "1.5"]),
+        ("reverse", ["--t-star", "nan"]),
     ],
 )
 def test_studies_that_would_write_meaningless_rows_exit_2(tiny_lorenz, tmp_path, command, extra):
-    # a budget below 1% of the AR's NFE, no budget or method at all, or an
-    # anchor at t = 0 that leaves no backward horizon (header-only CSVs)
+    # a budget below 1% of the AR's NFE, no budget or method at all, an
+    # anchor at t = 0 that leaves no backward horizon (header-only CSVs),
+    # or an anchor outside [0, 1] that the nearest grid time would stand in for
     ckpt = tmp_path / "init.ckpt.npz"
     save_checkpoint(ckpt, init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0))
     out = tmp_path / f"{command}.csv"

@@ -1,6 +1,8 @@
 """Every name a module of splineflow imports is used in that module, only
 the users of the worker pool import it, only the network and the trainer
-use the network config, and importing the CLI starts no thread.
+use the network config, the CLI names and prepares every output file
+through one helper and never calls repr, and importing the CLI starts no
+thread.
 
 The package has no linter to run; this parses each module with `ast`.
 `__init__.py` is exempt: its imports are the package's re-exports.
@@ -85,6 +87,65 @@ def test_only_the_network_and_the_trainer_use_the_network_config():
         assert "MlpConfig" in names_used(source)
     users = {p.name for p in MODULES if "MlpConfig" in names_used(p.read_text(encoding="utf-8"))}
     assert users == {"vector_field.py", "trainer.py"}
+
+
+OUTPUT_KEYS = {"out", "checkpoint_out", "history_out"}
+
+
+def options_key(node):
+    """The constant key that `options[key]` or `options.get(key, ...)` reads, else None."""
+    if isinstance(node, ast.Subscript):
+        target, key = node.value, node.slice
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+          and node.func.attr == "get" and node.args):
+        target, key = node.func.value, node.args[0]
+    else:
+        return None
+    if isinstance(target, ast.Name) and target.id == "options" and isinstance(key, ast.Constant):
+        return key.value
+    return None
+
+
+def output_rule_breaks(source: str) -> list:
+    """(line, what) of each use of repr, and of each mkdir or output-key read outside `_output`."""
+    tree = ast.parse(source)
+    inside = {
+        id(inner) for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_output"
+        for inner in ast.walk(node)
+    }
+    breaks = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "repr":
+            breaks.append((node.lineno, "repr"))
+        elif id(node) in inside:
+            continue
+        elif isinstance(node, ast.Attribute) and node.attr == "mkdir":
+            breaks.append((node.lineno, "mkdir"))
+        elif options_key(node) in OUTPUT_KEYS:
+            breaks.append((node.lineno, options_key(node)))
+    return sorted(breaks)
+
+
+def test_the_output_scan_finds_each_break_outside_the_helper():
+    source = (
+        "def _output(options, flag, name):\n"
+        "    Path(options['out']).parent.mkdir()\n"
+        "def cmd(options):\n"
+        "    Path(options['out'] or options['seed']).parent.mkdir()\n"
+        "    return options.get('history_out'), repr(1.0)\n"
+    )
+    assert output_rule_breaks(source) == [
+        (4, "mkdir"), (4, "out"), (5, "history_out"), (5, "repr"),
+    ]
+
+
+def test_the_cli_names_every_output_through_one_helper_and_writes_no_repr():
+    # _output places and prepares each file a command writes; csv and
+    # f-strings already write a float as its shortest round-trip text
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert "def _output(" in source
+    assert output_rule_breaks(source) == []
 
 
 def test_importing_the_cli_starts_no_thread_pool():

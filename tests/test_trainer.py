@@ -651,6 +651,16 @@ def test_reverse_study_needs_one_shared_grid():
         reverse_time_study(params, data, 0.5, (0.0,), SolverConfig("rk4", 1))
 
 
+@pytest.mark.parametrize("t_star", [-0.1, 1.5, math.nan])
+def test_reverse_study_refuses_an_anchor_outside_the_unit_interval(t_star):
+    # the nearest grid time would silently stand in for it: t* = 1.5
+    # anchors at t = 1 and scores horizons the caller never asked for
+    data = generate_lorenz(2, 21, seed=5)
+    params = init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0)
+    with pytest.raises(InvalidArgumentError, match=r"t_star must lie in \[0, 1\]"):
+        reverse_time_study(params, data, t_star, (0.0,), SolverConfig("rk4", 1))
+
+
 def test_ar_evaluation_scores_each_trajectory_at_its_own_index():
     # F(u) = 2 u through the ReLU pair; each row grows at its own rate
     params = VectorFieldParams(AR_MLP_PAIR, np.array([1.0, -1.0, 0.0, 0.0, 2.0, -2.0, 0.0]))
