@@ -8,8 +8,15 @@ made either way. A float in a CSV is its shortest round-trip text.
 
 argparse types every flag, fills its default and refuses a command
 without its required flags. All commands are deterministic for a fixed
-configuration: `main` hands each one a sha256 fingerprint of its parsed
-flags, embedded in every file it writes for provenance.
+configuration. `main` hands each one its provenance: "options", the
+parsed flags without the OUTPUT_FLAGS that say where it writes, and
+"fingerprint", a sha256 of the command and those options. So the same
+run written under other names writes the same bytes. Every CSV records
+the fingerprint; a dataset's `generator` header and a checkpoint's meta
+record the provenance, beside what the run resolved or found (the
+generation's substeps; the training's dataset fingerprint, status and
+best validation). A checkpoint's network config, not its meta, says
+what the model is and at which grid step a one-step model runs.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numeric failure,
 4 I/O or file-format failure.
@@ -42,6 +49,7 @@ from .trainer import TrainConfig, train_flow_matching, train_one_step
 from .vector_field import load_checkpoint, save_checkpoint
 
 OUTPUT_ROOT_ENV = "SPLINEFLOW_OUTPUT_ROOT"
+OUTPUT_FLAGS = ("out_dir", "out", "checkpoint_out", "history_out")  # read by `_output` only
 
 # Desk-scale dataset defaults per system, for the gen-data flags left unset.
 SYSTEM_DEFAULTS = {
@@ -90,9 +98,9 @@ _TRAIN_OPTS = [
 COMMANDS = {
     "gen-data": _COMMON + [
         ("system", str, "lorenz", "lorenz or burgers1d"),
-        ("n_train", int, None, "training trajectories (default per system)"),
-        ("n_val", int, None, "validation trajectories"),
-        ("n_test", int, None, "test trajectories"),
+        ("n_train", _non_negative_int, None, "training trajectories (default per system)"),
+        ("n_val", _non_negative_int, None, "validation trajectories"),
+        ("n_test", _non_negative_int, None, "test trajectories"),
         ("n_times", int, None, "time points per trajectory"),
         ("horizon", float, None, "physical horizon in seconds"),
         ("init_box", float, 5.0, "lorenz initial-condition box half-width"),
@@ -166,9 +174,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def fingerprint(command: str, options: dict) -> str:
-    canon = json.dumps({"command": command, "options": options}, sort_keys=True, default=str)
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+def _provenance(command: str, options: dict) -> dict:
+    """{"fingerprint", "options"}: the flags but OUTPUT_FLAGS, and a hash of them and the command."""
+    settings = {name: value for name, value in options.items() if name not in OUTPUT_FLAGS}
+    canon = json.dumps({"command": command, "options": settings}, sort_keys=True, default=str)
+    return {"fingerprint": hashlib.sha256(canon.encode()).hexdigest()[:16], "options": settings}
 
 
 def _output(options: dict, flag: str, default_name: str) -> Path:
@@ -197,30 +207,18 @@ def _load_split(path: str, split: str):
     return splits[split], header
 
 
-def _load_model(path: str, dataset, flow: bool | None = None):
-    """Load a checkpoint to run on `dataset`; `flow` demands one kind of model.
+def _load_model(path: str, dataset):
+    """The parameters of a checkpoint, refused unless they fit `dataset`'s state width.
 
-    Returns (params, grid_step). The network decides the kind: one with a
-    time input is a velocity field (train), one without maps a state to the
-    state one training step later (train-ar). A one-step model's grid_step
-    is the training step its meta records, which its evaluation demands of
-    the grid; one without it is refused. A flow model's grid_step is None.
+    Each study refuses a model of the other kind itself (`evaluation`).
     """
-    params, meta = load_checkpoint(path)
+    params = load_checkpoint(path)[0]
     if params.config.state_dim != dataset.state_dim:
         raise InvalidArgumentError(
             f"checkpoint state_dim {params.config.state_dim} does not match "
             f"dataset state_dim {dataset.state_dim}"
         )
-    is_flow = params.config.use_time_embedding
-    if flow is not None and flow != is_flow:
-        kind = {True: "a flow (train)", False: "a one-step (train-ar)"}
-        raise InvalidArgumentError(f"{path} holds {kind[is_flow]} model, not {kind[flow]} model")
-    if is_flow:
-        return params, None
-    if "grid_step" not in meta:
-        raise DataFormatError(f"{path} holds a one-step model without its grid_step")
-    return params, meta["grid_step"]
+    return params
 
 
 def _clock(wall_field: str = "rollout_s"):
@@ -236,7 +234,7 @@ def _clock(wall_field: str = "rollout_s"):
     )
 
 
-def cmd_gen_data(options: dict, fp: str) -> int:
+def cmd_gen_data(options: dict, provenance: dict) -> int:
     system = options["system"]
     if system not in SYSTEM_DEFAULTS:
         raise InvalidArgumentError(f"unknown system {system!r}")
@@ -248,11 +246,9 @@ def cmd_gen_data(options: dict, fp: str) -> int:
     if system == "lorenz" and substeps is None:
         substeps = LORENZ_SUBSTEPS
 
-    counts = {name: options[f"n_{name}"] for name in _SPLIT_SALT}
-    if min(counts.values()) < 0:
-        raise InvalidArgumentError(f"split sizes must be >= 0, got {counts}")
     table = {
-        name: (count, 4 * seed + _SPLIT_SALT[name] + 1) for name, count in counts.items() if count
+        name: (options[f"n_{name}"], 4 * seed + salt + 1)
+        for name, salt in _SPLIT_SALT.items() if options[f"n_{name}"]
     }
     if not table:
         raise InvalidArgumentError("all split sizes are zero; nothing to generate")
@@ -280,30 +276,16 @@ def cmd_gen_data(options: dict, fp: str) -> int:
             substeps = burgers_substeps(config, horizon / (n_times - 1))
     cost = clock()
 
-    meta = {
-        "fingerprint": fp,
-        "system": system,
-        "seed": seed,
-        "horizon_seconds": horizon,
-        "n_times": n_times,
-        "counts": counts,
-        "substeps": substeps,
-    }
-    if system == "lorenz":
-        meta["init_box"] = options["init_box"]
-    else:
-        meta.update({"nu": options["nu"], "nx": options["nx"]})
-
     out = _output(options, "out", f"{system}_seed{seed}.sftraj")
-    datafile.write_dataset(out, splits, generator_meta=meta)
+    datafile.write_dataset(out, splits, generator_meta={**provenance, "substeps": substeps})
     print(
         f"wrote {out} ({', '.join(f'{k}={v.n_traj}' for k, v in splits.items())}) "
-        f"{cost} fingerprint={fp}"
+        f"{cost} fingerprint={provenance['fingerprint']}"
     )
     return 0
 
 
-def _train_common(options: dict, fp: str, autoregressive: bool) -> int:
+def _train_common(options: dict, provenance: dict, autoregressive: bool) -> int:
     splits, header = datafile.read_dataset(options["dataset"])
     if "train" not in splits:
         raise InvalidArgumentError(f"dataset {options['dataset']} has no train split")
@@ -332,29 +314,15 @@ def _train_common(options: dict, fp: str, autoregressive: bool) -> int:
     ckpt_path = _output(options, "checkpoint_out", f"{tag}.ckpt.npz")
     hist_path = _output(options, "history_out", f"{tag}_history.csv")
 
-    meta = {
-        "fingerprint": fp,
-        "dataset": str(options["dataset"]),
-        "dataset_fingerprint": header.get("generator", {}).get("fingerprint", ""),
-        "train": {
-            "steps": config.steps,
-            "batch_size": config.batch_size,
-            "learning_rate": config.learning_rate,
-            **flow,
-            "seed": config.seed,
-        },
-    }
-    if autoregressive:
-        meta["grid_step"] = train_set.uniform_step()
-    else:
-        meta["keep_rate"] = options["keep_rate"]
+    dataset_fingerprint = header.get("generator", {}).get("fingerprint", "")
+    meta = {**provenance, "dataset_fingerprint": dataset_fingerprint}
 
     def dump(result, status: str) -> None:
         save_checkpoint(ckpt_path, result.params, meta={**meta, "status": status,
                         "best_step": result.best_step, "best_val_error": result.best_val_error})
         _write_csv(
             hist_path,
-            {"fingerprint": fp, "status": status},
+            {"fingerprint": provenance["fingerprint"], "status": status},
             ["step", "train_loss", "val_rel_l2"],
             [(row.step, row.train_loss, row.val_error) for row in result.history],
         )
@@ -374,28 +342,26 @@ def _train_common(options: dict, fp: str, autoregressive: bool) -> int:
     dump(result, status="ok")
     print(
         f"wrote {ckpt_path} (best step {result.best_step}, "
-        f"val rel L2 {result.best_val_error:.4g}) fingerprint={fp} {cost}"
+        f"val rel L2 {result.best_val_error:.4g}) fingerprint={provenance['fingerprint']} {cost}"
     )
     return 0
 
 
-def cmd_eval(options: dict, fp: str) -> int:
+def cmd_eval(options: dict, provenance: dict) -> int:
     dataset, _ = _load_split(options["dataset"], options["split"])
-    params, grid_step = _load_model(options["checkpoint"], dataset)
+    params = _load_model(options["checkpoint"], dataset)
     clock = _clock()
-    if grid_step is None:
+    if params.config.grid_step is None:
         solver = SolverConfig(method=options["method"], substeps_per_interval=options["substeps"])
         report = evaluate_flow_model(params, dataset, solver, eval_stride=options["eval_stride"])
     else:
-        report = evaluate_one_step_model(
-            params, dataset, grid_step, eval_stride=options["eval_stride"]
-        )
+        report = evaluate_one_step_model(params, dataset, eval_stride=options["eval_stride"])
     cost = clock()
     out = _output(options, "out", "eval_report.csv")
     _write_csv(
         out,
         {
-            "fingerprint": fp,
+            "fingerprint": provenance["fingerprint"],
             "checkpoint": options["checkpoint"],
             "mean_rel_l2": report.mean,
             "median_rel_l2": report.median,
@@ -409,7 +375,7 @@ def cmd_eval(options: dict, fp: str) -> int:
     )
     _write_csv(
         out.with_suffix(".pertime.csv"),
-        {"fingerprint": fp},
+        {"fingerprint": provenance["fingerprint"]},
         ["time_index", "mean_relative_error"],
         enumerate(report.per_time.tolist()),
     )
@@ -421,13 +387,13 @@ def cmd_eval(options: dict, fp: str) -> int:
     return 0
 
 
-def cmd_convergence(options: dict, fp: str) -> int:
+def cmd_convergence(options: dict, provenance: dict) -> int:
     dataset, _ = _load_split(options["dataset"], options["split"])
     rows = endpoint_velocity_study(dataset, factors=options["factors"])
     out = _output(options, "out", "convergence.csv")
     _write_csv(
         out,
-        {"fingerprint": fp, "dataset": options["dataset"]},
+        {"fingerprint": provenance["fingerprint"], "dataset": options["dataset"]},
         [
             "spline", "factor", "dt_seconds", "n_segments",
             "err_tau0", "order_tau0", "err_tau1", "order_tau1",
@@ -449,18 +415,18 @@ def cmd_convergence(options: dict, fp: str) -> int:
     return 0
 
 
-def cmd_nfe_sweep(options: dict, fp: str) -> int:
+def cmd_nfe_sweep(options: dict, provenance: dict) -> int:
     if not options["methods"] or min(options["budgets"], default=0) < 1:
         raise InvalidArgumentError("nfe-sweep needs a method and NFE budgets of >= 1 percent")
     dataset, _ = _load_split(options["dataset"], options["split"])
-    params, _ = _load_model(options["checkpoint"], dataset, flow=True)
+    params = _load_model(options["checkpoint"], dataset)
     intervals = dataset.shared_grid().n_segments  # AR budget: one evaluation per interval
     ar_checkpoint = options["ar_checkpoint"]
-    ar_model = _load_model(ar_checkpoint, dataset, flow=False) if ar_checkpoint else None
+    ar_params = _load_model(ar_checkpoint, dataset) if ar_checkpoint else None
     runs, reports = [], []  # (method, budget_pct) and the report of each row
     clock = _clock()
-    if ar_model:
-        reports.append(evaluate_one_step_model(ar_model[0], dataset, ar_model[1]))
+    if ar_params is not None:
+        reports.append(evaluate_one_step_model(ar_params, dataset))
         runs.append(("ar", 100))
     for method in options["methods"]:
         for pct in options["budgets"]:
@@ -471,7 +437,7 @@ def cmd_nfe_sweep(options: dict, fp: str) -> int:
     out = _output(options, "out", "nfe_sweep.csv")
     _write_csv(
         out,
-        {"fingerprint": fp, "ar_nfe_budget": intervals},
+        {"fingerprint": provenance["fingerprint"], "ar_nfe_budget": intervals},
         ["method", "budget_pct", "nfe", "final_time_rel_l2", "n_diverged"],
         [(*run, r.nfe, r.final_time_error, r.n_diverged) for run, r in zip(runs, reports)],
     )
@@ -484,9 +450,9 @@ def cmd_nfe_sweep(options: dict, fp: str) -> int:
     return 0
 
 
-def cmd_reverse(options: dict, fp: str) -> int:
+def cmd_reverse(options: dict, provenance: dict) -> int:
     dataset, _ = _load_split(options["dataset"], options["split"])
-    params, _ = _load_model(options["checkpoint"], dataset, flow=True)
+    params = _load_model(options["checkpoint"], dataset)
     solver = SolverConfig(method=options["method"], substeps_per_interval=options["substeps"])
     clock = _clock()
     rows = reverse_time_study(
@@ -501,7 +467,7 @@ def cmd_reverse(options: dict, fp: str) -> int:
     out = _output(options, "out", "reverse.csv")
     _write_csv(
         out,
-        {"fingerprint": fp, "t_star": options["t_star"]},
+        {"fingerprint": provenance["fingerprint"], "t_star": options["t_star"]},
         ["noise_level", "backward_horizon", "mean_relative_error", "n_diverged"],
         rows,
     )
@@ -531,7 +497,7 @@ def main(argv=None) -> int:
         return exc.code
     command = options.pop("command")
     try:
-        return _DISPATCH[command](options, fingerprint(command, options))
+        return _DISPATCH[command](options, _provenance(command, options))
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

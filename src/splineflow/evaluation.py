@@ -29,6 +29,11 @@ and returns the (error, nfe) pair that splinebench's tests unpack.
 `rollout`, `ar_rollout`, `rollout_reverse` and `build_report` are looked
 up here at call time, so wrapping them on this module (as splinebench
 does to count rows and NFE) reaches every study.
+
+The network config's `grid_step` says what a model is (`vector_field`).
+Each study refuses the other kind before it rolls anything out: the flow
+studies integrate a velocity field, and a next-state map run as one (or
+one run on a grid of another step) gives a number that means nothing.
 """
 
 from __future__ import annotations
@@ -47,6 +52,13 @@ NOISE_SEED_SCALE = 1e9  # a noise level's seed key is round(level * NOISE_SEED_S
 # largest norm of its scored truth has diverged. Models trained at the
 # benchmark's settings peaked below 10x their truth on validation.
 DIVERGENCE_FACTOR = 1e3
+
+
+def _require_kind(params: VectorFieldParams, one_step: bool) -> None:
+    """Raise unless the model is a one-step map (one_step) or a velocity field (not one_step)."""
+    if (params.config.grid_step is not None) != one_step:
+        kinds = ("a velocity field (train)", "a one-step map (train-ar)")
+        raise InvalidArgumentError(f"the model is {kinds[not one_step]}, not {kinds[one_step]}")
 
 
 def flow_field(params: VectorFieldParams):
@@ -104,8 +116,9 @@ def evaluate_flow_model(
 
     The evaluation grid is the set's shared grid thinned by eval_stride;
     truth snapshots at those times are compared against the integrated
-    states.
+    states. A one-step model is refused.
     """
+    _require_kind(params, one_step=False)
     grid = dataset.shared_grid()
     picks = np.arange(len(grid))[grid.stride(eval_stride)]
     scores = _Scores(dataset, picks)
@@ -114,20 +127,19 @@ def evaluate_flow_model(
 
 
 def evaluate_one_step_model(
-    params: VectorFieldParams,
-    dataset: TrajectorySet,
-    grid_step: float,
-    eval_stride: int = 1,
+    params: VectorFieldParams, dataset: TrajectorySet, eval_stride: int = 1
 ) -> EvalReport:
     """Recursive one-step rollout over the full shared grid, scored on a stride.
 
     The model maps a state to the state one training step later, so the
-    shared grid must be uniform with the model's training step grid_step
-    (`TrajectorySet.uniform_step`); the stride only thins the comparison
-    times so reports align with flow-model runs.
+    shared grid must be uniform with the step its config records,
+    `grid_step` (`TrajectorySet.uniform_step`); a velocity field is
+    refused. The stride only thins the comparison times so reports align
+    with flow-model runs.
     """
+    _require_kind(params, one_step=True)
     grid = dataset.shared_grid()
-    dataset.uniform_step(expected=grid_step)
+    dataset.uniform_step(expected=params.config.grid_step)
     scores = _Scores(dataset, np.arange(len(grid))[grid.stride(eval_stride)])
 
     def record(k, u):
@@ -184,8 +196,10 @@ def reverse_time_study(
     n_diverged its count of rows that froze or outgrew their truth, the
     verdict `eval` reports too. t_star must lie in [0, 1]; noise levels must
     be >= 0 with a finite seed key level * NOISE_SEED_SCALE. A study with no
-    row to return (an anchor at t = 0, or no noise level) raises.
+    row to return (an anchor at t = 0, or no noise level) or of a one-step
+    model raises.
     """
+    _require_kind(params, one_step=False)
     if not 0.0 <= t_star <= 1.0:  # nan fails too
         raise InvalidArgumentError(f"t_star must lie in [0, 1], got {t_star!r}")
     if not all(level >= 0.0 and np.isfinite(level * NOISE_SEED_SCALE) for level in noise_levels):

@@ -8,7 +8,8 @@ reproducible for a fixed config and seed.
 
 Each trainer builds its own network from the training set's state
 dimension and the config's `hidden_dims` and `embed_bands`: the flow
-model's takes a time input, the one-step baseline's does not.
+model's takes a time input, the one-step baseline's does not and records
+the step of its training grid as the network config's `grid_step`.
 
 A large batch is drawn one step ahead on the worker pool while the
 current step runs, by the rule of `workers.one_ahead`.
@@ -65,8 +66,8 @@ class TrainConfig:
 
     Only the flow trainer reads `spline_kind`, `gamma0`, `noise_m` and
     `embed_bands`: the one-step baseline has no spline path and no time
-    input (its checkpoint still records `embed_bands` in the network's
-    config).
+    input (its network's config still records `embed_bands`, beside the
+    `grid_step` the training set gives it).
     """
 
     steps: int = 20000
@@ -282,9 +283,7 @@ def train_one_step(
     states = train_set.stacked()  # (M, N, d), a view of the set's buffer
     n_steps = states.shape[1] - 1  # pairs (u_k, u_{k+1}) per trajectory
 
-    mlp = MlpConfig(
-        train_set.state_dim, config.hidden_dims, config.embed_bands, use_time_embedding=False
-    )
+    mlp = MlpConfig(train_set.state_dim, config.hidden_dims, config.embed_bands, step_size)
     params = init_params(mlp, config.seed)
     rng = np.random.default_rng([config.seed, 1])
     zeros = np.zeros(config.batch_size)
@@ -297,8 +296,6 @@ def train_one_step(
     score = None
     if val_set is not None:
         val_set.uniform_step(expected=step_size)  # raises before the first step
-        score = lambda p: _validation_error(
-            evaluation.evaluate_one_step_model(p, val_set, step_size)
-        )
+        score = lambda p: _validation_error(evaluation.evaluate_one_step_model(p, val_set))
 
     return _optimize(params, draw, score, config)

@@ -2,7 +2,10 @@
 
 The network maps concat(u, time_embedding(t)) -> R^d through ReLU hidden
 layers and a linear output layer. Autoregressive one-step baselines reuse
-the same stack with the time embedding disabled (input is u alone).
+the same stack without the time embedding (input is u alone). The
+config's `grid_step` says which model a network is: None for a velocity
+field of (u, t), else the normalized step of the grid whose next state a
+one-step map predicts, the only step it is meaningful at.
 
 All parameters live in one contiguous float64 vector, laid out layer by
 layer as w0, b0, w1, b1, ... (each weight matrix (fan_in, fan_out) in row
@@ -23,9 +26,10 @@ output layer can round differently from the same rows of the whole
 batch (CHANGES.md, "Evaluation scores as it integrates"). So every
 output is bit-identical to one sweep of the whole batch.
 
-A checkpoint (format 2) is an .npz archive of two arrays: `header_json`,
-the UTF-8 JSON of {"format_version": 2, "mlp": the MlpConfig fields,
-"meta": caller metadata}, and `flat`, the parameter vector.
+A checkpoint (format 3) is an .npz archive of two arrays: `header_json`,
+the UTF-8 JSON of {"format_version": 3, "mlp": the MlpConfig fields,
+"meta": caller metadata}, and `flat`, the parameter vector. The model's
+kind and step are in "mlp"; "meta" is provenance that no reader needs.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import numpy as np
 from .errors import DataFormatError, InvalidArgumentError, NumericError
 from .workers import split_rows
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 PART_ROWS = 160  # fewest rows of a part of a split forward pass (module docstring)
 
 
@@ -61,7 +65,7 @@ class MlpConfig:
     state_dim: int
     hidden_dims: tuple = (64, 128, 128, 64)
     embed_bands: int = 8
-    use_time_embedding: bool = True
+    grid_step: float | None = None  # None: a velocity field; else a one-step map's step
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
@@ -69,12 +73,14 @@ class MlpConfig:
             raise InvalidArgumentError("state_dim must be positive")
         if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
             raise InvalidArgumentError("hidden_dims must be a nonempty tuple of positives")
-        if self.use_time_embedding and self.embed_bands < 1:
+        if self.grid_step is None and self.embed_bands < 1:
             raise InvalidArgumentError("embed_bands must be positive")
+        if self.grid_step is not None and not 0.0 < self.grid_step <= 1.0:  # nan fails too
+            raise InvalidArgumentError(f"grid_step must lie in (0, 1], got {self.grid_step!r}")
 
     @property
     def embed_dim(self) -> int:
-        return 2 * self.embed_bands if self.use_time_embedding else 0
+        return 2 * self.embed_bands if self.grid_step is None else 0
 
     @property
     def input_dim(self) -> int:
@@ -131,7 +137,7 @@ def _assemble_input(config: MlpConfig, ts, states: np.ndarray) -> np.ndarray:
         raise InvalidArgumentError(
             f"state batch has shape {states.shape}, expected (B, {config.state_dim})"
         )
-    if not config.use_time_embedding:
+    if config.grid_step is not None:
         return states
     x = np.empty((states.shape[0], config.input_dim))
     x[:, : config.state_dim] = states
@@ -218,7 +224,7 @@ def save_checkpoint(path, params: VectorFieldParams, meta: dict | None = None) -
 def load_checkpoint(path):
     """Read a checkpoint; returns (params, meta).
 
-    A file that is not a format-2 checkpoint (empty, truncated, a bare
+    A file that is not a format-3 checkpoint (empty, truncated, a bare
     .npy, an older format, or a header or vector that does not make a
     VectorFieldParams) raises DataFormatError.
     """

@@ -70,12 +70,12 @@ def _studies():
     """(data, [(study, the rollout site of each of its passes)])."""
     data = generate_lorenz(3, 21, seed=5)
     flow = init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0)
-    one_step = init_params(MlpConfig(state_dim=3, hidden_dims=(8,), use_time_embedding=False), 0)
+    one_step = init_params(MlpConfig(state_dim=3, hidden_dims=(8,), grid_step=0.05), 0)
     solver = SolverConfig("rk4", 1)
     # The benchmark's reverse NFE count assumes one rollout_reverse pass per noise level.
     return data, [
         (lambda: evaluation.evaluate_flow_model(flow, data, solver), ["rollout"]),
-        (lambda: evaluation.evaluate_one_step_model(one_step, data, 0.05), ["ar_rollout"]),
+        (lambda: evaluation.evaluate_one_step_model(one_step, data), ["ar_rollout"]),
         (lambda: evaluation.final_time_error_at_budget(flow, data, "rk4", 8), ["rollout"]),
         (lambda: evaluation.reverse_time_study(flow, data, 0.5, (0.0,), solver),
          ["rollout_reverse"]),

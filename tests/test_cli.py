@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -25,6 +26,45 @@ def tiny_lorenz(tmp_path):
     ])
     assert code == 0
     return path
+
+
+def _hash_of(command, options):
+    """The fingerprint a run's recorded options give: a sha256 of the command and options."""
+    canon = json.dumps({"command": command, "options": options}, sort_keys=True)
+    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def test_where_a_command_writes_changes_no_byte_it_writes(tiny_lorenz, tmp_path):
+    # a file records the settings of the run that wrote it and their
+    # fingerprint, but not the output flags that only say where it went
+    again = tmp_path / "again"
+    assert cli.main([
+        "gen-data", "--system", "lorenz", "--n-train", "4", "--n-val", "2",
+        "--n-test", "0", "--n-times", "11", "--out-dir", str(again),
+    ]) == 0
+    assert (again / "lorenz_seed0.sftraj").read_bytes() == tiny_lorenz.read_bytes()
+    generator = datafile.read_dataset(tiny_lorenz)[1]["generator"]
+    assert generator.keys() == {"fingerprint", "options", "substeps"}
+    assert generator["fingerprint"] == _hash_of("gen-data", generator["options"])
+    assert generator["options"].keys().isdisjoint(cli.OUTPUT_FLAGS)
+
+    training = ["--dataset", str(tiny_lorenz), "--steps", "2", "--batch-size", "8",
+                "--eval-every", "1", "--hidden", "8"]
+    for command, tag in (("train", "lorenz_quintic_seed0"), ("train-ar", "lorenz_ar_seed0")):
+        ckpt, history = tmp_path / command / "run.ckpt.npz", tmp_path / f"{command}.csv"
+        assert cli.main([command, *training, "--checkpoint-out", str(ckpt),
+                         "--history-out", str(history)]) == 0
+        assert cli.main([command, *training, "--out-dir", str(again)]) == 0
+        assert (again / f"{tag}.ckpt.npz").read_bytes() == ckpt.read_bytes(), command
+        assert (again / f"{tag}_history.csv").read_bytes() == history.read_bytes(), command
+        meta = load_checkpoint(ckpt)[1]
+        assert meta.keys() == {
+            "fingerprint", "options", "dataset_fingerprint", "status", "best_step",
+            "best_val_error",
+        }
+        assert meta["fingerprint"] == _hash_of(command, meta["options"])
+        assert meta["options"].keys().isdisjoint(cli.OUTPUT_FLAGS)
+        assert meta["dataset_fingerprint"] == generator["fingerprint"]
 
 
 def test_exploding_training_exits_3_with_checkpoint_from_last_good_step(tiny_lorenz, tmp_path):
@@ -290,9 +330,8 @@ def test_sweep_csv_flags_rows_that_outgrow_their_truth(tmp_path):
         MlpConfig(1, (1,), embed_bands=1), np.array([1.0, 0.0, 0.0, 0.0, 11.5, 0.0])
     ))
     save_checkpoint(ar, VectorFieldParams(
-        MlpConfig(1, (2,), use_time_embedding=False),
-        np.array([1.0, -1.0, 0.0, 0.0, 2.5, -0.9, 0.0]),
-    ), meta={"grid_step": 0.1})
+        MlpConfig(1, (2,), grid_step=0.1), np.array([1.0, -1.0, 0.0, 0.0, 2.5, -0.9, 0.0]),
+    ))
     out = tmp_path / "sweep.csv"
     assert cli.main([
         "nfe-sweep", "--checkpoint", str(flow), "--ar-checkpoint", str(ar), "--dataset",
@@ -342,9 +381,9 @@ def test_one_step_checkpoint_runs_only_on_its_training_step(tiny_lorenz, tmp_pat
         "--checkpoint-out", str(ar),
     ]) == 0
     params, meta = load_checkpoint(ar)
-    assert meta["grid_step"] == 0.1
+    assert params.config.grid_step == 0.1
     # the one-step model has no spline path and no noise schedule
-    assert meta["train"].keys().isdisjoint({"spline_kind", "gamma0", "noise_m"})
+    assert meta["options"].keys().isdisjoint({"spline", "gamma0", "noise_m", "keep_rate"})
     flow = tmp_path / "flow.ckpt.npz"
     save_checkpoint(flow, init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0),
                     meta={"kind": "flow"})
@@ -363,18 +402,13 @@ def test_one_step_checkpoint_runs_only_on_its_training_step(tiny_lorenz, tmp_pat
 
     assert run(ar, tiny_lorenz) == ([0, 0], True)
     assert run(ar, fine) == ([2, 2], False)
-    # a one-step checkpoint without its recorded step is refused even on its own grid
-    stepless = tmp_path / "stepless.ckpt.npz"
-    save_checkpoint(stepless, params, meta={k: v for k, v in meta.items() if k != "grid_step"})
-    assert run(stepless, tiny_lorenz) == ([4, 4], False)
 
 
 def test_flow_studies_reject_a_one_step_checkpoint(tiny_lorenz, tmp_path):
-    # a network without a time input is a next-state map, not a velocity
-    # field to integrate, even in a checkpoint whose meta holds only its step
+    # a network with a grid step is a next-state map, not a velocity field
+    # to integrate, even in a checkpoint whose meta holds nothing
     ar = tmp_path / "ar.ckpt.npz"
-    save_checkpoint(ar, init_params(MlpConfig(3, (8,), use_time_embedding=False), 0),
-                    meta={"grid_step": 0.1})
+    save_checkpoint(ar, init_params(MlpConfig(3, (8,), grid_step=0.1), 0))
     report = tmp_path / "eval.csv"
     assert cli.main([
         "eval", "--checkpoint", str(ar), "--dataset", str(tiny_lorenz), "--split", "val",
@@ -390,6 +424,19 @@ def test_flow_studies_reject_a_one_step_checkpoint(tiny_lorenz, tmp_path):
         ])
         assert code == 2
         assert not out.exists()
+
+
+def test_the_sweeps_baseline_row_rejects_a_flow_checkpoint(tiny_lorenz, tmp_path):
+    flow = tmp_path / "flow.ckpt.npz"
+    save_checkpoint(flow, init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0))
+    out = tmp_path / "sweep.csv"
+    code = cli.main([
+        "nfe-sweep", "--checkpoint", str(flow), "--ar-checkpoint", str(flow), "--dataset",
+        str(tiny_lorenz), "--split", "val", "--methods", "rk4", "--budgets", "100",
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert not out.exists()
 
 
 def test_gen_data_caps_its_integration_steps(tmp_path, capsys):
@@ -586,7 +633,7 @@ def _not_a_checkpoint(kind, tmp_path, dataset):
         path.write_bytes(path.read_bytes()[:100])
     elif kind == "dataset":
         path.write_bytes(dataset.read_bytes())
-    elif kind in ("no config", "version 1"):
+    elif kind in ("no config", "version 1", "version 2"):
         params = init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0)
         save_checkpoint(path, params, meta={"kind": "flow"})
         with np.load(path) as data:
@@ -594,6 +641,10 @@ def _not_a_checkpoint(kind, tmp_path, dataset):
             arrays = dict(data)
         if kind == "no config":
             del header["mlp"]
+        elif kind == "version 2":  # its config held the kind, its meta a one-step model's step
+            del header["mlp"]["grid_step"]
+            header.update(format_version=2)
+            header["mlp"]["use_time_embedding"] = True
         else:  # format 1 stored the layers one array each
             header.update(format_version=1, n_layers=len(params.weights))
             del arrays["flat"]
@@ -608,7 +659,9 @@ def _not_a_checkpoint(kind, tmp_path, dataset):
     return path
 
 
-@pytest.mark.parametrize("kind", ["empty", "truncated", "dataset", "npy", "no config", "version 1"])
+@pytest.mark.parametrize(
+    "kind", ["empty", "truncated", "dataset", "npy", "no config", "version 1", "version 2"]
+)
 def test_commands_reject_a_file_that_is_not_a_checkpoint(tiny_lorenz, tmp_path, kind):
     path = _not_a_checkpoint(kind, tmp_path, tiny_lorenz)
     with pytest.raises(DataFormatError):
@@ -654,6 +707,7 @@ def test_convergence_rejects_repeated_or_non_dividing_factors(tiny_lorenz, tmp_p
         # numpy's generators take no negative seed
         ("gen-data", "seed", "-1"), ("train", "seed", "-1"), ("train-ar", "seed", "-1"),
         ("reverse", "seed", "-1"),
+        ("gen-data", "n-train", "-1"),
     ],
 )
 def test_malformed_option_values_exit_2(tiny_lorenz, tmp_path, capsys, command, option, value):

@@ -1,8 +1,8 @@
 """Every name a module of splineflow imports is used in that module, only
 the users of the worker pool import it, only the network and the trainer
 use the network config, the CLI names and prepares every output file
-through one helper and never calls repr, and importing the CLI starts no
-thread.
+through one helper, from one list of output flags, and never calls repr,
+and importing the CLI starts no thread.
 
 The package has no linter to run; this parses each module with `ast`.
 `__init__.py` is exempt: its imports are the package's re-exports.
@@ -15,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from splineflow import cli
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "splineflow"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -89,7 +91,8 @@ def test_only_the_network_and_the_trainer_use_the_network_config():
     assert users == {"vector_field.py", "trainer.py"}
 
 
-OUTPUT_KEYS = {"out", "checkpoint_out", "history_out"}
+# The flags that say where a command writes, which its fingerprint leaves out
+OUTPUT_KEYS = set(cli.OUTPUT_FLAGS)
 
 
 def options_key(node):
@@ -146,6 +149,26 @@ def test_the_cli_names_every_output_through_one_helper_and_writes_no_repr():
     source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     assert "def _output(" in source
     assert output_rule_breaks(source) == []
+
+
+def output_flags_named(source: str) -> list:
+    """(line, flag) of each `_output` call; flag is None unless a constant string names it."""
+    return sorted(
+        (node.lineno, node.args[1].value if isinstance(node.args[1], ast.Constant) else None)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_output"
+    )
+
+
+def test_every_output_the_cli_names_is_an_output_flag():
+    # a flag that names an output but is missing from OUTPUT_FLAGS would
+    # leak where a run writes into its fingerprint
+    assert output_flags_named(
+        "_output(options, 'out', 'a.csv')\n_output(options, flag, 'b.csv')\n"
+    ) == [(1, "out"), (2, None)]
+    named = output_flags_named((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert named and all(flag in OUTPUT_KEYS for _, flag in named)
 
 
 def test_importing_the_cli_starts_no_thread_pool():

@@ -39,7 +39,7 @@ from splineflow.odeint import ar_rollout, rollout, rollout_reverse
 from splineflow.spline import NoiseSchedule, build_linear, build_quintic
 from splineflow.systems import lorenz_rhs
 from splineflow.timegrid import subsample_indices
-from splineflow import trainer, workers
+from splineflow import evaluation, trainer, workers
 
 from recording import recorded
 from reference import relative_l2
@@ -53,7 +53,7 @@ from splineflow.vector_field import (
 
 
 def _single_param_setup(grad_value):
-    config = MlpConfig(state_dim=1, hidden_dims=(1,), use_time_embedding=False)
+    config = MlpConfig(state_dim=1, hidden_dims=(1,), grid_step=0.1)
     params = init_params(config, seed=0)
     grads = VectorFieldParams(config, np.full(params.n_params, grad_value))
     return params, grads
@@ -361,7 +361,7 @@ def _decay_batches(first_bad_step):
     return draw
 
 
-AR_MLP = MlpConfig(state_dim=1, hidden_dims=(8,), use_time_embedding=False)
+AR_MLP = MlpConfig(state_dim=1, hidden_dims=(8,), grid_step=0.1)
 
 
 @pytest.mark.parametrize("first_bad_step", [1, 4])
@@ -511,14 +511,13 @@ def test_quintic_requires_three_knots():
 
 @pytest.mark.parametrize("net", [{}, {"hidden_dims": (4, 3), "embed_bands": 2}])
 def test_each_trainer_builds_its_network_from_the_data_and_the_config(net):
-    # the time input is what tells a velocity field from a next-state map;
+    # the recorded grid step is what tells a next-state map from a velocity field;
     # the width comes from the data, the layers and bands from the config
     data = _constant_set(value=1.5, d=2)
     cfg = TrainConfig(steps=2, batch_size=4, **net)
-    for train, time_input in ((train_flow_matching, True), (train_one_step, False)):
+    for train, step in ((train_flow_matching, None), (train_one_step, data.uniform_step())):
         config = train(data, cfg).params.config
-        assert config == MlpConfig(data.state_dim, cfg.hidden_dims, cfg.embed_bands,
-                                   use_time_embedding=time_input)
+        assert config == MlpConfig(data.state_dim, cfg.hidden_dims, cfg.embed_bands, step)
         assert config.hidden_dims == net.get("hidden_dims", MlpConfig.hidden_dims)
         assert config.embed_bands == net.get("embed_bands", MlpConfig.embed_bands)
 
@@ -529,12 +528,14 @@ def test_ar_learns_identity_on_constant_data():
                       hidden_dims=(16, 16))
     result = train_one_step(data, cfg, val_set=data)
     assert result.history[-1].train_loss < 1e-6
-    report = evaluate_one_step_model(result.params, data, data.uniform_step())
+    report = evaluate_one_step_model(result.params, data)
     assert report.mean < 1e-2
     assert abs(forward_batch(result.params, 0.0, np.array([[1.5]]))[0, 0] - 1.5) < 1e-2
 
 
-AR_MLP_PAIR = MlpConfig(state_dim=1, hidden_dims=(2,), use_time_embedding=False)
+def _ar_pair(grid_step, flat=None):
+    """A one-step map of 1-D states through one ReLU pair, for a grid of step grid_step."""
+    return VectorFieldParams(MlpConfig(1, (2,), grid_step=grid_step), flat)
 
 
 def test_ar_evaluation_masks_rows_that_blow_up():
@@ -542,14 +543,14 @@ def test_ar_evaluation_masks_rows_that_blow_up():
     # |u0| >= 1 pass the 1e8 norm bound at step 3, the small rows never do.
     # The truths grow like the model, so only the frozen rows count: they
     # stop at norms 1e6 and 2e6, below the 1e9 and 2e9 their truths reach.
-    params = VectorFieldParams(AR_MLP_PAIR, np.array([1.0, -1.0, 0.0, 0.0, 1e3, -1e3, 0.0]))
     grid = uniform_grid(4)
+    params = _ar_pair(round(1 / 3, 12), [1.0, -1.0, 0.0, 0.0, 1e3, -1e3, 0.0])
     u0s = (1.0, -2.0, 0.01, 0.001)
     data = TrajectorySet(
         grids=[grid] * 4, values=np.concatenate([u * 1e3 ** np.arange(4.0)[:, None] for u in u0s]),
         system_tag="toy", raw_horizon=1.0,
     )
-    report = evaluate_one_step_model(params, data, data.uniform_step())
+    report = evaluate_one_step_model(params, data)
     assert report.n_diverged == 2
     assert report.nfe == 3
 
@@ -604,7 +605,7 @@ def _eight_rows_last_outgrowing():
     flow = VectorFieldParams(config, np.array([1.0, 0.0, 0.0, 0.0, 11.5, -0.5]))
     back = VectorFieldParams(config, np.array([1.0, 0.0, 0.0, 0.0, -11.5, 0.5]))
     # F(u) = 2.5 relu(u) - 0.9 relu(-u): the last row grows 2.5-fold a step
-    one_step = VectorFieldParams(AR_MLP_PAIR, np.array([1.0, -1.0, 0.0, 0.0, 2.5, -0.9, 0.0]))
+    one_step = _ar_pair(0.1, [1.0, -1.0, 0.0, 0.0, 2.5, -0.9, 0.0])
     return data, flow, back, one_step
 
 
@@ -626,7 +627,7 @@ def test_streamed_studies_score_as_their_recorded_rollouts():
     assert (report.final_time_error, report.nfe, report.n_diverged) == (11056.192207377575, 40, 1)
     assert final_time_error_at_budget(flow, data, "rk4", 40) == (11056.192207377575, 40)
 
-    report = evaluate_one_step_model(one_step, data, data.uniform_step(), eval_stride=2)
+    report = evaluate_one_step_model(one_step, data, eval_stride=2)
     states, _ = recorded(ar_rollout, lambda t, x: forward_batch(one_step, 0.0, x), u0, times)
     assert np.array_equal(
         report.per_time, _recorded_per_time(states[::2], data, slice(None, None, 2))
@@ -663,14 +664,14 @@ def test_reverse_study_refuses_an_anchor_outside_the_unit_interval(t_star):
 
 def test_ar_evaluation_scores_each_trajectory_at_its_own_index():
     # F(u) = 2 u through the ReLU pair; each row grows at its own rate
-    params = VectorFieldParams(AR_MLP_PAIR, np.array([1.0, -1.0, 0.0, 0.0, 2.0, -2.0, 0.0]))
     grid = uniform_grid(4)
+    params = _ar_pair(round(1 / 3, 12), [1.0, -1.0, 0.0, 0.0, 2.0, -2.0, 0.0])
     u0s, rates = (1.0, 3.0, -0.5), (1.5, 2.5, 1.0)
     truths = [u0 * rate ** np.arange(4.0)[:, None] for u0, rate in zip(u0s, rates)]
     data = TrajectorySet(
         grids=[grid] * 3, values=np.concatenate(truths), system_tag="toy", raw_horizon=1.0,
     )
-    report = evaluate_one_step_model(params, data, data.uniform_step())
+    report = evaluate_one_step_model(params, data)
     own = [relative_l2(u0 * 2.0 ** np.arange(4.0)[:, None], truth)
            for u0, truth in zip(u0s, truths)]
     assert len(set(own)) == 3
@@ -688,17 +689,39 @@ def _on_two_grids():
 def test_every_study_refuses_trajectories_on_different_grids():
     data = _on_two_grids()
     flow = init_params(MlpConfig(state_dim=1, hidden_dims=(4,)), 0)
-    one_step = init_params(AR_MLP_PAIR, 0)
+    one_step = _ar_pair(0.25)
     solver = SolverConfig("rk4", 1)
     studies = [
         lambda: evaluate_flow_model(flow, data, solver),
-        lambda: evaluate_one_step_model(one_step, data, 0.25),
+        lambda: evaluate_one_step_model(one_step, data),
         lambda: final_time_error_at_budget(flow, data, "rk4", 8),
         lambda: reverse_time_study(flow, data, 0.5, (0.0,), solver),
     ]
     for study in studies:
         with pytest.raises(InvalidArgumentError, match="one grid shared by all"):
             study()
+
+
+def test_every_study_refuses_a_model_of_the_other_kind_before_rolling_out(monkeypatch):
+    # a next-state map integrated as a velocity field, or a velocity field
+    # stepped as a next-state map, scores a number that means nothing
+    data = generate_lorenz(2, 11, seed=5)
+    flow = init_params(MlpConfig(state_dim=3, hidden_dims=(4,)), 0)
+    one_step = init_params(MlpConfig(state_dim=3, hidden_dims=(4,), grid_step=0.1), 0)
+    rolled = []
+    for name in ("rollout", "ar_rollout", "rollout_reverse"):
+        monkeypatch.setattr(evaluation, name, lambda *args, **kwargs: rolled.append(args))
+    solver = SolverConfig("rk4", 1)
+    studies = [
+        (lambda: evaluate_flow_model(one_step, data, solver), "is a one-step map"),
+        (lambda: final_time_error_at_budget(one_step, data, "rk4", 8), "is a one-step map"),
+        (lambda: reverse_time_study(one_step, data, 0.5, (0.0,), solver), "is a one-step map"),
+        (lambda: evaluate_one_step_model(flow, data), "is a velocity field"),
+    ]
+    for study, shown in studies:
+        with pytest.raises(InvalidArgumentError, match=shown):
+            study()
+    assert rolled == []
 
 
 def test_flow_training_refuses_such_a_val_set_before_its_first_step(monkeypatch):
@@ -735,7 +758,7 @@ def test_budget_error_is_the_final_time_error_of_the_flow_report():
 
 
 def test_one_step_evaluation_runs_only_on_its_training_step():
-    params = VectorFieldParams(AR_MLP_PAIR, np.array([1.0, -1.0, 0.0, 0.0, 2.0, -2.0, 0.0]))
+    params = _ar_pair(0.1, [1.0, -1.0, 0.0, 0.0, 2.0, -2.0, 0.0])
 
     def on(grid):
         return TrajectorySet(
@@ -744,10 +767,10 @@ def test_one_step_evaluation_runs_only_on_its_training_step():
         )
 
     with pytest.raises(InvalidArgumentError, match="uniform"):
-        evaluate_one_step_model(params, on(TimeGrid(times=[0.0, 0.05, 0.5, 1.0])), 0.05)
+        evaluate_one_step_model(params, on(TimeGrid(times=[0.0, 0.05, 0.5, 1.0])))
     with pytest.raises(InvalidArgumentError, match="differs"):
-        evaluate_one_step_model(params, on(uniform_grid(21)), 0.1)
-    assert evaluate_one_step_model(params, on(uniform_grid(11)), 0.1).nfe == 10
+        evaluate_one_step_model(params, on(uniform_grid(21)))
+    assert evaluate_one_step_model(params, on(uniform_grid(11))).nfe == 10
 
 
 def test_ar_rejects_irregular_grids():
@@ -815,8 +838,7 @@ def test_cfo_on_a_quarter_of_the_points_beats_full_data_ar_at_half_its_nfe(subsa
     intervals = held_out.shared_grid().n_segments
     for seed in (0, 1, 2):
         ar = evaluate_one_step_model(
-            train_one_step(train, _subsampled_lorenz_config(seed)).params, held_out,
-            train.uniform_step(),
+            train_one_step(train, _subsampled_lorenz_config(seed)).params, held_out
         )
         cfo, nfe = final_time_error_at_budget(quintic[seed], held_out, "rk4", intervals // 2)
         assert nfe <= ar.nfe // 2

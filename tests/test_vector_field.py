@@ -44,6 +44,14 @@ def test_embedding_rejects_nonpositive_bands():
         time_embedding(0.5, bands=0)
 
 
+@pytest.mark.parametrize("step", [0.0, -0.1, 1.5, float("nan"), float("inf")])
+def test_a_one_step_grid_step_must_lie_in_the_unit_interval(step):
+    # a normalized grid's step lies in (0, 1]; 1 is the two-point grid
+    assert MlpConfig(state_dim=2, grid_step=1.0).input_dim == 2
+    with pytest.raises(InvalidArgumentError, match="grid_step"):
+        MlpConfig(state_dim=2, grid_step=step)
+
+
 def test_zero_params_give_zero_output():
     config = MlpConfig(state_dim=3, hidden_dims=(8, 8), embed_bands=2)
     params = init_params(config, seed=0)
@@ -53,7 +61,7 @@ def test_zero_params_give_zero_output():
 
 
 def test_forward_matches_hand_computation():
-    config = MlpConfig(state_dim=2, hidden_dims=(3,), use_time_embedding=False)
+    config = MlpConfig(state_dim=2, hidden_dims=(3,), grid_step=0.5)
     params = init_params(config, seed=1)
     u = np.array([[0.5, -1.5]])
     expected = np.maximum(u @ params.weights[0] + params.biases[0], 0.0)
@@ -299,6 +307,13 @@ def test_checkpoint_round_trip(tmp_path):
     assert meta["kind"] == "flow"
     assert loaded.config == config
     assert np.array_equal(loaded.flat, params.flat)
+
+
+def test_checkpoint_round_trips_a_one_step_model_and_its_step(tmp_path):
+    config = MlpConfig(state_dim=2, hidden_dims=(4,), embed_bands=3, grid_step=0.05)
+    path = tmp_path / "ar.ckpt.npz"
+    save_checkpoint(path, init_params(config, seed=2))
+    assert load_checkpoint(path)[0].config == config
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
