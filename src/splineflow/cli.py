@@ -425,14 +425,14 @@ def cmd_nfe_sweep(options: dict, provenance: dict) -> int:
     ar_params = _load_model(ar_checkpoint, dataset) if ar_checkpoint else None
     runs, reports = [], []  # (method, budget_pct) and the report of each row
     clock = _clock()
-    if ar_params is not None:
-        reports.append(evaluate_one_step_model(ar_params, dataset))
-        runs.append(("ar", 100))
     for method in options["methods"]:
         for pct in options["budgets"]:
             budget = max(1, int(round(intervals * pct / 100.0)))
             final_time_error_at_budget(params, dataset, method, budget, reports)
             runs.append((method, pct))
+    if ar_params is not None:  # written first, run last: the flow rows refuse a one-step model
+        reports.insert(0, evaluate_one_step_model(ar_params, dataset))
+        runs.insert(0, ("ar", 100))
     cost = clock()
     out = _output(options, "out", "nfe_sweep.csv")
     _write_csv(

@@ -9,11 +9,12 @@ number of substeps and records the state at every evaluation time;
 States are batches (B, d) integrated jointly; the right-hand side takes
 and returns (B, d) arrays. `_integrate` keeps the caller's memory layout:
 a Fortran-ordered (component-major) batch stays one through every step,
-so a field of a few components works on contiguous column vectors. A
-row that blows up (norm above DEFAULT_NORM_BOUND or a non-finite entry)
-is frozen at its last finite state and flagged in
-``RolloutResult.diverged``; the other rows keep going. Forward, reverse
-and one-step (AR) rollouts share that one loop.
+so a field of a few components works on contiguous column vectors, and
+every step hands the field the caller's whole batch. A row that blows
+up (norm above DEFAULT_NORM_BOUND or a non-finite entry) is flagged in
+``RolloutResult.diverged`` and frozen at its last finite state: each
+later step steps it from there and discards the result. Forward,
+reverse and one-step (AR) rollouts share that one loop.
 
 A rollout keeps no states: it hands each (B, d) state to the caller's
 record(k, u) as soon as it is reached. An evaluation scores the states
@@ -115,9 +116,11 @@ def _integrate(advance, f, u0, times_out, substeps, stages, record):
     costing `stages` calls of f. After each step a row is flagged unless
     its norm is <= DEFAULT_NORM_BOUND; one norm per row covers non-finite
     entries too, because they, like a sum of squares that overflows, make
-    the norm nan or inf. The reported nfe is the scheduled cost per
-    trajectory, also when every row has diverged and the remaining steps
-    are skipped. The state at times_out[k] goes to record(k, u).
+    the norm nan or inf. Every step advances all rows, and a flagged row
+    gets its state from before the step back, so it holds its last finite
+    state. The reported nfe is the scheduled cost per trajectory, also
+    when every row has diverged and the remaining steps are skipped. The
+    state at times_out[k] goes to record(k, u).
     """
     u0 = np.asarray(u0, dtype=np.float64)
     if u0.ndim != 2:
@@ -133,17 +136,9 @@ def _integrate(advance, f, u0, times_out, substeps, stages, record):
         for s in range(substeps):
             if not alive.any():
                 break
-            t = t0 + s * h
-            if alive.all():
-                u_new = advance(f, t, u, h)
-            else:
-                u_new = u.copy(order="K")
-                u_new[alive] = advance(f, t, u[alive], h)
-            bad = ~(np.linalg.norm(u_new, axis=-1) <= DEFAULT_NORM_BOUND)
-            bad &= alive
-            if bad.any():
-                u_new[bad] = u[bad]  # freeze at last finite state
-                alive &= ~bad
+            u_new = advance(f, t0 + s * h, u, h)
+            alive &= np.linalg.norm(u_new, axis=-1) <= DEFAULT_NORM_BOUND
+            u_new[~alive] = u[~alive]  # hold flagged rows at their last finite state
             u = u_new
         record(k + 1, u)
     return RolloutResult(nfe=(len(times_out) - 1) * substeps * stages, diverged=~alive)

@@ -182,7 +182,7 @@ def build_splines(dataset: TrajectorySet, spline_kind: str) -> np.ndarray:
 def _validation_error(report) -> float:
     """Mean rollout error of a validation report, or inf if any row diverged.
 
-    A diverged row is frozen at its blow-up state and scores a finite but
+    A diverged row is frozen at its last finite state and scores a finite but
     meaningless error, so such a model must never be kept as the best.
     """
     return math.inf if report.n_diverged else report.mean

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from splineflow import (
-    DataFormatError, TrajectorySet, cli, datafile, generate_lorenz, trainer, uniform_grid, workers,
+    DataFormatError, TrajectorySet, cli, datafile, evaluation, generate_lorenz, trainer,
+    uniform_grid, workers,
 )
 from splineflow.vector_field import (
     MlpConfig, VectorFieldParams, init_params, load_checkpoint, save_checkpoint,
@@ -436,6 +437,25 @@ def test_the_sweeps_baseline_row_rejects_a_flow_checkpoint(tiny_lorenz, tmp_path
         "--out", str(out),
     ])
     assert code == 2
+    assert not out.exists()
+
+
+def test_a_sweep_refuses_a_one_step_checkpoint_before_its_baseline_rollout(
+    tiny_lorenz, tmp_path, monkeypatch
+):
+    # the baseline row comes first in the CSV but is rolled out after the flow rows
+    ar = tmp_path / "ar.ckpt.npz"
+    save_checkpoint(ar, init_params(MlpConfig(3, (8,), grid_step=0.1), 0))
+    baseline_rollouts = []
+    monkeypatch.setattr(evaluation, "ar_rollout", lambda *args, **kw: baseline_rollouts.append(1))
+    out = tmp_path / "sweep.csv"
+    code = cli.main([
+        "nfe-sweep", "--checkpoint", str(ar), "--ar-checkpoint", str(ar), "--dataset",
+        str(tiny_lorenz), "--split", "val", "--methods", "rk4", "--budgets", "100",
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert baseline_rollouts == []
     assert not out.exists()
 
 

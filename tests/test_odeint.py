@@ -11,12 +11,13 @@ from splineflow import (
     rollout,
     rollout_reverse,
     step,
+    workers,
 )
 from splineflow.evaluation import flow_field
 from splineflow.metrics import empirical_order
 from splineflow.odeint import DEFAULT_NORM_BOUND
 
-from recording import recorded
+from recording import forward_sweep_rows, recorded
 
 
 def decay(t, u):
@@ -181,23 +182,50 @@ def test_rollout_is_the_same_for_row_and_component_major_batches(field):
 
 def test_a_component_major_batch_reaches_every_stage_component_major():
     # the rollout loop and the stage arithmetic keep the caller's layout; a C copy
-    # anywhere would hand the field stride-3 columns again, and the record too
+    # anywhere would hand the field stride-3 columns again, and the record too.
+    # Rows that blow up early and are frozen change nothing of that.
     component_major = lambda u: u.flags.f_contiguous and not u.flags.c_contiguous
-    layouts = []
+    for diverging in (0, 10):
+        u0 = np.random.default_rng(0).uniform(-5.0, 5.0, size=(40, 3))
+        u0[:diverging] *= 1e3
+        layouts, recorded_layouts = [], []
 
-    def spy(t, u):
-        layouts.append(component_major(u))
-        return lorenz_rhs(u)
+        def spy(t, u):
+            layouts.append(component_major(u))
+            return lorenz_rhs(u)
 
-    u0 = np.asfortranarray(np.random.default_rng(0).uniform(-5.0, 5.0, size=(40, 3)))
-    recorded_layouts = []
-    result = rollout(
-        spy, u0, np.linspace(0.0, 0.5, 6), SolverConfig("rk4", 3),
-        lambda k, u: recorded_layouts.append(component_major(u)),
-    )
-    assert len(layouts) == result.nfe == 60
-    assert all(layouts)
-    assert recorded_layouts == [True] * 6
+        result = rollout(
+            spy, np.asfortranarray(u0), np.linspace(0.0, 0.5, 6), SolverConfig("rk4", 3),
+            lambda k, u: recorded_layouts.append(component_major(u)),
+        )
+        assert result.diverged.tolist() == [True] * diverging + [False] * (40 - diverging)
+        assert len(layouts) == result.nfe == 60
+        assert all(layouts)
+        assert recorded_layouts == [True] * 6
+
+
+def test_frozen_rows_change_neither_the_survivors_nor_the_forward_split(monkeypatch):
+    # every step hands the field the whole batch, so a forward pass cuts its
+    # rows as for a tame batch and the surviving rows keep their bits
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 1})
+    params = init_params(MlpConfig(state_dim=100), seed=5)
+    tame = np.random.default_rng(8).standard_normal((600, 100))
+    wild = tame.copy()
+    wild[::50] *= 1e9  # 12 rows start above the norm bound
+    frozen = np.arange(600) % 50 == 0
+    times, solver = np.linspace(0.0, 1.0, 4), SolverConfig("rk4", 1)
+    sweeps = forward_sweep_rows(monkeypatch)
+    runs = []
+    for u0 in (tame, wild):
+        sweeps.clear()
+        states, result = recorded(rollout, flow_field(params), u0, times, solver)
+        assert sorted(sweeps) == [296] * result.nfe + [304] * result.nfe
+        runs.append((states, result.diverged))
+    (tame_states, tame_diverged), (wild_states, wild_diverged) = runs
+    assert not tame_diverged.any()
+    assert np.array_equal(wild_diverged, frozen)
+    assert np.array_equal(wild_states[:, ~frozen], tame_states[:, ~frozen])
+    assert np.array_equal(wild_states[:, frozen], np.broadcast_to(wild[frozen], (4, 12, 100)))
 
 
 def test_rollout_rejects_unbatched_state():
@@ -301,8 +329,7 @@ def test_ar_rollout_masks_rows_that_blow_up():
 
 
 def test_row_check_flags_nan_inf_and_overflowing_rows_in_one_pass():
-    # Keyed on the first entry, so the map acts the same on a full batch
-    # and on the alive rows alone once some rows are frozen.
+    # Keyed on the first entry, so each row's step depends on that row alone.
     below = np.nextafter(DEFAULT_NORM_BOUND, 0.0)
 
     def model(t, u):
