@@ -16,8 +16,9 @@ from .errors import (
     TrainingAbortedError,
     UndefinedMetricError,
 )
+from .convergence import empirical_order
+from .evaluation import EvalReport, build_report
 from .interpolant import InterpolantSampler, SampleBatch
-from .metrics import EvalReport, build_report, empirical_order
 from .odeint import RolloutResult, SolverConfig, ar_rollout, rollout, rollout_reverse, step
 from .spline import NoiseSchedule, build_linear, build_quintic, estimate_knot_derivatives
 from .systems import (

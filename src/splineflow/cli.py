@@ -41,6 +41,7 @@ from .evaluation import (
     evaluate_flow_model,
     evaluate_one_step_model,
     final_time_error_at_budget,
+    require_model,
     reverse_time_study,
 )
 from .odeint import SolverConfig
@@ -51,9 +52,11 @@ from .vector_field import load_checkpoint, save_checkpoint
 OUTPUT_ROOT_ENV = "SPLINEFLOW_OUTPUT_ROOT"
 OUTPUT_FLAGS = ("out_dir", "out", "checkpoint_out", "history_out")  # read by `_output` only
 
-# Desk-scale dataset defaults per system, for the gen-data flags left unset.
+# Desk-scale defaults per system for the gen-data flags left unset, filled in
+# before the provenance is taken (`main`). Burgers' substeps follow from stability.
 SYSTEM_DEFAULTS = {
-    "lorenz": {"n_train": 1000, "n_val": 100, "n_test": 100, "n_times": 201, "horizon": 5.0},
+    "lorenz": {"n_train": 1000, "n_val": 100, "n_test": 100, "n_times": 201, "horizon": 5.0,
+               "gen_substeps": LORENZ_SUBSTEPS},
     "burgers1d": {"n_train": 200, "n_val": 20, "n_test": 20, "n_times": 101, "horizon": 1.0},
 }
 
@@ -207,18 +210,13 @@ def _load_split(path: str, split: str):
     return splits[split], header
 
 
-def _load_model(path: str, dataset):
-    """The parameters of a checkpoint, refused unless they fit `dataset`'s state width.
-
-    Each study refuses a model of the other kind itself (`evaluation`).
-    """
-    params = load_checkpoint(path)[0]
-    if params.config.state_dim != dataset.state_dim:
-        raise InvalidArgumentError(
-            f"checkpoint state_dim {params.config.state_dim} does not match "
-            f"dataset state_dim {dataset.state_dim}"
-        )
-    return params
+def _fill_system_defaults(options: dict) -> None:
+    """Fill the gen-data flags left unset with its system's `SYSTEM_DEFAULTS`."""
+    if options["system"] not in SYSTEM_DEFAULTS:
+        raise InvalidArgumentError(f"unknown system {options['system']!r}")
+    for name, default in SYSTEM_DEFAULTS[options["system"]].items():
+        if options[name] is None:
+            options[name] = default
 
 
 def _clock(wall_field: str = "rollout_s"):
@@ -236,15 +234,8 @@ def _clock(wall_field: str = "rollout_s"):
 
 def cmd_gen_data(options: dict, provenance: dict) -> int:
     system = options["system"]
-    if system not in SYSTEM_DEFAULTS:
-        raise InvalidArgumentError(f"unknown system {system!r}")
-    for name, default in SYSTEM_DEFAULTS[system].items():
-        if options[name] is None:
-            options[name] = default
     n_times, horizon, seed = options["n_times"], options["horizon"], options["seed"]
     substeps = options["gen_substeps"]
-    if system == "lorenz" and substeps is None:
-        substeps = LORENZ_SUBSTEPS
 
     table = {
         name: (options[f"n_{name}"], 4 * seed + salt + 1)
@@ -349,10 +340,10 @@ def _train_common(options: dict, provenance: dict, autoregressive: bool) -> int:
 
 def cmd_eval(options: dict, provenance: dict) -> int:
     dataset, _ = _load_split(options["dataset"], options["split"])
-    params = _load_model(options["checkpoint"], dataset)
+    params = load_checkpoint(options["checkpoint"])[0]
+    solver = SolverConfig(method=options["method"], substeps_per_interval=options["substeps"])
     clock = _clock()
     if params.config.grid_step is None:
-        solver = SolverConfig(method=options["method"], substeps_per_interval=options["substeps"])
         report = evaluate_flow_model(params, dataset, solver, eval_stride=options["eval_stride"])
     else:
         report = evaluate_one_step_model(params, dataset, eval_stride=options["eval_stride"])
@@ -419,20 +410,25 @@ def cmd_nfe_sweep(options: dict, provenance: dict) -> int:
     if not options["methods"] or min(options["budgets"], default=0) < 1:
         raise InvalidArgumentError("nfe-sweep needs a method and NFE budgets of >= 1 percent")
     dataset, _ = _load_split(options["dataset"], options["split"])
-    params = _load_model(options["checkpoint"], dataset)
     intervals = dataset.shared_grid().n_segments  # AR budget: one evaluation per interval
-    ar_checkpoint = options["ar_checkpoint"]
-    ar_params = _load_model(ar_checkpoint, dataset) if ar_checkpoint else None
+    # every row's model and method is checked before the first rollout
+    params = load_checkpoint(options["checkpoint"])[0]
+    require_model(params, dataset, one_step=False)
+    ar_params = load_checkpoint(options["ar_checkpoint"])[0] if options["ar_checkpoint"] else None
+    if ar_params is not None:
+        require_model(ar_params, dataset, one_step=True)
+    for method in options["methods"]:
+        SolverConfig(method=method)
     runs, reports = [], []  # (method, budget_pct) and the report of each row
     clock = _clock()
+    if ar_params is not None:
+        reports.append(evaluate_one_step_model(ar_params, dataset))
+        runs.append(("ar", 100))
     for method in options["methods"]:
         for pct in options["budgets"]:
             budget = max(1, int(round(intervals * pct / 100.0)))
             final_time_error_at_budget(params, dataset, method, budget, reports)
             runs.append((method, pct))
-    if ar_params is not None:  # written first, run last: the flow rows refuse a one-step model
-        reports.insert(0, evaluate_one_step_model(ar_params, dataset))
-        runs.insert(0, ("ar", 100))
     cost = clock()
     out = _output(options, "out", "nfe_sweep.csv")
     _write_csv(
@@ -452,7 +448,7 @@ def cmd_nfe_sweep(options: dict, provenance: dict) -> int:
 
 def cmd_reverse(options: dict, provenance: dict) -> int:
     dataset, _ = _load_split(options["dataset"], options["split"])
-    params = _load_model(options["checkpoint"], dataset)
+    params = load_checkpoint(options["checkpoint"])[0]
     solver = SolverConfig(method=options["method"], substeps_per_interval=options["substeps"])
     clock = _clock()
     rows = reverse_time_study(
@@ -497,6 +493,8 @@ def main(argv=None) -> int:
         return exc.code
     command = options.pop("command")
     try:
+        if command == "gen-data":
+            _fill_system_defaults(options)
         return _DISPATCH[command](options, _provenance(command, options))
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-from .metrics import empirical_order, row_errors
+from .errors import InvalidArgumentError, UndefinedMetricError
 from .spline import build_linear, build_quintic, segment_derivatives
 from .systems import TrajectorySet, lorenz_rhs
 from .timegrid import TimeGrid
@@ -40,6 +39,38 @@ class ConvergenceRow:
     err_tau1: float
     order_tau0: float  # nan for the finest level
     order_tau1: float
+
+
+def row_errors(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Relative L2 error of every state row: |pred - truth| / |truth| over the last axis.
+
+    Raises UndefinedMetricError if any truth row has zero norm.
+    """
+    num = np.linalg.norm(pred - truth, axis=-1)
+    den = np.linalg.norm(truth, axis=-1)
+    if np.any(den == 0.0):
+        raise UndefinedMetricError("relative error undefined at a zero-norm truth row")
+    return num / den
+
+
+def empirical_order(errors, steps) -> list:
+    """Convergence exponents p = log(e2/e1) / log(h2/h1) per adjacent pair.
+
+    A zero error yields the infinite-order sentinel for its pairs.
+    """
+    errors = np.asarray(errors, dtype=np.float64)
+    steps = np.asarray(steps, dtype=np.float64)
+    if errors.size < 2 or errors.size != steps.size:
+        raise InvalidArgumentError("need >= 2 matching (error, step) pairs")
+    if np.any(errors < 0.0) or np.any(steps <= 0.0):
+        raise InvalidArgumentError("errors must be >= 0 and steps > 0")
+    orders = []
+    for (e1, h1), (e2, h2) in zip(zip(errors, steps), zip(errors[1:], steps[1:])):
+        if e1 == 0.0 or e2 == 0.0:
+            orders.append(np.inf)
+        else:
+            orders.append(float(np.log(e2 / e1) / np.log(h2 / h1)))
+    return orders
 
 
 def segment_endpoint_velocities(grid: TimeGrid, table: np.ndarray):

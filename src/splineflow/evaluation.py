@@ -7,8 +7,8 @@ the start states of the whole set, one column of that array that the
 rollout copies into a C-ordered batch, out as one batch and scores every
 state as the rollout reaches it (`_Scores`, the rollout's record), so no
 study holds a (K, B, d) rollout. Per scored time and row it keeps:
-- the relative error of the state, by the `row_errors` reductions, in a
-  (B, K) table whose axis-0 mean is the report's per-time curve;
+- the relative error of the state, by the `convergence.row_errors`
+  reductions, in a (B, K) table whose axis-0 mean is the per-time curve;
 - running sums of the squared error and of the squared truth norm, whose
   ratio's square root is the row's space-time relative L2 error;
 - running peaks of the squared norms of prediction and truth.
@@ -31,17 +31,19 @@ up here at call time, so wrapping them on this module (as splinebench
 does to count rows and NFE) reaches every study.
 
 The network config's `grid_step` says what a model is (`vector_field`).
-Each study refuses the other kind before it rolls anything out: the flow
-studies integrate a velocity field, and a next-state map run as one (or
-one run on a grid of another step) gives a number that means nothing.
+Each study refuses a model that does not fit it (`require_model`) before
+it rolls anything out: the flow studies integrate a velocity field, and a
+next-state map run as one (or one run on a grid of another step) gives a
+number that means nothing.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import InvalidArgumentError, UndefinedMetricError
-from .metrics import EvalReport, build_report
 from .odeint import RolloutResult, SolverConfig, ar_rollout, rollout, rollout_reverse
 from .systems import TrajectorySet
 from .vector_field import VectorFieldParams, forward_batch
@@ -54,11 +56,65 @@ NOISE_SEED_SCALE = 1e9  # a noise level's seed key is round(level * NOISE_SEED_S
 DIVERGENCE_FACTOR = 1e3
 
 
-def _require_kind(params: VectorFieldParams, one_step: bool) -> None:
-    """Raise unless the model is a one-step map (one_step) or a velocity field (not one_step)."""
-    if (params.config.grid_step is not None) != one_step:
+def require_model(params: VectorFieldParams, dataset: TrajectorySet, one_step: bool) -> None:
+    """Raise unless the model is the kind a study takes, of the dataset's width and grid step."""
+    config = params.config
+    if (config.grid_step is not None) != one_step:
         kinds = ("a velocity field (train)", "a one-step map (train-ar)")
         raise InvalidArgumentError(f"the model is {kinds[not one_step]}, not {kinds[one_step]}")
+    if config.state_dim != dataset.state_dim:
+        raise InvalidArgumentError(
+            f"model state_dim {config.state_dim} differs from dataset state_dim {dataset.state_dim}"
+        )
+    if one_step:
+        dataset.uniform_step(expected=config.grid_step)
+
+
+@dataclass
+class EvalReport:
+    """What one rollout pass measured (`build_report`); every aggregate derives from it."""
+
+    per_traj: np.ndarray
+    per_time: np.ndarray
+    nfe: int
+    n_diverged: int
+
+    @property
+    def mean(self) -> float:
+        return float(self.per_traj.mean())
+
+    @property
+    def sd(self) -> float:  # the sample deviation, 0 for one row
+        return float(self.per_traj.std(ddof=1)) if self.per_traj.size > 1 else 0.0
+
+    @property
+    def final_time_error(self) -> float:
+        return float(self.per_time[-1])
+
+    @property
+    def median(self) -> float:
+        """Median per-trajectory error; unlike the mean, no single diverged row sets it."""
+        # Equals np.median, whose first call imports numpy.ma and so leaves
+        # about 1 MB of module objects amid the freed arrays of a run.
+        ordered = np.sort(self.per_traj)
+        return float((ordered[(ordered.size - 1) // 2] + ordered[ordered.size // 2]) / 2.0)
+
+
+def build_report(per_traj, curves, nfe: int, diverged) -> EvalReport:
+    """The report of a rollout pass from its rows, in dataset order.
+
+    per_traj (B,) holds each row's space-time relative L2 error, curves
+    its (B, K) per-time errors (their row mean is the per-time curve) and
+    diverged its (B,) divergence flags.
+    """
+    if len(per_traj) == 0:
+        raise InvalidArgumentError("need the errors of at least one trajectory")
+    return EvalReport(
+        per_traj=per_traj,
+        per_time=np.mean(curves, axis=0),
+        nfe=nfe,
+        n_diverged=int(np.count_nonzero(diverged)),
+    )
 
 
 def flow_field(params: VectorFieldParams):
@@ -88,7 +144,7 @@ class _Scores:
         truth, error, square = self.truth, self.error, self.square
         np.copyto(truth, self.truths[:, self.picks[column]])
         np.subtract(u, truth, out=error)
-        # the reductions of `row_errors`' np.linalg.norm(x, axis=-1):
+        # the reductions of `convergence.row_errors`' np.linalg.norm(x, axis=-1):
         # sqrt(add.reduce(x * x, axis=-1)), so the curves keep its values
         sq_error = np.add.reduce(np.multiply(error, error, out=square), axis=-1)
         sq_truth = np.add.reduce(np.multiply(truth, truth, out=square), axis=-1)
@@ -116,9 +172,9 @@ def evaluate_flow_model(
 
     The evaluation grid is the set's shared grid thinned by eval_stride;
     truth snapshots at those times are compared against the integrated
-    states. A one-step model is refused.
+    states. `require_model` refuses a one-step model.
     """
-    _require_kind(params, one_step=False)
+    require_model(params, dataset, one_step=False)
     grid = dataset.shared_grid()
     picks = np.arange(len(grid))[grid.stride(eval_stride)]
     scores = _Scores(dataset, picks)
@@ -133,13 +189,11 @@ def evaluate_one_step_model(
 
     The model maps a state to the state one training step later, so the
     shared grid must be uniform with the step its config records,
-    `grid_step` (`TrajectorySet.uniform_step`); a velocity field is
-    refused. The stride only thins the comparison times so reports align
-    with flow-model runs.
+    `grid_step` (`require_model`). The stride only thins the comparison
+    times so reports align with flow-model runs.
     """
-    _require_kind(params, one_step=True)
     grid = dataset.shared_grid()
-    dataset.uniform_step(expected=params.config.grid_step)
+    require_model(params, dataset, one_step=True)
     scores = _Scores(dataset, np.arange(len(grid))[grid.stride(eval_stride)])
 
     def record(k, u):
@@ -196,10 +250,10 @@ def reverse_time_study(
     n_diverged its count of rows that froze or outgrew their truth, the
     verdict `eval` reports too. t_star must lie in [0, 1]; noise levels must
     be >= 0 with a finite seed key level * NOISE_SEED_SCALE. A study with no
-    row to return (an anchor at t = 0, or no noise level) or of a one-step
-    model raises.
+    row to return (an anchor at t = 0, or no noise level) or of a model
+    that `require_model` refuses raises.
     """
-    _require_kind(params, one_step=False)
+    require_model(params, dataset, one_step=False)
     if not 0.0 <= t_star <= 1.0:  # nan fails too
         raise InvalidArgumentError(f"t_star must lie in [0, 1], got {t_star!r}")
     if not all(level >= 0.0 and np.isfinite(level * NOISE_SEED_SCALE) for level in noise_levels):

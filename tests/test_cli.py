@@ -440,14 +440,21 @@ def test_the_sweeps_baseline_row_rejects_a_flow_checkpoint(tiny_lorenz, tmp_path
     assert not out.exists()
 
 
+def _spy_on_rollouts(monkeypatch):
+    """A list that gets one entry per rollout any study starts; the rollouts do not run."""
+    rollouts = []
+    for name in ("rollout", "ar_rollout", "rollout_reverse"):
+        monkeypatch.setattr(evaluation, name, lambda *args, **kw: rollouts.append(1))
+    return rollouts
+
+
 def test_a_sweep_refuses_a_one_step_checkpoint_before_its_baseline_rollout(
     tiny_lorenz, tmp_path, monkeypatch
 ):
-    # the baseline row comes first in the CSV but is rolled out after the flow rows
+    # both checkpoints are checked before the baseline row, the CSV's first, is rolled out
     ar = tmp_path / "ar.ckpt.npz"
     save_checkpoint(ar, init_params(MlpConfig(3, (8,), grid_step=0.1), 0))
-    baseline_rollouts = []
-    monkeypatch.setattr(evaluation, "ar_rollout", lambda *args, **kw: baseline_rollouts.append(1))
+    rollouts = _spy_on_rollouts(monkeypatch)
     out = tmp_path / "sweep.csv"
     code = cli.main([
         "nfe-sweep", "--checkpoint", str(ar), "--ar-checkpoint", str(ar), "--dataset",
@@ -455,7 +462,48 @@ def test_a_sweep_refuses_a_one_step_checkpoint_before_its_baseline_rollout(
         "--out", str(out),
     ])
     assert code == 2
-    assert baseline_rollouts == []
+    assert rollouts == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["unknown method", "flow baseline", "baseline of another step"])
+def test_a_sweep_checks_every_method_and_checkpoint_before_any_rollout(
+    tiny_lorenz, tmp_path, monkeypatch, case
+):
+    flow, ar = tmp_path / "flow.ckpt.npz", tmp_path / "ar.ckpt.npz"
+    save_checkpoint(flow, init_params(MlpConfig(3, (4,)), 0))
+    # tiny_lorenz's grid steps 0.1; this map was trained on a 41-point grid
+    save_checkpoint(ar, init_params(MlpConfig(3, (4,), grid_step=0.025), 0))
+    extra = {
+        "unknown method": ["--methods", "rk4,bogus"],
+        "flow baseline": ["--ar-checkpoint", str(flow)],
+        "baseline of another step": ["--ar-checkpoint", str(ar)],
+    }[case]
+    rollouts = _spy_on_rollouts(monkeypatch)
+    out = tmp_path / "sweep.csv"
+    code = cli.main([
+        "nfe-sweep", "--checkpoint", str(flow), "--dataset", str(tiny_lorenz), "--split", "val",
+        "--budgets", "50,100", "--out", str(out), *extra,
+    ])
+    assert code == 2
+    assert rollouts == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "nfe-sweep", "reverse"])
+def test_studies_refuse_a_checkpoint_of_another_state_width(
+    tiny_lorenz, tmp_path, monkeypatch, command
+):
+    wide = tmp_path / "wide.ckpt.npz"
+    save_checkpoint(wide, init_params(MlpConfig(4, (4,)), 0))
+    rollouts = _spy_on_rollouts(monkeypatch)
+    out = tmp_path / f"{command}.csv"
+    code = cli.main([
+        command, "--checkpoint", str(wide), "--dataset", str(tiny_lorenz), "--split", "val",
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert rollouts == []
     assert not out.exists()
 
 
@@ -504,6 +552,21 @@ def test_gen_data_records_the_substeps_it_used(tmp_path):
         assert datafile.read_dataset(out)[1]["generator"]["substeps"] == default
         assert cli.main(base + ["--gen-substeps", "3", "--out", str(out)]) == 0
         assert datafile.read_dataset(out)[1]["generator"]["substeps"] == 3
+
+
+@pytest.mark.parametrize("system, defaults", [
+    ("lorenz", ["--n-val", "100", "--horizon", "5.0", "--gen-substeps", "10"]),
+    ("burgers1d", ["--n-val", "20", "--horizon", "1.0"]),
+])
+def test_typing_a_default_out_changes_no_byte_of_a_dataset(tmp_path, system, defaults):
+    base = ["gen-data", "--system", system, "--n-train", "1", "--n-test", "0", "--n-times", "11"]
+    unset, typed = tmp_path / "unset.sftraj", tmp_path / "typed.sftraj"
+    assert cli.main(base + ["--out", str(unset)]) == 0
+    assert cli.main(base + defaults + ["--out", str(typed)]) == 0
+    generators = [datafile.read_dataset(path)[1]["generator"] for path in (unset, typed)]
+    assert generators[0]["fingerprint"] == generators[1]["fingerprint"]
+    assert generators[0]["options"] == generators[1]["options"]
+    assert unset.read_bytes() == typed.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -706,6 +769,21 @@ def test_eval_flags_reach_the_solver_typed_and_defaulted(tiny_lorenz, tmp_path):
     # stride 5: 2 euler steps of 2 substeps each
     assert cli.main(base + ["--eval-stride", "5", "--substeps", "2", "--method", "euler"]) == 0
     assert "# nfe=4" in out.read_text().splitlines()
+
+
+@pytest.mark.parametrize("grid_step", [None, 0.1])
+def test_eval_refuses_solver_flags_for_either_kind_of_model(tiny_lorenz, tmp_path, grid_step):
+    # a one-step map takes no solver, but flags it would ignore are still checked
+    ckpt = tmp_path / "model.ckpt.npz"
+    save_checkpoint(ckpt, init_params(MlpConfig(3, (8,), grid_step=grid_step), 0))
+    out = tmp_path / "eval.csv"
+    for flags in (["--method", "bogus"], ["--substeps", "0"]):
+        code = cli.main([
+            "eval", "--checkpoint", str(ckpt), "--dataset", str(tiny_lorenz), "--split", "val",
+            "--out", str(out), *flags,
+        ])
+        assert code == 2
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("factors", ["1,1", "1,3"])

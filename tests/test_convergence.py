@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from splineflow import InvalidArgumentError, cli, convergence, generate_burgers, generate_lorenz
-from splineflow.convergence import endpoint_velocity_study, segment_endpoint_velocities
+from splineflow.convergence import (
+    empirical_order, endpoint_velocity_study, row_errors, segment_endpoint_velocities,
+)
 from splineflow.datafile import write_dataset
-from splineflow.metrics import empirical_order, row_errors
 from splineflow.spline import build_linear, build_quintic, estimate_knot_derivatives
 from splineflow.systems import BurgersConfig, TrajectorySet, lorenz_rhs
 from splineflow.timegrid import TimeGrid, uniform_grid

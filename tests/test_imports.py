@@ -1,4 +1,5 @@
-"""Every name a module of splineflow imports is used in that module, only
+"""Every name a module of splineflow imports is used in that module, every
+public function, class and method it defines is read by the package, only
 the users of the worker pool import it, only the network and the trainer
 use the network config, the CLI names and prepares every output file
 through one helper, from one list of output flags, and never calls repr,
@@ -89,6 +90,57 @@ def test_only_the_network_and_the_trainer_use_the_network_config():
         assert "MlpConfig" in names_used(source)
     users = {p.name for p in MODULES if "MlpConfig" in names_used(p.read_text(encoding="utf-8"))}
     assert users == {"vector_field.py", "trainer.py"}
+
+
+# Public names that nothing in src/ reads, each kept by a span site of the
+# benchmark (ROADMAP item 4), with the reason it stays
+UNREAD_KEPT = {
+    # the Fornberg reference the knot stencils are tested against; the
+    # benchmark's stencil.fd_weights span wraps it
+    "stencil.fd_weights",
+    # training draws through InterpolantSampler._draw; the benchmark's
+    # interpolant.sample_batch span wraps this method
+    "interpolant.InterpolantSampler.sample_batch",
+}
+
+
+def public_definitions(source: str) -> list:
+    """The module's public functions and classes, and their public methods as Class.method."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [
+                f"{node.name}.{inner.name}" for inner in node.body
+                if isinstance(inner, ast.FunctionDef) and not inner.name.startswith("_")
+            ]
+    return names
+
+
+def unread_definitions(sources: dict) -> list:
+    """module.name of each public definition of `sources` (module -> source) that none reads."""
+    used = set().union(*(names_used(source) for source in sources.values()))
+    return sorted(
+        f"{module}.{name}" for module, source in sources.items()
+        for name in public_definitions(source) if name.rsplit(".", 1)[-1] not in used
+    )
+
+
+def test_the_definition_scan_finds_what_only_tests_read():
+    # planted and C.unread stand for API that only a test, which is not scanned, calls
+    sources = {
+        "a": "def kept():\n    pass\ndef planted():\n    pass\ndef _private():\n    pass\n"
+             "class C:\n    def read(self):\n        pass\n    def unread(self):\n        pass\n",
+        "b": "from .a import kept\nkept()\nC().read()\n",
+    }
+    assert unread_definitions(sources) == ["a.C.unread", "a.planted"]
+
+
+def test_every_public_definition_is_read_by_the_package():
+    # a public function only tests call is API kept for them alone (ROADMAP aim 2)
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unread_definitions(sources) == sorted(UNREAD_KEPT)
 
 
 # The flags that say where a command writes, which its fingerprint leaves out

@@ -15,9 +15,8 @@ from splineflow import (
     generate_lorenz,
     init_params,
 )
-from splineflow.convergence import endpoint_velocity_study
+from splineflow.convergence import endpoint_velocity_study, row_errors
 from splineflow.evaluation import evaluate_flow_model, reverse_time_study
-from splineflow.metrics import row_errors
 
 from reference import relative_l2
 
@@ -58,6 +57,10 @@ def test_build_report_aggregates():
     assert report.per_time.shape == (6,)
     assert np.isclose(report.final_time_error, report.per_time[-1])
     assert report.nfe == 120
+    # the aggregates are derived, so a report's mean is always that of its rows
+    fewer = dataclasses.replace(report, per_traj=per[:2], per_time=report.per_time[:3])
+    assert (fewer.mean, fewer.sd) == (per[:2].mean(), per[:2].std(ddof=1))
+    assert fewer.final_time_error == report.per_time[2]
 
 
 def test_median_row_error_is_not_set_by_one_diverged_row():

@@ -14,7 +14,7 @@ from splineflow import (
     workers,
 )
 from splineflow.evaluation import flow_field
-from splineflow.metrics import empirical_order
+from splineflow.convergence import empirical_order
 from splineflow.odeint import DEFAULT_NORM_BOUND
 
 from recording import forward_sweep_rows, recorded

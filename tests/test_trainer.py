@@ -26,7 +26,9 @@ from splineflow import (
     train_one_step,
     uniform_grid,
 )
+from splineflow.convergence import row_errors
 from splineflow.evaluation import (
+    EvalReport,
     evaluate_flow_model,
     evaluate_one_step_model,
     final_time_error_at_budget,
@@ -34,7 +36,6 @@ from splineflow.evaluation import (
     reverse_time_study,
 )
 from splineflow.interpolant import InterpolantSampler, SampleBatch
-from splineflow.metrics import EvalReport, row_errors
 from splineflow.odeint import ar_rollout, rollout, rollout_reverse
 from splineflow.spline import NoiseSchedule, build_linear, build_quintic
 from splineflow.systems import lorenz_rhs
@@ -484,8 +485,7 @@ def test_an_aborted_run_leaves_no_draw_running(monkeypatch):
 
 
 def test_validation_with_diverged_rows_is_never_kept():
-    report = EvalReport(per_traj=np.array([0.6]), mean=0.6, sd=0.0,
-                        per_time=np.array([0.6]), final_time_error=0.6, n_diverged=1)
+    report = EvalReport(per_traj=np.array([0.6]), per_time=np.array([0.6]), nfe=1, n_diverged=1)
     assert _validation_error(report) == math.inf
     cfg = TrainConfig(steps=6, batch_size=16, learning_rate=1e-2, eval_every=2, seed=0)
     scores = iter([math.inf, 0.3, math.inf])
