@@ -4,7 +4,8 @@ Subcommands: gen-data, train, train-ar, eval, convergence, nfe-sweep,
 reverse. gen-data writes one binary dataset file (see `datafile`); every
 other command reads one. Each output goes where its flag names it, else
 under --out-dir, $SPLINEFLOW_OUTPUT_ROOT or ./outputs; its directory is
-made either way. A float in a CSV is its shortest round-trip text.
+made either way. A float in a CSV is its shortest round-trip text, and
+a CSV of a study's or a training's rows has their field names as columns.
 
 argparse types every flag, fills its default and refuses a command
 without its required flags. All commands are deterministic for a fixed
@@ -32,10 +33,11 @@ import json
 import os
 import sys
 import time
+from dataclasses import astuple, fields
 from pathlib import Path
 
 from . import datafile
-from .convergence import endpoint_velocity_study
+from .convergence import ConvergenceRow, endpoint_velocity_study
 from .errors import DataFormatError, InvalidArgumentError, NumericError, TrainingAbortedError
 from .evaluation import (
     evaluate_flow_model,
@@ -46,18 +48,19 @@ from .evaluation import (
 )
 from .odeint import SolverConfig
 from .systems import LORENZ_SUBSTEPS, BurgersConfig, burgers_substeps, generate_burgers, generate_lorenz
-from .trainer import TrainConfig, train_flow_matching, train_one_step
+from .trainer import HistoryRow, TrainConfig, train_flow_matching, train_one_step
 from .vector_field import load_checkpoint, save_checkpoint
 
 OUTPUT_ROOT_ENV = "SPLINEFLOW_OUTPUT_ROOT"
 OUTPUT_FLAGS = ("out_dir", "out", "checkpoint_out", "history_out")  # read by `_output` only
 
-# Desk-scale defaults per system for the gen-data flags left unset, filled in
-# before the provenance is taken (`main`). Burgers' substeps follow from stability.
+# Every gen-data setting a system reads, with the desk-scale default `main` fills in for
+# an unset flag before it takes the provenance. Burgers' substeps follow from stability.
 SYSTEM_DEFAULTS = {
     "lorenz": {"n_train": 1000, "n_val": 100, "n_test": 100, "n_times": 201, "horizon": 5.0,
-               "gen_substeps": LORENZ_SUBSTEPS},
-    "burgers1d": {"n_train": 200, "n_val": 20, "n_test": 20, "n_times": 101, "horizon": 1.0},
+               "init_box": 5.0, "gen_substeps": LORENZ_SUBSTEPS},
+    "burgers1d": {"n_train": 200, "n_val": 20, "n_test": 20, "n_times": 101, "horizon": 1.0,
+                  "nu": BurgersConfig.nu, "nx": BurgersConfig.nx, "gen_substeps": None},
 }
 
 _SPLIT_SALT = {"train": 0, "val": 1, "test": 2}
@@ -90,10 +93,10 @@ _TRAIN_OPTS = [
     ("dataset", str, REQUIRED, "dataset file from gen-data"),
     ("steps", int, TrainConfig.steps, "optimizer steps"),
     ("batch_size", int, TrainConfig.batch_size, "samples per step"),
-    ("lr", float, TrainConfig.learning_rate, "Adam learning rate"),
+    ("lr", float, TrainConfig.lr, "Adam learning rate"),
     ("eval_every", int, TrainConfig.eval_every, "validation rollout cadence in steps"),
     ("seed", _non_negative_int, TrainConfig.seed, "training seed"),
-    ("hidden", _comma_ints, TrainConfig.hidden_dims, "hidden layer widths"),
+    ("hidden", _comma_ints, TrainConfig.hidden, "hidden layer widths"),
     ("checkpoint_out", str, None, "checkpoint path (default under out dir)"),
     ("history_out", str, None, "history CSV path (default under out dir)"),
 ]
@@ -106,9 +109,9 @@ COMMANDS = {
         ("n_test", _non_negative_int, None, "test trajectories"),
         ("n_times", int, None, "time points per trajectory"),
         ("horizon", float, None, "physical horizon in seconds"),
-        ("init_box", float, 5.0, "lorenz initial-condition box half-width"),
-        ("nu", float, BurgersConfig.nu, "burgers viscosity"),
-        ("nx", int, BurgersConfig.nx, "burgers spatial points"),
+        ("init_box", float, None, f"lorenz initial-condition box half-width (default {SYSTEM_DEFAULTS['lorenz']['init_box']})"),
+        ("nu", float, None, f"burgers viscosity (default {BurgersConfig.nu})"),
+        ("nx", int, None, f"burgers spatial points (default {BurgersConfig.nx})"),
         ("gen_substeps", int, None, f"integrator substeps per interval (default: lorenz {LORENZ_SUBSTEPS}, burgers by stability)"),
         ("seed", _non_negative_int, 0, "generation seed"),
         ("out", str, None, "dataset path (default under out dir)"),
@@ -116,7 +119,7 @@ COMMANDS = {
     "train": _COMMON + _TRAIN_OPTS + [
         ("keep_rate", float, 1.0, "fraction of time points kept per trajectory"),
         ("embed_bands", int, TrainConfig.embed_bands, "sinusoidal time-embedding frequency count"),
-        ("spline", str, TrainConfig.spline_kind, "spline kind: linear or quintic"),
+        ("spline", str, TrainConfig.spline, "spline kind: linear or quintic"),
         ("gamma0", float, TrainConfig.gamma0, "noise schedule amplitude"),
         ("noise_m", int, TrainConfig.noise_m, "noise schedule smoothness exponent"),
     ],
@@ -211,10 +214,18 @@ def _load_split(path: str, split: str):
 
 
 def _fill_system_defaults(options: dict) -> None:
-    """Fill the gen-data flags left unset with its system's `SYSTEM_DEFAULTS`."""
-    if options["system"] not in SYSTEM_DEFAULTS:
-        raise InvalidArgumentError(f"unknown system {options['system']!r}")
-    for name, default in SYSTEM_DEFAULTS[options["system"]].items():
+    """Fill the gen-data flags left unset with its system's `SYSTEM_DEFAULTS`.
+
+    A flag that only another system reads is dropped if unset, else refused.
+    """
+    system = options["system"]
+    if system not in SYSTEM_DEFAULTS:
+        raise InvalidArgumentError(f"unknown system {system!r}")
+    reads = SYSTEM_DEFAULTS[system]
+    for name in dict.fromkeys(n for row in SYSTEM_DEFAULTS.values() for n in row if n not in reads):
+        if options.pop(name) is not None:
+            raise InvalidArgumentError(f"{system} reads no --{name.replace('_', '-')}")
+    for name, default in reads.items():
         if options[name] is None:
             options[name] = default
 
@@ -285,23 +296,12 @@ def _train_common(options: dict, provenance: dict, autoregressive: bool) -> int:
     train_set, val_set = splits.pop("train"), splits.pop("val", None)
     del splits
 
-    flow = {} if autoregressive else {
-        "gamma0": options["gamma0"], "noise_m": options["noise_m"], "spline_kind": options["spline"]
-    }
     if not autoregressive and options["keep_rate"] != 1.0:
         train_set = train_set.subsampled(options["keep_rate"], base_seed=options["seed"])
-    config = TrainConfig(
-        steps=options["steps"],
-        batch_size=options["batch_size"],
-        learning_rate=options["lr"],
-        eval_every=options["eval_every"],
-        seed=options["seed"],
-        hidden_dims=options["hidden"],
-        embed_bands=options.get("embed_bands", TrainConfig.embed_bands),
-        **flow,
-    )
+    # every training flag is the TrainConfig field of its name; train-ar has no flow flags
+    config = TrainConfig(**{f.name: options[f.name] for f in fields(TrainConfig) if f.name in options})
 
-    tag = f"{header['system']}_{'ar' if autoregressive else config.spline_kind}_seed{options['seed']}"
+    tag = f"{header['system']}_{'ar' if autoregressive else config.spline}_seed{options['seed']}"
     ckpt_path = _output(options, "checkpoint_out", f"{tag}.ckpt.npz")
     hist_path = _output(options, "history_out", f"{tag}_history.csv")
 
@@ -314,8 +314,8 @@ def _train_common(options: dict, provenance: dict, autoregressive: bool) -> int:
         _write_csv(
             hist_path,
             {"fingerprint": provenance["fingerprint"], "status": status},
-            ["step", "train_loss", "val_rel_l2"],
-            [(row.step, row.train_loss, row.val_error) for row in result.history],
+            [f.name for f in fields(HistoryRow)],
+            map(astuple, result.history),
         )
 
     clock = _clock("train_s")
@@ -385,21 +385,12 @@ def cmd_convergence(options: dict, provenance: dict) -> int:
     _write_csv(
         out,
         {"fingerprint": provenance["fingerprint"], "dataset": options["dataset"]},
-        [
-            "spline", "factor", "dt_seconds", "n_segments",
-            "err_tau0", "order_tau0", "err_tau1", "order_tau1",
-        ],
-        [
-            (
-                r.spline_kind, r.factor, r.dt_seconds, r.n_segments,
-                r.err_tau0, r.order_tau0, r.err_tau1, r.order_tau1,
-            )
-            for r in rows
-        ],
+        [f.name for f in fields(ConvergenceRow)],
+        map(astuple, rows),
     )
     for r in rows:
         print(
-            f"{r.spline_kind:8s} dt={r.dt_seconds:.4g}s err(tau=0)={r.err_tau0:.3e} "
+            f"{r.spline:8s} dt={r.dt_seconds:.4g}s err(tau=0)={r.err_tau0:.3e} "
             f"order={r.order_tau0:.2f}"
         )
     print(f"-> {out}")

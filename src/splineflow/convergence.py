@@ -31,13 +31,13 @@ from .timegrid import TimeGrid
 
 @dataclass(frozen=True)
 class ConvergenceRow:
-    spline_kind: str
+    spline: str
     factor: int
     dt_seconds: float
     n_segments: int
     err_tau0: float
-    err_tau1: float
     order_tau0: float  # nan for the finest level
+    err_tau1: float
     order_tau1: float
 
 
@@ -141,13 +141,13 @@ def endpoint_velocity_study(dataset: TrajectorySet, factors=(1, 2, 4)) -> list:
         for i, factor in enumerate(factors):
             rows.append(
                 ConvergenceRow(
-                    spline_kind=kind,
+                    spline=kind,
                     factor=factor,
                     dt_seconds=dts[i],
                     n_segments=dataset.n_traj * (grid.n_segments // factor),
                     err_tau0=errs0[i],
-                    err_tau1=errs1[i],
                     order_tau0=float(orders0[i]),
+                    err_tau1=errs1[i],
                     order_tau1=float(orders1[i]),
                 )
             )

@@ -7,7 +7,7 @@ fluctuate, so last-step weights are a poor pick). Runs are bit-for-bit
 reproducible for a fixed config and seed.
 
 Each trainer builds its own network from the training set's state
-dimension and the config's `hidden_dims` and `embed_bands`: the flow
+dimension and the config's `hidden` and `embed_bands`: the flow
 model's takes a time input, the one-step baseline's does not and records
 the step of its training grid as the network config's `grid_step`.
 
@@ -62,9 +62,9 @@ VALIDATION_SOLVER = SolverConfig(method="rk4", substeps_per_interval=1)
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Settings of one training run, for either trainer.
+    """Settings of one training run, for either trainer; each field is named as its flag.
 
-    Only the flow trainer reads `spline_kind`, `gamma0`, `noise_m` and
+    Only the flow trainer reads `spline`, `gamma0`, `noise_m` and
     `embed_bands`: the one-step baseline has no spline path and no time
     input (its network's config still records `embed_bands`, beside the
     `grid_step` the training set gives it).
@@ -72,26 +72,24 @@ class TrainConfig:
 
     steps: int = 20000
     batch_size: int = 256
-    learning_rate: float = 1e-3
+    lr: float = 1e-3
     eval_every: int = 2000
     gamma0: float = 1e-5
     noise_m: int = 3
-    spline_kind: str = "quintic"
+    spline: str = "quintic"
     seed: int = 0
-    hidden_dims: tuple = MlpConfig.hidden_dims
+    hidden: tuple = MlpConfig.hidden_dims
     embed_bands: int = MlpConfig.embed_bands
 
     def __post_init__(self):
         if self.steps <= 0 or self.batch_size <= 0:
             raise InvalidArgumentError("steps and batch_size must be positive")
-        if not (0.0 < self.learning_rate < math.inf):
-            raise InvalidArgumentError(
-                f"learning_rate must be positive and finite, got {self.learning_rate!r}"
-            )
+        if not (0.0 < self.lr < math.inf):
+            raise InvalidArgumentError(f"lr must be positive and finite, got {self.lr!r}")
         if self.eval_every <= 0:
             raise InvalidArgumentError("eval_every must be positive")
-        if self.spline_kind not in SPLINE_KINDS:
-            raise InvalidArgumentError(f"spline_kind must be one of {SPLINE_KINDS}")
+        if self.spline not in SPLINE_KINDS:
+            raise InvalidArgumentError(f"spline must be one of {SPLINE_KINDS}")
 
 
 @dataclass
@@ -131,7 +129,7 @@ def adam_step(
     state.v *= b2
     state.v += buf
     update = state.m / c1
-    update *= config.learning_rate
+    update *= config.lr
     np.divide(state.v, c2, out=buf)
     np.sqrt(buf, out=buf)
     buf += ADAM_EPS
@@ -147,7 +145,7 @@ def adam_step(
 class HistoryRow:
     step: int
     train_loss: float
-    val_error: float  # nan on steps without a validation rollout
+    val_rel_l2: float  # nan on steps without a validation rollout
 
 
 @dataclass
@@ -230,7 +228,7 @@ def _optimize(params, draw_batch, score_validation, config: TrainConfig) -> Trai
                 val = score_validation(params)
                 if val < math.inf and val <= best_val:
                     best, best_step, best_val = params, step_idx, val
-            history.append(HistoryRow(step=step_idx, train_loss=loss, val_error=val))
+            history.append(HistoryRow(step=step_idx, train_loss=loss, val_rel_l2=val))
     if best is None:  # no validation ran, or every one had diverged rows
         best, best_step = params, config.steps
         if score_validation is None:  # the last step validates whenever a scorer is given
@@ -248,9 +246,9 @@ def train_flow_matching(
     the analytic path velocity. Validation (when a set is given) scores a
     VALIDATION_SOLVER rollout from each held-out initial condition.
     """
-    mlp = MlpConfig(train_set.state_dim, config.hidden_dims, config.embed_bands)
+    mlp = MlpConfig(train_set.state_dim, config.hidden, config.embed_bands)
     schedule = NoiseSchedule(gamma0=config.gamma0, m=config.noise_m)
-    table = build_splines(train_set, config.spline_kind)
+    table = build_splines(train_set, config.spline)
     sampler = InterpolantSampler(train_set.grids, table, schedule)
     params = init_params(mlp, config.seed)
     rng = np.random.default_rng([config.seed, 1])
@@ -283,7 +281,7 @@ def train_one_step(
     states = train_set.stacked()  # (M, N, d), a view of the set's buffer
     n_steps = states.shape[1] - 1  # pairs (u_k, u_{k+1}) per trajectory
 
-    mlp = MlpConfig(train_set.state_dim, config.hidden_dims, config.embed_bands, step_size)
+    mlp = MlpConfig(train_set.state_dim, config.hidden, config.embed_bands, step_size)
     params = init_params(mlp, config.seed)
     rng = np.random.default_rng([config.seed, 1])
     zeros = np.zeros(config.batch_size)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -555,8 +556,8 @@ def test_gen_data_records_the_substeps_it_used(tmp_path):
 
 
 @pytest.mark.parametrize("system, defaults", [
-    ("lorenz", ["--n-val", "100", "--horizon", "5.0", "--gen-substeps", "10"]),
-    ("burgers1d", ["--n-val", "20", "--horizon", "1.0"]),
+    ("lorenz", ["--n-val", "100", "--horizon", "5.0", "--gen-substeps", "10", "--init-box", "5"]),
+    ("burgers1d", ["--n-val", "20", "--horizon", "1.0", "--nu", "0.01", "--nx", "100"]),
 ])
 def test_typing_a_default_out_changes_no_byte_of_a_dataset(tmp_path, system, defaults):
     base = ["gen-data", "--system", system, "--n-train", "1", "--n-test", "0", "--n-times", "11"]
@@ -692,6 +693,44 @@ def test_gen_data_values_that_crash_or_make_a_useless_dataset_exit_2(
     assert not out.exists()
     err = capsys.readouterr().err
     assert shown in err and f"got {float(extra[-1])!r}" in err
+
+
+_REFUSED_GEN_DATA = [
+    (["--system", "foo"], "unknown system 'foo'"),
+    (["--n-train", "0"], "all split sizes are zero"),
+    (["--n-times", "1"], "n_times must be >= 2"),
+    (["--system", "burgers1d", "--nx", "8"], "need at least 16 spatial points"),
+    # a flag that only another system reads would be fingerprinted and change nothing
+    (["--system", "burgers1d", "--init-box", "3"], "burgers1d reads no --init-box"),
+    (["--nu", "0.02"], "lorenz reads no --nu"),
+    (["--nx", "50"], "lorenz reads no --nx"),
+]
+
+
+@pytest.mark.parametrize(
+    "extra, shown", _REFUSED_GEN_DATA, ids=[" ".join(extra) for extra, _ in _REFUSED_GEN_DATA]
+)
+def test_gen_data_refuses_settings_it_cannot_generate_from(tmp_path, capsys, extra, shown):
+    out = tmp_path / "bad.sftraj"
+    code = cli.main([
+        "gen-data", "--n-train", "2", "--n-val", "0", "--n-test", "0", "--n-times", "11",
+        *extra, "--out", str(out),
+    ])
+    assert code == 2
+    assert not out.exists()
+    assert f"error: {shown}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("system, unread", [("lorenz", {"nu", "nx"}), ("burgers1d", {"init_box"})])
+def test_a_dataset_records_only_the_settings_its_system_reads(tmp_path, system, unread):
+    out = tmp_path / "data.sftraj"
+    assert cli.main([
+        "gen-data", "--system", system, "--n-train", "1", "--n-val", "0", "--n-test", "0",
+        "--n-times", "11", "--out", str(out),
+    ]) == 0
+    options = datafile.read_dataset(out)[1]["generator"]["options"]
+    assert options.keys() == {"system", "seed", *cli.SYSTEM_DEFAULTS[system]}
+    assert options.keys().isdisjoint(unread)
 
 
 @pytest.mark.parametrize("level", ["-0.1", "nan", "inf", "1e300"])
@@ -852,12 +891,14 @@ def test_each_command_without_a_required_flag_exits_2_naming_it(
         ("reverse", ["--t-star", "0"]),
         ("reverse", ["--t-star", "1.5"]),
         ("reverse", ["--t-star", "nan"]),
+        ("eval", ["--split", "nope"]),
     ],
 )
 def test_studies_that_would_write_meaningless_rows_exit_2(tiny_lorenz, tmp_path, command, extra):
     # a budget below 1% of the AR's NFE, no budget or method at all, an
     # anchor at t = 0 that leaves no backward horizon (header-only CSVs),
-    # or an anchor outside [0, 1] that the nearest grid time would stand in for
+    # an anchor outside [0, 1] that the nearest grid time would stand in for,
+    # or a split the dataset does not have
     ckpt = tmp_path / "init.ckpt.npz"
     save_checkpoint(ckpt, init_params(MlpConfig(state_dim=3, hidden_dims=(8,)), 0))
     out = tmp_path / f"{command}.csv"
@@ -905,6 +946,8 @@ def test_studies_need_one_grid_shared_by_the_split(tmp_path, ragged, expected):
         ("train", "gamma0", "nan"), ("train", "gamma0", "inf"),
         # the trainer builds its network before its first step
         ("train", "hidden", "0"), ("train", "embed-bands", "0"), ("train-ar", "hidden", "0"),
+        ("train", "steps", "0"), ("train", "batch-size", "0"), ("train", "eval-every", "0"),
+        ("train", "spline", "cubic"),
     ],
 )
 def test_non_finite_training_settings_exit_2_without_a_checkpoint(
@@ -918,3 +961,51 @@ def test_non_finite_training_settings_exit_2_without_a_checkpoint(
     ])
     assert code == 2
     assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "train-ar"])
+def test_training_refuses_a_dataset_without_a_train_split(tmp_path, capsys, command):
+    data, ckpt = tmp_path / "test_only.sftraj", tmp_path / "run.ckpt.npz"
+    assert cli.main([
+        "gen-data", "--n-train", "0", "--n-val", "0", "--n-test", "2", "--n-times", "11",
+        "--out", str(data),
+    ]) == 0
+    code = cli.main([
+        command, "--dataset", str(data), "--out-dir", str(tmp_path), "--checkpoint-out", str(ckpt),
+    ])
+    assert code == 2
+    assert not ckpt.exists()
+    assert "has no train split" in capsys.readouterr().err
+
+
+def test_every_training_flag_is_the_train_config_field_of_its_name():
+    # training builds its TrainConfig from the options named as its fields, so
+    # a flag of another name would be parsed, fingerprinted and never read
+    fields = {field.name for field in dataclasses.fields(trainer.TrainConfig)}
+    not_settings = {"dataset", "keep_rate", *cli.OUTPUT_FLAGS}
+    for command in ("train", "train-ar"):
+        table = cli.COMMANDS[command]
+        assert {name for name, *_ in table} - not_settings <= fields, command
+        assert all(default == getattr(trainer.TrainConfig, name)
+                   for name, _, default, _ in table if name in fields), command
+    assert fields <= {name for name, *_ in cli.COMMANDS["train"]}
+
+
+def test_history_and_convergence_csvs_keep_their_columns(tiny_lorenz, tmp_path):
+    # the columns are the field names of the rows, and the benchmark reads them by name
+    history, table = tmp_path / "history.csv", tmp_path / "convergence.csv"
+    assert cli.main([
+        "train", "--dataset", str(tiny_lorenz), "--steps", "2", "--batch-size", "8",
+        "--hidden", "8", "--out-dir", str(tmp_path), "--history-out", str(history),
+    ]) == 0
+    assert cli.main([
+        "convergence", "--dataset", str(tiny_lorenz), "--factors", "1,2", "--out", str(table),
+    ]) == 0
+    headers = [
+        next(line for line in path.read_text(encoding="utf-8").splitlines() if line[0] != "#")
+        for path in (history, table)
+    ]
+    assert headers == [
+        "step,train_loss,val_rel_l2",
+        "spline,factor,dt_seconds,n_segments,err_tau0,order_tau0,err_tau1,order_tau1",
+    ]

@@ -52,7 +52,7 @@ def test_study_orders_on_short_lorenz():
     rows = endpoint_velocity_study(data, factors=(1, 2, 4))
     by_kind = {}
     for row in rows:
-        by_kind.setdefault(row.spline_kind, []).append(row)
+        by_kind.setdefault(row.spline, []).append(row)
     lin = by_kind["linear"]
     qui = by_kind["quintic"]
     assert all(r.n_segments >= 25 for r in lin)
@@ -98,8 +98,8 @@ def _per_trajectory_study(dataset, factors):
         orders1 = [np.nan] + empirical_order(errs1, dts)
         for i, factor in enumerate(factors):
             rows.append(convergence.ConvergenceRow(
-                kind, factor, dts[i], counts[i], errs0[i], errs1[i],
-                float(orders0[i]), float(orders1[i]),
+                kind, factor, dts[i], counts[i], errs0[i], float(orders0[i]),
+                errs1[i], float(orders1[i]),
             ))
     return rows
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from splineflow import DataFormatError, InvalidArgumentError, cli, generate_lorenz
+from splineflow import DataFormatError, InvalidArgumentError, TrajectorySet, cli, generate_lorenz
 from splineflow.datafile import MAGIC, read_dataset, write_dataset
 
 
@@ -82,6 +82,23 @@ def test_rejects_non_dataset_file(tmp_path):
         read_dataset(path)
 
 
+def test_writing_refuses_no_splits_and_splits_that_disagree(tmp_path, tiny_splits):
+    path = tmp_path / "data.sftraj"
+    train = tiny_splits["train"]
+    fields = dict(grids=train.grids, values=train.values, system_tag="lorenz",
+                  raw_horizon=train.raw_horizon)
+    for change, message in (
+        ({"system_tag": "burgers1d"}, "system or dims"),
+        ({"values": np.ascontiguousarray(train.values[:, :2])}, "system or dims"),
+        ({"raw_horizon": 2 * train.raw_horizon}, "horizon"),
+    ):
+        with pytest.raises(InvalidArgumentError, match=message):
+            write_dataset(path, {"train": train, "other": TrajectorySet(**{**fields, **change})})
+    with pytest.raises(InvalidArgumentError, match="at least one split"):
+        write_dataset(path, {})
+    assert not path.exists()
+
+
 def test_each_split_reads_into_one_buffer(tmp_path, tiny_splits):
     # one allocation per split, so a freed split returns to the system whole
     path = tmp_path / "data.sftraj"
@@ -100,6 +117,9 @@ def test_rejects_truncated_binary(tmp_path, tiny_splits):
     clipped = path.read_bytes()[:-16]
     path.write_bytes(clipped)
     with pytest.raises(DataFormatError):
+        read_dataset(path)
+    path.write_bytes(MAGIC + b"\x10\x00")  # cut off inside the header length
+    with pytest.raises(DataFormatError, match="truncated header length"):
         read_dataset(path)
 
 

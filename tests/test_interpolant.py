@@ -234,6 +234,12 @@ def test_boundary_continuity_near_knots():
     assert np.allclose(out.x, table[4, 0], atol=1e-6)
 
 
+def test_a_batch_needs_a_sample():
+    sampler = _sampler(_quintic_set(1), NoiseSchedule())
+    with pytest.raises(InvalidArgumentError, match="batch_size"):
+        sampler.sample_batch(0, np.random.default_rng(0))
+
+
 def test_empty_spline_set_rejected():
     with pytest.raises(InvalidArgumentError):
         InterpolantSampler([], np.empty((0, 3, 3)), NoiseSchedule())

@@ -45,6 +45,16 @@ def test_empirical_order_needs_pairs():
         empirical_order([1e-3], [1.0])
 
 
+def test_empirical_order_refuses_a_negative_error():
+    with pytest.raises(InvalidArgumentError, match="errors must be >= 0"):
+        empirical_order([1e-3, -1e-4], [1.0, 2.0])
+
+
+def test_a_report_needs_a_row():
+    with pytest.raises(InvalidArgumentError, match="at least one trajectory"):
+        build_report(np.zeros(0), np.zeros((0, 3)), 0, np.zeros(0, dtype=bool))
+
+
 def test_build_report_aggregates():
     rng = np.random.default_rng(1)
     truths = [rng.standard_normal((6, 2)) + 3.0 for _ in range(4)]

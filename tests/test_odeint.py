@@ -238,6 +238,31 @@ def test_rollout_rejects_unbatched_state():
         recorded(ar_rollout, lambda t, u: u, np.array([1.0]), [0.0, 1.0])
 
 
+_ONE = np.array([[1.0]])
+_REFUSED_INTEGRATIONS = {
+    "unknown method": (lambda: step("rk5", decay, 0.0, _ONE, 0.1), "unknown method"),
+    "non-finite start": (
+        lambda: recorded(rollout, decay, np.array([[np.nan]]), [0.0, 1.0], SolverConfig()),
+        "initial state must be finite",
+    ),
+    "one evaluation time": (
+        lambda: recorded(rollout, decay, _ONE, [0.0], SolverConfig()), "at least two",
+    ),
+    "times that do not increase": (
+        lambda: recorded(rollout, decay, _ONE, [0.0, 0.5, 0.5], SolverConfig()),
+        "strictly increasing",
+    ),
+    "no AR times": (lambda: recorded(ar_rollout, lambda t, u: u, _ONE, []), "at least one"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED_INTEGRATIONS))
+def test_steps_and_rollouts_refuse_what_they_cannot_integrate(case):
+    call, message = _REFUSED_INTEGRATIONS[case]
+    with pytest.raises(InvalidArgumentError, match=message):
+        call()
+
+
 def test_reverse_recovers_smooth_flow():
     solver = SolverConfig("rk4", 50)
     fwd, _ = recorded(rollout, decay, np.array([[1.5]]), [0.0, 1.0], solver)
@@ -269,6 +294,8 @@ def test_reverse_validates_targets():
         recorded(rollout_reverse, decay, np.array([[1.0]]), 0.5, [0.1, 0.2], solver)  # increasing
     with pytest.raises(InvalidArgumentError):
         recorded(rollout_reverse, decay, np.array([[1.0]]), 0.5, [0.6], solver)  # above t_star
+    with pytest.raises(InvalidArgumentError, match="one-dimensional"):
+        recorded(rollout_reverse, decay, np.array([[1.0]]), 0.5, [[0.1]], solver)
 
 
 def test_lorenz_roundtrip_quarter_second():

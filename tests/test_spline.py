@@ -111,6 +111,15 @@ def test_quintic_reproduces_identity_map():
     assert np.allclose(_at(grid, table, ts, 0)[:, 0], ts, atol=1e-13)
 
 
+def test_builds_refuse_snapshots_that_do_not_fill_their_grid():
+    grid = uniform_grid(5)
+    for build in (build_linear, build_quintic):
+        with pytest.raises(InvalidArgumentError, match="shape"):
+            build(grid, np.zeros(5))
+        with pytest.raises(InvalidArgumentError, match="4 snapshots for a 5-point grid"):
+            build(grid, np.zeros((4, 2)))
+
+
 def test_quintic_rejects_two_knots():
     with pytest.raises(InvalidArgumentError):
         build_quintic(uniform_grid(2), np.zeros((2, 1)))

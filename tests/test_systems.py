@@ -290,13 +290,16 @@ def test_grf_is_real_and_seeded():
 
 
 def test_grf_mode_variances_match_covariance():
-    n_draws, nx = 10_000, 100
-    draws = np.stack([sample_grf_initial(nx, seed=[10, i]) for i in range(n_draws)])
-    modes = np.fft.rfft(draws, axis=1) / nx
-    observed = np.mean(np.abs(modes) ** 2, axis=0)
-    for k in range(6):
-        expected = grf_mode_std(np.array([k]))[0] ** 2
-        assert abs(observed[k] - expected) / expected < 0.10
+    # the last mode of an even grid is the real Nyquist mode; of an odd grid, a complex one
+    n_draws = 10_000
+    for nx in (100, 101):
+        draws = np.stack([sample_grf_initial(nx, seed=[10, i]) for i in range(n_draws)])
+        modes = np.fft.rfft(draws, axis=1) / nx
+        observed = np.mean(np.abs(modes) ** 2, axis=0)
+        for k in (*range(6), nx // 2):
+            expected = grf_mode_std(np.array([k]))[0] ** 2
+            assert abs(observed[k] - expected) / expected < 0.10
+        assert np.any(modes[:, -1].imag != 0.0) == (nx % 2 == 1)
 
 
 def test_grf_rejects_tiny_grids():

@@ -13,6 +13,7 @@ from splineflow import (
     AdamState,
     InvalidArgumentError,
     MlpConfig,
+    NumericError,
     SolverConfig,
     TrainConfig,
     TimeGrid,
@@ -63,7 +64,7 @@ def _single_param_setup(grad_value):
 def test_adam_first_step_is_signed_learning_rate():
     # with bias correction, m_hat = g and v_hat = g^2, so the first update
     # is -lr * sign(g) up to the epsilon regularizer
-    train_cfg = TrainConfig(learning_rate=0.01)
+    train_cfg = TrainConfig(lr=0.01)
     params, grads = _single_param_setup(grad_value=3.7)
     state = AdamState.zeros_like(params)
     new_params, new_state = adam_step(params, state, grads, train_cfg)
@@ -72,7 +73,7 @@ def test_adam_first_step_is_signed_learning_rate():
 
 
 def test_adam_zero_gradient_keeps_params():
-    train_cfg = TrainConfig(learning_rate=0.01)
+    train_cfg = TrainConfig(lr=0.01)
     params, grads = _single_param_setup(grad_value=0.0)
     state = AdamState.zeros_like(params)
     new_params, new_state = adam_step(params, state, grads, train_cfg)
@@ -84,9 +85,17 @@ def test_adam_zero_gradient_keeps_params():
     assert np.allclose(decayed.v, 0.99)
 
 
+def test_an_adam_step_that_overflows_raises_numeric_error():
+    # each update is about -lr * sign(g) = +1e308, which takes 1e308 past the largest float
+    params, grads = _single_param_setup(grad_value=-0.5)
+    params.flat[:] = 1e308
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="non-finite parameter"):
+        adam_step(params, AdamState.zeros_like(params), grads, TrainConfig(lr=1e308))
+
+
 def test_adam_step_returns_fresh_params_and_keeps_its_input():
     # _optimize keeps a reference to earlier parameters as its snapshot
-    train_cfg = TrainConfig(learning_rate=0.01)
+    train_cfg = TrainConfig(lr=0.01)
     params, grads = _single_param_setup(grad_value=3.7)
     before = params.flat.copy()
     state = AdamState.zeros_like(params)
@@ -127,7 +136,7 @@ def _reference_adam_step(arrays, m, v, grads, step_count, config):
     m = [b1 * mi + (1.0 - b1) * g for mi, g in zip(m, grads)]
     v = [b2 * vi + (1.0 - b2) * (g * g) for vi, g in zip(v, grads)]
     arrays = [
-        p - config.learning_rate * (mi / c1) / (np.sqrt(vi / c2) + trainer.ADAM_EPS)
+        p - config.lr * (mi / c1) / (np.sqrt(vi / c2) + trainer.ADAM_EPS)
         for p, mi, vi in zip(arrays, m, v)
     ]
     return arrays, m, v
@@ -199,7 +208,7 @@ def test_one_step_training_gathers_pairs_from_the_stacked_states(monkeypatch):
     # buffer: a stacked copy of the split would take the peak past the
     # split's payload, and flattened input and target copies to about 3x
     lorenz, data = generate_lorenz(200, 201, seed=0), _random_set(40, 101, 100, seed=2)
-    cfg = TrainConfig(steps=1, batch_size=16, hidden_dims=(8,))
+    cfg = TrainConfig(steps=1, batch_size=16, hidden=(8,))
     for split in (lorenz, data):
         _, peak = _traced_peak(lambda: train_one_step(split, cfg))
         assert peak < split.values.nbytes
@@ -229,7 +238,7 @@ def test_evaluation_scores_views_of_the_truths():
 @pytest.mark.parametrize("make_sampler", [_lorenz_linear_sampler, _burgers_quintic_sampler])
 def test_fused_step_matches_per_layer_reference(make_sampler):
     sampler, d = make_sampler()
-    cfg = TrainConfig(learning_rate=1e-3)
+    cfg = TrainConfig(lr=1e-3)
     params = init_params(MlpConfig(state_dim=d), seed=0)
     state = AdamState.zeros_like(params)
     ref = [a.copy() for pair in zip(params.weights, params.biases) for a in pair]
@@ -260,12 +269,12 @@ def _exponential_set(u0=2.0, n=11):
     return TrajectorySet(grids=[grid], values=values, system_tag="toy", raw_horizon=1.0)
 
 
-TOY_NET = {"hidden_dims": (32, 32), "embed_bands": 4}
+TOY_NET = {"hidden": (32, 32), "embed_bands": 4}
 
 
 def test_constant_trajectory_learns_zero_field():
     data = _constant_set()
-    cfg = TrainConfig(steps=1500, batch_size=64, learning_rate=3e-3, gamma0=0.0,
+    cfg = TrainConfig(steps=1500, batch_size=64, lr=3e-3, gamma0=0.0,
                       eval_every=500, seed=0, **TOY_NET)
     result = train_flow_matching(data, cfg, val_set=data)
     assert result.history[-1].train_loss < 1e-5
@@ -275,7 +284,7 @@ def test_constant_trajectory_learns_zero_field():
 
 def test_exponential_toy_learns_decay_field():
     data = _exponential_set()
-    cfg = TrainConfig(steps=4000, batch_size=128, learning_rate=3e-3, gamma0=0.0,
+    cfg = TrainConfig(steps=4000, batch_size=128, lr=3e-3, gamma0=0.0,
                       eval_every=1000, seed=1, **TOY_NET)
     result = train_flow_matching(data, cfg, val_set=data)
     report = evaluate_flow_model(result.params, data, SolverConfig("rk4", 4))
@@ -289,7 +298,7 @@ def test_exponential_toy_learns_decay_field():
 def test_learned_field_round_trip():
     # forward to t=1 then backward to t=0 with the same learned field
     data = _exponential_set()
-    cfg = TrainConfig(steps=4000, batch_size=128, learning_rate=3e-3, gamma0=0.0,
+    cfg = TrainConfig(steps=4000, batch_size=128, lr=3e-3, gamma0=0.0,
                       eval_every=1000, seed=1, **TOY_NET)
     result = train_flow_matching(data, cfg, val_set=data)
     f = flow_field(result.params)
@@ -303,8 +312,8 @@ def test_learned_field_round_trip():
 
 def test_training_is_bit_reproducible():
     data = _exponential_set()
-    cfg = TrainConfig(steps=300, batch_size=32, learning_rate=1e-3, gamma0=1e-5,
-                      eval_every=100, seed=7, hidden_dims=(8, 8), embed_bands=2)
+    cfg = TrainConfig(steps=300, batch_size=32, lr=1e-3, gamma0=1e-5,
+                      eval_every=100, seed=7, hidden=(8, 8), embed_bands=2)
     a = train_flow_matching(data, cfg, val_set=data)
     b = train_flow_matching(data, cfg, val_set=data)
     assert np.array_equal(a.params.flat, b.params.flat)
@@ -313,7 +322,7 @@ def test_training_is_bit_reproducible():
 
 def test_smoothed_loss_nonincreasing_early():
     data = _exponential_set()
-    cfg = TrainConfig(steps=3000, batch_size=128, learning_rate=3e-3, gamma0=0.0,
+    cfg = TrainConfig(steps=3000, batch_size=128, lr=3e-3, gamma0=0.0,
                       eval_every=1000, seed=2, **TOY_NET)
     result = train_flow_matching(data, cfg)
     losses = np.array([row.train_loss for row in result.history])
@@ -325,8 +334,8 @@ def test_smoothed_loss_nonincreasing_early():
 
 def test_divergent_run_aborts_with_last_good_params():
     data = _exponential_set()
-    cfg = TrainConfig(steps=500, batch_size=32, learning_rate=1e18, gamma0=0.0,
-                      eval_every=100, seed=0, hidden_dims=(8,), embed_bands=2)
+    cfg = TrainConfig(steps=500, batch_size=32, lr=1e18, gamma0=0.0,
+                      eval_every=100, seed=0, hidden=(8,), embed_bands=2)
     with pytest.raises(TrainingAbortedError) as err:
         train_flow_matching(data, cfg, val_set=data)
     assert err.value.result is not None
@@ -335,8 +344,8 @@ def test_divergent_run_aborts_with_last_good_params():
 
 def test_loss_explosion_aborts_at_step_two_with_initial_params():
     data = _exponential_set()
-    cfg = TrainConfig(steps=500, batch_size=32, learning_rate=1e18, gamma0=0.0,
-                      eval_every=100, seed=0, hidden_dims=(8,), embed_bands=2)
+    cfg = TrainConfig(steps=500, batch_size=32, lr=1e18, gamma0=0.0,
+                      eval_every=100, seed=0, hidden=(8,), embed_bands=2)
     with pytest.raises(TrainingAbortedError) as err:
         train_flow_matching(data, cfg, val_set=data)
     # the loss stays finite but explodes at step 2, before any validation:
@@ -367,7 +376,7 @@ AR_MLP = MlpConfig(state_dim=1, hidden_dims=(8,), grid_step=0.1)
 
 @pytest.mark.parametrize("first_bad_step", [1, 4])
 def test_non_finite_loss_hands_over_last_params_that_passed(first_bad_step):
-    cfg = TrainConfig(steps=10, batch_size=16, learning_rate=1e-2, seed=0)
+    cfg = TrainConfig(steps=10, batch_size=16, lr=1e-2, seed=0)
     with pytest.raises(TrainingAbortedError) as err:
         _optimize(init_params(AR_MLP, 0), _decay_batches(first_bad_step), None, cfg)
     assert err.value.step == first_bad_step
@@ -399,7 +408,7 @@ def _draw_threads(monkeypatch) -> list:
 
 
 def _bits(result):
-    history = [(row.step, row.train_loss, row.val_error) for row in result.history]
+    history = [(row.step, row.train_loss, row.val_rel_l2) for row in result.history]
     return np.array(history), result.params.flat, result.best_step
 
 
@@ -409,7 +418,7 @@ def test_a_training_that_draws_ahead_equals_one_that_draws_in_line(monkeypatch, 
     # batch is drawn on the pool while the step runs; with the floor above
     # the batch, every batch is drawn on the calling thread when needed
     data = generate_burgers(4, 21, seed=0)
-    cfg = TrainConfig(steps=12, batch_size=256, eval_every=5, seed=3, hidden_dims=(16,),
+    cfg = TrainConfig(steps=12, batch_size=256, eval_every=5, seed=3, hidden=(16,),
                       embed_bands=2)
     _cpus(monkeypatch, 2)
     threads, runs, caller = _draw_threads(monkeypatch), [], threading.get_ident()
@@ -430,7 +439,7 @@ def test_a_full_run_draws_exactly_its_steps_batches(monkeypatch, floor):
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(workers, "PART_ENTRIES", floor)
     threads = _draw_threads(monkeypatch)
-    cfg = TrainConfig(steps=7, batch_size=16, learning_rate=1e-2, eval_every=3, seed=0)
+    cfg = TrainConfig(steps=7, batch_size=16, lr=1e-2, eval_every=3, seed=0)
     result = _optimize(init_params(AR_MLP, 0), _decay_batches(100), lambda p: 1.0, cfg)
     assert [row.step for row in result.history] == list(range(1, 8))
     assert len(threads) == 7
@@ -475,7 +484,7 @@ def test_an_aborted_run_leaves_no_draw_running(monkeypatch):
         drawn.append(running.pop())
         return batch
 
-    cfg = TrainConfig(steps=10, batch_size=16, learning_rate=1e-2, seed=0)
+    cfg = TrainConfig(steps=10, batch_size=16, lr=1e-2, seed=0)
     with pytest.raises(TrainingAbortedError) as err:
         _optimize(init_params(AR_MLP, 0), slow_draw, None, cfg)
     assert running == []
@@ -487,12 +496,12 @@ def test_an_aborted_run_leaves_no_draw_running(monkeypatch):
 def test_validation_with_diverged_rows_is_never_kept():
     report = EvalReport(per_traj=np.array([0.6]), per_time=np.array([0.6]), nfe=1, n_diverged=1)
     assert _validation_error(report) == math.inf
-    cfg = TrainConfig(steps=6, batch_size=16, learning_rate=1e-2, eval_every=2, seed=0)
+    cfg = TrainConfig(steps=6, batch_size=16, lr=1e-2, eval_every=2, seed=0)
     scores = iter([math.inf, 0.3, math.inf])
     result = _optimize(init_params(AR_MLP, 0), _decay_batches(100),
                        lambda p: next(scores), cfg)
     assert result.best_step == 4 and result.best_val_error == 0.3
-    assert [row.val_error for row in result.history][1::2] == [math.inf, 0.3, math.inf]
+    assert [row.val_rel_l2 for row in result.history][1::2] == [math.inf, 0.3, math.inf]
     # when every validation diverged, the final parameters are handed over
     result = _optimize(init_params(AR_MLP, 0), _decay_batches(100),
                        lambda p: math.inf, cfg)
@@ -504,12 +513,12 @@ def test_quintic_requires_three_knots():
     data = TrajectorySet(
         grids=[grid], values=np.zeros((2, 1)), system_tag="toy", raw_horizon=1.0,
     )
-    cfg = TrainConfig(steps=10, batch_size=4, spline_kind="quintic", hidden_dims=(4,))
+    cfg = TrainConfig(steps=10, batch_size=4, spline="quintic", hidden=(4,))
     with pytest.raises(InvalidArgumentError):
         train_flow_matching(data, cfg)
 
 
-@pytest.mark.parametrize("net", [{}, {"hidden_dims": (4, 3), "embed_bands": 2}])
+@pytest.mark.parametrize("net", [{}, {"hidden": (4, 3), "embed_bands": 2}])
 def test_each_trainer_builds_its_network_from_the_data_and_the_config(net):
     # the recorded grid step is what tells a next-state map from a velocity field;
     # the width comes from the data, the layers and bands from the config
@@ -517,15 +526,15 @@ def test_each_trainer_builds_its_network_from_the_data_and_the_config(net):
     cfg = TrainConfig(steps=2, batch_size=4, **net)
     for train, step in ((train_flow_matching, None), (train_one_step, data.uniform_step())):
         config = train(data, cfg).params.config
-        assert config == MlpConfig(data.state_dim, cfg.hidden_dims, cfg.embed_bands, step)
-        assert config.hidden_dims == net.get("hidden_dims", MlpConfig.hidden_dims)
+        assert config == MlpConfig(data.state_dim, cfg.hidden, cfg.embed_bands, step)
+        assert config.hidden_dims == net.get("hidden", MlpConfig.hidden_dims)
         assert config.embed_bands == net.get("embed_bands", MlpConfig.embed_bands)
 
 
 def test_ar_learns_identity_on_constant_data():
     data = _constant_set(value=1.5, d=1)
-    cfg = TrainConfig(steps=1200, batch_size=32, learning_rate=3e-3, eval_every=400, seed=0,
-                      hidden_dims=(16, 16))
+    cfg = TrainConfig(steps=1200, batch_size=32, lr=3e-3, eval_every=400, seed=0,
+                      hidden=(16, 16))
     result = train_one_step(data, cfg, val_set=data)
     assert result.history[-1].train_loss < 1e-6
     report = evaluate_one_step_model(result.params, data)
@@ -786,8 +795,8 @@ CLAIM_MARGIN = 0.98
 
 
 def _subsampled_lorenz_config(seed, kind="quintic"):
-    return TrainConfig(steps=3000, batch_size=128, learning_rate=1e-3, gamma0=1e-5,
-                       spline_kind=kind, eval_every=3000, seed=seed)
+    return TrainConfig(steps=3000, batch_size=128, lr=1e-3, gamma0=1e-5,
+                       spline=kind, eval_every=3000, seed=seed)
 
 
 @pytest.fixture(scope="module")

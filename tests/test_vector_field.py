@@ -52,6 +52,19 @@ def test_a_one_step_grid_step_must_lie_in_the_unit_interval(step):
         MlpConfig(state_dim=2, grid_step=step)
 
 
+def test_a_network_needs_a_state_component():
+    with pytest.raises(InvalidArgumentError, match="state_dim"):
+        MlpConfig(state_dim=0)
+
+
+def test_a_forward_pass_refuses_a_batch_of_another_width_or_a_non_finite_state():
+    params = init_params(MlpConfig(state_dim=2, hidden_dims=(4,), embed_bands=2), seed=0)
+    with pytest.raises(InvalidArgumentError, match=r"expected \(B, 2\)"):
+        forward_batch(params, 0.5, np.zeros((3, 3)))
+    with pytest.raises(NumericError, match="non-finite network input"):
+        forward_batch(params, 0.5, np.array([[0.0, np.inf]]))
+
+
 def test_zero_params_give_zero_output():
     config = MlpConfig(state_dim=3, hidden_dims=(8, 8), embed_bands=2)
     params = init_params(config, seed=0)

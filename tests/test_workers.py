@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from splineflow import (
     MlpConfig, TrainConfig, forward_batch, generate_burgers, init_params, train_flow_matching,
@@ -35,10 +36,10 @@ def test_split_rows_cuts_at_multiples_of_8_into_parts_of_the_floor(monkeypatch):
 
 
 def _train(data):
-    cfg = TrainConfig(steps=3, batch_size=256, eval_every=3, seed=3, hidden_dims=(16,),
+    cfg = TrainConfig(steps=3, batch_size=256, eval_every=3, seed=3, hidden=(16,),
                       embed_bands=2)
     result = train_flow_matching(data, cfg, val_set=data)
-    return [(row.step, row.train_loss, row.val_error) for row in result.history], result.params.flat
+    return [(row.step, row.train_loss, row.val_rel_l2) for row in result.history], result.params.flat
 
 
 def test_without_cpu_affinity_the_pool_counts_all_cpus_and_gives_the_same_bits(monkeypatch):
@@ -59,6 +60,36 @@ def test_without_cpu_affinity_the_pool_counts_all_cpus_and_gives_the_same_bits(m
         assert np.array_equal(np.array(again_history), np.array(history), equal_nan=True)
         assert np.array_equal(again_flat, flat)
         assert np.array_equal(forward_batch(params, 0.37, u), out)
+
+
+_FORK_CHECK = """
+import os
+import signal
+import numpy as np
+from splineflow import MlpConfig, forward_batch, init_params, workers
+os.sched_getaffinity = lambda pid: {0, 1}
+params = init_params(MlpConfig(state_dim=100), seed=5)
+u = np.random.default_rng(0).standard_normal((640, 100))
+out = forward_batch(params, 0.37, u)
+assert workers._pool is not None
+pid = os.fork()
+if pid == 0:
+    signal.alarm(60)  # a child left waiting on the parent's pool threads ends here
+    forgot = workers._pool is None
+    same = np.array_equal(forward_batch(params, 0.37, u), out)
+    os._exit(0 if forgot and same and workers._pool is not None else 1)
+assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_forgets_the_pool_and_still_splits_a_forward_pass():
+    # the parent's pool threads do not exist in the child, which makes its own
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", _FORK_CHECK], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_the_package_imports_where_there_are_no_fork_hooks():
